@@ -11,7 +11,11 @@
 #                          --features mmap; grep-assert that
 #                          forbid(unsafe_code) is in force for every crate
 #                          when `mmap` is off and that no `unsafe` exists
-#                          outside the one mmap module
+#                          outside the one mmap module; layering guard: the
+#                          engine crate never names a layer above it (no
+#                          shard/cluster vocabulary under
+#                          crates/immutable-regions/src) and ir-bench keeps
+#                          no thread_local! stamping cells
 #   5. robustness        — the chaos integration suite (seeded fault plans
 #                          against every backend and thread count) in both
 #                          the default and the `mmap` feature config, plus
@@ -44,9 +48,10 @@
 #  11. snapshot matrix   — a figure runner served from a persisted index
 #                          snapshot (--snapshot-dir) under every backend
 #                          must emit *exactly* the built-index series
-#                          (bench_diff --exact), with the policy stamps
-#                          asserted ("source":"Snapshot") so a staging
-#                          regression cannot pass vacuously; the cold_start
+#                          (bench_diff --exact), with the envelope's
+#                          cold-start stamp asserted ("cold_start":
+#                          {"source":"Snapshot") so a staging regression
+#                          cannot pass vacuously; the cold_start
 #                          runner then self-checks the snapshot's bring-up
 #                          win conditions (pages touched / bytes decoded,
 #                          never wall-clock) in both feature configs
@@ -69,7 +74,7 @@
 #                          exit 1 on violation), all three emissions must
 #                          agree *exactly* and match the committed
 #                          bench_baselines/cluster/ baseline exactly, with
-#                          the topology policy stamps asserted
+#                          the envelope's topology stamp asserted
 #  14. dynamic updates   — the dynamic runner (a subscription fleet under a
 #                          deterministic Zipf-popular tuple-update stream)
 #                          at smoke scale on the mem and file backends; the
@@ -77,8 +82,7 @@
 #                          majority, maintenance I/O strictly below the
 #                          rebuild-per-batch I/O, incremental answers and
 #                          maintained region reports byte-identical to a
-#                          fresh engine on the mutated dataset, manager and
-#                          engine health counters in agreement; exit 1 on
+#                          fresh engine on the mutated dataset; exit 1 on
 #                          violation), the two emissions must match
 #                          *exactly* (bench_diff --exact) with the policy
 #                          stamps asserted, and both are gated against the
@@ -86,6 +90,10 @@
 #  15. bench baseline    — bench_diff compares the stage-9 series against
 #                          the committed bench_baselines/ (shape and the
 #                          deterministic metrics, never wall-clock)
+#  16. benchmark package — the standalone benchmark/ package (its own
+#                          workspace, path deps on these crates) builds and
+#                          passes its tests offline, so a public-API break
+#                          fails here and not in the bench pipeline
 #
 # Per-stage wall-clock timings are collected and echoed as a summary table
 # at the end, so slow stages are visible at a glance in CI logs.
@@ -119,21 +127,21 @@ RUNNER_BINS=(figure06_partitions figure10_wsj_qlen figure11_st_qlen
 
 MMAP_FEATURES="ir-storage/mmap,immutable-regions/mmap,ir-bench/mmap,ir-cluster/mmap"
 
-begin_stage "1/15 cargo fmt --check"
+begin_stage "1/16 cargo fmt --check"
 cargo fmt --all --check
 end_stage
 
-begin_stage "2/15 cargo clippy (default + mmap), warnings are errors"
+begin_stage "2/16 cargo clippy (default + mmap), warnings are errors"
 cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy --workspace --all-targets --features "$MMAP_FEATURES" -- -D warnings
 end_stage
 
-begin_stage "3/15 tier-1: cargo build --release && cargo test -q"
+begin_stage "3/16 tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 end_stage
 
-begin_stage "4/15 feature matrix + no-unsafe assertions"
+begin_stage "4/16 feature matrix + no-unsafe assertions"
 for crate in ir-storage immutable-regions; do
     for flags in "--no-default-features" "" "--features mmap"; do
         printf -- '--- %s %s\n' "$crate" "${flags:-"(default)"}"
@@ -170,9 +178,21 @@ if grep -rnw 'unsafe' crates --include='*.rs' |
     exit 1
 fi
 echo "no-unsafe assertions hold"
+# Layering: the engine is the bottom of the serving stack and never names a
+# layer above it, and the bench harness stamps its envelope from values
+# passed explicitly, never from thread-local cells.
+if grep -rniE 'shard|cluster' crates/immutable-regions/src; then
+    echo "FAIL: crates/immutable-regions/src names a layer above it (listed above)" >&2
+    exit 1
+fi
+if grep -rn 'thread_local!' crates/ir-bench/src; then
+    echo "FAIL: thread_local! under crates/ir-bench/src (listed above)" >&2
+    exit 1
+fi
+echo "layering guard holds"
 end_stage
 
-begin_stage "5/15 robustness: chaos suite + unwrap/expect lint gate"
+begin_stage "5/16 robustness: chaos suite + unwrap/expect lint gate"
 # The chaos suite injects seeded faults (transients, outages, corruption,
 # worker panics) into every backend at 1/2/8 workers and asserts typed
 # errors, byte-identical recovery and a serviceable engine afterwards.
@@ -186,7 +206,7 @@ cargo clippy -q --no-deps -p ir-storage --features mmap --lib -- \
     -D warnings -D clippy::unwrap_used -D clippy::expect_used
 end_stage
 
-begin_stage "6/15 cargo doc --no-deps (rustdoc warnings are errors) + doc anchors"
+begin_stage "6/16 cargo doc --no-deps (rustdoc warnings are errors) + doc anchors"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
     -p ir-types -p ir-storage -p ir-geometry -p ir-topk -p ir-core \
     -p ir-datagen -p ir-bench -p ir-cluster -p immutable-regions
@@ -210,7 +230,7 @@ done
 echo "doc anchors resolve"
 end_stage
 
-begin_stage "7/15 benches compile"
+begin_stage "7/16 benches compile"
 cargo bench --no-run
 end_stage
 
@@ -238,7 +258,7 @@ trap 'rm -rf "$emit_dir_t1" "$emit_dir_t2" "$emit_dir_mmap_t1" "$emit_dir_mmap_t
     "$cluster_mem" "$cluster_seed2" "$cluster_file" \
     "$dynamic_mem" "$dynamic_file"' EXIT
 
-begin_stage "8/15 example + figure-runner smoke loop (sequential, mem)"
+begin_stage "8/16 example + figure-runner smoke loop (sequential, mem)"
 for example in quickstart document_retrieval hotel_sensitivity weight_tuning; do
     printf -- '--- example: %s\n' "$example"
     cargo run --release -q -p immutable-regions --example "$example" >/dev/null
@@ -252,7 +272,7 @@ for figure_bin in "${RUNNER_BINS[@]}"; do
 done
 end_stage
 
-begin_stage "9/15 figure runners at --threads 2 (parallel path) + JSON emission"
+begin_stage "9/16 figure runners at --threads 2 (parallel path) + JSON emission"
 for figure_bin in "${RUNNER_BINS[@]}"; do
     printf -- '--- figure runner (threads=2): %s\n' "$figure_bin"
     IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --bin "$figure_bin" -- \
@@ -260,7 +280,7 @@ for figure_bin in "${RUNNER_BINS[@]}"; do
 done
 end_stage
 
-begin_stage "10/15 backend matrix: mmap at --threads 1 and 2, file at --threads 2"
+begin_stage "10/16 backend matrix: mmap at --threads 1 and 2, file at --threads 2"
 for figure_bin in "${RUNNER_BINS[@]}"; do
     printf -- '--- figure runner (mmap, threads=1): %s\n' "$figure_bin"
     IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --features mmap \
@@ -300,7 +320,7 @@ cargo run --release -q -p ir-bench --bin bench_diff -- \
     bench_baselines "$emit_dir_mmap_t2"
 end_stage
 
-begin_stage "11/15 snapshot matrix: save/reopen under every backend + exact diff"
+begin_stage "11/16 snapshot matrix: save/reopen under every backend + exact diff"
 # Built-index oracle emission for the representative figure (mem, threads 2).
 IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --bin figure11_st_qlen -- \
     --threads 2 --emit-json "$snap_built" >/dev/null
@@ -317,11 +337,12 @@ IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --features mmap \
     --bin figure11_st_qlen -- \
     --backend mmap --threads 2 --snapshot-dir "$snap_root" --emit-json "$snap_mmap" >/dev/null
 # Snapshot-served output must be *exactly* the built-index output in every
-# deterministic metric, and the policy stamp must prove the engine really
-# came up from a snapshot (guard against a vacuous staging path).
+# deterministic metric, and the envelope's cold-start stamp (beside the
+# policy, not inside it) must prove the engine really came up from a
+# snapshot (guard against a vacuous staging path).
 for d in "$snap_mem" "$snap_file" "$snap_mmap"; do
     cargo run --release -q -p ir-bench --bin bench_diff -- --exact "$snap_built" "$d"
-    grep -q '"source":"Snapshot"' "$d"/BENCH_*.json ||
+    grep -q '},"cold_start":{"source":"Snapshot"' "$d"/BENCH_*.json ||
         { echo "FAIL: $d was not served from a snapshot" >&2; exit 1; }
 done
 # The dedicated cold-start runner exits non-zero unless the snapshot open
@@ -333,14 +354,14 @@ IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --bin cold_start -- \
 printf -- '--- cold_start runner (mmap)\n'
 IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --features mmap \
     --bin cold_start >/dev/null
-grep -q '"source":"Snapshot"' "$cold_dir"/BENCH_coldstart.json ||
+grep -q '},"cold_start":{"source":"Snapshot"' "$cold_dir"/BENCH_coldstart.json ||
     { echo "FAIL: BENCH_coldstart.json carries no snapshot stamp" >&2; exit 1; }
 end_stage
 
-begin_stage "12/15 fleet service: drift-stream serving on mem + file backends"
+begin_stage "12/16 fleet service: drift-stream serving on mem + file backends"
 # The fleet runner is self-checking (every event answered exactly once, the
-# in-region majority served locally, batches bounded, manager stats equal
-# to the engine health counters) and exits non-zero on any violation.
+# in-region majority served locally, batches bounded) and exits non-zero on
+# any violation.
 printf -- '--- fleet runner (mem, threads=1)\n'
 IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --bin fleet -- \
     --emit-json "$fleet_mem" >/dev/null
@@ -364,7 +385,7 @@ cargo run --release -q -p ir-bench --bin bench_diff -- \
     bench_baselines/fleet "$fleet_file"
 end_stage
 
-begin_stage "13/15 cluster: sharded engine vs oracle, two seeds, mem + file"
+begin_stage "13/16 cluster: sharded engine vs oracle, two seeds, mem + file"
 # The cluster runner is self-checking (merged regions byte-identical to the
 # single-engine oracle at every shard count and partition mode, the 1-shard
 # by-query run identical to the unsharded engine's answers, conserved
@@ -381,11 +402,11 @@ printf -- '--- cluster runner (file, seed 49413)\n'
 IR_BENCH_SCALE=smoke IR_BENCH_CLUSTER_SEED=49413 \
     cargo run --release -q -p ir-bench --bin cluster -- \
     --backend file --emit-json "$cluster_file" >/dev/null
-# The topology policy stamps prove sharded runs actually happened (an
+# The envelope's topology stamp proves sharded runs actually happened (an
 # unsharded regression would emit "cluster":null and pass vacuously), and
-# the backend stamps prove the file matrix leg really left mem.
+# the policy's backend stamps prove the file matrix leg really left mem.
 for d in "$cluster_mem" "$cluster_seed2" "$cluster_file"; do
-    grep -q '"cluster":{"shards":4' "$d"/BENCH_cluster.json ||
+    grep -q '},"cluster":{"shards":4' "$d"/BENCH_cluster.json ||
         { echo "FAIL: $d/BENCH_cluster.json carries no 4-shard topology stamp" >&2; exit 1; }
 done
 grep -q '"backend":"Mem"' "$cluster_mem"/BENCH_cluster.json ||
@@ -405,12 +426,11 @@ cargo run --release -q -p ir-bench --bin bench_diff -- \
     --exact bench_baselines/cluster "$cluster_file"
 end_stage
 
-begin_stage "14/15 dynamic updates: fleet under tuple churn on mem + file backends"
+begin_stage "14/16 dynamic updates: fleet under tuple churn on mem + file backends"
 # The dynamic runner is self-checking (most regions survive each update
 # batch, maintenance I/O strictly below the rebuild-per-batch I/O, every
 # incremental answer and maintained region report byte-identical to a
-# fresh engine on the mutated dataset, manager stats equal to the engine
-# health counters) and exits non-zero on any violation.
+# fresh engine on the mutated dataset) and exits non-zero on any violation.
 printf -- '--- dynamic runner (mem, threads=1)\n'
 IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --bin dynamic -- \
     --emit-json "$dynamic_mem"
@@ -433,9 +453,16 @@ cargo run --release -q -p ir-bench --bin bench_diff -- \
     --exact bench_baselines/dynamic "$dynamic_file"
 end_stage
 
-begin_stage "15/15 bench_diff against committed baseline"
+begin_stage "15/16 bench_diff against committed baseline"
 cargo run --release -q -p ir-bench --bin bench_diff -- \
     bench_baselines "$emit_dir_t2"
+end_stage
+
+begin_stage "16/16 benchmark package builds and tests offline"
+# benchmark/ is its own workspace with path deps on these crates and is not
+# covered by any cargo invocation above.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 end_stage
 
 printf '\n=== stage timing summary ===\n'

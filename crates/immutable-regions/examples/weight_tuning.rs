@@ -8,10 +8,10 @@
 //! correlated data thresholding does — and CPT wins on both, which is the
 //! paper's headline claim.
 //!
-//! This is the retained *low-level* example: it drives the borrow-based
-//! [`RegionComputation`] API directly (per-query cold starts, explicit
-//! index lifetime) for library users who manage storage themselves. The
-//! other examples go through the owned [`IrEngine`] façade.
+//! This is the retained *low-level* example: it drives the
+//! [`RegionComputation`] API directly (per-query cold starts over a shared
+//! index built by hand) for library users who manage storage themselves.
+//! The other examples go through the owned [`IrEngine`] façade.
 //!
 //! Run with: `cargo run --release --example weight_tuning`
 
@@ -37,7 +37,7 @@ fn main() -> IrResult<()> {
         ("ST (correlated)", &correlated, 40),
     ] {
         println!("=== {name} ===");
-        let index = TopKIndex::build_in_memory(dataset)?;
+        let index = IndexBuilder::new().build_shared(dataset)?;
         let workload = QueryWorkload::generate(
             dataset,
             &WorkloadConfig {

@@ -2,12 +2,14 @@
 //!
 //! The paper's workload is service-shaped: a *subscribed* top-k query whose
 //! immutable regions are recomputed as the preference weights drift. The
-//! low-level API ([`RegionComputation`]) is borrow-bound — every caller must
-//! hand-assemble dataset → index → pool → config and thread lifetimes
-//! through its code. The engine replaces that with one owned object that
-//! holds the warm state (index + buffer pool behind [`Arc`]) and serves
-//! queries; handles are `Send + Sync + Clone` with no caller-visible
-//! lifetimes.
+//! low-level API ([`RegionComputation`]) makes every caller hand-assemble
+//! dataset → index → pool → config. The engine replaces that with one owned
+//! object that holds the warm state (index + buffer pool behind [`Arc`]) and
+//! serves queries; handles are `Send + Sync + Clone`.
+//!
+//! The engine is the bottom of the serving stack: it never names a layer
+//! above it. The subscription fleet ([`crate::fleet`]) and anything built on
+//! top keep their own counters and metadata.
 //!
 //! Three call styles are surfaced:
 //!
@@ -34,622 +36,32 @@
 //! # Ok::<(), immutable_regions::engine::EngineError>(())
 //! ```
 
+mod builder;
+mod error;
+mod health;
+mod policy;
+mod subscription;
+
+pub use builder::IrEngineBuilder;
+pub use error::{EngineError, EngineResult};
+pub use health::EngineHealthSnapshot;
+pub use policy::EnginePolicy;
+pub(crate) use subscription::immutable_under;
+pub use subscription::Subscription;
+
+use health::EngineHealth;
 use ir_core::{
-    BatchOutcome, BatchRegionComputation, OwnedRegionComputation, RegionComputation, RegionConfig,
-    RegionReport,
+    BatchOutcome, BatchRegionComputation, RegionComputation, RegionConfig, RegionReport,
 };
 use ir_storage::{
-    AppliedUpdate, BackendKind, ColdStartInfo, FaultPlan, IndexBuilder, IoConfig,
-    MaintenanceStatsSnapshot, RetryPolicy, SnapshotSummary, StorageBackend, TopKIndex,
+    AppliedUpdate, BackendKind, ColdStartInfo, MaintenanceStatsSnapshot, SnapshotSummary, TopKIndex,
 };
 use ir_topk::TaConfig;
-use ir_types::{
-    Dataset, DimId, IrError, QueryVector, SparseVector, TopKResult, TupleId, TupleUpdate,
-};
-use serde::{Deserialize, Serialize};
+use ir_types::{DimId, IrError, QueryVector, SparseVector, TupleId, TupleUpdate};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
-use std::str::FromStr;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::PathBuf;
 use std::sync::Arc;
-
-/// Result alias for engine operations.
-pub type EngineResult<T> = Result<T, EngineError>;
-
-/// The unified error type of the engine layer.
-///
-/// The recoverable conditions a serving layer must distinguish get their own
-/// typed variants (so callers can, e.g., reject a request instead of
-/// retrying it); everything else is carried through as [`EngineError::Core`].
-#[derive(Debug)]
-pub enum EngineError {
-    /// The engine was built over a dataset (or prebuilt index) with no
-    /// tuples — no query can be answered.
-    EmptyDataset,
-    /// A query requested more result tuples than the dataset holds.
-    KTooLarge {
-        /// Requested result size.
-        k: usize,
-        /// Number of indexed tuples.
-        cardinality: usize,
-    },
-    /// A query weighted a dimension the index does not know about.
-    DimensionNotIndexed {
-        /// The offending dimension index.
-        dim: u32,
-        /// Dimensionality of the indexed dataset.
-        dimensionality: u32,
-    },
-    /// A query had no strictly positive weight (all weights zero or absent).
-    ZeroWeightQuery,
-    /// [`IrEngineBuilder::build`] was called without a dataset or index.
-    NoSource,
-    /// [`IrEngine::save_snapshot`] failed; the directory is named so an
-    /// operator can tell a permissions/space problem from a device fault.
-    SnapshotSave {
-        /// Directory the snapshot was being written into.
-        dir: PathBuf,
-        /// The underlying storage error.
-        source: IrError,
-    },
-    /// [`IrEngineBuilder::open_snapshot`] failed — a missing, foreign,
-    /// corrupt or version-bumped snapshot file, or a device fault during
-    /// the trailer read.
-    SnapshotOpen {
-        /// Directory the snapshot was being opened from.
-        dir: PathBuf,
-        /// The underlying storage error.
-        source: IrError,
-    },
-    /// An engine policy could not be loaded or was inconsistent.
-    Policy(String),
-    /// Any other error from the underlying stack (storage, TA, solvers).
-    Core(IrError),
-}
-
-impl fmt::Display for EngineError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EngineError::EmptyDataset => write!(f, "engine has no tuples to query"),
-            EngineError::KTooLarge { k, cardinality } => write!(
-                f,
-                "k = {k} exceeds the {cardinality} tuples the engine indexes"
-            ),
-            EngineError::DimensionNotIndexed {
-                dim,
-                dimensionality,
-            } => write!(
-                f,
-                "query dimension {dim} is not indexed (dataset has {dimensionality} dimensions)"
-            ),
-            EngineError::ZeroWeightQuery => {
-                write!(f, "query has no dimension with a positive weight")
-            }
-            EngineError::NoSource => {
-                write!(f, "engine builder needs a dataset or a prebuilt index")
-            }
-            EngineError::SnapshotSave { dir, source } => {
-                write!(f, "saving snapshot to {}: {source}", dir.display())
-            }
-            EngineError::SnapshotOpen { dir, source } => {
-                write!(f, "opening snapshot from {}: {source}", dir.display())
-            }
-            EngineError::Policy(msg) => write!(f, "invalid engine policy: {msg}"),
-            EngineError::Core(err) => write!(f, "{err}"),
-        }
-    }
-}
-
-impl std::error::Error for EngineError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            EngineError::Core(err)
-            | EngineError::SnapshotSave { source: err, .. }
-            | EngineError::SnapshotOpen { source: err, .. } => Some(err),
-            _ => None,
-        }
-    }
-}
-
-impl From<IrError> for EngineError {
-    fn from(err: IrError) -> Self {
-        match err {
-            IrError::InvalidK { k, cardinality } => EngineError::KTooLarge { k, cardinality },
-            IrError::UnknownDimension {
-                dim,
-                dimensionality,
-            } => EngineError::DimensionNotIndexed {
-                dim,
-                dimensionality,
-            },
-            IrError::EmptyQuery => EngineError::ZeroWeightQuery,
-            other => EngineError::Core(other),
-        }
-    }
-}
-
-/// The serializable part of an engine's configuration: the default region
-/// policy, the worker count and the storage-backend kind. Loadable from a
-/// JSON file ([`EnginePolicy::from_json_file`]) and dumped into
-/// `BENCH_*.json` metadata by the experiment harness.
-///
-/// Deserialization is strict — every field must be present (the vendored
-/// serde has no `#[serde(default)]`), so policy JSON written before a field
-/// existed must be refreshed; the committed bench baselines were
-/// regenerated when `backend` was added and again when `fault_plan` was.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct EnginePolicy {
-    /// Default region configuration (algorithm, φ, perturbation mode).
-    pub config: RegionConfig,
-    /// Worker count for batch execution (1 = sequential).
-    pub threads: usize,
-    /// Which page-store backend serves the engine (mem, file or mmap).
-    ///
-    /// Descriptive metadata: [`IrEngine::policy`] reports the backend the
-    /// index was actually built on, and the experiment harness stamps it
-    /// into emitted series. When *loading* a policy, the field is advisory —
-    /// selecting a file or mmap backend needs a path and goes through
-    /// [`IrEngineBuilder::backend`] / [`IrEngineBuilder::on_disk`] /
-    /// [`IrEngineBuilder::on_mmap`].
-    pub backend: BackendKind,
-    /// The fault plan the engine's storage device executes, if any
-    /// (`null`/`None` — the default — means a well-behaved device).
-    ///
-    /// Unlike `backend` this field *is* applied by
-    /// [`IrEngineBuilder::policy`]: a policy file describing a
-    /// chaos-testing configuration is enough to reproduce it.
-    pub fault_plan: Option<FaultPlan>,
-    /// How the engine's index came up and what deterministic work that cost
-    /// (built from the dataset vs opened from a snapshot; pages touched,
-    /// bytes parsed — see [`ColdStartInfo`]).
-    ///
-    /// Descriptive metadata, like `backend`: [`IrEngine::policy`] reports
-    /// what actually happened and the experiment harness stamps it into
-    /// emitted series; [`IrEngineBuilder::policy`] does not apply it.
-    pub cold_start: ColdStartInfo,
-    /// The cluster topology this engine served under, if any (`null`/`None`
-    /// — the default — means a plain unsharded engine).
-    ///
-    /// Descriptive metadata stamped by the `ir-cluster` coordinator so every
-    /// `BENCH_*.json` records how many shards produced the numbers, how the
-    /// work was partitioned and which seed drove the simulated network.
-    pub cluster: Option<ClusterTopology>,
-}
-
-impl Default for EnginePolicy {
-    fn default() -> Self {
-        EnginePolicy {
-            config: RegionConfig::default(),
-            threads: 1,
-            backend: BackendKind::Mem,
-            fault_plan: None,
-            cold_start: ColdStartInfo::default(),
-            cluster: None,
-        }
-    }
-}
-
-/// How a sharded cluster splits a batch of region computations across its
-/// nodes (see the `ir-cluster` crate; defined here so [`EnginePolicy`] can
-/// record it without depending on the cluster layer).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum PartitionMode {
-    /// Shard by query dimension: every node holds the full index and solves
-    /// the dimensions assigned to it (`dim_index % shards`), one partial
-    /// region per dimension.
-    #[default]
-    ByDim,
-    /// Shard by query: every node solves whole queries
-    /// (`query_index % shards`) with the plain sequential solver.
-    ByQuery,
-}
-
-impl fmt::Display for PartitionMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            PartitionMode::ByDim => "by-dim",
-            PartitionMode::ByQuery => "by-query",
-        })
-    }
-}
-
-impl FromStr for PartitionMode {
-    type Err = EngineError;
-
-    /// Accepts both the CLI spellings (`by-dim`) and the serialized variant
-    /// names (`ByDim`).
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "by-dim" | "bydim" | "dim" => Ok(PartitionMode::ByDim),
-            "by-query" | "byquery" | "query" => Ok(PartitionMode::ByQuery),
-            other => Err(EngineError::Policy(format!(
-                "unknown partition mode `{other}` (expected by-dim or by-query)"
-            ))),
-        }
-    }
-}
-
-/// The shape of a sharded cluster run, as stamped into [`EnginePolicy`] and
-/// `BENCH_*.json` metadata: shard count, partition mode and the seed that
-/// drove the simulated network's delivery order (and any churn schedule).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ClusterTopology {
-    /// Number of shard nodes the work was partitioned across.
-    pub shards: u32,
-    /// How the work was split ([`PartitionMode`]).
-    pub partition: PartitionMode,
-    /// The seed of the simulated network (message delay/reordering/drop)
-    /// and churn schedule. Two runs with equal topology are byte-identical.
-    pub seed: u64,
-}
-
-impl EnginePolicy {
-    /// Parses a policy from its JSON representation.
-    pub fn from_json(json: &str) -> EngineResult<Self> {
-        serde_json::from_str(json).map_err(|e| EngineError::Policy(e.to_string()))
-    }
-
-    /// Reads a policy from a JSON file.
-    pub fn from_json_file(path: impl AsRef<Path>) -> EngineResult<Self> {
-        let path = path.as_ref();
-        let json = std::fs::read_to_string(path)
-            .map_err(|e| EngineError::Policy(format!("{}: {e}", path.display())))?;
-        Self::from_json(&json)
-    }
-
-    /// Renders the policy as JSON (the format [`EnginePolicy::from_json`]
-    /// reads back).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("policy serializes infallibly")
-    }
-}
-
-/// What the engine is built from.
-enum EngineSource<'d> {
-    /// Build a fresh index over this owned dataset.
-    Dataset(Dataset),
-    /// Build a fresh index over a borrowed dataset (no clone; the borrow
-    /// ends at [`IrEngineBuilder::build`] — the engine never keeps it).
-    DatasetRef(&'d Dataset),
-    /// Adopt a prebuilt index.
-    Index(Arc<TopKIndex>),
-    /// Open a saved snapshot directory — no build pass at all.
-    Snapshot(PathBuf),
-}
-
-/// Builder for [`IrEngine`]: pick a data source, a storage backend, a
-/// buffer-pool budget, a worker count and a default region policy.
-///
-/// The lifetime parameter only exists for [`IrEngineBuilder::dataset_ref`]
-/// (borrowing a dataset during the build); the built [`IrEngine`] is always
-/// `'static`.
-#[must_use = "an engine builder does nothing until `build` is called"]
-pub struct IrEngineBuilder<'d> {
-    source: Option<EngineSource<'d>>,
-    backend: StorageBackend,
-    pool_capacity: Option<usize>,
-    io_config: Option<IoConfig>,
-    retry_policy: Option<RetryPolicy>,
-    fault_plan: Option<FaultPlan>,
-    storage_knobs_set: bool,
-    config: RegionConfig,
-    ta_config: TaConfig,
-    threads: usize,
-}
-
-impl Default for IrEngineBuilder<'_> {
-    fn default() -> Self {
-        IrEngineBuilder {
-            source: None,
-            backend: StorageBackend::Memory,
-            pool_capacity: None,
-            io_config: None,
-            retry_policy: None,
-            fault_plan: None,
-            storage_knobs_set: false,
-            config: RegionConfig::default(),
-            ta_config: TaConfig::default(),
-            threads: 1,
-        }
-    }
-}
-
-impl<'d> IrEngineBuilder<'d> {
-    /// Serves queries over `dataset`; the index is built by
-    /// [`IrEngineBuilder::build`] with the selected storage options.
-    pub fn dataset(mut self, dataset: Dataset) -> Self {
-        self.source = Some(EngineSource::Dataset(dataset));
-        self
-    }
-
-    /// Like [`IrEngineBuilder::dataset`], but borrowing: the dataset is only
-    /// read while [`IrEngineBuilder::build`] constructs the index, so
-    /// callers that keep (or repeatedly reuse) a dataset — e.g. sweeping
-    /// storage configurations over one corpus — avoid cloning it.
-    pub fn dataset_ref(mut self, dataset: &'d Dataset) -> Self {
-        self.source = Some(EngineSource::DatasetRef(dataset));
-        self
-    }
-
-    /// Adopts a prebuilt index (taking ownership). Storage options must not
-    /// be combined with this source — the index already made those choices.
-    pub fn index(mut self, index: TopKIndex) -> Self {
-        self.source = Some(EngineSource::Index(Arc::new(index)));
-        self
-    }
-
-    /// Adopts an already shared index handle (see
-    /// [`IndexBuilder::build_shared`](ir_storage::IndexBuilder::build_shared)).
-    pub fn shared_index(mut self, index: Arc<TopKIndex>) -> Self {
-        self.source = Some(EngineSource::Index(index));
-        self
-    }
-
-    /// Serves queries from a snapshot saved by [`IrEngine::save_snapshot`]
-    /// — cold start becomes a validate-header-and-serve operation with no
-    /// build pass (see
-    /// [`IndexBuilder::open_snapshot`](ir_storage::IndexBuilder::open_snapshot)).
-    ///
-    /// Storage options *do* compose with this source (unlike a prebuilt
-    /// index): [`IrEngineBuilder::backend`] selects how the snapshot file
-    /// is served — its kind only, any path on the variant is ignored — and
-    /// pool capacity, I/O model, retry policy and fault plan configure the
-    /// serving stack. A configured fault plan is armed *before* the trailer
-    /// read, so injected faults during the open surface as typed
-    /// [`EngineError::SnapshotOpen`] errors.
-    pub fn open_snapshot(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.source = Some(EngineSource::Snapshot(dir.into()));
-        self
-    }
-
-    /// Selects the storage backend for the index built from a dataset
-    /// (default: memory).
-    pub fn backend(mut self, backend: StorageBackend) -> Self {
-        self.backend = backend;
-        self.storage_knobs_set = true;
-        self
-    }
-
-    /// Shorthand for a disk-backed page store under `dir`.
-    pub fn on_disk(self, dir: impl Into<PathBuf>) -> Self {
-        self.backend(StorageBackend::Disk(dir.into()))
-    }
-
-    /// Shorthand for a memory-mapped page store under `dir`.
-    ///
-    /// Requires `ir-storage`'s `mmap` cargo feature (re-exported as this
-    /// crate's `mmap` feature); without it [`IrEngineBuilder::build`]
-    /// returns a descriptive error instead of an engine.
-    pub fn on_mmap(self, dir: impl Into<PathBuf>) -> Self {
-        self.backend(StorageBackend::Mmap(dir.into()))
-    }
-
-    /// Sets the buffer-pool budget in pages for the index built from a
-    /// dataset.
-    pub fn pool_capacity(mut self, pages: usize) -> Self {
-        self.pool_capacity = Some(pages);
-        self.storage_knobs_set = true;
-        self
-    }
-
-    /// Sets the simulated I/O latency model for the index built from a
-    /// dataset.
-    pub fn io_config(mut self, io_config: IoConfig) -> Self {
-        self.io_config = Some(io_config);
-        self.storage_knobs_set = true;
-        self
-    }
-
-    /// Sets the buffer pool's retry policy for transient storage faults
-    /// (default: [`RetryPolicy::default`] — 3 attempts with deterministic
-    /// exponential backoff).
-    pub fn retry_policy(mut self, policy: RetryPolicy) -> Self {
-        self.retry_policy = Some(policy);
-        self.storage_knobs_set = true;
-        self
-    }
-
-    /// Wraps the engine's page store in a fault-injecting proxy executing
-    /// `plan` (see [`FaultPlan`]). The injector is armed only *after* the
-    /// index is built, so faults strike served queries rather than the
-    /// build itself.
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
-        self.storage_knobs_set = true;
-        self
-    }
-
-    /// Sets the default region configuration queries run with (overridable
-    /// per call via [`IrEngine::query_with`]).
-    pub fn config(mut self, config: RegionConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Sets the TA configuration used for the top-k phase of every query.
-    pub fn ta_config(mut self, ta_config: TaConfig) -> Self {
-        self.ta_config = ta_config;
-        self
-    }
-
-    /// Sets the worker count for [`IrEngine::query_batch`] (clamped to at
-    /// least 1). Regions and deterministic counters are identical for every
-    /// value.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Applies a whole [`EnginePolicy`]: the default config, the worker
-    /// count and (when present) the fault plan. The policy's `backend`
-    /// field is *not* applied — it is descriptive metadata (a file/mmap
-    /// backend needs a path; see [`EnginePolicy::backend`]).
-    pub fn policy(self, policy: EnginePolicy) -> Self {
-        let builder = self.config(policy.config).threads(policy.threads);
-        match policy.fault_plan {
-            Some(plan) => builder.fault_plan(plan),
-            None => builder,
-        }
-    }
-
-    /// Loads the engine policy from a JSON file (see
-    /// [`EnginePolicy::from_json_file`]).
-    pub fn policy_from_json_file(self, path: impl AsRef<Path>) -> EngineResult<Self> {
-        Ok(self.policy(EnginePolicy::from_json_file(path)?))
-    }
-
-    /// Builds the engine: constructs the index if a dataset was given, then
-    /// wraps everything into an owned, shareable handle.
-    pub fn build(self) -> EngineResult<IrEngine> {
-        let IrEngineBuilder {
-            source,
-            backend,
-            pool_capacity,
-            io_config,
-            retry_policy,
-            fault_plan,
-            storage_knobs_set,
-            config,
-            ta_config,
-            threads,
-        } = self;
-        let index_builder = || {
-            let mut builder = IndexBuilder::new()
-                .backend(backend.clone())
-                .fault_plan(fault_plan.clone());
-            if let Some(pages) = pool_capacity {
-                builder = builder.pool_capacity(pages);
-            }
-            if let Some(io_config) = io_config {
-                builder = builder.io_config(io_config);
-            }
-            if let Some(retry) = retry_policy {
-                builder = builder.retry_policy(retry);
-            }
-            builder
-        };
-        let build_index = |dataset: &Dataset| -> EngineResult<Arc<TopKIndex>> {
-            if dataset.cardinality() == 0 {
-                return Err(EngineError::EmptyDataset);
-            }
-            Ok(index_builder().build_shared(dataset)?)
-        };
-        let index = match source {
-            None => return Err(EngineError::NoSource),
-            Some(EngineSource::Dataset(dataset)) => build_index(&dataset)?,
-            Some(EngineSource::DatasetRef(dataset)) => build_index(dataset)?,
-            Some(EngineSource::Snapshot(dir)) => {
-                let index = index_builder()
-                    .open_snapshot(&dir)
-                    .map(Arc::new)
-                    .map_err(|source| EngineError::SnapshotOpen { dir, source })?;
-                if index.cardinality() == 0 {
-                    return Err(EngineError::EmptyDataset);
-                }
-                index
-            }
-            Some(EngineSource::Index(index)) => {
-                if storage_knobs_set {
-                    return Err(EngineError::Policy(
-                        "storage options (backend, pool capacity, I/O model) apply to an index \
-                         built from a dataset; a prebuilt index already made those choices"
-                            .to_string(),
-                    ));
-                }
-                if index.cardinality() == 0 {
-                    return Err(EngineError::EmptyDataset);
-                }
-                index
-            }
-        };
-        Ok(IrEngine {
-            index,
-            config,
-            ta_config,
-            threads,
-            health: Arc::new(EngineHealth::default()),
-        })
-    }
-}
-
-/// Cumulative failure accounting shared by every handle onto one engine
-/// (clones, [`IrEngine::with_config`], subscriptions). Interior-mutable so
-/// `&self` query paths can record outcomes.
-#[derive(Debug, Default)]
-struct EngineHealth {
-    queries_ok: AtomicU64,
-    queries_failed: AtomicU64,
-    worker_panics: AtomicU64,
-    corruption_errors: AtomicU64,
-    retries_exhausted: AtomicU64,
-    fleet_local_answers: AtomicU64,
-    fleet_recomputes: AtomicU64,
-    fleet_batches: AtomicU64,
-    shard_solves: AtomicU64,
-    shard_partials: AtomicU64,
-    updates_applied: AtomicU64,
-    regions_punctured: AtomicU64,
-    regions_survived: AtomicU64,
-}
-
-/// A point-in-time view of an engine's cumulative health counters
-/// ([`IrEngine::health`]).
-///
-/// The first five counters track engine *operations* (a batch counts once);
-/// the retry counters come from the buffer pool's I/O accounting and count
-/// individual retried page transfers. All counters are cumulative since the
-/// engine was built, except the retry counters which
-/// [`IrEngine::cold_start`] resets along with the rest of the I/O stats.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EngineHealthSnapshot {
-    /// Operations (queries, batches, subscription refreshes) that succeeded.
-    pub queries_ok: u64,
-    /// Operations that returned an error of any kind.
-    pub queries_failed: u64,
-    /// Failed operations whose error was [`IrError::WorkerPanicked`] — a
-    /// contained panic, in a worker or caught at the engine boundary.
-    pub worker_panics: u64,
-    /// Failed operations whose error was [`IrError::Corruption`].
-    pub corruption_errors: u64,
-    /// Failed operations whose error was [`IrError::RetryExhausted`].
-    pub retries_exhausted: u64,
-    /// Page reads that needed at least one retry (transient faults healed
-    /// invisibly by the pool's [`RetryPolicy`]).
-    pub read_retries: u64,
-    /// Page writes that needed at least one retry.
-    pub write_retries: u64,
-    /// Drift events a [`crate::fleet::SubscriptionManager`] answered
-    /// locally from a cached region report (no I/O).
-    pub fleet_local_answers: u64,
-    /// Drift events a fleet manager answered by a batched recompute.
-    pub fleet_recomputes: u64,
-    /// Recompute batches a fleet manager flushed through
-    /// [`IrEngine::query_batch`].
-    pub fleet_batches: u64,
-    /// Work units (whole queries or single dimensions, depending on the
-    /// partition mode) this engine solved as a cluster shard node.
-    pub shard_solves: u64,
-    /// Partial-region messages this engine's shard node sent back to a
-    /// cluster coordinator.
-    pub shard_partials: u64,
-    /// Logical tuple updates applied through [`IrEngine::apply_updates`]
-    /// (and the [`IrEngine::insert`] / [`IrEngine::delete`] /
-    /// [`IrEngine::update_score`] conveniences).
-    pub updates_applied: u64,
-    /// Cached regions (standalone subscriptions or fleet members) an update
-    /// punctured, forcing a recompute.
-    pub regions_punctured: u64,
-    /// Cached regions that provably survived an update batch untouched.
-    pub regions_survived: u64,
-}
-
-impl EngineHealthSnapshot {
-    /// `true` while the engine has never seen a failed operation.
-    pub fn is_unblemished(&self) -> bool {
-        self.queries_failed == 0
-    }
-}
 
 /// An owned immutable-regions engine: the single front door for serving
 /// region computations.
@@ -710,8 +122,6 @@ impl IrEngine {
             threads: self.threads,
             backend: self.index.backend_kind(),
             fault_plan: self.index.fault_plan().cloned(),
-            cold_start: self.index.cold_start_info(),
-            cluster: None,
         }
     }
 
@@ -719,64 +129,7 @@ impl IrEngine {
     /// failure class) plus the pool's retry counts. Shared by every handle
     /// onto the same engine.
     pub fn health(&self) -> EngineHealthSnapshot {
-        let io = self.index.io_snapshot();
-        EngineHealthSnapshot {
-            queries_ok: self.health.queries_ok.load(Ordering::Relaxed),
-            queries_failed: self.health.queries_failed.load(Ordering::Relaxed),
-            worker_panics: self.health.worker_panics.load(Ordering::Relaxed),
-            corruption_errors: self.health.corruption_errors.load(Ordering::Relaxed),
-            retries_exhausted: self.health.retries_exhausted.load(Ordering::Relaxed),
-            read_retries: io.read_retries,
-            write_retries: io.write_retries,
-            fleet_local_answers: self.health.fleet_local_answers.load(Ordering::Relaxed),
-            fleet_recomputes: self.health.fleet_recomputes.load(Ordering::Relaxed),
-            fleet_batches: self.health.fleet_batches.load(Ordering::Relaxed),
-            shard_solves: self.health.shard_solves.load(Ordering::Relaxed),
-            shard_partials: self.health.shard_partials.load(Ordering::Relaxed),
-            updates_applied: self.health.updates_applied.load(Ordering::Relaxed),
-            regions_punctured: self.health.regions_punctured.load(Ordering::Relaxed),
-            regions_survived: self.health.regions_survived.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Records fleet-manager traffic in the shared health counters:
-    /// `local` drift events answered from cached regions, `recomputed`
-    /// events that needed a batched refresh, and `batches` flushes through
-    /// the worker pool.
-    pub(crate) fn note_fleet_traffic(&self, local: u64, recomputed: u64, batches: u64) {
-        self.health
-            .fleet_local_answers
-            .fetch_add(local, Ordering::Relaxed);
-        self.health
-            .fleet_recomputes
-            .fetch_add(recomputed, Ordering::Relaxed);
-        self.health
-            .fleet_batches
-            .fetch_add(batches, Ordering::Relaxed);
-    }
-
-    /// Records region-survival outcomes of an update screening (standalone
-    /// subscriptions and fleet members alike) in the shared health counters.
-    pub(crate) fn note_region_survival(&self, survived: u64, punctured: u64) {
-        self.health
-            .regions_survived
-            .fetch_add(survived, Ordering::Relaxed);
-        self.health
-            .regions_punctured
-            .fetch_add(punctured, Ordering::Relaxed);
-    }
-
-    /// Records cluster shard-node traffic in the shared health counters:
-    /// `solves` work units answered and `partials` partial-region messages
-    /// sent to a coordinator. Public because the `ir-cluster` crate sits
-    /// above this one.
-    pub fn note_shard_traffic(&self, solves: u64, partials: u64) {
-        self.health
-            .shard_solves
-            .fetch_add(solves, Ordering::Relaxed);
-        self.health
-            .shard_partials
-            .fetch_add(partials, Ordering::Relaxed);
+        self.health.snapshot(&self.index.io_snapshot())
     }
 
     /// Runs one engine operation with failure containment: panics anywhere
@@ -794,30 +147,7 @@ impl IrEngine {
                 message: ir_core::parallel::panic_message(payload.as_ref()),
             })),
         };
-        match &result {
-            Ok(_) => {
-                self.health.queries_ok.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(err) => {
-                self.health.queries_failed.fetch_add(1, Ordering::Relaxed);
-                match err {
-                    EngineError::Core(IrError::WorkerPanicked { .. }) => {
-                        self.health.worker_panics.fetch_add(1, Ordering::Relaxed);
-                    }
-                    EngineError::Core(IrError::Corruption { .. }) => {
-                        self.health
-                            .corruption_errors
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    EngineError::Core(IrError::RetryExhausted { .. }) => {
-                        self.health
-                            .retries_exhausted
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    _ => {}
-                }
-            }
-        }
+        self.health.record(&result);
         result
     }
 
@@ -885,10 +215,10 @@ impl IrEngine {
     }
 
     /// Prepares a full computation handle for one query: runs the top-k
-    /// phase and returns the lifetime-free [`OwnedRegionComputation`], for
-    /// callers that need the TA internals or per-dimension parallel solves
-    /// in addition to the report.
-    pub fn computation(&self, query: &QueryVector) -> EngineResult<OwnedRegionComputation> {
+    /// phase and returns the [`RegionComputation`], for callers that need
+    /// the TA internals or per-dimension parallel solves in addition to the
+    /// report.
+    pub fn computation(&self, query: &QueryVector) -> EngineResult<RegionComputation> {
         self.computation_with(query, self.config)
     }
 
@@ -897,7 +227,7 @@ impl IrEngine {
         &self,
         query: &QueryVector,
         config: RegionConfig,
-    ) -> EngineResult<OwnedRegionComputation> {
+    ) -> EngineResult<RegionComputation> {
         self.run_guarded("computation", || self.computation_untracked(query, config))
     }
 
@@ -908,10 +238,10 @@ impl IrEngine {
         &self,
         query: &QueryVector,
         config: RegionConfig,
-    ) -> EngineResult<OwnedRegionComputation> {
+    ) -> EngineResult<RegionComputation> {
         self.validate(query)?;
-        Ok(RegionComputation::with_ta_config_shared(
-            Arc::clone(&self.index),
+        Ok(RegionComputation::with_ta_config(
+            &self.index,
             query,
             config,
             &self.ta_config,
@@ -964,7 +294,7 @@ impl IrEngine {
             for query in queries {
                 self.validate(query)?;
             }
-            let batch = BatchRegionComputation::new_shared(Arc::clone(&self.index), self.config)
+            let batch = BatchRegionComputation::new(&self.index, self.config)
                 .with_threads(self.threads)
                 .with_ta_config(self.ta_config);
             Ok(batch.run_detailed(queries)?)
@@ -1013,13 +343,7 @@ impl IrEngine {
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn apply_updates(&self, updates: &[TupleUpdate]) -> EngineResult<Vec<AppliedUpdate>> {
-        self.run_guarded("apply updates", || {
-            let applied = self.index.apply_updates(updates)?;
-            self.health
-                .updates_applied
-                .fetch_add(applied.len() as u64, Ordering::Relaxed);
-            Ok(applied)
-        })
+        self.run_guarded("apply updates", || Ok(self.index.apply_updates(updates)?))
     }
 
     /// Inserts a new tuple (dense id assignment: the new tuple's id is the
@@ -1056,239 +380,13 @@ impl IrEngine {
     pub fn maintenance_stats(&self) -> MaintenanceStatsSnapshot {
         self.index.maintenance_stats()
     }
-
-    /// Subscribes a query: computes its result and regions once and returns
-    /// a [`Subscription`] that answers weight-drift questions from the
-    /// cached report, recomputing only on region exit.
-    pub fn subscribe(&self, query: QueryVector) -> EngineResult<Subscription> {
-        let (result, report) = self.run_guarded("subscribe", || {
-            let mut computation = self.computation_untracked(&query, self.config)?;
-            let report = computation.compute()?;
-            Ok((computation.result(), report))
-        })?;
-        Ok(Subscription {
-            engine: self.clone(),
-            query,
-            result,
-            report,
-            refreshes: 0,
-            cache_hits: 0,
-        })
-    }
-}
-
-/// A subscribed query (the paper's interactive weight-tuning loop): holds
-/// the last computed [`RegionReport`] and the engine handle needed to
-/// refresh it.
-///
-/// The subscription answers [`Subscription::is_immutable_under`] purely
-/// from the cached regions — no I/O, no recomputation — and
-/// [`Subscription::update`] recomputes only when the drifted weights
-/// actually leave the reported immutable region.
-pub struct Subscription {
-    engine: IrEngine,
-    query: QueryVector,
-    result: TopKResult,
-    report: RegionReport,
-    refreshes: u64,
-    cache_hits: u64,
-}
-
-impl fmt::Debug for Subscription {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Subscription")
-            .field("query", &self.query)
-            .field("result", &self.result.ids())
-            .field("refreshes", &self.refreshes)
-            .field("cache_hits", &self.cache_hits)
-            .finish()
-    }
-}
-
-impl Subscription {
-    /// The currently subscribed query (the anchor the cached regions are
-    /// relative to).
-    pub fn query(&self) -> &QueryVector {
-        &self.query
-    }
-
-    /// The cached top-k result of the subscribed query.
-    pub fn result(&self) -> &TopKResult {
-        &self.result
-    }
-
-    /// The cached region report of the subscribed query.
-    pub fn report(&self) -> &RegionReport {
-        &self.report
-    }
-
-    /// How many times [`Subscription::update`] recomputed.
-    pub fn refreshes(&self) -> u64 {
-        self.refreshes
-    }
-
-    /// How many times [`Subscription::update`] was served from the cached
-    /// regions.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits
-    }
-
-    /// Decides — locally, from the cached report — whether the result is
-    /// guaranteed unchanged under `new_weights`.
-    ///
-    /// `true` requires that `new_weights` deviates from the subscribed
-    /// query in **at most one** dimension (the paper's model: one slider
-    /// moves while the others stay), with that deviation strictly inside
-    /// the dimension's immutable region. Everything else — a changed `k`,
-    /// several deviating weights, a new query dimension, a deviation at or
-    /// past a region boundary — returns `false`, which is the conservative
-    /// answer: the caller recomputes and never serves a stale result.
-    pub fn is_immutable_under(&self, new_weights: &QueryVector) -> bool {
-        immutable_under(&self.query, &self.report, new_weights)
-    }
-
-    /// Drives the subscription to `new_weights`: a no-op returning
-    /// `Ok(false)` while the weights stay inside the reported region, a
-    /// recompute (re-anchoring the subscription at `new_weights`) returning
-    /// `Ok(true)` once they leave it.
-    /// A failed refresh (fault, contained panic) leaves the subscription
-    /// anchored at its previous query with the previous cached report — the
-    /// caller can retry `update` once the device heals.
-    pub fn update(&mut self, new_weights: &QueryVector) -> EngineResult<bool> {
-        if self.is_immutable_under(new_weights) {
-            self.cache_hits += 1;
-            return Ok(false);
-        }
-        let engine = &self.engine;
-        let (result, report) = engine.run_guarded("subscription refresh", || {
-            let mut computation = engine.computation_untracked(new_weights, engine.config)?;
-            let report = computation.compute()?;
-            Ok((computation.result(), report))
-        })?;
-        self.report = report;
-        self.result = result;
-        self.query = new_weights.clone();
-        self.refreshes += 1;
-        Ok(true)
-    }
-
-    /// Maintains the subscription across a batch of applied data updates
-    /// (the return value of [`IrEngine::apply_updates`]): screens each
-    /// update with the kinetic line test
-    /// ([`ir_core::invalidate::update_impact`]) and recomputes — at the
-    /// same anchor query — only if some update punctures the cached
-    /// regions. Returns `Ok(true)` when a recompute happened.
-    ///
-    /// Survival is a proof: when this returns `Ok(false)` the cached report
-    /// is byte-identical to what a full recompute on the mutated dataset
-    /// would produce. A failed recompute (fault, contained panic) leaves
-    /// the cached report in place and the error surfaces — retry once the
-    /// device heals; the screening is deterministic and will puncture
-    /// again.
-    pub fn absorb_updates(&mut self, applied: &[AppliedUpdate]) -> EngineResult<bool> {
-        let mut punctured = false;
-        for update in applied {
-            let impact = ir_core::invalidate::update_impact(
-                &self.query,
-                &self.report,
-                update.tuple,
-                &update.old_vector,
-                &update.new_vector,
-                |id| self.engine.index.fetch_tuple(id),
-            )
-            .map_err(EngineError::Core)?;
-            if !impact.survived() {
-                punctured = true;
-                break;
-            }
-        }
-        if !punctured {
-            self.engine.note_region_survival(1, 0);
-            return Ok(false);
-        }
-        self.engine.note_region_survival(0, 1);
-        let engine = &self.engine;
-        let query = &self.query;
-        let (result, report) = engine.run_guarded("subscription update absorb", || {
-            let mut computation = engine.computation_untracked(query, engine.config)?;
-            let report = computation.compute()?;
-            Ok((computation.result(), report))
-        })?;
-        self.result = result;
-        self.report = report;
-        self.refreshes += 1;
-        Ok(true)
-    }
-}
-
-/// The local immutability check shared by [`Subscription`] and the
-/// subscription fleet ([`crate::fleet::SubscriptionManager`]): is the
-/// result anchored at `anchor` (with cached `report`) guaranteed unchanged
-/// under `new_weights`?
-///
-/// Allocation-free: the two sparse weight vectors are merge-walked in one
-/// pass over their sorted entry slices — this runs once per drift event
-/// across a fleet of millions, so it must not touch the heap.
-pub(crate) fn immutable_under(
-    anchor: &QueryVector,
-    report: &RegionReport,
-    new_weights: &QueryVector,
-) -> bool {
-    if new_weights.k() != anchor.k() {
-        return false;
-    }
-    let a = anchor.weights().entries();
-    let b = new_weights.weights().entries();
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut deviation: Option<(DimId, f64)> = None;
-    loop {
-        // delta = new - old; a dimension absent from a vector weighs 0.
-        let (dim, delta) = match (a.get(i), b.get(j)) {
-            (None, None) => break,
-            (Some(&(dim, old)), None) => {
-                i += 1;
-                (dim, -old)
-            }
-            (None, Some(&(dim, new))) => {
-                j += 1;
-                (dim, new)
-            }
-            (Some(&(da, old)), Some(&(db, new))) => {
-                if da < db {
-                    i += 1;
-                    (da, -old)
-                } else if db < da {
-                    j += 1;
-                    (db, new)
-                } else {
-                    i += 1;
-                    j += 1;
-                    (da, new - old)
-                }
-            }
-        };
-        if delta != 0.0 {
-            if deviation.is_some() {
-                return false;
-            }
-            deviation = Some((dim, delta));
-        }
-    }
-    match deviation {
-        None => true,
-        Some((dim, delta)) => match report.for_dim(dim) {
-            // Strict interior: at the boundary itself the perturbation
-            // occurs, so boundary hits count as exits.
-            Some(regions) => regions.immutable.lo < delta && delta < regions.immutable.hi,
-            None => false,
-        },
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ir_types::TupleId;
+    use ir_storage::{FaultPlan, RetryPolicy};
+    use ir_types::Dataset;
 
     fn engine() -> IrEngine {
         IrEngine::builder()
@@ -1363,16 +461,6 @@ mod tests {
             threads: 4,
             backend: BackendKind::Mmap,
             fault_plan: Some(FaultPlan::transient_reads(7, 3, 100)),
-            cold_start: ir_storage::ColdStartInfo {
-                source: ir_storage::ColdStartSource::Snapshot,
-                pages: 17,
-                bytes: 4242,
-            },
-            cluster: Some(ClusterTopology {
-                shards: 4,
-                partition: PartitionMode::ByQuery,
-                seed: 0xC1_05_7E,
-            }),
         };
         let json = policy.to_json();
         assert_eq!(EnginePolicy::from_json(&json).unwrap(), policy);
@@ -1386,13 +474,6 @@ mod tests {
             EnginePolicy::default()
                 .to_json()
                 .contains("\"fault_plan\":null"),
-            "{}",
-            EnginePolicy::default().to_json()
-        );
-        assert!(
-            EnginePolicy::default()
-                .to_json()
-                .contains("\"cluster\":null"),
             "{}",
             EnginePolicy::default().to_json()
         );
@@ -1533,7 +614,6 @@ mod tests {
 
         let built = engine();
         assert_eq!(built.cold_start_info().source, ColdStartSource::Built);
-        assert_eq!(built.policy().cold_start.source, ColdStartSource::Built);
 
         let dir = tempfile::tempdir().unwrap();
         let summary = built.save_snapshot(dir.path()).unwrap();
@@ -1553,7 +633,6 @@ mod tests {
             info.bytes < built.cold_start_info().bytes,
             "snapshot open parses less than the build: {info:?}"
         );
-        assert_eq!(reopened.policy().cold_start, info);
 
         // Served regions are identical to the built engine's (stats carry
         // timing/cache counters that legitimately differ, so compare the
@@ -1618,12 +697,13 @@ mod tests {
             [TupleId(1), TupleId(0)]
         );
 
-        let health = engine.health();
-        assert_eq!(health.updates_applied, 3);
-        assert!(engine.maintenance_stats().pages_written > 0);
+        let maintenance = engine.maintenance_stats();
+        assert_eq!(maintenance.updates_applied, 3);
+        assert!(maintenance.pages_written > 0);
         // A malformed update is a typed failure and applies nothing.
         assert!(engine.delete(TupleId(99)).is_err());
-        assert_eq!(engine.health().updates_applied, 3);
+        assert_eq!(engine.maintenance_stats().updates_applied, 3);
+        assert_eq!(engine.health().queries_failed, 1);
     }
 
     #[test]
@@ -1651,11 +731,7 @@ mod tests {
         let oracle = engine.query(&QueryVector::running_example()).unwrap();
         assert_eq!(subscription.report().dims, oracle.dims);
         assert_eq!(subscription.result().ids(), oracle.current_result());
-
-        let health = engine.health();
-        assert_eq!(health.regions_survived, 1);
-        assert_eq!(health.regions_punctured, 1);
-        assert_eq!(health.updates_applied, 2);
+        assert_eq!(engine.maintenance_stats().updates_applied, 2);
     }
 
     #[test]

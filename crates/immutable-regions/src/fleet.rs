@@ -14,9 +14,8 @@
 //!   flushed through [`IrEngine::query_batch`] in chunks, ordered by a
 //!   heat-weighted scheduler (see below) so hot subscriptions re-anchor
 //!   first.
-//! * Every flush and local answer is recorded in the engine's shared
-//!   health counters ([`crate::engine::EngineHealthSnapshot`]'s `fleet_*` fields) and in
-//!   the manager's own [`FleetStats`].
+//! * Every flush and local answer is counted in the manager's
+//!   [`FleetStats`] — the one home of the fleet's counters.
 //!
 //! # Correctness model
 //!
@@ -51,7 +50,7 @@
 //! The fleet survives tuple updates to the shared index.
 //! [`SubscriptionManager::apply_updates`] mutates the index through
 //! [`IrEngine::apply_updates`] and then *screens* every member's cached
-//! report with the kinetic line test ([`ir_core::update_impact`]): a
+//! report with the kinetic line test ([`ir_core::batch_impact`]): a
 //! member whose report provably survives keeps serving locally at zero
 //! cost, a punctured member is marked **stale** and re-anchored by an
 //! *invalidation job* — a recompute at its current weights that emits no
@@ -64,7 +63,7 @@
 //! [`AppliedUpdate`]s to its peers' [`SubscriptionManager::revalidate`].
 
 use crate::engine::{immutable_under, EngineError, EngineResult, IrEngine};
-use ir_core::{update_impact, RegionReport, UpdateImpact};
+use ir_core::{batch_impact, RegionReport};
 use ir_datagen::DriftEvent;
 use ir_storage::AppliedUpdate;
 use ir_types::{QueryVector, SeededLcg, TupleId, TupleUpdate};
@@ -422,7 +421,6 @@ impl SubscriptionManager {
             if !entry.stale && immutable_under(&entry.anchor, &entry.report, &entry.current) {
                 entry.cache_hits += 1;
                 self.stats.local_answers += 1;
-                self.engine.note_fleet_traffic(1, 0, 0);
                 self.ready.push(FleetAnswer {
                     seq,
                     sub: event.sub,
@@ -473,14 +471,12 @@ impl SubscriptionManager {
     /// same engine).
     ///
     /// Each member is screened with the kinetic line test
-    /// ([`ir_core::update_impact`]): survivors keep serving locally,
+    /// ([`ir_core::batch_impact`]): survivors keep serving locally,
     /// punctured members are marked stale and re-anchored at their current
     /// weights through an invalidation job, flushed synchronously before
     /// this method returns. Screening that cannot complete (a device fault
     /// mid-fetch) conservatively punctures — survival must be proven.
-    /// Survival and puncture counts land in [`FleetStats`] and the
-    /// engine's shared `regions_survived` / `regions_punctured` health
-    /// counters.
+    /// Survival and puncture counts land in [`FleetStats`].
     ///
     /// On a failed flush the punctured members stay stale — they answer
     /// every drift event by recompute, never from the stale cache — and
@@ -489,28 +485,16 @@ impl SubscriptionManager {
         if applied.is_empty() || self.entries.is_empty() {
             return Ok(());
         }
-        let engine = self.engine.clone();
+        let index = self.engine.index();
         let mut survived = 0u64;
         let mut punctured: Vec<(u64, QueryVector)> = Vec::new();
         for (&sub, entry) in self.entries.iter_mut() {
-            let mut verdict = UpdateImpact::Survived;
-            for update in applied {
-                let impact = update_impact(
-                    &entry.anchor,
-                    &entry.report,
-                    update.tuple,
-                    &update.old_vector,
-                    &update.new_vector,
-                    |id| engine.index().fetch_tuple(id),
-                )
-                // An unscreenable member is an unproven one: puncture.
-                .unwrap_or(UpdateImpact::Punctured);
-                if !impact.survived() {
-                    verdict = UpdateImpact::Punctured;
-                    break;
-                }
-            }
-            if verdict.survived() {
+            // An unscreenable member is an unproven one: puncture.
+            let survives = batch_impact(&entry.anchor, &entry.report, applied, |id| {
+                index.fetch_tuple(id)
+            })
+            .is_ok_and(|impact| impact.survived());
+            if survives {
                 survived += 1;
             } else {
                 entry.stale = true;
@@ -519,8 +503,6 @@ impl SubscriptionManager {
         }
         self.stats.regions_survived += survived;
         self.stats.regions_punctured += punctured.len() as u64;
-        self.engine
-            .note_region_survival(survived, punctured.len() as u64);
         for (sub, weights) in punctured {
             let seq = self.next_seq;
             self.next_seq += 1;
@@ -581,11 +563,6 @@ impl SubscriptionManager {
 
             self.stats.batches += 1;
             self.stats.largest_batch = self.stats.largest_batch.max(reports.len() as u64);
-            let drift_jobs = chunk
-                .iter()
-                .filter(|&&i| jobs[i].kind == JobKind::Drift)
-                .count() as u64;
-            self.engine.note_fleet_traffic(0, drift_jobs, 1);
             // Apply in event order within the chunk so a subscription hit
             // twice is left anchored at its latest weights.
             let mut applied: Vec<(usize, RegionReport)> = chunk.into_iter().zip(reports).collect();
@@ -807,12 +784,6 @@ mod tests {
         assert!(stats.largest_batch <= manager.config().max_batch as u64);
         assert_eq!(manager.pending_recomputes(), 0);
 
-        // The engine's shared health counters saw the same traffic.
-        let health = engine.health();
-        assert_eq!(health.fleet_local_answers, stats.local_answers);
-        assert_eq!(health.fleet_recomputes, stats.recomputes);
-        assert_eq!(health.fleet_batches, stats.batches);
-
         // Per-member accounting sums to the fleet totals.
         let hits: u64 = manager.members().map(|m| m.cache_hits()).sum();
         let refreshes: u64 = manager.members().map(|m| m.refreshes()).sum();
@@ -928,12 +899,6 @@ mod tests {
             assert_eq!(member.result(), fresh.current_result());
             assert!(!member.result().contains(&victim));
         }
-
-        // The engine's shared health counters mirror the fleet's.
-        let health = engine.health();
-        assert_eq!(health.updates_applied, 2);
-        assert_eq!(health.regions_survived, stats.regions_survived);
-        assert_eq!(health.regions_punctured, stats.regions_punctured);
     }
 
     #[test]

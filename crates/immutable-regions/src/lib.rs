@@ -55,8 +55,8 @@
 //! # Ok::<(), immutable_regions::engine::EngineError>(())
 //! ```
 //!
-//! The borrow-based low-level API ([`core::RegionComputation`]) remains
-//! available for callers that manage index lifetimes themselves.
+//! The low-level API ([`core::RegionComputation`]) remains available for
+//! callers that assemble the index themselves.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -74,16 +74,16 @@ pub use ir_types as types;
 /// Everything needed for typical use, importable with one `use`.
 pub mod prelude {
     pub use crate::engine::{
-        ClusterTopology, EngineError, EngineHealthSnapshot, EnginePolicy, EngineResult, IrEngine,
-        IrEngineBuilder, PartitionMode, Subscription,
+        EngineError, EngineHealthSnapshot, EnginePolicy, EngineResult, IrEngine, IrEngineBuilder,
+        Subscription,
     };
     pub use crate::fleet::{
         AnswerKind, FleetAnswer, FleetConfig, FleetMember, FleetStats, SubscriptionManager,
     };
     pub use ir_core::{
         update_impact, Algorithm, BatchOutcome, BatchRegionComputation, ComputationStats,
-        DimRegions, ExhaustiveOracle, OwnedRegionComputation, Perturbation, RegionBoundary,
-        RegionComputation, RegionConfig, RegionReport, UpdateImpact, WeightRegion,
+        DimRegions, ExhaustiveOracle, Perturbation, RegionBoundary, RegionComputation,
+        RegionConfig, RegionReport, UpdateImpact, WeightRegion,
     };
     pub use ir_datagen::{
         CorrelatedConfig, CorrelatedGenerator, FeatureConfig, FeatureVectorGenerator,

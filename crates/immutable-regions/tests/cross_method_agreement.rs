@@ -52,7 +52,7 @@ fn all_algorithms_agree_with_each_other_and_the_oracle() {
         let dims = rng.gen_range(3..7);
         let n = rng.gen_range(30..120);
         let dataset = random_dataset(&mut rng, n, dims);
-        let index = TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = IndexBuilder::new().build_shared(&dataset).unwrap();
         let k = rng.gen_range(1..6);
         let qlen = rng.gen_range(2..=dims.min(4)) as usize;
         let query = random_query(&mut rng, dims, qlen, k);
@@ -100,7 +100,7 @@ fn composition_only_mode_agrees_with_the_oracle() {
     for _ in 0..8 {
         let dims = rng.gen_range(3..6);
         let dataset = random_dataset(&mut rng, 60, dims);
-        let index = TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = IndexBuilder::new().build_shared(&dataset).unwrap();
         let query = random_query(&mut rng, dims, 2, 3);
         let oracle = ExhaustiveOracle::new(&dataset, query.clone());
         for algorithm in [Algorithm::Scan, Algorithm::Cpt] {
@@ -133,7 +133,7 @@ fn pruning_and_thresholding_never_evaluate_more_than_scan() {
     for _ in 0..6 {
         let dims = rng.gen_range(4..8);
         let dataset = random_dataset(&mut rng, 150, dims);
-        let index = TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = IndexBuilder::new().build_shared(&dataset).unwrap();
         let query = random_query(&mut rng, dims, 3, 5);
 
         let evaluated = |algorithm: Algorithm| {

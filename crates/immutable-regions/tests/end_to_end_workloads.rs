@@ -9,7 +9,7 @@ use ir_core::partition::Partition;
 use ir_datagen::queries::DimSelection;
 
 fn run_workload(dataset: &Dataset, workload: &QueryWorkload) -> Vec<(Algorithm, u64)> {
-    let index = TopKIndex::build_in_memory(dataset).unwrap();
+    let index = IndexBuilder::new().build_shared(dataset).unwrap();
     let mut totals = Vec::new();
     for algorithm in Algorithm::ALL {
         let mut evaluated = 0u64;
@@ -148,7 +148,7 @@ fn candidate_partition_structure_matches_figure_6() {
         zipf_exponent: 1.0,
     })
     .generate_corpus(9);
-    let text_index = TopKIndex::build_in_memory(&text).unwrap();
+    let text_index = IndexBuilder::new().build_shared(&text).unwrap();
     // The paper selects query terms uniformly at random from the (huge)
     // vocabulary; with popularity-biased terms the co-occurrence rate would
     // be artificially high and C^L would not be small. At this smoke scale a
@@ -190,7 +190,7 @@ fn candidate_partition_structure_matches_figure_6() {
         correlation: 0.5,
     })
     .generate_dataset(9);
-    let st_index = TopKIndex::build_in_memory(&st).unwrap();
+    let st_index = IndexBuilder::new().build_shared(&st).unwrap();
     let st_query = QueryVector::new([(0, 1.0), (3, 1.0), (6, 1.0), (9, 1.0)], 10).unwrap();
     let st_rc = RegionComputation::new(&st_index, &st_query, RegionConfig::default()).unwrap();
     let st_entries = st_rc.ta().candidates().entries().to_vec();

@@ -127,6 +127,37 @@ fn zero_weight_query_is_a_typed_error() {
     assert!(matches!(err, EngineError::ZeroWeightQuery), "{err}");
 }
 
+/// `EnginePolicy` JSON is strict both ways: the four-key document
+/// round-trips, and a document from before the bench stamps moved to the
+/// bench series envelope (six keys) is rejected with a typed error rather
+/// than half-understood.
+#[test]
+fn policy_json_round_trips_four_keys_and_rejects_the_old_six() {
+    let json = EnginePolicy::default().to_json();
+    for key in ["config", "threads", "backend", "fault_plan"] {
+        assert!(json.contains(&format!("\"{key}\":")), "{key} in {json}");
+    }
+    assert!(!json.contains("cold_start") && !json.contains("cluster"));
+    assert_eq!(
+        EnginePolicy::from_json(&json).unwrap(),
+        EnginePolicy::default()
+    );
+
+    let old = format!(
+        "{},\"cold_start\":{{\"source\":\"Built\",\"pages\":0,\"bytes\":0}},\"cluster\":null}}",
+        json.strip_suffix('}').unwrap()
+    );
+    let err = EnginePolicy::from_json(&old).unwrap_err();
+    assert!(matches!(err, EngineError::Policy(_)), "{err}");
+    assert!(err.to_string().contains("cold_start"), "{err}");
+    // A missing key is rejected the same way.
+    let short = json.replace(",\"fault_plan\":null", "");
+    assert!(matches!(
+        EnginePolicy::from_json(&short),
+        Err(EngineError::Policy(_))
+    ));
+}
+
 /// Every robustness-relevant [`IrError`] variant crosses the engine
 /// boundary without loss: the request-shaped ones become their own
 /// [`EngineError`] variants, and the storage-failure ones ride through
@@ -239,8 +270,8 @@ fn batch_output_matches_borrowed_sequential_oracle_for_every_worker_count() {
         RegionConfig::with_phi(Algorithm::Prune, 2),
         RegionConfig::flat(Algorithm::Scan).composition_only(),
     ] {
-        // Pre-refactor oracle: hand-assembled index, borrowed lifetimes.
-        let index = TopKIndex::build_in_memory(&dataset).unwrap();
+        // Low-level oracle: hand-assembled index, no engine.
+        let index = IndexBuilder::new().build_shared(&dataset).unwrap();
         let oracle: Vec<RegionReport> = queries
             .iter()
             .map(|query| {
@@ -288,7 +319,7 @@ fn batch_output_matches_borrowed_sequential_oracle_for_every_worker_count() {
 fn single_query_matches_borrowed_path_exactly() {
     let dataset = Dataset::running_example();
     let query = QueryVector::running_example();
-    let index = TopKIndex::build_in_memory(&dataset).unwrap();
+    let index = IndexBuilder::new().build_shared(&dataset).unwrap();
     let mut low_level =
         RegionComputation::new(&index, &query, RegionConfig::flat(Algorithm::Cpt)).unwrap();
     let expected = low_level.compute().unwrap();

@@ -46,7 +46,7 @@ proptest! {
         dataset in dataset_strategy(5, 40),
         query in query_strategy(5),
     ) {
-        let index = TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = IndexBuilder::new().build_shared(&dataset).unwrap();
         let mut computation =
             RegionComputation::new(&index, &query, RegionConfig::flat(Algorithm::Cpt)).unwrap();
         let report = computation.compute().unwrap();
@@ -78,7 +78,7 @@ proptest! {
         dataset in dataset_strategy(4, 30),
         query in query_strategy(4),
     ) {
-        let index = TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = IndexBuilder::new().build_shared(&dataset).unwrap();
         let mut computation =
             RegionComputation::new(&index, &query, RegionConfig::flat(Algorithm::Scan)).unwrap();
         let report = computation.compute().unwrap();
@@ -113,7 +113,7 @@ proptest! {
         dataset in dataset_strategy(4, 30),
         query in query_strategy(4),
     ) {
-        let index = TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = IndexBuilder::new().build_shared(&dataset).unwrap();
         let mut reports = Vec::new();
         for algorithm in Algorithm::ALL {
             let mut computation =

@@ -82,7 +82,7 @@ fn batch_matches_sequential_oracle_for_all_algorithms_and_phi() {
             let dims = rng.gen_range(3..7);
             let n = rng.gen_range(40..120);
             let dataset = random_dataset(&mut rng, n, dims);
-            let index = TopKIndex::build_in_memory(&dataset).unwrap();
+            let index = IndexBuilder::new().build_shared(&dataset).unwrap();
             let queries = random_batch(&mut rng, dims, 5);
             let config = RegionConfig::with_phi(algorithm, phi);
 
@@ -133,7 +133,7 @@ fn batch_matches_sequential_oracle_in_composition_only_mode() {
     for algorithm in [Algorithm::Scan, Algorithm::Cpt] {
         let dims = rng.gen_range(3..6);
         let dataset = random_dataset(&mut rng, 80, dims);
-        let index = TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = IndexBuilder::new().build_shared(&dataset).unwrap();
         let queries = random_batch(&mut rng, dims, 4);
         let config = RegionConfig::flat(algorithm).composition_only();
         let oracle: Vec<RegionReport> = queries
@@ -170,7 +170,7 @@ fn per_dimension_fanout_is_thread_count_invariant() {
     for algorithm in Algorithm::ALL {
         let dims = 6;
         let dataset = random_dataset(&mut rng, 150, dims);
-        let index = TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = IndexBuilder::new().build_shared(&dataset).unwrap();
         let query = random_query(&mut rng, dims, 4, 5);
         let config = RegionConfig::with_phi(algorithm, 1);
         let computation = RegionComputation::new(&index, &query, config).unwrap();
@@ -205,7 +205,7 @@ fn per_dimension_fanout_is_thread_count_invariant() {
 fn batch_results_and_current_regions_match_sequential_topk() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x70B_B01);
     let dataset = random_dataset(&mut rng, 100, 5);
-    let index = TopKIndex::build_in_memory(&dataset).unwrap();
+    let index = IndexBuilder::new().build_shared(&dataset).unwrap();
     let queries = random_batch(&mut rng, 5, 6);
     let reports = BatchRegionComputation::new(&index, RegionConfig::default())
         .with_threads(4)

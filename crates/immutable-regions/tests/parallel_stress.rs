@@ -73,7 +73,7 @@ proptest! {
     ) {
         let dims = 5u32;
         let dataset = build_dataset(seed, 120, dims);
-        let index = TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = IndexBuilder::new().build_shared(&dataset).unwrap();
         let queries = build_queries(seed, dims, num_queries, k);
         let config = RegionConfig::with_phi(Algorithm::Cpt, phi);
 
@@ -115,7 +115,7 @@ proptest! {
 fn concurrent_batches_share_one_pool_losslessly() {
     let dims = 5u32;
     let dataset = build_dataset(0xFEED, 200, dims);
-    let index = TopKIndex::build_in_memory(&dataset).unwrap();
+    let index = IndexBuilder::new().build_shared(&dataset).unwrap();
     let queries_a = build_queries(1, dims, 8, 4);
     let queries_b = build_queries(2, dims, 8, 3);
     let config = RegionConfig::default();
@@ -165,7 +165,7 @@ fn concurrent_batches_share_one_pool_losslessly() {
 fn repeated_batches_keep_stats_consistent() {
     let dims = 4u32;
     let dataset = build_dataset(0xBEEF, 150, dims);
-    let index = TopKIndex::build_in_memory(&dataset).unwrap();
+    let index = IndexBuilder::new().build_shared(&dataset).unwrap();
     index.cold_start();
     let before_all = index.io_snapshot();
     let mut accounted = IoStatsSnapshot::default();

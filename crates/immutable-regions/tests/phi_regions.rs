@@ -32,7 +32,7 @@ fn phi_regions_match_the_oracle_for_every_algorithm() {
         let dims = rng.gen_range(3..6);
         let cardinality = rng.gen_range(25..70);
         let dataset = random_dataset(&mut rng, cardinality, dims);
-        let index = TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = IndexBuilder::new().build_shared(&dataset).unwrap();
         let k = rng.gen_range(2..5);
         let qlen = 2usize;
         let mut chosen = Vec::new();
@@ -91,7 +91,7 @@ fn one_off_and_iterative_processing_agree() {
     for _ in 0..4 {
         let dims = 4;
         let dataset = random_dataset(&mut rng, 40, dims);
-        let index = TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = IndexBuilder::new().build_shared(&dataset).unwrap();
         let query = QueryVector::new([(0, 0.7), (2, 0.5)], 3).unwrap();
         let phi = 2;
 
@@ -127,7 +127,7 @@ fn phi_zero_and_flat_solver_agree() {
     // φ = 0 computation (they use different solvers internally).
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     let dataset = random_dataset(&mut rng, 80, 5);
-    let index = TopKIndex::build_in_memory(&dataset).unwrap();
+    let index = IndexBuilder::new().build_shared(&dataset).unwrap();
     let query = QueryVector::new([(0, 0.6), (1, 0.8), (3, 0.4)], 4).unwrap();
     for algorithm in Algorithm::ALL {
         let mut flat =

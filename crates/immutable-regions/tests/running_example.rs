@@ -3,9 +3,9 @@
 
 use immutable_regions::prelude::*;
 
-fn setup() -> (TopKIndex, QueryVector) {
+fn setup() -> (std::sync::Arc<TopKIndex>, QueryVector) {
     let dataset = Dataset::running_example();
-    let index = TopKIndex::build_in_memory(&dataset).unwrap();
+    let index = IndexBuilder::new().build_shared(&dataset).unwrap();
     (index, QueryVector::running_example())
 }
 

@@ -32,9 +32,9 @@ fn disk_backed_index_produces_the_same_regions_as_memory() {
     let disk_index = IndexBuilder::new()
         .backend(StorageBackend::Disk(dir.path().to_path_buf()))
         .pool_capacity(64)
-        .build(&dataset)
+        .build_shared(&dataset)
         .unwrap();
-    let mem_index = TopKIndex::build_in_memory(&dataset).unwrap();
+    let mem_index = IndexBuilder::new().build_shared(&dataset).unwrap();
     let query = QueryVector::new([(0, 0.9), (5, 0.6), (11, 0.3)], 10).unwrap();
 
     let mut disk_rc =
@@ -61,11 +61,11 @@ fn small_buffer_pool_forces_physical_rereads() {
 
     let tight = IndexBuilder::new()
         .pool_capacity(2)
-        .build(&dataset)
+        .build_shared(&dataset)
         .unwrap();
     let roomy = IndexBuilder::new()
         .pool_capacity(4096)
-        .build(&dataset)
+        .build_shared(&dataset)
         .unwrap();
 
     for index in [&tight, &roomy] {
@@ -94,7 +94,7 @@ fn io_latency_model_converts_physical_reads_to_time() {
     let index = IndexBuilder::new()
         .io_config(IoConfig::default())
         .pool_capacity(8)
-        .build(&dataset)
+        .build_shared(&dataset)
         .unwrap();
     let query = QueryVector::new([(2, 0.8), (7, 0.5)], 5).unwrap();
     index.cold_start();

@@ -35,10 +35,7 @@
 //! unsharded engine's answers, and conserved message counters.
 
 use immutable_regions::engine::{EngineResult, IrEngine};
-use ir_bench::{
-    note_cluster_topology, print_table, BenchArgs, BenchDataset, ExperimentTable,
-    MethodMeasurement, Scale,
-};
+use ir_bench::{print_table, BenchArgs, BenchDataset, ExperimentTable, MethodMeasurement, Scale};
 use ir_cluster::{ClusterOutcome, NetworkConfig, PartitionMode, ShardedEngine};
 use ir_core::RegionReport;
 use std::time::Instant;
@@ -151,7 +148,6 @@ fn main() -> EngineResult<()> {
         .collect::<EngineResult<_>>()?;
     let (oracle_evaluated, oracle_reads) = totals(&sequential);
 
-    let mut last_topology = None;
     for shards in shard_counts(scale) {
         table.push(row(
             "Oracle",
@@ -172,7 +168,7 @@ fn main() -> EngineResult<()> {
                 .map_err(|e| {
                     immutable_regions::engine::EngineError::Policy(format!("{context}: {e}"))
                 })?;
-            last_topology = Some(cluster.topology());
+            table.cluster = Some(cluster.topology());
             let outcome = cluster.run(&queries).map_err(|e| {
                 immutable_regions::engine::EngineError::Policy(format!("{context}: {e}"))
             })?;
@@ -253,7 +249,6 @@ fn main() -> EngineResult<()> {
         }
     }
 
-    note_cluster_topology(last_topology);
     print_table(&table);
     args.emit("cluster", &table)?;
     args.report_wall_clock(started);

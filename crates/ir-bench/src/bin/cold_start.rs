@@ -20,7 +20,7 @@
 //!   best.
 
 use immutable_regions::engine::{EngineResult, IrEngine};
-use ir_bench::{note_cold_start, print_table, BenchArgs, BenchDataset, ExperimentTable, Scale};
+use ir_bench::{print_table, BenchArgs, BenchDataset, ExperimentTable, Scale};
 use ir_storage::{BackendKind, ColdStartInfo, ColdStartSource, StorageBackend};
 use std::path::Path;
 use std::time::Instant;
@@ -33,9 +33,7 @@ fn built_info(dataset: &ir_types::Dataset, kind: BackendKind) -> EngineResult<Co
         .backend(storage)
         .build()?;
     drop(scratch);
-    let info = engine.cold_start_info();
-    note_cold_start(info);
-    Ok(info)
+    Ok(engine.cold_start_info())
 }
 
 /// Reopens the saved snapshot on `kind` and reports the work.
@@ -49,9 +47,7 @@ fn snapshot_info(staged: &Path, kind: BackendKind) -> EngineResult<ColdStartInfo
         .open_snapshot(staged)
         .backend(storage)
         .build()?;
-    let info = engine.cold_start_info();
-    note_cold_start(info);
-    Ok(info)
+    Ok(engine.cold_start_info())
 }
 
 /// A table row carrying the cold-start work metrics: pages touched in the
@@ -117,6 +113,7 @@ fn main() -> EngineResult<()> {
         assert_eq!(snap.source, ColdStartSource::Snapshot);
         table.push(row(built.source, i, built));
         table.push(row(snap.source, i, snap));
+        table.cold_start = snap;
         println!(
             "{kind}: built {{pages: {}, bytes: {}}} vs snapshot {{pages: {}, bytes: {}}}",
             built.pages, built.bytes, snap.pages, snap.bytes

@@ -27,7 +27,7 @@
 //! It also enforces the oracle law at serving level: after the stream,
 //! every incremental query answer and every fleet member's region report
 //! must be byte-identical to a freshly built engine on the mutated
-//! dataset, and the manager/engine health counters must agree.
+//! dataset.
 
 use immutable_regions::engine::{EngineResult, IrEngine};
 use immutable_regions::fleet::{FleetConfig, SubscriptionManager};
@@ -95,6 +95,7 @@ fn main() -> EngineResult<()> {
 
     for churn_pct in CHURN_PERCENTS {
         let (engine, _) = BenchDataset::Wsj.prepare_engine_for(scale, 3, 10, num_subs, &args)?;
+        table.cold_start = engine.cold_start_info();
         let mut manager = SubscriptionManager::new(
             &engine,
             FleetConfig {
@@ -207,16 +208,6 @@ fn main() -> EngineResult<()> {
                 "churn {churn_pct}%: maintenance I/O {maint_io} is not strictly below the \
                  full-rebuild I/O {rebuild_cost} ({batches} batches × {} pages per rebuild)",
                 rebuild.pages
-            ));
-        }
-        let health = engine.health();
-        if health.updates_applied != stats.updates_applied
-            || health.regions_survived != stats.regions_survived
-            || health.regions_punctured != stats.regions_punctured
-        {
-            violations.push(format!(
-                "churn {churn_pct}%: engine health counters disagree with manager stats \
-                 ({health:?} vs {stats:?})"
             ));
         }
         for member in manager.members() {

@@ -19,6 +19,7 @@ fn main() -> EngineResult<()> {
     for qlen in [2usize, 4, 6, 8, 10] {
         let (engine, workload) =
             BenchDataset::St.prepare_engine_for(scale, qlen, 10, queries, &args)?;
+        table.cold_start = engine.cold_start_info();
         for algorithm in Algorithm::ALL {
             let row = measure_method_threaded(
                 &engine,

@@ -23,6 +23,7 @@ fn main() -> EngineResult<()> {
     for &qlen in qlens {
         let (engine, workload) =
             BenchDataset::Kb.prepare_engine_for(scale, qlen, 10, queries, &args)?;
+        table.cold_start = engine.cold_start_info();
         for algorithm in Algorithm::ALL {
             let row = measure_method_threaded(
                 &engine,

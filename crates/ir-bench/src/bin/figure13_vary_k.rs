@@ -23,6 +23,7 @@ fn main() -> EngineResult<()> {
         );
         for &k in ks {
             let (engine, workload) = dataset.prepare_engine_for(scale, 4, k, queries, &args)?;
+            table.cold_start = engine.cold_start_info();
             for algorithm in Algorithm::ALL {
                 let row = measure_method_threaded(
                     &engine,

@@ -21,6 +21,7 @@ fn main() -> EngineResult<()> {
         "Figure 14 — WSJ-like corpus, k = 10, qlen = 4, varying φ (one-off)",
         "phi",
     );
+    table.cold_start = engine.cold_start_info();
     for &phi in phis {
         for algorithm in Algorithm::ALL {
             let row = measure_method_threaded(

@@ -23,6 +23,7 @@ fn main() -> EngineResult<()> {
         "Figure 15 — one-off vs iterative processing, WSJ-like, k = 10, qlen = 4",
         "phi",
     );
+    table.cold_start = engine.cold_start_info();
     for &phi in phis {
         for algorithm in [Algorithm::Prune, Algorithm::Cpt] {
             table.push(measure_method_threaded(

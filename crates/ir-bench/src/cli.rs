@@ -30,8 +30,8 @@
 //!   unique staging directory under `DIR`, and reopens it zero-copy on
 //!   the requested backend. Deterministic query output is identical by
 //!   construction (the snapshot CI stage proves it with an exact diff);
-//!   the `cold_start` stamp in the emitted policy flips from `built` to
-//!   `snapshot` so a snapshot-served run is self-describing.
+//!   the `cold_start` stamp in the emitted series envelope flips from
+//!   `built` to `snapshot` so a snapshot-served run is self-describing.
 //!
 //! The criterion benches reuse the same parser, so `cargo bench --
 //! --backend mmap` (or the env var) swaps their backend too.
@@ -41,44 +41,12 @@
 
 use crate::emit::{table_to_series, write_figure};
 use crate::runner::ExperimentTable;
-use immutable_regions::engine::{ClusterTopology, EnginePolicy};
+use immutable_regions::engine::EnginePolicy;
 use ir_core::RegionConfig;
-use ir_storage::{BackendKind, ColdStartInfo, FaultPlan, StorageBackend};
+use ir_storage::{BackendKind, FaultPlan, StorageBackend};
 use ir_types::{IrError, IrResult};
-use std::cell::Cell;
 use std::path::PathBuf;
 use std::time::Instant;
-
-thread_local! {
-    // The cold-start provenance of the most recently prepared engine on
-    // this thread, stamped into emitted policies. A thread-local cell (not
-    // a BenchArgs field) because the engine is prepared long after the
-    // arguments are parsed, by workload helpers that never see the
-    // emission path; runners prepare and emit on one thread.
-    static LAST_COLD_START: Cell<Option<ColdStartInfo>> = const { Cell::new(None) };
-
-    // The cluster topology of the most recently prepared sharded run on
-    // this thread (None for every unsharded runner), stamped into emitted
-    // policies the same way cold-start provenance is.
-    static LAST_CLUSTER: Cell<Option<ClusterTopology>> = const { Cell::new(None) };
-}
-
-/// Records how the most recently prepared engine came up (built from the
-/// dataset or reopened from a snapshot) so [`BenchArgs::policy_with`] can
-/// stamp it into emitted `BENCH_<figure>.json` metadata. Called by the
-/// workload preparation helpers; thread-local, so call it on the thread
-/// that later emits.
-pub fn note_cold_start(info: ColdStartInfo) {
-    LAST_COLD_START.with(|cell| cell.set(Some(info)));
-}
-
-/// Records the cluster topology of the most recently prepared sharded run
-/// so [`BenchArgs::policy_with`] stamps it into emitted metadata. Pass
-/// `None` to return to the unsharded default; thread-local, like
-/// [`note_cold_start`].
-pub fn note_cluster_topology(topology: Option<ClusterTopology>) {
-    LAST_CLUSTER.with(|cell| cell.set(topology));
-}
 
 /// Materializes a backend kind as a concrete [`StorageBackend`], creating a
 /// scratch page directory for the file and mmap backends.
@@ -261,20 +229,15 @@ impl BenchArgs {
     /// files: `config` is the figure's serving template (see
     /// [`BenchArgs::emit_with`]; the per-series algorithm and the figure's
     /// x-axis parameter override it row by row), `threads` is the parsed
-    /// worker count, `backend` the parsed storage backend, `fault_plan`
+    /// worker count, `backend` the parsed storage backend and `fault_plan`
     /// the loaded chaos plan (`null` for ordinary runs, keeping the
-    /// committed baselines stable) and `cold_start` the provenance of the
-    /// engine most recently prepared on this thread (see
-    /// [`note_cold_start`]; the all-zero `built` default before any engine
-    /// is prepared).
+    /// committed baselines stable).
     pub fn policy_with(&self, config: RegionConfig) -> EnginePolicy {
         EnginePolicy {
             config,
             threads: self.threads,
             backend: self.backend,
             fault_plan: self.fault_plan.clone(),
-            cold_start: LAST_COLD_START.with(Cell::get).unwrap_or_default(),
-            cluster: LAST_CLUSTER.with(Cell::get),
         }
     }
 
@@ -289,7 +252,8 @@ impl BenchArgs {
     /// metadata with `config` — the figure's serving template. Pass the
     /// settings every row shares (e.g. composition-only mode for Figure
     /// 16); the per-series algorithm and the swept x-axis parameter are
-    /// recorded in the series themselves.
+    /// recorded in the series themselves. The cold-start and cluster
+    /// stamps of the envelope come from the table itself.
     pub fn emit_with(
         &self,
         figure: &str,
@@ -422,22 +386,36 @@ mod tests {
 
     #[test]
     fn policy_stamps_the_noted_cold_start() {
-        use ir_storage::ColdStartSource;
+        use ir_storage::{ColdStartInfo, ColdStartSource};
 
+        // The stamps travel in the table, beside the policy — never in it.
         let args = BenchArgs::from_arg_list(strings(&[]));
-        // Each #[test] runs on a fresh thread, so before any engine is
-        // prepared here the stamp is the all-zero `built` default.
-        assert_eq!(
-            args.policy_with(RegionConfig::default()).cold_start,
-            ColdStartInfo::default()
-        );
+        let mut table = ExperimentTable::new("Figure T", "qlen");
+        let policy = args.policy_with(RegionConfig::default());
+        let series = table_to_series("figureT", &table, policy.clone());
+        assert_eq!(series.cold_start, ColdStartInfo::default());
+        assert_eq!(series.cluster, None);
+
         let info = ColdStartInfo {
             source: ColdStartSource::Snapshot,
             pages: 3,
             bytes: 100,
         };
-        note_cold_start(info);
-        assert_eq!(args.policy_with(RegionConfig::default()).cold_start, info);
+        table.cold_start = info;
+        table.cluster = Some(ir_cluster::ClusterTopology {
+            shards: 4,
+            ..Default::default()
+        });
+        let series = table_to_series("figureT", &table, policy.clone());
+        assert_eq!(series.cold_start, info);
+        assert_eq!(series.cluster, table.cluster);
+        assert_eq!(series.policy, policy);
+        let json = serde_json::to_string(&series).unwrap();
+        assert!(
+            json.contains("},\"cold_start\":{\"source\":\"Snapshot\""),
+            "{json}"
+        );
+        assert!(json.contains("},\"cluster\":{\"shards\":4"), "{json}");
     }
 
     #[test]

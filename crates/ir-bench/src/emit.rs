@@ -12,6 +12,8 @@
 use crate::metrics::{MethodMeasurement, MethodSeries};
 use crate::runner::ExperimentTable;
 use immutable_regions::engine::EnginePolicy;
+use ir_cluster::ClusterTopology;
+use ir_storage::ColdStartInfo;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
@@ -29,13 +31,20 @@ pub struct FigureSeries {
     /// never compared by [`compare_figures`]: the deterministic series are
     /// worker-count invariant by construction.
     pub policy: EnginePolicy,
+    /// How the engine that served the table came up (built from the dataset
+    /// vs reopened from a snapshot; pages touched, bytes parsed). Metadata
+    /// only, like `policy`.
+    pub cold_start: ColdStartInfo,
+    /// The cluster topology the table was served under (`null` for every
+    /// unsharded runner). Metadata only.
+    pub cluster: Option<ClusterTopology>,
     /// One series per method, in first-appearance order.
     pub series: Vec<MethodSeries>,
 }
 
 /// Groups a printed table into per-method series (points kept in x order of
 /// appearance, methods in first-appearance order), stamped with the engine
-/// policy that produced it.
+/// policy that produced it and the table's cold-start and cluster stamps.
 pub fn table_to_series(
     figure: &str,
     table: &ExperimentTable,
@@ -55,6 +64,8 @@ pub fn table_to_series(
         figure: figure.to_string(),
         x_label: table.x_label.clone(),
         policy,
+        cold_start: table.cold_start,
+        cluster: table.cluster,
         series,
     }
 }

@@ -19,8 +19,8 @@
 //! for the CI baseline diff performed by the `bench_diff` binary) and
 //! `--snapshot-dir DIR` (serve the figure from a persisted index snapshot
 //! reopened zero-copy instead of a freshly built index; deterministic
-//! output is identical, and the emitted policy's `cold_start` stamp
-//! records the provenance). See [`cli`] and [`emit`]. The `cold_start`
+//! output is identical, and the emitted series envelope's `cold_start`
+//! stamp records the provenance). See [`cli`] and [`emit`]. The `cold_start`
 //! runner compares the deterministic bring-up work (pages touched, bytes
 //! decoded) of the built and snapshot paths per backend.
 
@@ -33,7 +33,7 @@ pub mod metrics;
 pub mod runner;
 pub mod workloads;
 
-pub use cli::{materialize_backend, note_cluster_topology, note_cold_start, BenchArgs};
+pub use cli::{materialize_backend, BenchArgs};
 pub use emit::{
     compare_figures, compare_figures_with_tolerance, read_figure, table_to_series, write_figure,
     FigureSeries,

@@ -2,11 +2,12 @@
 
 use crate::metrics::MethodMeasurement;
 use immutable_regions::engine::{EngineResult, IrEngine};
+use ir_cluster::ClusterTopology;
 use ir_core::iterative::compute_iterative;
 use ir_core::parallel::run_queries;
 use ir_core::{Algorithm, ComputationStats, RegionConfig};
 use ir_datagen::QueryWorkload;
-use ir_storage::TopKIndex;
+use ir_storage::{ColdStartInfo, TopKIndex};
 use ir_types::IrResult;
 
 fn accumulate_stats(total: &mut MethodMeasurement, index: &TopKIndex, stats: &ComputationStats) {
@@ -116,6 +117,13 @@ pub struct ExperimentTable {
     pub x_label: String,
     /// The measurements.
     pub rows: Vec<MethodMeasurement>,
+    /// How the engine serving the table came up — set by the runner from
+    /// [`IrEngine::cold_start_info`] and stamped into the emitted series
+    /// envelope (the all-zero `built` default until then).
+    pub cold_start: ColdStartInfo,
+    /// The cluster topology the table was served under, stamped likewise
+    /// (`None` for every unsharded runner).
+    pub cluster: Option<ClusterTopology>,
 }
 
 impl ExperimentTable {
@@ -124,7 +132,7 @@ impl ExperimentTable {
         ExperimentTable {
             title: title.into(),
             x_label: x_label.into(),
-            rows: Vec::new(),
+            ..Default::default()
         }
     }
 

@@ -235,8 +235,8 @@ impl BenchDataset {
     /// is built once in memory, saved into a unique staging directory
     /// under the root, and the serving engine is reopened from that
     /// snapshot on the requested backend — deterministic query output is
-    /// identical either way; only the cold-start provenance (stamped via
-    /// [`crate::cli::note_cold_start`]) differs.
+    /// identical either way; only the cold-start provenance
+    /// ([`IrEngine::cold_start_info`]) differs.
     #[allow(clippy::too_many_arguments)]
     pub fn prepare_engine_faulty(
         &self,
@@ -277,7 +277,6 @@ impl BenchDataset {
                 builder = builder.fault_plan(plan);
             }
             let engine = builder.build()?;
-            crate::cli::note_cold_start(engine.cold_start_info());
             // The engine is up (descriptor/mapping established), so the
             // staging directory may go — success and error paths alike
             // clean up via the guard's drop.
@@ -293,7 +292,6 @@ impl BenchDataset {
             builder = builder.fault_plan(plan);
         }
         let engine = builder.build()?;
-        crate::cli::note_cold_start(engine.cold_start_info());
         // The scratch guard may drop now: the store holds its descriptor to
         // the (unlinked) page file for the engine's lifetime.
         drop(scratch);
@@ -344,9 +342,6 @@ mod tests {
             .unwrap();
         let info = engine.cold_start_info();
         assert_eq!(info.source, ColdStartSource::Snapshot);
-        // The stamp reaches the emitted policy metadata (same thread).
-        let policy = args.policy_with(ir_core::RegionConfig::default());
-        assert_eq!(policy.cold_start, info);
 
         // Deterministic output identical to the built path.
         let (built, _) = BenchDataset::St

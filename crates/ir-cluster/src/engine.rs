@@ -38,9 +38,8 @@ use crate::message::{
 };
 use crate::network::{NetworkConfig, NetworkStats, SimNetwork};
 use crate::node::ShardNode;
-use immutable_regions::engine::{
-    ClusterTopology, EngineError, EngineHealthSnapshot, IrEngine, PartitionMode,
-};
+use crate::topology::{ClusterTopology, PartitionMode};
+use immutable_regions::engine::{EngineError, EngineHealthSnapshot, IrEngine};
 use ir_core::{ComputationStats, RegionConfig, RegionReport};
 use ir_storage::{snapshot, BackendKind, IoStatsSnapshot, SnapshotPeek};
 use ir_types::{Dataset, IrError, QueryVector};
@@ -452,7 +451,7 @@ impl ShardedEngine {
         self.backend
     }
 
-    /// The topology stamp for policies and `BENCH_*.json` metadata.
+    /// The topology stamp for `BENCH_*.json` metadata.
     pub fn topology(&self) -> ClusterTopology {
         ClusterTopology {
             shards: self.shards(),
@@ -903,14 +902,13 @@ impl ShardedEngine {
 
 /// Reads one node's cumulative traffic counters.
 fn traffic_of(node: &ShardNode, alive: bool, requests_received: u64) -> ShardTraffic {
-    let health = node.engine().health();
     let io = node.engine().index().io_snapshot();
     ShardTraffic {
         shard: node.id().0,
         alive,
         requests_received,
-        solves: health.shard_solves,
-        partials_sent: health.shard_partials,
+        solves: node.solves(),
+        partials_sent: node.partials_sent(),
         logical_reads: io.logical_reads,
         physical_reads: io.physical_reads,
     }

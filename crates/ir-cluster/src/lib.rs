@@ -26,12 +26,15 @@
 //! because the merge is fixed by (query id, dimension index), never by
 //! arrival order. See [`engine`] for the full contract.
 
+#![forbid(unsafe_code)]
+
 pub mod churn;
 pub mod engine;
 pub mod event_schedule;
 pub mod message;
 pub mod network;
 pub mod node;
+pub mod topology;
 
 pub use churn::{ChurnPlan, ChurnReport};
 pub use engine::{
@@ -41,7 +44,4 @@ pub use engine::{
 pub use message::{Address, Message, MessageEnvelope, ShardId, ShardMap};
 pub use network::{NetworkConfig, NetworkStats, SimNetwork};
 pub use node::ShardNode;
-
-// The topology types live in `immutable-regions` (they are stamped into
-// `EnginePolicy`); re-exported here so cluster users need one import path.
-pub use immutable_regions::engine::{ClusterTopology, PartitionMode};
+pub use topology::{ClusterTopology, PartitionMode};

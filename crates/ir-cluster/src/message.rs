@@ -17,7 +17,7 @@
 //!   same reordering as everything else — which the determinism suite then
 //!   proves harmless.
 
-use immutable_regions::engine::PartitionMode;
+use crate::topology::PartitionMode;
 use ir_core::{DimRegions, RegionReport};
 use ir_storage::IoStatsSnapshot;
 use std::fmt;

@@ -25,7 +25,7 @@ use crate::message::{Address, Message, MessageEnvelope, ShardId};
 use ir_types::SeededLcg;
 
 /// Shape of the simulated network, stamped (via its seed) into the run's
-/// [`ClusterTopology`](immutable_regions::engine::ClusterTopology).
+/// [`ClusterTopology`](crate::ClusterTopology).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NetworkConfig {
     /// Seed of the delay/drop stream. Equal seeds replay equal schedules.

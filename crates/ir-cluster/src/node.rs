@@ -17,7 +17,7 @@
 use crate::engine::{ClusterError, ClusterResult};
 use crate::message::{DimPartial, PartialPayload, PartialRegion, ShardId, ShardMap, SolveDim};
 use immutable_regions::engine::IrEngine;
-use ir_core::{OwnedRegionComputation, RegionConfig};
+use ir_core::{RegionComputation, RegionConfig};
 use ir_storage::{BackendKind, StorageBackend};
 use ir_types::QueryVector;
 use std::collections::HashMap;
@@ -29,8 +29,13 @@ pub struct ShardNode {
     engine: IrEngine,
     /// TA runs cached per query (`ByDim` mode solves several dimensions of
     /// the same query on one node; the top-k phase runs once).
-    computations: HashMap<usize, OwnedRegionComputation>,
+    computations: HashMap<usize, RegionComputation>,
     map: Option<ShardMap>,
+    /// Work units solved (retries re-solve) and partials handed back — one
+    /// each per successful [`ShardNode::solve`], kept apart because they are
+    /// the two sides of the coordinator's conservation check.
+    solves: u64,
+    partials_sent: u64,
 }
 
 impl ShardNode {
@@ -64,6 +69,8 @@ impl ShardNode {
             engine,
             computations: HashMap::new(),
             map: None,
+            solves: 0,
+            partials_sent: 0,
         })
     }
 
@@ -75,6 +82,16 @@ impl ShardNode {
     /// The node's engine (health counters, I/O accounting).
     pub fn engine(&self) -> &IrEngine {
         &self.engine
+    }
+
+    /// Work units this node has solved since it came up.
+    pub fn solves(&self) -> u64 {
+        self.solves
+    }
+
+    /// Partial-region messages this node has produced for the coordinator.
+    pub fn partials_sent(&self) -> u64 {
+        self.partials_sent
     }
 
     /// Installs a (newer) work assignment; stale broadcasts — delivered out
@@ -170,7 +187,8 @@ impl ShardNode {
                 }))
             }
         };
-        self.engine.note_shard_traffic(1, 1);
+        self.solves += 1;
+        self.partials_sent += 1;
         Ok(PartialRegion {
             unit: request.unit,
             query: request.query,

@@ -443,10 +443,13 @@ fn external_snapshot_and_topology_stamp() {
     for (actual, expected) in outcome.reports.iter().zip(&oracle) {
         assert_eq!(actual.dims, expected.dims);
     }
-    // Shard health counters surfaced through the engine's health snapshot.
+    // Every node's engine health is surfaced; the shard traffic itself is
+    // counted on the nodes and reported per shard.
     let health = cluster.shard_health();
     assert_eq!(health.len(), 2);
-    assert!(health.iter().any(|(_, h)| h.shard_solves > 0));
+    assert!(health.iter().all(|(_, h)| h.is_unblemished()));
+    assert!(outcome.stats.per_shard.iter().any(|t| t.solves > 0));
+    assert_eq!(outcome.stats.conservation_violation(), None);
 }
 
 proptest! {

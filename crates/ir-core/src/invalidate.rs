@@ -23,6 +23,7 @@
 
 use crate::region::RegionReport;
 use ir_geometry::Line;
+use ir_storage::AppliedUpdate;
 use ir_types::{IrResult, QueryVector, SparseVector, TupleId};
 use std::collections::HashMap;
 
@@ -54,11 +55,8 @@ impl UpdateImpact {
 /// `fetch` resolves the full vector of a result member (the k-th member of
 /// each region, needed to build its line); it is only called when the
 /// cheap structural checks cannot already decide, and each member is
-/// fetched at most once. When a whole batch is screened, feed the updates
-/// through in order and stop at the first puncture — once any update in
-/// the batch touches a result member the report is punctured before any
-/// fetch could observe that member's mutated vector, so the lines built
-/// here are always the report-time ones.
+/// fetched at most once. Screen a whole batch with [`batch_impact`], which
+/// feeds the updates through in order and stops at the first puncture.
 pub fn update_impact(
     anchor: &QueryVector,
     report: &RegionReport,
@@ -120,6 +118,37 @@ pub fn update_impact(
     Ok(UpdateImpact::Survived)
 }
 
+/// Screens a whole applied batch against one cached report: the updates go
+/// through [`update_impact`] in order and screening stops at the first
+/// puncture — once any update in the batch touches a result member the
+/// report is punctured before any fetch could observe that member's mutated
+/// vector, so the lines built are always the report-time ones.
+///
+/// A failed `fetch` surfaces as the error; callers that must not fail
+/// (the subscription fleet) treat it as a puncture — survival has to be
+/// proven.
+pub fn batch_impact(
+    anchor: &QueryVector,
+    report: &RegionReport,
+    applied: &[AppliedUpdate],
+    mut fetch: impl FnMut(TupleId) -> IrResult<SparseVector>,
+) -> IrResult<UpdateImpact> {
+    for update in applied {
+        let impact = update_impact(
+            anchor,
+            report,
+            update.tuple,
+            &update.old_vector,
+            &update.new_vector,
+            &mut fetch,
+        )?;
+        if !impact.survived() {
+            return Ok(impact);
+        }
+    }
+    Ok(UpdateImpact::Survived)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,10 +156,11 @@ mod tests {
     use crate::config::RegionConfig;
     use ir_storage::TopKIndex;
     use ir_types::Dataset;
+    use std::sync::Arc;
 
-    fn running_report() -> (QueryVector, RegionReport, TopKIndex) {
+    fn running_report() -> (QueryVector, RegionReport, Arc<TopKIndex>) {
         let dataset = Dataset::running_example();
-        let index = TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = Arc::new(TopKIndex::build_in_memory(&dataset).unwrap());
         let query = QueryVector::running_example();
         let report = RegionComputation::new(&index, &query, RegionConfig::default())
             .unwrap()

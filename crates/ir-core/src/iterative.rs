@@ -14,6 +14,7 @@ use crate::metrics::ComputationStats;
 use crate::region::WeightRegion;
 use ir_storage::TopKIndex;
 use ir_types::{DimId, IrResult, QueryVector};
+use std::sync::Arc;
 
 /// How far past a region boundary the weight is nudged before re-evaluating.
 const BOUNDARY_NUDGE: f64 = 1e-9;
@@ -44,7 +45,7 @@ pub struct IterativeReport {
 /// Computes up to `phi` regions on each side of the current weight for every
 /// query dimension by iterative re-evaluation with single-region requests.
 pub fn compute_iterative(
-    index: &TopKIndex,
+    index: &Arc<TopKIndex>,
     query: &QueryVector,
     algorithm: Algorithm,
     phi: usize,
@@ -144,7 +145,7 @@ mod tests {
     #[test]
     fn iterative_regions_match_one_off_on_running_example() {
         let dataset = Dataset::running_example();
-        let index = TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = Arc::new(TopKIndex::build_in_memory(&dataset).unwrap());
         let query = QueryVector::running_example();
 
         let iterative = compute_iterative(&index, &query, Algorithm::Cpt, 1).unwrap();
@@ -166,7 +167,7 @@ mod tests {
     #[test]
     fn iterative_cost_grows_with_phi() {
         let dataset = Dataset::running_example();
-        let index = TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = Arc::new(TopKIndex::build_in_memory(&dataset).unwrap());
         let query = QueryVector::running_example();
         index.cold_start();
         let phi1 = compute_iterative(&index, &query, Algorithm::Prune, 1).unwrap();

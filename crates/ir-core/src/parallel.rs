@@ -34,7 +34,7 @@
 //! while many workers hammer the same buffer pool, and the per-worker
 //! tallies always merge losslessly into the pool total.
 
-use crate::compute::{IndexHandle, RegionComputation};
+use crate::compute::RegionComputation;
 use crate::config::{PerturbationMode, RegionConfig};
 use crate::evaluator::CandidateEvaluator;
 use crate::region::{DimRegions, RegionReport};
@@ -47,6 +47,7 @@ use parking_lot::Mutex;
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Global allocator of worker shard hints: each pool of workers takes a
@@ -221,11 +222,11 @@ impl BatchOutcome {
 ///
 /// ```
 /// use ir_core::{parallel::BatchRegionComputation, RegionConfig};
-/// use ir_storage::TopKIndex;
+/// use ir_storage::IndexBuilder;
 /// use ir_types::{Dataset, QueryVector};
 ///
 /// let dataset = Dataset::running_example();
-/// let index = TopKIndex::build_in_memory(&dataset).unwrap();
+/// let index = IndexBuilder::new().build_shared(&dataset).unwrap();
 /// let queries = vec![QueryVector::running_example(); 4];
 /// let batch = BatchRegionComputation::new(&index, RegionConfig::default()).with_threads(2);
 /// let reports = batch.run(&queries).unwrap();
@@ -241,32 +242,20 @@ impl BatchOutcome {
 /// ```
 #[derive(Clone)]
 #[must_use = "a batch runner does nothing until `run` is called"]
-pub struct BatchRegionComputation<'a> {
-    index: IndexHandle<'a>,
+pub struct BatchRegionComputation {
+    index: Arc<TopKIndex>,
     config: RegionConfig,
     ta_config: TaConfig,
     threads: usize,
 }
 
-impl<'a> BatchRegionComputation<'a> {
+impl BatchRegionComputation {
     /// Creates a batch runner over `index` with one worker (sequential).
-    pub fn new(index: &'a TopKIndex, config: RegionConfig) -> Self {
-        Self::from_handle(IndexHandle::Borrowed(index), config)
-    }
-
-    /// Like [`BatchRegionComputation::new`], but holding the index via
-    /// [`Arc`](std::sync::Arc): the runner has no borrowed lifetime, so an
-    /// owning service can store it or move it across threads.
-    pub fn new_shared(
-        index: std::sync::Arc<TopKIndex>,
-        config: RegionConfig,
-    ) -> BatchRegionComputation<'static> {
-        BatchRegionComputation::from_handle(IndexHandle::Shared(index), config)
-    }
-
-    fn from_handle<'b>(index: IndexHandle<'b>, config: RegionConfig) -> BatchRegionComputation<'b> {
+    /// The runner shares ownership of the index, so an owning service can
+    /// store it or move it across threads.
+    pub fn new(index: &Arc<TopKIndex>, config: RegionConfig) -> Self {
         BatchRegionComputation {
-            index,
+            index: Arc::clone(index),
             config,
             ta_config: TaConfig::default(),
             threads: 1,
@@ -446,7 +435,7 @@ mod tests {
     #[test]
     fn batch_reports_match_for_every_worker_count() {
         let dataset = medium_dataset();
-        let index = ir_storage::TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = Arc::new(ir_storage::TopKIndex::build_in_memory(&dataset).unwrap());
         let queries = queries(4);
         let baseline = BatchRegionComputation::new(&index, RegionConfig::flat(Algorithm::Cpt))
             .run(&queries)
@@ -466,7 +455,7 @@ mod tests {
     #[test]
     fn worker_tallies_sum_to_batch_io() {
         let dataset = medium_dataset();
-        let index = ir_storage::TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = Arc::new(ir_storage::TopKIndex::build_in_memory(&dataset).unwrap());
         index.cold_start();
         let before = index.io_snapshot();
         let outcome = BatchRegionComputation::new(&index, RegionConfig::default())

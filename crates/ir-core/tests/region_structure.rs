@@ -7,7 +7,7 @@
 
 use ir_core::config::PerturbationMode;
 use ir_core::{Algorithm, ExhaustiveOracle, RegionComputation, RegionConfig};
-use ir_storage::TopKIndex;
+use ir_storage::IndexBuilder;
 use ir_types::{Dataset, DatasetBuilder, QueryVector};
 use proptest::prelude::*;
 
@@ -42,7 +42,7 @@ proptest! {
         query in query_strategy(),
         phi in 0usize..3,
     ) {
-        let index = TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = IndexBuilder::new().build_shared(&dataset).unwrap();
         let mut computation =
             RegionComputation::new(&index, &query, RegionConfig::with_phi(Algorithm::Cpt, phi))
                 .unwrap();
@@ -86,7 +86,7 @@ proptest! {
         query in query_strategy(),
         phi in 1usize..3,
     ) {
-        let index = TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = IndexBuilder::new().build_shared(&dataset).unwrap();
         let oracle = ExhaustiveOracle::new(&dataset, query.clone());
         let mut computation = RegionComputation::new(
             &index,
@@ -133,7 +133,7 @@ proptest! {
         dataset in dataset_strategy(),
         query in query_strategy(),
     ) {
-        let index = TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = IndexBuilder::new().build_shared(&dataset).unwrap();
         let mut strict =
             RegionComputation::new(&index, &query, RegionConfig::flat(Algorithm::Cpt)).unwrap();
         let strict_report = strict.compute().unwrap();

@@ -75,21 +75,9 @@ impl WorkloadConfig {
         self
     }
 
-    /// Builder-style setter for `max_postings` (the stopword cut).
-    pub fn with_max_postings(mut self, max_postings: usize) -> Self {
-        self.max_postings = max_postings;
-        self
-    }
-
     /// Builder-style setter for the number of queries.
     pub fn with_num_queries(mut self, n: usize) -> Self {
         self.num_queries = n;
-        self
-    }
-
-    /// Builder-style setter for the dimension-selection policy.
-    pub fn with_selection(mut self, selection: DimSelection) -> Self {
-        self.selection = selection;
         self
     }
 }

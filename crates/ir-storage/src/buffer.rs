@@ -254,12 +254,6 @@ impl BufferPool {
         self.stats.thread_snapshot()
     }
 
-    /// Per-worker-shard snapshots; their counter-wise sum always equals
-    /// [`BufferPool::io_snapshot`] (the merge is lossless).
-    pub fn worker_io_snapshots(&self) -> Vec<IoStatsSnapshot> {
-        self.stats.worker_snapshots()
-    }
-
     /// Snapshot of the underlying page store's device-level counters
     /// (syscalls issued, page-fault-equivalent reads; see
     /// [`PageStore::io_snapshot`]). The store sees exactly this pool's miss

@@ -576,7 +576,9 @@ impl TopKIndex {
     /// Applies one logical update; see [`TopKIndex::apply_updates`].
     pub fn apply_update(&self, update: &TupleUpdate) -> IrResult<AppliedUpdate> {
         let mut applied = self.apply_updates(std::slice::from_ref(update))?;
-        Ok(applied.pop().expect("one update in, one applied out"))
+        applied.pop().ok_or_else(|| {
+            IrError::Storage("a one-update batch produced no applied record".to_string())
+        })
     }
 
     /// Cumulative maintenance counters: updates/batches applied, lists
@@ -602,12 +604,6 @@ impl TopKIndex {
     /// attribution; see [`BufferPool::thread_io_snapshot`]).
     pub fn thread_io_snapshot(&self) -> IoStatsSnapshot {
         self.pool.thread_io_snapshot()
-    }
-
-    /// Per-worker-shard I/O snapshots; their sum equals
-    /// [`TopKIndex::io_snapshot`].
-    pub fn worker_io_snapshots(&self) -> Vec<IoStatsSnapshot> {
-        self.pool.worker_io_snapshots()
     }
 
     /// Resets the I/O counters (keeps the cache warm).

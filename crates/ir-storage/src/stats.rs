@@ -245,11 +245,6 @@ impl ShardedIoStats {
         self.shard().snapshot()
     }
 
-    /// Per-shard snapshots (one per worker slot; unused slots are zero).
-    pub fn worker_snapshots(&self) -> Vec<IoStatsSnapshot> {
-        self.shards.iter().map(|s| s.0.snapshot()).collect()
-    }
-
     /// Resets every shard to zero.
     pub fn reset(&self) {
         for shard in self.shards.iter() {
@@ -315,10 +310,13 @@ impl IoConfig {
         }
     }
 
-    /// Simulated time to serve the physical I/O of a snapshot.
+    /// Simulated time to serve the physical I/O of a snapshot (saturating
+    /// at `u64::MAX` nanoseconds).
     pub fn simulated_io_time(&self, snap: &IoStatsSnapshot) -> Duration {
-        self.page_read_latency * snap.physical_reads as u32
-            + self.page_write_latency * snap.pages_written as u32
+        let nanos = |latency: Duration, pages: u64| latency.as_nanos().saturating_mul(pages.into());
+        let total = nanos(self.page_read_latency, snap.physical_reads)
+            .saturating_add(nanos(self.page_write_latency, snap.pages_written));
+        Duration::from_nanos(u64::try_from(total).unwrap_or(u64::MAX))
     }
 }
 
@@ -436,5 +434,28 @@ mod tests {
             IoConfig::memory_resident().simulated_io_time(&snap),
             Duration::ZERO
         );
+    }
+
+    #[test]
+    fn latency_model_does_not_wrap_past_u32_reads() {
+        let cfg = IoConfig::default();
+        let reads = u32::MAX as u64 + 2;
+        let snap = IoStatsSnapshot {
+            physical_reads: reads,
+            ..IoStatsSnapshot::default()
+        };
+        let per_read = cfg.page_read_latency.as_nanos() as u64;
+        assert!(per_read > 0);
+        assert_eq!(
+            cfg.simulated_io_time(&snap),
+            Duration::from_nanos(per_read * reads)
+        );
+        // An absurd count saturates instead of overflowing.
+        let snap = IoStatsSnapshot {
+            physical_reads: u64::MAX,
+            pages_written: u64::MAX,
+            ..IoStatsSnapshot::default()
+        };
+        assert_eq!(cfg.simulated_io_time(&snap), Duration::from_nanos(u64::MAX));
     }
 }

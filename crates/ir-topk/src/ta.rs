@@ -236,11 +236,6 @@ impl TaRun {
         self.result.last().map(CandidateEntry::ranked)
     }
 
-    /// The k-th result tuple together with its query-dimension coordinates.
-    pub fn kth_entry(&self) -> Option<&CandidateEntry> {
-        self.result.last()
-    }
-
     /// The sorting keys `t_j` of the next unread entry per query dimension
     /// (zero for exhausted lists), aligned with [`TaRun::dims`].
     pub fn threshold_values(&self) -> &[f64] {

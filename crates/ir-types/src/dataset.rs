@@ -141,13 +141,6 @@ impl Dataset {
             .ok_or(IrError::UnknownTuple { tuple: id.0 })
     }
 
-    /// Returns the tuple with the given id, panicking if absent. Intended for
-    /// internal hot paths where the id is known to be valid.
-    #[inline]
-    pub fn tuple_unchecked(&self, id: TupleId) -> &SparseVector {
-        &self.tuples[id.index()]
-    }
-
     /// The coordinate of `tuple` in dimension `dim` (zero if not stored).
     #[inline]
     pub fn coordinate(&self, tuple: TupleId, dim: DimId) -> f64 {
