@@ -120,10 +120,13 @@ end_stage() {
     STAGE_SECS+=($((SECONDS - STAGE_START)))
 }
 
-RUNNER_BINS=(figure06_partitions figure10_wsj_qlen figure11_st_qlen
-    figure12_kb_qlen figure13_vary_k figure14_vary_phi
-    figure15_oneoff_vs_iterative figure16_composition_only
-    ablation_design_choices)
+# Each entry is spliced unquoted after `--bin`: the binary, `--`, and (for
+# the `figures` bin, which serves Figures 10–16) the figure id.
+RUNNER_BINS=("figure06_partitions --" "figures -- figure10_wsj_qlen"
+    "figures -- figure11_st_qlen" "figures -- figure12_kb_qlen"
+    "figures -- figure13_vary_k" "figures -- figure14_vary_phi"
+    "figures -- figure15_oneoff_vs_iterative"
+    "figures -- figure16_composition_only" "ablation_design_choices --")
 
 MMAP_FEATURES="ir-storage/mmap,immutable-regions/mmap,ir-bench/mmap,ir-cluster/mmap"
 
@@ -267,7 +270,8 @@ done
 # not enough, they have runtime config (workload eligibility) to exercise.
 for figure_bin in "${RUNNER_BINS[@]}"; do
     printf -- '--- figure runner: %s\n' "$figure_bin"
-    IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --bin "$figure_bin" -- \
+    # shellcheck disable=SC2086
+    IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --bin $figure_bin \
         --emit-json "$emit_dir_t1" >/dev/null
 done
 end_stage
@@ -275,7 +279,8 @@ end_stage
 begin_stage "9/16 figure runners at --threads 2 (parallel path) + JSON emission"
 for figure_bin in "${RUNNER_BINS[@]}"; do
     printf -- '--- figure runner (threads=2): %s\n' "$figure_bin"
-    IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --bin "$figure_bin" -- \
+    # shellcheck disable=SC2086
+    IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --bin $figure_bin \
         --threads 2 --emit-json "$emit_dir_t2" >/dev/null
 done
 end_stage
@@ -283,15 +288,18 @@ end_stage
 begin_stage "10/16 backend matrix: mmap at --threads 1 and 2, file at --threads 2"
 for figure_bin in "${RUNNER_BINS[@]}"; do
     printf -- '--- figure runner (mmap, threads=1): %s\n' "$figure_bin"
+    # shellcheck disable=SC2086
     IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --features mmap \
-        --bin "$figure_bin" -- \
+        --bin $figure_bin \
         --backend mmap --emit-json "$emit_dir_mmap_t1" >/dev/null
     printf -- '--- figure runner (mmap, threads=2): %s\n' "$figure_bin"
+    # shellcheck disable=SC2086
     IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --features mmap \
-        --bin "$figure_bin" -- \
+        --bin $figure_bin \
         --backend mmap --threads 2 --emit-json "$emit_dir_mmap_t2" >/dev/null
     printf -- '--- figure runner (file, threads=2): %s\n' "$figure_bin"
-    IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --bin "$figure_bin" -- \
+    # shellcheck disable=SC2086
+    IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --bin $figure_bin \
         --backend file --threads 2 --emit-json "$emit_dir_file_t2" >/dev/null
 done
 # Guard against a vacuous matrix: deterministic output is backend-invariant
@@ -322,19 +330,20 @@ end_stage
 
 begin_stage "11/16 snapshot matrix: save/reopen under every backend + exact diff"
 # Built-index oracle emission for the representative figure (mem, threads 2).
-IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --bin figure11_st_qlen -- \
-    --threads 2 --emit-json "$snap_built" >/dev/null
+IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --bin figures -- \
+    figure11_st_qlen --threads 2 --emit-json "$snap_built" >/dev/null
 # The same figure served from a persisted snapshot under every backend: the
 # runner builds once in memory, saves into $snap_root, reopens zero-copy.
 printf -- '--- snapshot-served (mem, threads=2)\n'
-IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --bin figure11_st_qlen -- \
-    --threads 2 --snapshot-dir "$snap_root" --emit-json "$snap_mem" >/dev/null
+IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --bin figures -- \
+    figure11_st_qlen --threads 2 --snapshot-dir "$snap_root" --emit-json "$snap_mem" >/dev/null
 printf -- '--- snapshot-served (file, threads=2)\n'
-IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --bin figure11_st_qlen -- \
-    --backend file --threads 2 --snapshot-dir "$snap_root" --emit-json "$snap_file" >/dev/null
+IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --bin figures -- \
+    figure11_st_qlen --backend file --threads 2 --snapshot-dir "$snap_root" \
+    --emit-json "$snap_file" >/dev/null
 printf -- '--- snapshot-served (mmap, threads=2)\n'
 IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --features mmap \
-    --bin figure11_st_qlen -- \
+    --bin figures -- figure11_st_qlen \
     --backend mmap --threads 2 --snapshot-dir "$snap_root" --emit-json "$snap_mmap" >/dev/null
 # Snapshot-served output must be *exactly* the built-index output in every
 # deterministic metric, and the envelope's cold-start stamp (beside the

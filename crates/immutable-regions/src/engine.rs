@@ -191,8 +191,9 @@ impl IrEngine {
     /// later [`IrEngineBuilder::open_snapshot`] to serve without rebuilding.
     ///
     /// Every data page is copied through the engine's buffer pool (so the
-    /// copy is checksum-verified and I/O-accounted). Do not save into the
-    /// directory a disk/mmap engine is currently serving from — see
+    /// copy is checksum-verified and I/O-accounted). A save that fails
+    /// half-way leaves a previous snapshot in `dir` intact, and saving into
+    /// the directory a disk/mmap engine is serving from is safe — see
     /// [`TopKIndex::save_snapshot`].
     pub fn save_snapshot(&self, dir: impl Into<PathBuf>) -> EngineResult<SnapshotSummary> {
         let dir = dir.into();

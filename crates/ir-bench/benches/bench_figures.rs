@@ -1,6 +1,6 @@
 //! Criterion benchmarks over the paper's experiments (one representative
 //! configuration per figure, smoke-scale datasets so `cargo bench` stays
-//! fast). The full parameter sweeps live in the `figure*` runner binaries.
+//! fast). The full parameter sweeps live in the `figures` runner binary.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ir_bench::{BenchArgs, BenchDataset, Scale};
@@ -8,9 +8,9 @@ use ir_core::{Algorithm, RegionConfig};
 use ir_storage::BackendKind;
 
 /// The storage backend under benchmark: `cargo bench -- --backend mmap`
-/// (or env `IR_BENCH_BACKEND`) swaps it, exactly like the figure runners.
-/// The vendored criterion ignores unknown CLI arguments, so the shared
-/// parser sees the flag untouched.
+/// swaps it, exactly like the figure runners. The vendored criterion
+/// ignores unknown CLI arguments, so the shared parser sees the flag
+/// untouched.
 fn backend() -> BackendKind {
     BenchArgs::parse().backend
 }

@@ -2,39 +2,39 @@
 //!
 //! All runners understand
 //!
-//! * `--threads N` (or env `IR_BENCH_THREADS`) — worker count for the
-//!   parallel execution layer; the default `1` is the sequential path. The
-//!   deterministic series (evaluated candidates, logical reads, memory)
-//!   are identical for every value; wall-clock time, physical reads and
-//!   the simulated I/O time vary, because threaded runs share one warm
-//!   buffer pool instead of cold-starting per query,
-//! * `--backend {mem,file,mmap}` (or env `IR_BENCH_BACKEND`) — which page
-//!   store backs the index; file and mmap get a scratch page directory.
-//!   The deterministic series and the region output are identical for
-//!   every backend (the backend-agreement suite proves it byte for byte);
-//!   only device-level syscall counts and wall-clock change. `mmap`
-//!   requires binaries built with `--features mmap`,
-//! * `--emit-json DIR` (or env `IR_BENCH_EMIT_DIR`) — write each printed
-//!   table as a `BENCH_<figure>.json` series into `DIR` (for the CI
-//!   baseline diff; see the `bench_diff` binary). The parsed backend and
-//!   worker count are stamped into the series' policy metadata,
-//! * `--fault-plan FILE` (or env `IR_BENCH_FAULT_PLAN`) — run the figure
-//!   against a fault-injecting device executing the JSON-serialized
-//!   `FaultPlan` in `FILE` (chaos benchmarking: measure a figure under
-//!   transient faults or injected latency). The plan is stamped into the
-//!   emitted policy metadata; without the flag the stamp is `null`, which
-//!   keeps the committed baselines byte-stable,
-//! * `--snapshot-dir DIR` (or env `IR_BENCH_SNAPSHOT_DIR`) — serve the
-//!   figure from a persisted index snapshot instead of a freshly built
-//!   index: the runner builds the index once in memory, saves it into a
-//!   unique staging directory under `DIR`, and reopens it zero-copy on
-//!   the requested backend. Deterministic query output is identical by
-//!   construction (the snapshot CI stage proves it with an exact diff);
-//!   the `cold_start` stamp in the emitted series envelope flips from
-//!   `built` to `snapshot` so a snapshot-served run is self-describing.
+//! * `--threads N` — worker count for the parallel execution layer; the
+//!   default `1` is the sequential path. The deterministic series
+//!   (evaluated candidates, logical reads, memory) are identical for every
+//!   value; wall-clock time, physical reads and the simulated I/O time
+//!   vary, because threaded runs share one warm buffer pool instead of
+//!   cold-starting per query,
+//! * `--backend {mem,file,mmap}` — which page store backs the index; file
+//!   and mmap get a scratch page directory. The deterministic series and
+//!   the region output are identical for every backend (the
+//!   backend-agreement suite proves it byte for byte); only device-level
+//!   syscall counts and wall-clock change. `mmap` requires binaries built
+//!   with `--features mmap`,
+//! * `--emit-json DIR` — write each printed table as a
+//!   `BENCH_<figure>.json` series into `DIR` (for the CI baseline diff; see
+//!   the `bench_diff` binary). The parsed backend and worker count are
+//!   stamped into the series' policy metadata,
+//! * `--fault-plan FILE` — run the figure against a fault-injecting device
+//!   executing the JSON-serialized `FaultPlan` in `FILE` (chaos
+//!   benchmarking: measure a figure under transient faults or injected
+//!   latency). The plan is stamped into the emitted policy metadata;
+//!   without the flag the stamp is `null`, which keeps the committed
+//!   baselines byte-stable,
+//! * `--snapshot-dir DIR` — serve the figure from a persisted index
+//!   snapshot instead of a freshly built index: the runner builds the index
+//!   once in memory, saves it into a unique staging directory under `DIR`,
+//!   and reopens it zero-copy on the requested backend. Deterministic query
+//!   output is identical by construction (the snapshot CI stage proves it
+//!   with an exact diff); the `cold_start` stamp in the emitted series
+//!   envelope flips from `built` to `snapshot` so a snapshot-served run is
+//!   self-describing.
 //!
 //! The criterion benches reuse the same parser, so `cargo bench --
-//! --backend mmap` (or the env var) swaps their backend too.
+//! --backend mmap` swaps their backend too.
 //!
 //! Unknown arguments are ignored so the runners stay tolerant of harness
 //! plumbing.
@@ -96,7 +96,7 @@ pub struct BenchArgs {
 }
 
 impl BenchArgs {
-    /// Parses the process arguments (with environment-variable fallbacks).
+    /// Parses the process arguments.
     pub fn parse() -> Self {
         Self::from_arg_list(std::env::args().skip(1))
     }
@@ -128,25 +128,25 @@ impl BenchArgs {
         // Loads and parses a fault-plan file eagerly: a chaos run with a
         // typo'd or stale plan must die loudly at startup, not silently
         // measure a healthy device.
-        fn load_fault_plan(origin: &str, path: &str) -> FaultPlan {
+        fn load_fault_plan(path: &str) -> FaultPlan {
             let json = match std::fs::read_to_string(path) {
                 Ok(json) => json,
                 Err(e) => {
-                    eprintln!("error: {origin}: reading {path}: {e}");
+                    eprintln!("error: --fault-plan: reading {path}: {e}");
                     std::process::exit(2);
                 }
             };
             match serde_json::from_str(&json) {
                 Ok(plan) => plan,
                 Err(e) => {
-                    eprintln!("error: {origin}: {path} is not a valid fault plan: {e}");
+                    eprintln!("error: --fault-plan: {path} is not a valid fault plan: {e}");
                     std::process::exit(2);
                 }
             }
         }
 
-        let mut threads: Option<usize> = None;
-        let mut backend: Option<BackendKind> = None;
+        let mut threads = 1usize;
+        let mut backend = BackendKind::default();
         let mut emit_dir: Option<PathBuf> = None;
         let mut fault_plan: Option<FaultPlan> = None;
         let mut snapshot_dir: Option<PathBuf> = None;
@@ -154,12 +154,12 @@ impl BenchArgs {
         while let Some(arg) = args.next() {
             if let Some(value) = flag_value(&arg, "--threads", &mut args) {
                 match value.parse::<usize>() {
-                    Ok(n) => threads = Some(n.max(1)),
+                    Ok(n) => threads = n.max(1),
                     Err(_) => eprintln!("warning: invalid --threads value `{value}`; ignored"),
                 }
             } else if let Some(value) = flag_value(&arg, "--backend", &mut args) {
                 match value.parse::<BackendKind>() {
-                    Ok(kind) => backend = Some(kind),
+                    Ok(kind) => backend = kind,
                     // An explicit flag deserves a hard error, never a
                     // fallback: deterministic output is backend-invariant
                     // by design, so a run that silently swapped mem in for
@@ -174,42 +174,11 @@ impl BenchArgs {
             } else if let Some(dir) = flag_value(&arg, "--emit-json", &mut args) {
                 emit_dir = Some(PathBuf::from(dir));
             } else if let Some(path) = flag_value(&arg, "--fault-plan", &mut args) {
-                fault_plan = Some(load_fault_plan("--fault-plan", &path));
+                fault_plan = Some(load_fault_plan(&path));
             } else if let Some(dir) = flag_value(&arg, "--snapshot-dir", &mut args) {
                 snapshot_dir = Some(PathBuf::from(dir));
             }
         }
-        let threads = threads
-            .or_else(|| {
-                std::env::var("IR_BENCH_THREADS")
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-            })
-            .unwrap_or(1)
-            .max(1);
-        let backend = backend
-            .or_else(|| {
-                let value = std::env::var("IR_BENCH_BACKEND").ok()?;
-                match value.parse() {
-                    Ok(kind) => Some(kind),
-                    // Same hard error as the flag: the env var is documented
-                    // as its equivalent, and a silent mem fallback would be
-                    // indistinguishable from the intended run.
-                    Err(e) => {
-                        eprintln!("error: IR_BENCH_BACKEND: {e}");
-                        std::process::exit(2);
-                    }
-                }
-            })
-            .unwrap_or_default();
-        let emit_dir = emit_dir.or_else(|| std::env::var("IR_BENCH_EMIT_DIR").ok().map(Into::into));
-        let fault_plan = fault_plan.or_else(|| {
-            std::env::var("IR_BENCH_FAULT_PLAN")
-                .ok()
-                .map(|path| load_fault_plan("IR_BENCH_FAULT_PLAN", &path))
-        });
-        let snapshot_dir =
-            snapshot_dir.or_else(|| std::env::var("IR_BENCH_SNAPSHOT_DIR").ok().map(Into::into));
         BenchArgs {
             threads,
             backend,
@@ -318,8 +287,8 @@ mod tests {
             assert_eq!(args.backend, kind);
         }
         // An unknown backend value on the flag is a hard process exit (not
-        // testable in-process); only a *missing* IR_BENCH_BACKEND falls
-        // back to the default.
+        // testable in-process); only a *missing* flag falls back to the
+        // default.
     }
 
     #[test]

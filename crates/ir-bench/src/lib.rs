@@ -1,8 +1,9 @@
 //! # ir-bench
 //!
 //! The experiment harness reproducing the evaluation section of the paper
-//! (Figures 6 and 10–16). Each figure has a runner binary in `src/bin/` that
-//! prints the same series the paper plots (method × x-axis value → metric);
+//! (Figures 6 and 10–16). The runner binaries in `src/bin/` — `figures <id>`
+//! for Figures 10–16, `figure06_partitions`, `ablation_design_choices` —
+//! print the same series the paper plots (method × x-axis value → metric);
 //! `benches/` contains Criterion micro-benchmarks over the same workloads.
 //!
 //! The scale of the generated datasets is controlled by the

@@ -18,7 +18,7 @@ use crate::maintain::{self, AppliedUpdate, MaintenanceStats, MaintenanceStatsSna
 use crate::pagestore::{FilePageStore, MemPageStore, PageStore};
 use crate::snapshot::{self, SnapshotSummary};
 use crate::stats::{IoConfig, IoStatsSnapshot};
-use crate::tuplestore::{write_tuples, TupleReader, TupleRegion};
+use crate::tuplestore::{read_tuple, write_tuples, TupleRegion};
 use ir_types::{Dataset, DimId, IrError, IrResult, SparseVector, TupleId, TupleUpdate};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
@@ -428,12 +428,13 @@ fn open_mmap_store(_path: &Path) -> IrResult<Arc<dyn PageStore>> {
 ///
 /// The directory state (which pages hold which list, where each tuple
 /// record lives) sits behind an `RwLock` so the index can be **maintained
-/// in place** under churn: queries take brief read locks to copy directory
-/// entries out, [`TopKIndex::apply_updates`] holds the write lock for a
-/// whole batch. Mutations are single-writer and are *not* linearizable
-/// with in-flight queries — a query concurrent with a batch may observe
-/// either the old or the new directory (never a torn one). Queries issued
-/// after `apply_updates` returns see the mutated index.
+/// in place** under churn: a tuple fetch holds the read lock for its
+/// duration (so it never overlaps a batch), a list cursor copies only its
+/// own 12-byte directory entry out, and [`TopKIndex::apply_updates`] holds
+/// the write lock for a whole batch. Mutations are single-writer and are
+/// *not* linearizable with in-flight queries — a query concurrent with a
+/// batch may observe either the old or the new directory (never a torn
+/// one). Queries issued after `apply_updates` returns see the mutated index.
 pub struct TopKIndex {
     pool: Arc<BufferPool>,
     mutable: RwLock<Mutable>,
@@ -484,7 +485,7 @@ impl TopKIndex {
         self.fault_injector.as_ref().map(|f| f.plan())
     }
 
-    /// The buffer pool (shared with cursors and readers).
+    /// The buffer pool (shared with cursors).
     pub fn pool(&self) -> &Arc<BufferPool> {
         &self.pool
     }
@@ -527,19 +528,11 @@ impl TopKIndex {
     }
 
     /// Fetches the full sparse vector of a tuple (random access). A deleted
-    /// tuple reads back as the empty vector.
+    /// tuple reads back as the empty vector. The directory read lock is held
+    /// for this one fetch, so the record is read either entirely before or
+    /// entirely after any [`TopKIndex::apply_updates`] batch.
     pub fn fetch_tuple(&self, id: TupleId) -> IrResult<SparseVector> {
-        self.tuple_reader().fetch(id)
-    }
-
-    /// Creates a long-lived tuple reader sharing this index's pool. Like a
-    /// cursor, the reader snapshots the tuple region: it does not observe
-    /// later maintenance.
-    pub fn tuple_reader(&self) -> TupleReader {
-        TupleReader::new(
-            Arc::clone(&self.pool),
-            self.mutable.read().tuple_region.clone(),
-        )
+        read_tuple(&self.pool, &self.mutable.read().tuple_region, id)
     }
 
     /// Applies a batch of logical updates to the physical index in place —
@@ -629,11 +622,14 @@ impl TopKIndex {
     ///
     /// Every data page is read through this index's buffer pool, so the
     /// copy is checksum-verified and shows up in the I/O counters (and, in
-    /// chaos runs, on the fault injector's operation clock). Do not save
-    /// into the directory a disk/mmap-backed index is currently serving
-    /// from — the save starts by truncating `dir/index.pages`, which is the
-    /// live file in that case; the doomed copy then fails with a typed
-    /// error, but the original file is gone. Save to a fresh directory.
+    /// chaos runs, on the fault injector's operation clock). The bytes go
+    /// into a temp sibling that is renamed over `dir/index.pages` only once
+    /// complete, so a save that fails half-way returns its typed error and
+    /// leaves a previous snapshot in `dir` intact. Saving into the directory
+    /// a disk/mmap-backed index is serving from is safe for the same reason
+    /// (on Unix): the index keeps serving — and applying updates to — the
+    /// replaced file through its open descriptor, which no path names any
+    /// more, while `dir/index.pages` is the snapshot.
     /// A snapshot saved mid-churn captures the *mutated* state: the copy
     /// runs under the directory read lock, so it is consistent with the
     /// last completed [`TopKIndex::apply_updates`] batch.

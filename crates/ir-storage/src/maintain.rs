@@ -143,8 +143,9 @@ pub(crate) struct BatchOutcome {
 
 /// The mutable half of a [`crate::TopKIndex`]: directories plus the
 /// allocation bookkeeping maintenance needs. Lives behind the index's
-/// `RwLock`; queries clone directory state out under a read lock,
-/// maintenance holds the write lock for a whole batch.
+/// `RwLock`; a tuple fetch holds the read lock for its duration, a list
+/// cursor copies only its own 12-byte directory entry out, maintenance holds
+/// the write lock for a whole batch.
 pub(crate) struct Mutable {
     /// Per-dimension inverted-list directory.
     pub(crate) lists: HashMap<DimId, ListDirectoryEntry>,
@@ -288,7 +289,9 @@ fn apply_tuple_change(
             } else if new.nnz() == old.nnz() {
                 // Same record length: overwrite in place.
                 let offset = entry.offset;
-                write_region_bytes(pool, &m.tuple_region, offset, &encode_record(&new))?;
+                let mut bytes = Vec::new();
+                encode_record(&new, &mut bytes);
+                write_region_bytes(pool, &m.tuple_region, offset, &bytes)?;
             } else {
                 let offset = append_record(pool, m, &new, outcome)?;
                 let entry = &mut m.tuple_region.directory[tuple.index()];
@@ -336,7 +339,8 @@ fn append_record(
     vector: &SparseVector,
     outcome: &mut BatchOutcome,
 ) -> IrResult<u64> {
-    let bytes = encode_record(vector);
+    let mut bytes = Vec::new();
+    encode_record(vector, &mut bytes);
     let start = m.tuple_tail_bytes;
     let end = start + bytes.len() as u64;
     let needed_pages = (end.div_ceil(PAGE_SIZE as u64) as u32).max(1);

@@ -335,6 +335,12 @@ impl FilePageStore {
             stats: ShardedIoStats::new(),
         })
     }
+
+    /// Flushes every page written so far to the device (`fsync`), so that
+    /// renaming the file afterwards publishes complete contents.
+    pub(crate) fn sync(&self) -> IrResult<()> {
+        Ok(self.file.sync_all()?)
+    }
 }
 
 impl PageStore for FilePageStore {

@@ -79,6 +79,9 @@ use std::path::Path;
 /// *is* a valid page file those backends open in place.
 pub const SNAPSHOT_FILE: &str = "index.pages";
 
+/// The sibling a save writes into before renaming it over [`SNAPSHOT_FILE`].
+const SNAPSHOT_TMP_FILE: &str = "index.pages.tmp";
+
 /// Magic bytes opening the snapshot superheader.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"IRSNAP\0\0";
 
@@ -308,10 +311,15 @@ pub(crate) fn data_page_extent(
     extent
 }
 
-/// Writes a snapshot of the index into `dir/index.pages` (created or
-/// truncated), reading every data page through the live `pool` — so the
-/// copy is checksum-verified, counted, retried and fault-visible like any
-/// other access.
+/// Writes a snapshot of the index as `dir/index.pages`, reading every data
+/// page through the live `pool` — so the copy is checksum-verified, counted,
+/// retried and fault-visible like any other access.
+///
+/// The bytes go into a sibling temp file that is renamed over
+/// `index.pages` only once the superheader page is written, so a save that
+/// fails half-way leaves a previous snapshot in `dir` (or the live page file
+/// of an index serving from `dir`) untouched; the temp file is removed on
+/// error.
 pub(crate) fn write_snapshot(
     pool: &BufferPool,
     lists: &HashMap<DimId, ListDirectoryEntry>,
@@ -320,7 +328,29 @@ pub(crate) fn write_snapshot(
     dir: &Path,
 ) -> IrResult<SnapshotSummary> {
     std::fs::create_dir_all(dir)?;
-    let dest = FilePageStore::create(dir.join(SNAPSHOT_FILE))?;
+    let tmp = dir.join(SNAPSHOT_TMP_FILE);
+    let saved =
+        write_snapshot_file(pool, lists, tuple_region, dimensionality, &tmp).and_then(|summary| {
+            std::fs::rename(&tmp, dir.join(SNAPSHOT_FILE))?;
+            Ok(summary)
+        });
+    if saved.is_err() {
+        // Best effort: the save's own error is the one worth reporting.
+        let _ = std::fs::remove_file(&tmp);
+    }
+    saved
+}
+
+/// Writes the complete snapshot (data pages, directory sections, then the
+/// superheader) into a fresh page file at `path`.
+fn write_snapshot_file(
+    pool: &BufferPool,
+    lists: &HashMap<DimId, ListDirectoryEntry>,
+    tuple_region: &TupleRegion,
+    dimensionality: u32,
+    path: &Path,
+) -> IrResult<SnapshotSummary> {
+    let dest = FilePageStore::create(path)?;
 
     let data_pages = data_page_extent(lists, tuple_region);
     let header = SuperHeader {
@@ -372,6 +402,7 @@ pub(crate) fn write_snapshot(
     let mut last = zeroed_page();
     last[..SUPERHEADER_LEN].copy_from_slice(&header.encode());
     dest.write_page(PageId(total_pages - 1), &last)?;
+    dest.sync()?;
 
     let trailer_pages = total_pages - data_pages;
     Ok(SnapshotSummary {

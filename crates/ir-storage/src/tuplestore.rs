@@ -10,7 +10,6 @@ use crate::buffer::BufferPool;
 use crate::page::{codec, zeroed_page, PageId, PAGE_SIZE};
 use ir_types::{Dataset, IrError, IrResult, SparseVector, TupleId};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Bytes used per non-zero coordinate (`u32` dim + `f64` value).
 pub const COORD_BYTES: usize = 12;
@@ -32,7 +31,17 @@ impl TupleDirectoryEntry {
 }
 
 /// The serialized tuple region: contiguous pages plus an in-memory directory.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+///
+/// Deliberately not `Clone`: the directory holds one entry per tuple, so a
+/// copy is O(cardinality), and the read path
+/// ([`crate::TopKIndex::fetch_tuple`]) borrows the live region under the
+/// index's directory lock instead.
+///
+/// ```compile_fail
+/// fn assert_clone<T: Clone>() {}
+/// assert_clone::<ir_storage::tuplestore::TupleRegion>();
+/// ```
+#[derive(Debug)]
 pub struct TupleRegion {
     /// First page of the region.
     pub first_page: PageId,
@@ -61,13 +70,8 @@ pub fn write_tuples(pool: &BufferPool, dataset: &Dataset) -> IrResult<TupleRegio
     // stream into pages. Records may therefore span page boundaries, exactly
     // like a heap file would lay them out.
     let mut bytes = Vec::with_capacity(total_bytes);
-    let mut coord_buf = [0u8; COORD_BYTES];
     for (_, tuple) in dataset.iter() {
-        for (dim, value) in tuple.iter() {
-            codec::put_u32(&mut coord_buf, 0, dim.0);
-            codec::put_f64(&mut coord_buf, 4, value);
-            bytes.extend_from_slice(&coord_buf);
-        }
+        encode_record(tuple, &mut bytes);
     }
     debug_assert_eq!(bytes.len(), total_bytes);
 
@@ -88,23 +92,25 @@ pub fn write_tuples(pool: &BufferPool, dataset: &Dataset) -> IrResult<TupleRegio
     })
 }
 
-/// Serialises one tuple into its on-disk record bytes (`u32` dim + `f64`
-/// value per non-zero coordinate, dimension-ascending) — the exact layout
-/// [`write_tuples`] produces, shared with the maintenance append path.
-pub(crate) fn encode_record(tuple: &SparseVector) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(tuple.nnz() * COORD_BYTES);
+/// Appends one tuple's on-disk record to `out`: `u32` dim + `f64` value per
+/// non-zero coordinate, dimension-ascending. The only producer of the record
+/// layout — [`write_tuples`] and the maintenance append/overwrite path both
+/// call it.
+pub(crate) fn encode_record(tuple: &SparseVector, out: &mut Vec<u8>) {
+    out.reserve(tuple.nnz() * COORD_BYTES);
     let mut coord_buf = [0u8; COORD_BYTES];
     for (dim, value) in tuple.iter() {
         codec::put_u32(&mut coord_buf, 0, dim.0);
         codec::put_f64(&mut coord_buf, 4, value);
-        bytes.extend_from_slice(&coord_buf);
+        out.extend_from_slice(&coord_buf);
     }
-    bytes
 }
 
-/// Fetches one tuple out of `region` without materialising a reader — the
-/// borrow-friendly twin of [`TupleReader::fetch`] used by the maintenance
-/// path, whose region mutates between fetches.
+/// Fetches the full sparse vector of one tuple out of `region` (TA's random
+/// access) — the only tuple reader: queries call it under the index's
+/// directory read lock, maintenance under the write lock. The stored
+/// coordinates are untrusted bytes, so they go through every range and
+/// duplicate check of [`SparseVector::from_pairs`].
 pub(crate) fn read_tuple(
     pool: &BufferPool,
     region: &TupleRegion,
@@ -115,12 +121,11 @@ pub(crate) fn read_tuple(
         .get(id.index())
         .ok_or(IrError::UnknownTuple { tuple: id.0 })?;
     let bytes = read_region_bytes(pool, region, entry.offset, entry.byte_len())?;
-    let mut pairs = Vec::with_capacity(entry.nnz as usize);
-    for i in 0..entry.nnz as usize {
-        let off = i * COORD_BYTES;
-        pairs.push((codec::get_u32(&bytes, off), codec::get_f64(&bytes, off + 4)));
-    }
-    SparseVector::from_pairs(pairs)
+    SparseVector::from_pairs(
+        bytes
+            .chunks_exact(COORD_BYTES)
+            .map(|coord| (codec::get_u32(coord, 0), codec::get_f64(coord, 4))),
+    )
 }
 
 /// Reads `len` bytes starting at region-relative byte `offset`, possibly
@@ -179,39 +184,12 @@ pub(crate) fn write_region_bytes(
     Ok(())
 }
 
-/// Random-access reader over a [`TupleRegion`].
-pub struct TupleReader {
-    pool: Arc<BufferPool>,
-    region: TupleRegion,
-}
-
-impl TupleReader {
-    /// Creates a reader.
-    pub fn new(pool: Arc<BufferPool>, region: TupleRegion) -> Self {
-        TupleReader { pool, region }
-    }
-
-    /// Number of tuples stored.
-    pub fn cardinality(&self) -> usize {
-        self.region.directory.len()
-    }
-
-    /// The region metadata.
-    pub fn region(&self) -> &TupleRegion {
-        &self.region
-    }
-
-    /// Fetches the full sparse vector of a tuple (TA's random access).
-    pub fn fetch(&self, id: TupleId) -> IrResult<SparseVector> {
-        read_tuple(&self.pool, &self.region, id)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pagestore::MemPageStore;
     use ir_types::DatasetBuilder;
+    use std::sync::Arc;
 
     fn make_pool() -> Arc<BufferPool> {
         Arc::new(BufferPool::new(Arc::new(MemPageStore::new())))
@@ -222,12 +200,11 @@ mod tests {
         let pool = make_pool();
         let dataset = Dataset::running_example();
         let region = write_tuples(&pool, &dataset).unwrap();
-        let reader = TupleReader::new(Arc::clone(&pool), region);
-        assert_eq!(reader.cardinality(), 4);
+        assert_eq!(region.directory.len(), 4);
         for (id, tuple) in dataset.iter() {
-            assert_eq!(&reader.fetch(id).unwrap(), tuple);
+            assert_eq!(&read_tuple(&pool, &region, id).unwrap(), tuple);
         }
-        assert!(reader.fetch(TupleId(10)).is_err());
+        assert!(read_tuple(&pool, &region, TupleId(10)).is_err());
     }
 
     #[test]
@@ -245,9 +222,8 @@ mod tests {
         let pool = make_pool();
         let region = write_tuples(&pool, &dataset).unwrap();
         assert!(region.num_pages >= 2);
-        let reader = TupleReader::new(Arc::clone(&pool), region);
         for (id, tuple) in dataset.iter() {
-            assert_eq!(&reader.fetch(id).unwrap(), tuple);
+            assert_eq!(&read_tuple(&pool, &region, id).unwrap(), tuple);
         }
     }
 
@@ -259,9 +235,8 @@ mod tests {
         let dataset = builder.build();
         let pool = make_pool();
         let region = write_tuples(&pool, &dataset).unwrap();
-        let reader = TupleReader::new(pool, region);
-        assert_eq!(reader.fetch(TupleId(0)).unwrap().nnz(), 0);
-        assert_eq!(reader.fetch(TupleId(1)).unwrap().nnz(), 1);
+        assert_eq!(read_tuple(&pool, &region, TupleId(0)).unwrap().nnz(), 0);
+        assert_eq!(read_tuple(&pool, &region, TupleId(1)).unwrap().nnz(), 1);
     }
 
     #[test]
@@ -269,10 +244,9 @@ mod tests {
         let pool = make_pool();
         let dataset = Dataset::running_example();
         let region = write_tuples(&pool, &dataset).unwrap();
-        let reader = TupleReader::new(Arc::clone(&pool), region);
         pool.clear_cache();
         pool.reset_io_stats();
-        reader.fetch(TupleId(2)).unwrap();
+        read_tuple(&pool, &region, TupleId(2)).unwrap();
         let snap = pool.io_snapshot();
         assert!(snap.logical_reads >= 1);
         assert!(snap.physical_reads >= 1);

@@ -281,3 +281,69 @@ fn file_backend_applies_updates_in_place() {
     }
     assert_matches_fresh_build(&index, &dataset);
 }
+
+#[test]
+fn a_fetch_never_observes_a_half_applied_batch() {
+    use ir_storage::{tuplestore::COORD_BYTES, PAGE_SIZE};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+
+    // Tuple 0 fills bytes [0, 4092) of the tuple region, so tuple 1's
+    // two-coordinate record [4092, 4116) straddles the first page boundary
+    // and every in-place rewrite of it is two page writes.
+    let filler_nnz = PAGE_SIZE / COORD_BYTES;
+    let mut builder = DatasetBuilder::new(filler_nnz as u32);
+    builder
+        .push_pairs((0..filler_nnz as u32).map(|d| (d, 0.5)))
+        .unwrap();
+    builder.push_pairs([(0, 0.25), (1, 0.75)]).unwrap();
+    let index = TopKIndex::build_in_memory(&builder.build()).unwrap();
+    let target = TupleId(1);
+    let a = vector(&[(0, 0.25), (1, 0.75)]);
+    let b = vector(&[(0, 0.5), (1, 0.5)]);
+    assert_eq!(index.fetch_tuple(target).unwrap(), a);
+
+    // Each batch moves the tuple from one vector to the other in two
+    // updates; between them the stored record is neither.
+    let batch_to = |v: &SparseVector| -> Vec<TupleUpdate> {
+        v.iter()
+            .map(|(dim, value)| TupleUpdate::UpdateScore {
+                tuple: target,
+                dim,
+                value,
+            })
+            .collect()
+    };
+    let done = AtomicBool::new(false);
+    let start = Barrier::new(3);
+    std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    let mut fetches = 0u64;
+                    while !done.load(Ordering::Acquire) {
+                        let seen = index.fetch_tuple(target).unwrap();
+                        assert!(seen == a || seen == b, "half-applied batch: {seen:?}");
+                        fetches += 1;
+                    }
+                    fetches
+                })
+            })
+            .collect();
+        start.wait();
+        let written = (0..2_000).try_for_each(|round| {
+            let next = if round % 2 == 0 { &b } else { &a };
+            index.apply_updates(&batch_to(next)).map(drop)
+        });
+        // Release the readers before judging the writer, so a failed batch
+        // fails the test instead of hanging it.
+        done.store(true, Ordering::Release);
+        written.unwrap();
+        for reader in readers {
+            assert!(reader.join().unwrap() > 0, "a reader never ran");
+        }
+    });
+    assert_eq!(index.fetch_tuple(target).unwrap(), a);
+    assert_eq!(index.maintenance_stats().tuple_relocations, 0);
+}

@@ -271,3 +271,72 @@ fn armed_faults_during_open_surface_typed_errors() {
         );
     }
 }
+
+/// File names present in `dir`, sorted.
+fn dir_entries(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn a_failed_save_leaves_the_previous_snapshot_serving() {
+    let dataset = synthetic_dataset();
+    let (oracle, root, file) = saved_snapshot(&dataset);
+    let dir = root.path().join("snap");
+    let good_bytes = std::fs::read(&file).unwrap();
+
+    // A different index on a device that dies one page read into the copy:
+    // its save into the same directory fails half-way, with a typed error.
+    let doomed = IndexBuilder::new()
+        .fault_plan(Some(FaultPlan::device_outage(1, None)))
+        .build(&Dataset::running_example())
+        .unwrap();
+    let err = doomed.save_snapshot(&dir).unwrap_err();
+    assert!(
+        matches!(err, IrError::Storage(_)) && err.to_string().contains("injected device failure"),
+        "expected the injected outage, got {err:?}"
+    );
+    assert_eq!(
+        std::fs::read(&file).unwrap(),
+        good_bytes,
+        "a failed save must not touch the previous snapshot"
+    );
+    for kind in backends() {
+        let reopened = open_on(&dir, kind).unwrap();
+        check_identical(&oracle, &reopened, &format!("after a failed save, {kind}"));
+    }
+    assert_eq!(dir_entries(&dir), [SNAPSHOT_FILE], "temp sibling survived");
+
+    // A save that succeeds replaces the snapshot and cleans up as well.
+    let healthy = TopKIndex::build_in_memory(&Dataset::running_example()).unwrap();
+    healthy.save_snapshot(&dir).unwrap();
+    let replaced = open_on(&dir, BackendKind::File).unwrap();
+    check_identical(&healthy, &replaced, "replaced snapshot");
+    assert_eq!(dir_entries(&dir), [SNAPSHOT_FILE], "temp sibling survived");
+}
+
+#[test]
+fn saving_into_the_serving_directory_keeps_the_live_index_serving() {
+    // A file-backed index serves from `dir/index.pages`, the very path a
+    // snapshot saved into `dir` is renamed over.
+    let dataset = synthetic_dataset();
+    let oracle = TopKIndex::build_in_memory(&dataset).unwrap();
+    let dir = tempfile::tempdir().unwrap();
+    let live = IndexBuilder::new()
+        .backend(StorageBackend::Disk(dir.path().to_path_buf()))
+        .pool_capacity(4)
+        .build(&dataset)
+        .unwrap();
+    live.save_snapshot(dir.path()).unwrap();
+    check_identical(&oracle, &live, "live index after saving over its own path");
+    let reopened = open_on(dir.path(), BackendKind::File).unwrap();
+    check_identical(
+        &oracle,
+        &reopened,
+        "snapshot saved into the serving directory",
+    );
+}
