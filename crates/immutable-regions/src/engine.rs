@@ -193,7 +193,7 @@ impl IrEngine {
     /// Every data page is copied through the engine's buffer pool (so the
     /// copy is checksum-verified and I/O-accounted). A save that fails
     /// half-way leaves a previous snapshot in `dir` intact, and saving into
-    /// the directory a disk/mmap engine is serving from is safe — see
+    /// the directory a disk engine is serving from is safe — see
     /// [`TopKIndex::save_snapshot`].
     pub fn save_snapshot(&self, dir: impl Into<PathBuf>) -> EngineResult<SnapshotSummary> {
         let dir = dir.into();
@@ -460,7 +460,7 @@ mod tests {
         let policy = EnginePolicy {
             config: RegionConfig::with_phi(ir_core::Algorithm::Prune, 3).composition_only(),
             threads: 4,
-            backend: BackendKind::Mmap,
+            backend: BackendKind::File,
             fault_plan: Some(FaultPlan::transient_reads(7, 3, 100)),
         };
         let json = policy.to_json();
@@ -553,35 +553,6 @@ mod tests {
         assert_eq!(disk_engine.policy().backend, BackendKind::File);
         // The default engine serves from memory.
         assert_eq!(engine().policy().backend, BackendKind::Mem);
-    }
-
-    #[cfg(not(feature = "mmap"))]
-    #[test]
-    fn mmap_backend_without_feature_is_a_typed_error() {
-        let dir = tempfile::tempdir().unwrap();
-        let err = IrEngine::builder()
-            .dataset(Dataset::running_example())
-            .on_mmap(dir.path())
-            .build()
-            .map(|_| ())
-            .unwrap_err();
-        assert!(err.to_string().contains("mmap"), "{err}");
-    }
-
-    #[cfg(feature = "mmap")]
-    #[test]
-    fn mmap_backend_serves_the_running_example() {
-        let dir = tempfile::tempdir().unwrap();
-        let engine = IrEngine::builder()
-            .dataset(Dataset::running_example())
-            .on_mmap(dir.path())
-            .build()
-            .unwrap();
-        assert_eq!(engine.backend_kind(), BackendKind::Mmap);
-        let report = engine.query(&QueryVector::running_example()).unwrap();
-        let d0 = report.for_dim(DimId(0)).unwrap();
-        assert!((d0.immutable.lo + 16.0 / 35.0).abs() < 1e-9);
-        assert!((d0.immutable.hi - 0.1).abs() < 1e-9);
     }
 
     #[test]

@@ -113,15 +113,6 @@ impl<'d> IrEngineBuilder<'d> {
         self.backend(StorageBackend::Disk(dir.into()))
     }
 
-    /// Shorthand for a memory-mapped page store under `dir`.
-    ///
-    /// Requires `ir-storage`'s `mmap` cargo feature (re-exported as this
-    /// crate's `mmap` feature); without it [`IrEngineBuilder::build`]
-    /// returns a descriptive error instead of an engine.
-    pub fn on_mmap(self, dir: impl Into<PathBuf>) -> Self {
-        self.backend(StorageBackend::Mmap(dir.into()))
-    }
-
     /// Sets the buffer-pool budget in pages for the index built from a
     /// dataset.
     pub fn pool_capacity(mut self, pages: usize) -> Self {
@@ -180,7 +171,7 @@ impl<'d> IrEngineBuilder<'d> {
 
     /// Applies a whole [`EnginePolicy`]: the default config, the worker
     /// count and (when present) the fault plan. The policy's `backend`
-    /// field is *not* applied — it is descriptive metadata (a file/mmap
+    /// field is *not* applied — it is descriptive metadata (the file
     /// backend needs a path; see [`EnginePolicy::backend`]).
     pub fn policy(self, policy: EnginePolicy) -> Self {
         let builder = self.config(policy.config).threads(policy.threads);

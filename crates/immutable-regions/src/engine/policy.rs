@@ -22,16 +22,17 @@ pub struct EnginePolicy {
     pub config: RegionConfig,
     /// Worker count for batch execution (1 = sequential).
     pub threads: usize,
-    /// Which page-store backend serves the engine (mem, file or mmap).
+    /// Which page-store backend serves the engine (mem or file).
     ///
     /// Descriptive metadata: [`IrEngine::policy`](super::IrEngine::policy)
     /// reports the backend the index was actually built on, and the
     /// experiment harness stamps it into emitted series. When *loading* a
-    /// policy, the field is advisory — selecting a file or mmap backend needs
-    /// a path and goes through the builder's
+    /// policy, the field is advisory — selecting the file backend needs a
+    /// path and goes through the builder's
     /// [`backend`](super::IrEngineBuilder::backend) /
-    /// [`on_disk`](super::IrEngineBuilder::on_disk) /
-    /// [`on_mmap`](super::IrEngineBuilder::on_mmap).
+    /// [`on_disk`](super::IrEngineBuilder::on_disk). A name that is no
+    /// backend is rejected with [`EngineError::Policy`], never read as
+    /// mem.
     pub backend: BackendKind,
     /// The fault plan the engine's storage device executes, if any
     /// (`null`/`None` — the default — means a well-behaved device).

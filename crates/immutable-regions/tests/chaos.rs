@@ -11,9 +11,8 @@
 //!   the calling thread and never a poisoned engine,
 //! * after any failed query the engine answers the next one correctly.
 //!
-//! The matrix covers the mem and file backends (plus mmap with the `mmap`
-//! feature) × 1/2/8 workers; a proptest sweep drives arbitrary fault plans
-//! through the same invariants.
+//! The matrix covers the mem and file backends × 1/2/8 workers; a proptest
+//! sweep drives arbitrary fault plans through the same invariants.
 
 use immutable_regions::prelude::*;
 use immutable_regions::storage::{CorruptionSpec, FaultPlan};
@@ -50,14 +49,8 @@ fn queries(k: usize) -> Vec<QueryVector> {
         .collect()
 }
 
-/// The backend matrix: mem and file always, mmap when compiled in.
-fn backend_names() -> Vec<&'static str> {
-    let mut names = vec!["mem", "file"];
-    if cfg!(feature = "mmap") {
-        names.push("mmap");
-    }
-    names
-}
+/// The backend matrix.
+const BACKENDS: [&str; 2] = ["mem", "file"];
 
 /// Builds an engine over the chaos workload. The tempdir guard must stay
 /// alive until the engine is built; afterwards the store holds its own
@@ -75,7 +68,6 @@ fn build_engine(
     let storage = match backend {
         "mem" => StorageBackend::Memory,
         "file" => StorageBackend::Disk(dir.path().to_path_buf()),
-        "mmap" => StorageBackend::Mmap(dir.path().to_path_buf()),
         other => panic!("unknown backend {other}"),
     };
     let mut builder = IrEngine::builder()
@@ -133,7 +125,7 @@ fn transient_faults_heal_to_byte_identical_results() {
         max_attempts: 12,
         ..RetryPolicy::default()
     };
-    for backend in backend_names() {
+    for backend in BACKENDS {
         for threads in [1usize, 2, 8] {
             let plan = FaultPlan::transient_reads(7, 10, 400);
             let engine = build_engine(backend, threads, Some(plan), retry);
@@ -160,7 +152,7 @@ fn transient_faults_heal_to_byte_identical_results() {
 #[test]
 fn device_outage_surfaces_typed_errors_then_heals() {
     let oracle = oracle_reports(4);
-    for backend in backend_names() {
+    for backend in BACKENDS {
         // Read ops 0..3 fail permanently; no retries, so each failed query
         // burns exactly one op.
         let plan = FaultPlan::device_outage(0, Some(3));
@@ -191,7 +183,7 @@ fn device_outage_surfaces_typed_errors_then_heals() {
 fn worker_panics_are_contained_on_every_thread_count() {
     quiet_panics();
     let oracle = oracle_reports(4);
-    for backend in backend_names() {
+    for backend in BACKENDS {
         for threads in [1usize, 2, 8] {
             let plan = FaultPlan {
                 panic_read_ops: vec![2],
@@ -222,7 +214,7 @@ fn worker_panics_are_contained_on_every_thread_count() {
 #[test]
 fn corruption_is_typed_and_one_shot() {
     let oracle = oracle_reports(4);
-    for backend in backend_names() {
+    for backend in BACKENDS {
         let plan = FaultPlan {
             corruptions: vec![CorruptionSpec {
                 op: 1,
@@ -261,7 +253,7 @@ fn corruption_is_typed_and_one_shot() {
 #[test]
 fn consecutive_transients_exhaust_retries_with_a_typed_error() {
     let oracle = oracle_reports(4);
-    for backend in backend_names() {
+    for backend in BACKENDS {
         // Ops 0, 1 and 2 all fail transiently: a 3-attempt policy burns
         // attempt 1 on op 0, retries into ops 1 and 2, and gives up typed.
         let plan = FaultPlan {

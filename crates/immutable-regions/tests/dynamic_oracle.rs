@@ -7,7 +7,7 @@
 //! * **matrix** — a deterministic [`ir_datagen::UpdateStream`] applied in
 //!   batches through [`IrEngine::apply_updates`], checked against a
 //!   freshly built engine on the mutated dataset for every algorithm ×
-//!   {mem, file, mmap} × 1/2/8 workers,
+//!   {mem, file} × 1/2/8 workers,
 //! * **mid-stream** — the law holds after *every* batch, not only at the
 //!   end (an incrementally maintained index never serves a stale page),
 //! * **interleaving (proptest)** — random `DriftEvent`s and update
@@ -66,20 +66,8 @@ fn engine_on(
             let dir = tempfile::tempdir().unwrap();
             builder.on_disk(dir.path()).build()
         }
-        BackendKind::Mmap => {
-            let dir = tempfile::tempdir().unwrap();
-            builder.on_mmap(dir.path()).build()
-        }
     };
     engine.unwrap_or_else(|e| panic!("building {backend} engine: {e}"))
-}
-
-fn backends() -> Vec<BackendKind> {
-    let mut backends = vec![BackendKind::Mem, BackendKind::File];
-    if cfg!(feature = "mmap") {
-        backends.push(BackendKind::Mmap);
-    }
-    backends
 }
 
 /// The oracle law across the full serving matrix: every algorithm ×
@@ -110,7 +98,7 @@ fn incremental_equals_recompute_across_algorithms_backends_and_workers() {
             .map(|q| oracle_engine.query(q).unwrap())
             .collect();
 
-        for backend in backends() {
+        for backend in BackendKind::ALL {
             for threads in [1usize, 2, 8] {
                 let engine = engine_on(&base, backend, config, threads);
                 for batch in stream.batches(16) {

@@ -158,6 +158,22 @@ fn policy_json_round_trips_four_keys_and_rejects_the_old_six() {
     ));
 }
 
+/// A policy written while the memory-mapped backend existed names it by
+/// its serialized variant (the capitalised CLI name). Loading it is a typed
+/// policy error that names the unknown variant, never a silent fallback to
+/// the mem backend.
+#[test]
+fn policy_json_naming_the_removed_mmap_backend_is_a_policy_error() {
+    let removed = "mmap";
+    let variant = format!("{}{}", removed[..1].to_uppercase(), &removed[1..]);
+    let json = EnginePolicy::default().to_json();
+    let old = json.replace("\"backend\":\"Mem\"", &format!("\"backend\":\"{variant}\""));
+    assert_ne!(old, json, "the default policy stamps the mem backend");
+    let err = EnginePolicy::from_json(&old).unwrap_err();
+    assert!(matches!(err, EngineError::Policy(_)), "{err}");
+    assert!(err.to_string().contains(&variant), "{err}");
+}
+
 /// Every robustness-relevant [`IrError`] variant crosses the engine
 /// boundary without loss: the request-shaped ones become their own
 /// [`EngineError`] variants, and the storage-failure ones ride through

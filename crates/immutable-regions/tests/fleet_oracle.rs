@@ -2,8 +2,8 @@
 //! check or batched recompute — is byte-identical to a fresh
 //! per-subscription recompute at the event's cumulative weights.
 //!
-//! The matrix covers all four algorithms × the mem and file backends
-//! (plus mmap with the `mmap` feature) × 1/2/8 batch workers. Within one
+//! The matrix covers all four algorithms × the mem and file backends ×
+//! 1/2/8 batch workers. Within one
 //! algorithm, the complete serving trace (every [`FleetAnswer`], in
 //! order) must additionally be identical across backends and worker
 //! counts, and every member's re-anchored report must match a fresh
@@ -42,13 +42,7 @@ fn fleet() -> Vec<(u64, QueryVector)> {
         .collect()
 }
 
-fn backend_names() -> Vec<&'static str> {
-    let mut names = vec!["mem", "file"];
-    if cfg!(feature = "mmap") {
-        names.push("mmap");
-    }
-    names
-}
+const BACKENDS: [&str; 2] = ["mem", "file"];
 
 fn build_engine(backend: &str, threads: usize, algorithm: Algorithm) -> IrEngine {
     let dataset = dataset();
@@ -56,7 +50,6 @@ fn build_engine(backend: &str, threads: usize, algorithm: Algorithm) -> IrEngine
     let storage = match backend {
         "mem" => StorageBackend::Memory,
         "file" => StorageBackend::Disk(dir.path().to_path_buf()),
-        "mmap" => StorageBackend::Mmap(dir.path().to_path_buf()),
         other => panic!("unknown backend {other}"),
     };
     IrEngine::builder()
@@ -90,7 +83,7 @@ fn every_fleet_answer_matches_a_fresh_recompute() {
         let oracle = build_engine("mem", 1, algorithm);
         let mut reference: Option<Vec<FleetAnswer>> = None;
 
-        for backend in backend_names() {
+        for backend in BACKENDS {
             for threads in [1usize, 2, 8] {
                 let engine = build_engine(backend, threads, algorithm);
                 let mut manager = SubscriptionManager::new(

@@ -58,21 +58,11 @@ fn random_batch(rng: &mut ChaCha8Rng, dims: u32, queries: usize) -> Vec<QueryVec
         .collect()
 }
 
-/// The backends a snapshot can be served from in this build.
-fn serving_backends() -> Vec<BackendKind> {
-    let mut kinds = vec![BackendKind::Mem, BackendKind::File];
-    if cfg!(feature = "mmap") {
-        kinds.push(BackendKind::Mmap);
-    }
-    kinds
-}
-
 /// Reopens the snapshot in `dir` on the requested backend kind.
 fn reopen(dir: &Path, kind: BackendKind, config: RegionConfig, threads: usize) -> IrEngine {
     let backend = match kind {
         BackendKind::Mem => StorageBackend::Memory,
         BackendKind::File => StorageBackend::Disk(dir.to_path_buf()),
-        BackendKind::Mmap => StorageBackend::Mmap(dir.to_path_buf()),
     };
     IrEngine::builder()
         .open_snapshot(dir)
@@ -113,7 +103,7 @@ fn snapshot_served_engines_agree_with_built_oracle() {
             })
             .collect();
 
-        for backend in serving_backends() {
+        for backend in BackendKind::ALL {
             for threads in [1usize, 2, 8] {
                 let engine = reopen(&snap, backend, config, threads);
                 assert_eq!(
@@ -171,7 +161,7 @@ fn snapshot_agreement_holds_with_phi_perturbations() {
             })
             .collect();
 
-        for backend in serving_backends() {
+        for backend in BackendKind::ALL {
             let engine = reopen(&snap, backend, config, 2);
             let reports = engine.query_batch(&queries).unwrap();
             for (expected, actual) in oracle.iter().zip(&reports) {
@@ -196,11 +186,10 @@ fn armed_faults_during_snapshot_open_never_panic() {
     let snap = dir.path().join("snap");
     engine.save_snapshot(&snap).unwrap();
 
-    for kind in serving_backends() {
+    for kind in BackendKind::ALL {
         let backend = match kind {
             BackendKind::Mem => StorageBackend::Memory,
             BackendKind::File => StorageBackend::Disk(snap.clone()),
-            BackendKind::Mmap => StorageBackend::Mmap(snap.clone()),
         };
         let err = IrEngine::builder()
             .open_snapshot(&snap)

@@ -20,7 +20,7 @@
 //!
 //! With `--exact`, the deterministic metrics must match with zero
 //! tolerance — the mode the CI backend matrix uses to prove that a mem-
-//! backend emission and an mmap-backend emission of the same workload are
+//! backend emission and a file-backend emission of the same workload are
 //! interchangeable (timing/physical-read metrics stay exempt: those are
 //! the io counters that legitimately differ).
 //!

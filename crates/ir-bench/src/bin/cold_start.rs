@@ -1,7 +1,7 @@
 //! Cold start — deterministic bring-up cost of a built index vs a
 //! reopened snapshot, per storage backend.
 //!
-//! For every available backend the runner brings the ST index up twice —
+//! For every backend the runner brings the ST index up twice —
 //! once built from the raw dataset, once reopened from a persisted
 //! snapshot — and reports the [`ir_storage::ColdStartInfo`] work metrics:
 //! pages touched and bytes decoded. Both are deterministic (never
@@ -13,9 +13,8 @@
 //!
 //! * bytes decoded: snapshot < built on *every* backend (the open parses
 //!   only the fixed-width trailer, never a posting or tuple), and
-//! * pages touched: snapshot < built on the file and mmap backends, where
-//!   the open reads only the trailer pages and serves data pages in
-//!   place. The mem backend is exempt — it has no file to serve from, so
+//! * pages touched: snapshot < built on the file backend, where the open
+//!   reads only the trailer pages and serves data pages in place. The mem backend is exempt — it has no file to serve from, so
 //!   the open materializes every page once and the page counts tie at
 //!   best.
 
@@ -41,7 +40,6 @@ fn snapshot_info(staged: &Path, kind: BackendKind) -> EngineResult<ColdStartInfo
     let storage = match kind {
         BackendKind::Mem => StorageBackend::Memory,
         BackendKind::File => StorageBackend::Disk(staged.to_path_buf()),
-        BackendKind::Mmap => StorageBackend::Mmap(staged.to_path_buf()),
     };
     let engine = IrEngine::builder()
         .open_snapshot(staged)
@@ -96,17 +94,12 @@ fn main() -> EngineResult<()> {
         summary.data_pages, summary.trailer_pages, summary.file_bytes
     );
 
-    let mut backends = vec![BackendKind::Mem, BackendKind::File];
-    if cfg!(feature = "mmap") {
-        backends.push(BackendKind::Mmap);
-    }
-
     let mut table = ExperimentTable::new(
         "Cold start — bring-up work per backend (pages = logical reads column, KiB decoded = memory column)",
         "backend#",
     );
     let mut violations = Vec::new();
-    for (i, kind) in backends.iter().copied().enumerate() {
+    for (i, kind) in BackendKind::ALL.into_iter().enumerate() {
         let built = built_info(&dataset, kind)?;
         let snap = snapshot_info(&staged, kind)?;
         assert_eq!(built.source, ColdStartSource::Built);

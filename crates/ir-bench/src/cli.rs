@@ -8,12 +8,10 @@
 //!   value; wall-clock time, physical reads and the simulated I/O time
 //!   vary, because threaded runs share one warm buffer pool instead of
 //!   cold-starting per query,
-//! * `--backend {mem,file,mmap}` — which page store backs the index; file
-//!   and mmap get a scratch page directory. The deterministic series and
-//!   the region output are identical for every backend (the
-//!   backend-agreement suite proves it byte for byte); only device-level
-//!   syscall counts and wall-clock change. `mmap` requires binaries built
-//!   with `--features mmap`,
+//! * `--backend {mem,file}` — which page store backs the index; file gets a
+//!   scratch page directory. The deterministic series and the region output
+//!   are identical for every backend (the backend-agreement suite proves it
+//!   byte for byte); only wall-clock changes. Any other value exits 2,
 //! * `--emit-json DIR` — write each printed table as a
 //!   `BENCH_<figure>.json` series into `DIR` (for the CI baseline diff; see
 //!   the `bench_diff` binary). The parsed backend and worker count are
@@ -33,9 +31,6 @@
 //!   envelope flips from `built` to `snapshot` so a snapshot-served run is
 //!   self-describing.
 //!
-//! The criterion benches reuse the same parser, so `cargo bench --
-//! --backend mmap` swaps their backend too.
-//!
 //! Unknown arguments are ignored so the runners stay tolerant of harness
 //! plumbing.
 
@@ -49,7 +44,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 /// Materializes a backend kind as a concrete [`StorageBackend`], creating a
-/// scratch page directory for the file and mmap backends.
+/// scratch page directory for the file backend.
 ///
 /// The returned [`tempfile::TempDir`] guard must be held until the
 /// engine/index is *built* (the store creates its page file inside it).
@@ -64,14 +59,10 @@ pub fn materialize_backend(
 ) -> IrResult<(StorageBackend, Option<tempfile::TempDir>)> {
     match kind {
         BackendKind::Mem => Ok((StorageBackend::Memory, None)),
-        BackendKind::File | BackendKind::Mmap => {
+        BackendKind::File => {
             let dir = tempfile::tempdir()
                 .map_err(|e| IrError::Storage(format!("creating scratch page dir: {e}")))?;
-            let backend = match kind {
-                BackendKind::File => StorageBackend::Disk(dir.path().to_path_buf()),
-                _ => StorageBackend::Mmap(dir.path().to_path_buf()),
-            };
-            Ok((backend, Some(dir)))
+            Ok((StorageBackend::Disk(dir.path().to_path_buf()), Some(dir)))
         }
     }
 }
@@ -221,8 +212,8 @@ impl BenchArgs {
     /// metadata with `config` — the figure's serving template. Pass the
     /// settings every row shares (e.g. composition-only mode for Figure
     /// 16); the per-series algorithm and the swept x-axis parameter are
-    /// recorded in the series themselves. The cold-start and cluster
-    /// stamps of the envelope come from the table itself.
+    /// recorded in the series themselves. The cold-start stamp of the
+    /// envelope comes from the table itself.
     pub fn emit_with(
         &self,
         figure: &str,
@@ -276,19 +267,15 @@ mod tests {
             BenchArgs::from_arg_list(strings(&[])).backend,
             BackendKind::Mem
         );
-        for (flag, kind) in [
-            ("mem", BackendKind::Mem),
-            ("file", BackendKind::File),
-            ("mmap", BackendKind::Mmap),
-        ] {
+        for (flag, kind) in [("mem", BackendKind::Mem), ("file", BackendKind::File)] {
             let args = BenchArgs::from_arg_list(strings(&["--backend", flag]));
             assert_eq!(args.backend, kind);
             let args = BenchArgs::from_arg_list(strings(&[&format!("--backend={flag}")]));
             assert_eq!(args.backend, kind);
         }
-        // An unknown backend value on the flag is a hard process exit (not
-        // testable in-process); only a *missing* flag falls back to the
-        // default.
+        // An unknown backend value on the flag is a hard process exit
+        // (tests/backend_flag.rs runs a binary to check it); only a
+        // *missing* flag falls back to the default.
     }
 
     #[test]
@@ -313,10 +300,10 @@ mod tests {
 
     #[test]
     fn policy_stamp_carries_backend_and_threads() {
-        let args = BenchArgs::from_arg_list(strings(&["--threads", "3", "--backend", "mmap"]));
+        let args = BenchArgs::from_arg_list(strings(&["--threads", "3", "--backend", "file"]));
         let policy = args.policy_with(RegionConfig::default());
         assert_eq!(policy.threads, 3);
-        assert_eq!(policy.backend, BackendKind::Mmap);
+        assert_eq!(policy.backend, BackendKind::File);
     }
 
     #[test]
@@ -363,7 +350,6 @@ mod tests {
         let policy = args.policy_with(RegionConfig::default());
         let series = table_to_series("figureT", &table, policy.clone());
         assert_eq!(series.cold_start, ColdStartInfo::default());
-        assert_eq!(series.cluster, None);
 
         let info = ColdStartInfo {
             source: ColdStartSource::Snapshot,
@@ -371,20 +357,14 @@ mod tests {
             bytes: 100,
         };
         table.cold_start = info;
-        table.cluster = Some(ir_cluster::ClusterTopology {
-            shards: 4,
-            ..Default::default()
-        });
         let series = table_to_series("figureT", &table, policy.clone());
         assert_eq!(series.cold_start, info);
-        assert_eq!(series.cluster, table.cluster);
         assert_eq!(series.policy, policy);
         let json = serde_json::to_string(&series).unwrap();
         assert!(
             json.contains("},\"cold_start\":{\"source\":\"Snapshot\""),
             "{json}"
         );
-        assert!(json.contains("},\"cluster\":{\"shards\":4"), "{json}");
     }
 
     #[test]

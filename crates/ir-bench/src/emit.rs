@@ -12,7 +12,6 @@
 use crate::metrics::{MethodMeasurement, MethodSeries};
 use crate::runner::ExperimentTable;
 use immutable_regions::engine::EnginePolicy;
-use ir_cluster::ClusterTopology;
 use ir_storage::ColdStartInfo;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
@@ -35,16 +34,13 @@ pub struct FigureSeries {
     /// vs reopened from a snapshot; pages touched, bytes parsed). Metadata
     /// only, like `policy`.
     pub cold_start: ColdStartInfo,
-    /// The cluster topology the table was served under (`null` for every
-    /// unsharded runner). Metadata only.
-    pub cluster: Option<ClusterTopology>,
     /// One series per method, in first-appearance order.
     pub series: Vec<MethodSeries>,
 }
 
 /// Groups a printed table into per-method series (points kept in x order of
 /// appearance, methods in first-appearance order), stamped with the engine
-/// policy that produced it and the table's cold-start and cluster stamps.
+/// policy that produced it and the table's cold-start stamp.
 pub fn table_to_series(
     figure: &str,
     table: &ExperimentTable,
@@ -65,7 +61,6 @@ pub fn table_to_series(
         x_label: table.x_label.clone(),
         policy,
         cold_start: table.cold_start,
-        cluster: table.cluster,
         series,
     }
 }
@@ -153,8 +148,8 @@ pub fn compare_figures(baseline: &FigureSeries, candidate: &FigureSeries) -> Vec
 
 /// [`compare_figures`] with an explicit relative tolerance for the
 /// deterministic metrics. A tolerance of `0.0` demands exact equality —
-/// what the CI backend matrix uses to prove a mem-backend emission and an
-/// mmap-backend emission of the same run are interchangeable. (Wall-clock
+/// what the CI backend matrix uses to prove a mem-backend emission and a
+/// file-backend emission of the same run are interchangeable. (Wall-clock
 /// and physical-read metrics are never compared at any tolerance; those
 /// legitimately differ run to run.)
 pub fn compare_figures_with_tolerance(

@@ -3,8 +3,9 @@
 //! The experiment harness reproducing the evaluation section of the paper
 //! (Figures 6 and 10–16). The runner binaries in `src/bin/` — `figures <id>`
 //! for Figures 10–16, `figure06_partitions`, `ablation_design_choices` —
-//! print the same series the paper plots (method × x-axis value → metric);
-//! `benches/` contains Criterion micro-benchmarks over the same workloads.
+//! print the same series the paper plots (method × x-axis value → metric),
+//! and `bench_diff` gates emitted series against the committed baselines.
+//! Wall-clock measurement lives in the standalone `benchmark/` package.
 //!
 //! The scale of the generated datasets is controlled by the
 //! `IR_BENCH_SCALE` environment variable: `smoke` (seconds, CI-friendly),
@@ -14,11 +15,10 @@
 //! Every runner additionally accepts `--threads N` (fan the workload out
 //! over N workers of the parallel execution layer; the measured candidate
 //! and logical-read series are identical for every N),
-//! `--backend {mem,file,mmap}` (which page store backs the index — the
-//! series are byte-identical across backends, mmap needs `--features
-//! mmap`), `--emit-json DIR` (write each table as `BENCH_<figure>.json`
-//! for the CI baseline diff performed by the `bench_diff` binary) and
-//! `--snapshot-dir DIR` (serve the figure from a persisted index snapshot
+//! `--backend {mem,file}` (which page store backs the index — the series
+//! are byte-identical across backends), `--emit-json DIR` (write each
+//! table as `BENCH_<figure>.json` for the CI baseline diff performed by the
+//! `bench_diff` binary) and `--snapshot-dir DIR` (serve the figure from a persisted index snapshot
 //! reopened zero-copy instead of a freshly built index; deterministic
 //! output is identical, and the emitted series envelope's `cold_start`
 //! stamp records the provenance). See [`cli`] and [`emit`]. The `cold_start`

@@ -2,7 +2,6 @@
 
 use crate::metrics::MethodMeasurement;
 use immutable_regions::engine::{EngineResult, IrEngine};
-use ir_cluster::ClusterTopology;
 use ir_core::iterative::compute_iterative;
 use ir_core::parallel::run_queries;
 use ir_core::{Algorithm, ComputationStats, RegionConfig};
@@ -121,9 +120,6 @@ pub struct ExperimentTable {
     /// [`IrEngine::cold_start_info`] and stamped into the emitted series
     /// envelope (the all-zero `built` default until then).
     pub cold_start: ColdStartInfo,
-    /// The cluster topology the table was served under, stamped likewise
-    /// (`None` for every unsharded runner).
-    pub cluster: Option<ClusterTopology>,
 }
 
 impl ExperimentTable {

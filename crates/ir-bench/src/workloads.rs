@@ -18,9 +18,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// repeated preparations inside one runner) from saving over each other
 /// when they share one `--snapshot-dir`; the drop keeps repeated runner
 /// invocations from accreting orphaned `snap-*` directories there. On
-/// Unix the removal is safe even while a file or mmap engine still
-/// serves from the directory: the page store holds its descriptor (or
-/// established mapping) to the then-unlinked snapshot file.
+/// Unix the removal is safe even while a file engine still serves from
+/// the directory: the page store holds its descriptor to the
+/// then-unlinked snapshot file.
 pub struct StagedSnapshotDir {
     path: PathBuf,
 }
@@ -187,7 +187,7 @@ impl BenchDataset {
     /// Like [`BenchDataset::prepare`], but wrapping the index into an
     /// [`IrEngine`] with `threads` batch workers on the requested storage
     /// backend — the front door every figure runner serves its workload
-    /// through. File and mmap backends build onto a scratch page directory
+    /// through. The file backend builds onto a scratch page directory
     /// (see [`crate::cli::materialize_backend`]).
     pub fn prepare_engine(
         &self,
@@ -267,7 +267,6 @@ impl BenchDataset {
             let storage = match backend {
                 BackendKind::Mem => ir_storage::StorageBackend::Memory,
                 BackendKind::File => ir_storage::StorageBackend::Disk(staged.path().to_path_buf()),
-                BackendKind::Mmap => ir_storage::StorageBackend::Mmap(staged.path().to_path_buf()),
             };
             let mut builder = IrEngine::builder()
                 .open_snapshot(staged.path())
@@ -277,7 +276,7 @@ impl BenchDataset {
                 builder = builder.fault_plan(plan);
             }
             let engine = builder.build()?;
-            // The engine is up (descriptor/mapping established), so the
+            // The engine is up (its descriptor is open), so the
             // staging directory may go — success and error paths alike
             // clean up via the guard's drop.
             drop(staged);
@@ -369,11 +368,7 @@ mod tests {
         // Success path: the staged `snap-*` dir is gone by the time
         // `prepare_engine_faulty` returns, on every backend, and the
         // engine still serves from its (unlinked) snapshot.
-        let mut backends = vec![BackendKind::Mem, BackendKind::File];
-        if cfg!(feature = "mmap") {
-            backends.push(BackendKind::Mmap);
-        }
-        for backend in backends {
+        for backend in BackendKind::ALL {
             let (engine, workload) = BenchDataset::St
                 .prepare_engine_faulty(Scale::Smoke, 2, 5, 2, 1, backend, None, Some(root.path()))
                 .unwrap();
@@ -411,12 +406,8 @@ mod tests {
 
     #[test]
     fn prepare_engine_serves_from_any_backend() {
-        let mut backends = vec![BackendKind::Mem, BackendKind::File];
-        if cfg!(feature = "mmap") {
-            backends.push(BackendKind::Mmap);
-        }
         let mut reports = Vec::new();
-        for backend in backends {
+        for backend in BackendKind::ALL {
             let (engine, workload) = BenchDataset::St
                 .prepare_engine(Scale::Smoke, 2, 5, 2, 1, backend)
                 .unwrap();

@@ -78,24 +78,10 @@ impl RegionComputation {
         self.ta.result()
     }
 
-    /// The size of the candidate list produced by the initial TA run.
-    pub fn initial_candidates(&self) -> usize {
-        self.ta.candidates().len()
-    }
-
     /// Read access to the underlying TA run (result entries, candidates,
     /// thresholds) — used by the experiment harness for the Figure 6 study.
     pub fn ta(&self) -> &TaRun {
         &self.ta
-    }
-
-    /// The I/O the initial top-k phase cost, as attributed to the calling
-    /// thread — what [`RegionComputation::compute`] stamps into
-    /// [`ComputationStats::topk_io`](crate::metrics::ComputationStats).
-    /// Exposed so external per-dimension drivers (the cluster coordinator)
-    /// can assemble identical stats.
-    pub fn topk_io(&self) -> IoStatsSnapshot {
-        self.topk_io
     }
 
     /// The configuration in effect.

@@ -254,20 +254,9 @@ impl BufferPool {
         self.stats.thread_snapshot()
     }
 
-    /// Snapshot of the underlying page store's device-level counters
-    /// (syscalls issued, page-fault-equivalent reads; see
-    /// [`PageStore::io_snapshot`]). The store sees exactly this pool's miss
-    /// sequence, so its `logical_reads` always equals the pool's
-    /// `physical_reads` regardless of the backend.
-    pub fn store_io_snapshot(&self) -> IoStatsSnapshot {
-        self.store.io_snapshot()
-    }
-
-    /// Resets the I/O counters — the pool's and the underlying store's
-    /// device-level ones (the cache content is preserved).
+    /// Resets the I/O counters (the cache content is preserved).
     pub fn reset_io_stats(&self) {
         self.stats.reset();
-        self.store.reset_io_stats();
     }
 
     fn evict_lru(inner: &mut PoolInner) {
@@ -337,22 +326,6 @@ mod tests {
         pool.clear_cache();
         pool.read(PageId(0)).unwrap();
         assert_eq!(pool.io_snapshot().physical_reads, 2);
-    }
-
-    #[test]
-    fn store_counters_mirror_pool_misses_and_reset_together() {
-        let pool = pool_with_pages(2, 3);
-        pool.read(PageId(0)).unwrap();
-        pool.read(PageId(0)).unwrap(); // hit: never reaches the store
-        pool.read(PageId(1)).unwrap();
-        assert_eq!(
-            pool.store_io_snapshot().logical_reads,
-            pool.io_snapshot().physical_reads,
-            "the store sees exactly the pool's misses"
-        );
-        pool.reset_io_stats();
-        assert_eq!(pool.store_io_snapshot(), IoStatsSnapshot::default());
-        assert_eq!(pool.io_snapshot(), IoStatsSnapshot::default());
     }
 
     #[test]

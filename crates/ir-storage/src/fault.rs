@@ -29,7 +29,6 @@
 
 use crate::page::{PageBuf, PageId};
 use crate::pagestore::PageStore;
-use crate::stats::IoStatsSnapshot;
 use ir_types::rng::SeededLcg;
 use ir_types::{IrError, IrResult};
 use serde::{Deserialize, Serialize};
@@ -256,14 +255,6 @@ impl PageStore for FaultInjectingPageStore {
             )));
         }
         self.inner.write_page(page, data)
-    }
-
-    fn io_snapshot(&self) -> IoStatsSnapshot {
-        self.inner.io_snapshot()
-    }
-
-    fn reset_io_stats(&self) {
-        self.inner.reset_io_stats();
     }
 
     fn corrupt_stored_byte(&self, page: PageId, offset: usize, mask: u8) -> IrResult<()> {

@@ -37,15 +37,6 @@ pub enum StorageBackend {
     /// Pages in a flat file under the given directory (`index.pages`),
     /// accessed with positioned reads.
     Disk(PathBuf),
-    /// Pages in a flat file under the given directory (`index.pages`),
-    /// served from a read-only memory mapping.
-    ///
-    /// The variant always exists so callers (CLI flags, engine policies) can
-    /// name it unconditionally, but *building* an index with it requires the
-    /// `mmap` cargo feature — without it [`IndexBuilder::build`] returns a
-    /// descriptive [`IrError::Storage`]. The default build stays free of
-    /// `unsafe` code.
-    Mmap(PathBuf),
 }
 
 impl StorageBackend {
@@ -54,7 +45,6 @@ impl StorageBackend {
         match self {
             StorageBackend::Memory => BackendKind::Mem,
             StorageBackend::Disk(_) => BackendKind::File,
-            StorageBackend::Mmap(_) => BackendKind::Mmap,
         }
     }
 }
@@ -69,13 +59,11 @@ pub enum BackendKind {
     Mem,
     /// [`FilePageStore`] (positioned reads on a flat file).
     File,
-    /// `MmapPageStore` (requires the `mmap` cargo feature).
-    Mmap,
 }
 
 impl BackendKind {
     /// All kinds, in CLI presentation order.
-    pub const ALL: [BackendKind; 3] = [BackendKind::Mem, BackendKind::File, BackendKind::Mmap];
+    pub const ALL: [BackendKind; 2] = [BackendKind::Mem, BackendKind::File];
 }
 
 impl fmt::Display for BackendKind {
@@ -83,7 +71,6 @@ impl fmt::Display for BackendKind {
         f.write_str(match self {
             BackendKind::Mem => "mem",
             BackendKind::File => "file",
-            BackendKind::Mmap => "mmap",
         })
     }
 }
@@ -91,16 +78,15 @@ impl fmt::Display for BackendKind {
 impl FromStr for BackendKind {
     type Err = IrError;
 
-    /// Case-insensitive, so both the CLI spellings (`mmap`) and the
-    /// serialized variant names (`Mmap`, as stamped into `BENCH_*.json`
+    /// Case-insensitive, so both the CLI spellings (`file`) and the
+    /// serialized variant names (`File`, as stamped into `BENCH_*.json`
     /// policy metadata) parse.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
             "mem" | "memory" => Ok(BackendKind::Mem),
             "file" | "disk" => Ok(BackendKind::File),
-            "mmap" => Ok(BackendKind::Mmap),
             other => Err(IrError::Storage(format!(
-                "unknown storage backend `{other}` (expected mem, file or mmap)"
+                "unknown storage backend `{other}` (expected mem or file)"
             ))),
         }
     }
@@ -216,7 +202,6 @@ impl IndexBuilder {
                 std::fs::create_dir_all(dir)?;
                 Arc::new(FilePageStore::create(dir.join("index.pages"))?)
             }
-            StorageBackend::Mmap(dir) => mmap_store(dir)?,
         };
         let (store, injector): (Arc<dyn PageStore>, Option<Arc<FaultInjectingPageStore>>) =
             match self.fault_plan {
@@ -305,9 +290,8 @@ impl IndexBuilder {
     ///
     /// * `Memory` — the page file is materialized into a
     ///   [`MemPageStore`] frame by frame (seals preserved, not re-verified),
-    /// * `Disk` — [`FilePageStore::open`] serves it with positioned reads,
-    /// * `Mmap` — `MmapPageStore::open` maps it read-only (requires the
-    ///   `mmap` cargo feature).
+    /// * `Disk` — [`FilePageStore::open`] serves it in place with
+    ///   positioned reads.
     ///
     /// Cold start reads *only* the trailer: the 64-byte superheader (magic,
     /// version, page size, checksum — each failure a typed
@@ -323,7 +307,6 @@ impl IndexBuilder {
         let store: Arc<dyn PageStore> = match backend_kind {
             BackendKind::Mem => Arc::new(MemPageStore::from_page_file(&path)?),
             BackendKind::File => Arc::new(FilePageStore::open(&path)?),
-            BackendKind::Mmap => open_mmap_store(&path)?,
         };
         let total_pages = store.num_pages();
         let (store, injector): (Arc<dyn PageStore>, Option<Arc<FaultInjectingPageStore>>) =
@@ -348,11 +331,11 @@ impl IndexBuilder {
         let cold_start_info = ColdStartInfo {
             source: ColdStartSource::Snapshot,
             // The mem backend had to materialize the whole file to serve it
-            // from memory; the file/mmap backends touched only the trailer.
+            // from memory; the file backend touched only the trailer.
             pages: trailer_reads
                 + match backend_kind {
                     BackendKind::Mem => total_pages as u64,
-                    BackendKind::File | BackendKind::Mmap => 0,
+                    BackendKind::File => 0,
                 },
             bytes: snapshot::SUPERHEADER_LEN as u64
                 + (contents.lists.len() as u64 + contents.tuple_region.directory.len() as u64)
@@ -386,42 +369,6 @@ impl IndexBuilder {
     pub fn build_shared(self, dataset: &Dataset) -> IrResult<Arc<TopKIndex>> {
         self.build(dataset).map(Arc::new)
     }
-}
-
-/// Builds the mmap-backed store when the feature is compiled in.
-#[cfg(feature = "mmap")]
-fn mmap_store(dir: &Path) -> IrResult<Arc<dyn PageStore>> {
-    std::fs::create_dir_all(dir)?;
-    Ok(Arc::new(crate::mmap::MmapPageStore::create(
-        dir.join("index.pages"),
-    )?))
-}
-
-/// Without the `mmap` feature, selecting the backend is a descriptive error
-/// (the default build contains no `unsafe` mapping code at all).
-#[cfg(not(feature = "mmap"))]
-fn mmap_store(_dir: &Path) -> IrResult<Arc<dyn PageStore>> {
-    Err(IrError::Storage(
-        "the mmap storage backend requires building ir-storage with the `mmap` cargo feature"
-            .to_string(),
-    ))
-}
-
-/// Opens an existing page file via the mmap store (feature-gated twin of
-/// [`mmap_store`], used by [`IndexBuilder::open_snapshot`]).
-#[cfg(feature = "mmap")]
-fn open_mmap_store(path: &Path) -> IrResult<Arc<dyn PageStore>> {
-    Ok(Arc::new(crate::mmap::MmapPageStore::open(path)?))
-}
-
-/// Without the `mmap` feature, opening a snapshot through the mmap backend
-/// is the same descriptive error as building through it.
-#[cfg(not(feature = "mmap"))]
-fn open_mmap_store(_path: &Path) -> IrResult<Arc<dyn PageStore>> {
-    Err(IrError::Storage(
-        "the mmap storage backend requires building ir-storage with the `mmap` cargo feature"
-            .to_string(),
-    ))
 }
 
 /// The physical top-k index: inverted lists + tuple file + buffer pool.
@@ -586,13 +533,6 @@ impl TopKIndex {
         self.pool.io_snapshot()
     }
 
-    /// Snapshot of the page store's own device-level counters (syscalls,
-    /// page-fault equivalents — see
-    /// [`PageStore::io_snapshot`](crate::pagestore::PageStore)).
-    pub fn store_io_snapshot(&self) -> IoStatsSnapshot {
-        self.pool.store_io_snapshot()
-    }
-
     /// Snapshot of the calling thread's own I/O shard (per-worker
     /// attribution; see [`BufferPool::thread_io_snapshot`]).
     pub fn thread_io_snapshot(&self) -> IoStatsSnapshot {
@@ -626,7 +566,7 @@ impl TopKIndex {
     /// into a temp sibling that is renamed over `dir/index.pages` only once
     /// complete, so a save that fails half-way returns its typed error and
     /// leaves a previous snapshot in `dir` intact. Saving into the directory
-    /// a disk/mmap-backed index is serving from is safe for the same reason
+    /// a disk-backed index is serving from is safe for the same reason
     /// (on Unix): the index keeps serving — and applying updates to — the
     /// replaced file through its open descriptor, which no path names any
     /// more, while `dir/index.pages` is the snapshot.
@@ -729,20 +669,18 @@ mod tests {
             ("memory", BackendKind::Mem),
             ("file", BackendKind::File),
             ("disk", BackendKind::File),
-            ("mmap", BackendKind::Mmap),
             // The serialized variant spellings (BENCH_*.json policy
             // metadata) parse too: FromStr is case-insensitive.
             ("Mem", BackendKind::Mem),
             ("File", BackendKind::File),
-            ("Mmap", BackendKind::Mmap),
         ] {
             assert_eq!(text.parse::<BackendKind>().unwrap(), kind);
         }
         assert!("floppy".parse::<BackendKind>().is_err());
-        assert_eq!(BackendKind::Mmap.to_string(), "mmap");
+        assert_eq!(BackendKind::File.to_string(), "file");
         assert_eq!(
-            StorageBackend::Mmap(PathBuf::from("/tmp/x")).kind(),
-            BackendKind::Mmap
+            StorageBackend::Disk(PathBuf::from("/tmp/x")).kind(),
+            BackendKind::File
         );
         // Display is the canonical spelling: it must parse back.
         for kind in BackendKind::ALL {
@@ -870,59 +808,19 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "mmap")]
     #[test]
-    fn mmap_snapshot_open_serves_directly() {
-        let dataset = Dataset::running_example();
-        let dir = tempfile::tempdir().unwrap();
-        TopKIndex::build_in_memory(&dataset)
-            .unwrap()
-            .save_snapshot(dir.path())
-            .unwrap();
-        let opened = IndexBuilder::new()
-            .backend(StorageBackend::Mmap(PathBuf::from("/ignored")))
-            .open_snapshot(dir.path())
-            .unwrap();
-        assert_eq!(opened.backend_kind(), BackendKind::Mmap);
-        assert_eq!(opened.cold_start_info().source, ColdStartSource::Snapshot);
-        for (id, tuple) in dataset.iter() {
-            assert_eq!(&opened.fetch_tuple(id).unwrap(), tuple);
+    fn mmap_is_not_a_backend_name() {
+        // A name that is no backend is a typed parse error that lists the
+        // backends that exist, never a fallback to mem.
+        for text in ["mmap", "MMAP"] {
+            let err = text.parse::<BackendKind>().unwrap_err();
+            let message = err.to_string();
+            assert!(matches!(err, IrError::Storage(_)), "{message}");
+            assert!(
+                message.contains("mem") && message.contains("file"),
+                "{message}"
+            );
         }
-    }
-
-    #[cfg(feature = "mmap")]
-    #[test]
-    fn mmap_backend_round_trips() {
-        let dir = tempfile::tempdir().unwrap();
-        let dataset = Dataset::running_example();
-        let index = IndexBuilder::new()
-            .backend(StorageBackend::Mmap(dir.path().to_path_buf()))
-            .pool_capacity(2)
-            .build(&dataset)
-            .unwrap();
-        // Build-time store traffic is wiped with the pool counters: queries
-        // start from a clean slate on every backend.
-        assert_eq!(index.store_io_snapshot(), IoStatsSnapshot::default());
-        for (id, tuple) in dataset.iter() {
-            assert_eq!(&index.fetch_tuple(id).unwrap(), tuple);
-        }
-        assert!(dir.path().join("index.pages").exists());
-        assert_eq!(index.backend_kind(), BackendKind::Mmap);
-        assert!(index.store_io_snapshot().logical_reads > 0);
-    }
-
-    #[cfg(not(feature = "mmap"))]
-    #[test]
-    fn mmap_backend_errors_without_the_feature() {
-        let dir = tempfile::tempdir().unwrap();
-        let err = IndexBuilder::new()
-            .backend(StorageBackend::Mmap(dir.path().to_path_buf()))
-            .build(&Dataset::running_example())
-            .map(|_| ())
-            .unwrap_err();
-        assert!(
-            err.to_string().contains("mmap"),
-            "error must name the missing feature: {err}"
-        );
+        assert_eq!(BackendKind::ALL, [BackendKind::Mem, BackendKind::File]);
     }
 }

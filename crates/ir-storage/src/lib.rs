@@ -9,17 +9,17 @@
 //! that substrate:
 //!
 //! * [`page`] / [`pagestore`] — fixed-size pages backed by an in-memory
-//!   "disk" ([`MemPageStore`]), a real file accessed with positioned reads
-//!   ([`FilePageStore`]), or — behind the `mmap` cargo feature — a read-only
-//!   memory mapping (`MmapPageStore` in the `mmap` module),
+//!   "disk" ([`MemPageStore`]) or a real file accessed with positioned reads
+//!   ([`FilePageStore`]),
 //! * [`buffer`] — an LRU buffer pool that every access goes through, with
 //!   logical/physical read accounting and a bounded [`RetryPolicy`] that
 //!   heals transient device faults invisibly,
 //! * [`fault`] — a deterministic fault-injection wrapper
 //!   ([`FaultInjectingPageStore`]) driven by a serializable [`FaultPlan`],
 //!   used by the chaos suite and the `--fault-plan` runner flag,
-//! * [`stats`] — I/O counters and a configurable latency model used by the
-//!   experiment harness to report I/O time,
+//! * [`stats`] — the buffer pool's I/O counters (the only home of device
+//!   reads) and a configurable latency model used by the experiment
+//!   harness to report I/O time,
 //! * [`inverted`] — the per-dimension inverted lists with resumable
 //!   sequential cursors (TA's *sorted access*),
 //! * [`tuplestore`] — the external tuple file with random access by tuple id
@@ -28,12 +28,7 @@
 //!   an in-memory [`ir_types::Dataset`] and is what the query algorithms
 //!   operate on.
 
-// The default build carries no `unsafe` at all. Enabling the `mmap` feature
-// relaxes the crate-wide forbid to a deny, and the one module that maps
-// files (`mmap::sys`) opts back in explicitly — every other module stays
-// unsafe-free, which the CI feature matrix grep-asserts.
-#![cfg_attr(not(feature = "mmap"), forbid(unsafe_code))]
-#![cfg_attr(feature = "mmap", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod buffer;
@@ -42,8 +37,6 @@ pub mod fault;
 pub mod index;
 pub mod inverted;
 pub mod maintain;
-#[cfg(feature = "mmap")]
-pub mod mmap;
 pub mod page;
 pub mod pagestore;
 pub mod snapshot;
@@ -58,11 +51,9 @@ pub use index::{
 };
 pub use inverted::{InvertedListCursor, ListDirectoryEntry};
 pub use maintain::{AppliedUpdate, MaintenanceStatsSnapshot};
-#[cfg(feature = "mmap")]
-pub use mmap::MmapPageStore;
 pub use page::{PageId, PAGE_SIZE};
 pub use pagestore::{FilePageStore, MemPageStore, PageStore};
-pub use snapshot::{SnapshotPeek, SnapshotSummary};
+pub use snapshot::SnapshotSummary;
 pub use stats::{
     set_thread_stats_shard, thread_stats_shard, IoConfig, IoStats, IoStatsSnapshot, ShardedIoStats,
     IO_STATS_SHARDS,

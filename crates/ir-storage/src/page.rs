@@ -1,5 +1,6 @@
 //! Fixed-size pages, page identifiers, and the self-validating on-disk
-//! frame format shared by the file and mmap stores.
+//! frame format the file store writes (and the mem store carries in
+//! memory, one sealed frame per page).
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -54,14 +55,15 @@ pub fn zeroed_page() -> PageBuf {
 // snapshot superheader can seal with the same function.
 pub use crate::checksum::fnv1a64;
 
-/// The self-validating on-disk layout of the file-backed page stores.
+/// The self-validating on-disk layout of the file-backed page store.
 ///
 /// A page file starts with a fixed-length versioned header, followed by one
 /// *frame* per page: the 4 KiB payload plus an 8-byte little-endian
-/// [`fnv1a64`] checksum trailer computed over the payload. Both
-/// `FilePageStore` and `MmapPageStore` read and write this exact layout, so
-/// the two stay byte-interchangeable. Every field is explicitly
-/// little-endian; the format is independent of host endianness.
+/// [`fnv1a64`] checksum trailer computed over the payload.
+/// `FilePageStore` reads and writes this exact layout, and
+/// `MemPageStore::from_page_file` loads it frame by frame, so a saved file
+/// is servable by either backend. Every field is explicitly little-endian;
+/// the format is independent of host endianness.
 pub mod frame {
     use super::{fnv1a64, PageId, PAGE_SIZE};
     use ir_types::{IrError, IrResult};
@@ -176,8 +178,7 @@ pub mod frame {
     }
 
     /// The trailer of an all-zero page — what freshly allocated frames
-    /// carry (the mmap store zero-fills payloads via `set_len` and then
-    /// writes just this trailer per new frame).
+    /// carry on every backend.
     pub fn zero_page_seal() -> [u8; CHECKSUM_LEN] {
         static SEAL: std::sync::OnceLock<[u8; CHECKSUM_LEN]> = std::sync::OnceLock::new();
         *SEAL.get_or_init(|| seal(&[0u8; PAGE_SIZE]))

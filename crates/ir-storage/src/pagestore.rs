@@ -1,6 +1,7 @@
 //! Page stores: the "disk" abstraction underneath the buffer pool.
 //!
-//! Three implementations are provided:
+//! Two implementations are provided, matching the two settings of the
+//! paper:
 //!
 //! * [`MemPageStore`] — pages live in memory. This is the default backend for
 //!   experiments; physical reads are still counted by the buffer pool, so the
@@ -9,33 +10,22 @@
 //!   inverted lists are cached in main memory"* that the paper mentions in
 //!   its CPU discussion.
 //! * [`FilePageStore`] — pages live in a real file accessed with positioned
-//!   reads (`pread`-style, one syscall per page instead of the former
-//!   seek-then-read pair); used by the disk-resident configuration and by
-//!   the storage round-trip tests.
-//! * `MmapPageStore` (in the `mmap` module, behind the `mmap` cargo
-//!   feature) — the file is memory-mapped read-only, so a page miss costs a
-//!   memory copy (plus, at worst, a soft page fault serviced by the OS)
-//!   instead of a read syscall.
+//!   reads (`pread`-style, one syscall per page); used by the disk-resident
+//!   configuration, by snapshots served in place and by the storage
+//!   round-trip tests.
 //!
-//! All stores are *self-validating*: each stored page carries an FNV-1a-64
+//! Both stores are *self-validating*: each stored page carries an FNV-1a-64
 //! checksum (see [`crate::page::frame`]) that is verified on every read, and
-//! the file-backed stores open with a versioned header check. Damage
-//! surfaces as a typed [`IrError::Corruption`] naming the page, never as
-//! silently wrong bytes. Out-of-range accesses likewise return the same
-//! typed [`IrError::PageOutOfBounds`] from every backend.
+//! the file store opens with a versioned header check. Damage surfaces as a
+//! typed [`IrError::Corruption`] naming the page, never as silently wrong
+//! bytes. Out-of-range accesses likewise return the same typed
+//! [`IrError::PageOutOfBounds`] from every backend.
 //!
-//! Every store keeps its own device-level [`ShardedIoStats`]: `logical_reads`
-//! counts page reads served by the store (for the mmap store these are the
-//! *page-fault-equivalent* reads — no syscall happens, but a page's worth of
-//! data crossed from the mapping), `read_syscalls` counts actual read system
-//! calls issued, and `pages_written` counts page writes. The buffer pool's
-//! own counters — the ones the experiment harness reports — are *backend
-//! independent*: every store sees exactly the pool's miss sequence, so
-//! `store.io_snapshot().logical_reads` always equals the pool's
-//! `physical_reads` no matter which backend is plugged in.
+//! Stores keep no counters of their own. Every store read is a buffer-pool
+//! miss, so the pool's `physical_reads` (see [`crate::buffer::BufferPool`])
+//! is the one count of device reads, and it is the same on every backend.
 
 use crate::page::{frame, zeroed_page, PageBuf, PageId, PAGE_SIZE};
-use crate::stats::{IoStatsSnapshot, ShardedIoStats};
 use ir_types::{IrError, IrResult};
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
@@ -45,11 +35,11 @@ use std::path::Path;
 ///
 /// Concurrency contract: concurrent `read_page` calls are always safe and
 /// return consistent pages. A `write_page` racing a `read_page` of the
-/// *same page* is not serialized by the file and mmap stores (their read
-/// paths are deliberately lock-free positioned reads / mapped copies), so
-/// the reader may observe a torn page; the workspace only writes pages
-/// during single-threaded index construction, and the shared conformance
-/// suite pins the read-only concurrent behaviour every backend must honour.
+/// *same page* is not serialized by the file store (its read path is a
+/// deliberately lock-free positioned read), so the reader may observe a
+/// torn page; the workspace only writes pages during single-threaded index
+/// construction, and the shared conformance suite pins the read-only
+/// concurrent behaviour every backend must honour.
 pub trait PageStore: Send + Sync {
     /// Number of allocated pages.
     fn num_pages(&self) -> u32;
@@ -62,13 +52,6 @@ pub trait PageStore: Send + Sync {
 
     /// Overwrites a full page (and reseals its checksum).
     fn write_page(&self, page: PageId, data: &[u8]) -> IrResult<()>;
-
-    /// Snapshot of the store's device-level counters (see the module docs
-    /// for what each backend records).
-    fn io_snapshot(&self) -> IoStatsSnapshot;
-
-    /// Resets the store's device-level counters to zero.
-    fn reset_io_stats(&self);
 
     /// XORs `mask` into the *stored* byte at `offset` inside `page` without
     /// resealing the checksum — simulating bit rot underneath the store.
@@ -185,7 +168,6 @@ impl MemFrame {
 #[derive(Default)]
 pub struct MemPageStore {
     pages: Mutex<Vec<MemFrame>>,
-    stats: ShardedIoStats,
 }
 
 impl MemPageStore {
@@ -194,16 +176,16 @@ impl MemPageStore {
         Self::default()
     }
 
-    /// Loads an existing page file (the [`crate::page::frame`] format both
-    /// file-backed stores write) into memory, preserving every frame's
-    /// stored seal verbatim.
+    /// Loads an existing page file (the [`crate::page::frame`] format the
+    /// file store writes) into memory, preserving every frame's stored seal
+    /// verbatim.
     ///
     /// Only the file header and overall frame shape are validated up front —
     /// exactly what [`FilePageStore::open`] checks. Per-page checksums are
     /// *not* recomputed here: a damaged frame is carried into memory as-is
     /// and surfaces as a typed [`IrError::Corruption`] on its first read,
-    /// the same lazy semantics the file and mmap stores have. This is how
-    /// the mem backend serves a saved index snapshot.
+    /// the same lazy semantics the file store has. This is how the mem
+    /// backend serves a saved index snapshot.
     pub fn from_page_file<P: AsRef<Path>>(path: P) -> IrResult<Self> {
         let bytes = std::fs::read(path)?;
         let num_pages = frame::page_count(bytes.len() as u64)?;
@@ -221,7 +203,6 @@ impl MemPageStore {
         }
         Ok(MemPageStore {
             pages: Mutex::new(pages),
-            stats: ShardedIoStats::new(),
         })
     }
 }
@@ -246,9 +227,7 @@ impl PageStore for MemPageStore {
             .get(page.index())
             .ok_or_else(|| out_of_bounds(page, pages.len() as u32))?;
         frame::verify(page, &stored.payload, &stored.seal)?;
-        let buf = stored.payload.clone();
-        self.stats.record_logical_read();
-        Ok(buf)
+        Ok(stored.payload.clone())
     }
 
     fn write_page(&self, page: PageId, data: &[u8]) -> IrResult<()> {
@@ -260,16 +239,7 @@ impl PageStore for MemPageStore {
             .ok_or_else(|| out_of_bounds(page, num_pages))?;
         slot.payload.copy_from_slice(data);
         slot.seal = frame::seal(data);
-        self.stats.record_write();
         Ok(())
-    }
-
-    fn io_snapshot(&self) -> IoStatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    fn reset_io_stats(&self) {
-        self.stats.reset();
     }
 
     fn corrupt_stored_byte(&self, page: PageId, offset: usize, mask: u8) -> IrResult<()> {
@@ -291,13 +261,10 @@ impl PageStore for MemPageStore {
 /// Reads and writes are *positioned* (`read_at`/`write_at`): no shared file
 /// cursor exists, so concurrent readers never serialize on a lock and every
 /// page miss costs exactly one read syscall — frames are contiguous, so the
-/// payload and its trailer arrive in a single `pread`. The saving shows up
-/// in the store's [`IoStatsSnapshot::read_syscalls`], which stays equal to
-/// its `logical_reads` instead of double.
+/// payload and its trailer arrive in a single `pread`.
 pub struct FilePageStore {
     file: File,
     num_pages: Mutex<u32>,
-    stats: ShardedIoStats,
 }
 
 impl FilePageStore {
@@ -314,7 +281,6 @@ impl FilePageStore {
         Ok(FilePageStore {
             file,
             num_pages: Mutex::new(0),
-            stats: ShardedIoStats::new(),
         })
     }
 
@@ -332,7 +298,6 @@ impl FilePageStore {
         Ok(FilePageStore {
             file,
             num_pages: Mutex::new(num_pages),
-            stats: ShardedIoStats::new(),
         })
     }
 
@@ -369,8 +334,6 @@ impl PageStore for FilePageStore {
         read_exact_at(&self.file, &mut buf, frame::offset(page))?;
         frame::verify(page, &buf[..PAGE_SIZE], &buf[PAGE_SIZE..])?;
         buf.truncate(PAGE_SIZE);
-        self.stats.record_logical_read();
-        self.stats.record_read_syscall();
         Ok(buf.into_boxed_slice())
     }
 
@@ -384,16 +347,7 @@ impl PageStore for FilePageStore {
         framed[..PAGE_SIZE].copy_from_slice(data);
         framed[PAGE_SIZE..].copy_from_slice(&frame::seal(data));
         write_all_at(&self.file, &framed, frame::offset(page))?;
-        self.stats.record_write();
         Ok(())
-    }
-
-    fn io_snapshot(&self) -> IoStatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    fn reset_io_stats(&self) {
-        self.stats.reset();
     }
 
     fn corrupt_stored_byte(&self, page: PageId, offset: usize, mask: u8) -> IrResult<()> {
@@ -547,41 +501,5 @@ mod tests {
         std::fs::write(&path, vec![0xEEu8; frame::HEADER_LEN + frame::FRAME_LEN]).unwrap();
         let err = FilePageStore::open(&path).map(|_| ()).unwrap_err();
         assert!(err.to_string().contains("bad magic"), "{err}");
-    }
-
-    #[test]
-    fn file_store_reads_cost_one_syscall_each() {
-        let dir = tempfile::tempdir().unwrap();
-        let store = FilePageStore::create(dir.path().join("pages.bin")).unwrap();
-        store.allocate(4).unwrap();
-        for i in 0..4 {
-            store.read_page(PageId(i)).unwrap();
-        }
-        let snap = store.io_snapshot();
-        assert_eq!(snap.logical_reads, 4);
-        assert_eq!(
-            snap.read_syscalls, 4,
-            "positioned frame reads: exactly one syscall per page, checksum included"
-        );
-        store.reset_io_stats();
-        assert_eq!(store.io_snapshot(), IoStatsSnapshot::default());
-    }
-
-    #[test]
-    fn mem_store_reads_cost_no_syscalls() {
-        let store = MemPageStore::new();
-        store.allocate(2).unwrap();
-        store.read_page(PageId(0)).unwrap();
-        store.read_page(PageId(1)).unwrap();
-        let snap = store.io_snapshot();
-        assert_eq!(snap.logical_reads, 2);
-        assert_eq!(snap.read_syscalls, 0);
-    }
-
-    #[test]
-    fn failed_reads_are_not_counted() {
-        let store = MemPageStore::new();
-        assert!(store.read_page(PageId(5)).is_err());
-        assert_eq!(store.io_snapshot().logical_reads, 0);
     }
 }

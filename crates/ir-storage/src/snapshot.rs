@@ -13,9 +13,9 @@
 //! A snapshot is a single `index.pages` file in the ordinary page-frame
 //! format of [`crate::page::frame`] (64-byte file header, then one
 //! checksummed 4104-byte frame per page), which is exactly why every
-//! backend can serve it unmodified: `FilePageStore`/`MmapPageStore` `open`
-//! it in place and [`crate::pagestore::MemPageStore::from_page_file`] loads
-//! the frames verbatim. Inside that page space:
+//! backend can serve it unmodified: `FilePageStore::open` serves it in
+//! place and [`crate::pagestore::MemPageStore::from_page_file`] loads the
+//! frames verbatim. Inside that page space:
 //!
 //! ```text
 //! page 0 .. data_pages        the index pages, bit-for-bit as built:
@@ -75,8 +75,8 @@ use std::collections::HashMap;
 use std::path::Path;
 
 /// File name of the snapshot inside its directory. Deliberately the same
-/// name the disk/mmap backends use for a live store, because a snapshot
-/// *is* a valid page file those backends open in place.
+/// name the disk backend uses for a live store, because a snapshot *is* a
+/// valid page file that backend opens in place.
 pub const SNAPSHOT_FILE: &str = "index.pages";
 
 /// The sibling a save writes into before renaming it over [`SNAPSHOT_FILE`].
@@ -112,54 +112,6 @@ pub struct SnapshotSummary {
     pub total_pages: u32,
     /// Size of the snapshot file in bytes (header + framed pages).
     pub file_bytes: u64,
-}
-
-/// Layout facts of a snapshot file, decoded from its superheader alone —
-/// what [`peek`] reads without building an index or a buffer pool.
-///
-/// The cluster layer runs this preflight once per staged snapshot before
-/// fanning out N shard bring-ups: a corrupt or truncated file fails here,
-/// with one typed error, instead of N times inside node construction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SnapshotPeek {
-    /// Total pages in the snapshot file (data + trailer).
-    pub total_pages: u32,
-    /// Index pages (inverted lists + tuple store).
-    pub data_pages: u32,
-    /// Dimensionality of the snapshotted index.
-    pub dimensionality: u32,
-    /// Number of tuples in the snapshotted index.
-    pub tuple_count: u64,
-    /// Size of the snapshot file in bytes (header + framed pages).
-    pub file_bytes: u64,
-}
-
-/// Validates `dir/index.pages` as a snapshot and returns its layout facts,
-/// reading only the superheader page.
-///
-/// Every check [`crate::index::IndexBuilder::open_snapshot`] would fail on
-/// — foreign magic, bumped version, checksum damage, sections that do not
-/// tile the file — fails here first, as the same typed
-/// [`IrError::Corruption`].
-pub fn peek(dir: impl AsRef<Path>) -> IrResult<SnapshotPeek> {
-    let store = FilePageStore::open(dir.as_ref().join(SNAPSHOT_FILE))?;
-    let num_pages = store.num_pages();
-    if num_pages == 0 {
-        return Err(IrError::Corruption {
-            page: None,
-            detail: "snapshot file holds no pages at all (no superheader to read)".to_string(),
-        });
-    }
-    let last = store.read_page(PageId(num_pages - 1))?;
-    let header = SuperHeader::decode(&last)?;
-    header.validate_layout(num_pages)?;
-    Ok(SnapshotPeek {
-        total_pages: num_pages,
-        data_pages: header.data_pages,
-        dimensionality: header.dimensionality,
-        tuple_count: header.tuple_count,
-        file_bytes: crate::page::frame::offset(PageId(num_pages)),
-    })
 }
 
 /// The decoded superheader fields.

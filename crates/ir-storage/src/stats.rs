@@ -49,15 +49,13 @@ pub fn thread_stats_shard() -> usize {
     })
 }
 
-/// Mutable, thread-safe I/O counters owned by a [`crate::BufferPool`] (and,
-/// since the backend matrix landed, by every
-/// [`PageStore`](crate::pagestore::PageStore) for device-level accounting).
+/// Mutable, thread-safe I/O counters owned by a [`crate::BufferPool`] — the
+/// one home of the stack's page-access counts (page stores keep none).
 #[derive(Debug, Default)]
 pub struct IoStats {
     logical_reads: AtomicU64,
     physical_reads: AtomicU64,
     pages_written: AtomicU64,
-    read_syscalls: AtomicU64,
     read_retries: AtomicU64,
     write_retries: AtomicU64,
 }
@@ -72,13 +70,6 @@ pub struct IoStatsSnapshot {
     pub physical_reads: u64,
     /// Pages written back to the page store.
     pub pages_written: u64,
-    /// Read system calls actually issued to the OS. Always zero at
-    /// buffer-pool level (the pool never talks to the OS itself); at page-
-    /// store level it is one positioned read per page for the file store
-    /// (previously two — seek then read — before the `read_at` switch, which
-    /// this counter makes visible), one `mmap(2)` (re)establishment per
-    /// mapping for the mmap store, and zero for the memory store.
-    pub read_syscalls: u64,
     /// Page reads that had to be re-issued after a transient storage fault
     /// (see `RetryPolicy` on the buffer pool). Zero on a healthy device.
     pub read_retries: u64,
@@ -110,12 +101,6 @@ impl IoStats {
         self.pages_written.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a read system call issued to the OS.
-    #[inline]
-    pub fn record_read_syscall(&self) {
-        self.read_syscalls.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records a page read re-issued after a transient fault.
     #[inline]
     pub fn record_read_retry(&self) {
@@ -134,7 +119,6 @@ impl IoStats {
             logical_reads: self.logical_reads.load(Ordering::Relaxed),
             physical_reads: self.physical_reads.load(Ordering::Relaxed),
             pages_written: self.pages_written.load(Ordering::Relaxed),
-            read_syscalls: self.read_syscalls.load(Ordering::Relaxed),
             read_retries: self.read_retries.load(Ordering::Relaxed),
             write_retries: self.write_retries.load(Ordering::Relaxed),
         }
@@ -145,7 +129,6 @@ impl IoStats {
         self.logical_reads.store(0, Ordering::Relaxed);
         self.physical_reads.store(0, Ordering::Relaxed);
         self.pages_written.store(0, Ordering::Relaxed);
-        self.read_syscalls.store(0, Ordering::Relaxed);
         self.read_retries.store(0, Ordering::Relaxed);
         self.write_retries.store(0, Ordering::Relaxed);
     }
@@ -213,12 +196,6 @@ impl ShardedIoStats {
         self.shard().record_write();
     }
 
-    /// Records a read system call in the calling thread's shard.
-    #[inline]
-    pub fn record_read_syscall(&self) {
-        self.shard().record_read_syscall();
-    }
-
     /// Records a retried page read in the calling thread's shard.
     #[inline]
     pub fn record_read_retry(&self) {
@@ -260,7 +237,6 @@ impl IoStatsSnapshot {
             logical_reads: self.logical_reads.saturating_sub(earlier.logical_reads),
             physical_reads: self.physical_reads.saturating_sub(earlier.physical_reads),
             pages_written: self.pages_written.saturating_sub(earlier.pages_written),
-            read_syscalls: self.read_syscalls.saturating_sub(earlier.read_syscalls),
             read_retries: self.read_retries.saturating_sub(earlier.read_retries),
             write_retries: self.write_retries.saturating_sub(earlier.write_retries),
         }
@@ -272,7 +248,6 @@ impl IoStatsSnapshot {
             logical_reads: self.logical_reads + other.logical_reads,
             physical_reads: self.physical_reads + other.physical_reads,
             pages_written: self.pages_written + other.pages_written,
-            read_syscalls: self.read_syscalls + other.read_syscalls,
             read_retries: self.read_retries + other.read_retries,
             write_retries: self.write_retries + other.write_retries,
         }
@@ -331,14 +306,12 @@ mod tests {
         stats.record_logical_read();
         stats.record_physical_read();
         stats.record_write();
-        stats.record_read_syscall();
         stats.record_read_retry();
         stats.record_write_retry();
         let snap = stats.snapshot();
         assert_eq!(snap.logical_reads, 2);
         assert_eq!(snap.physical_reads, 1);
         assert_eq!(snap.pages_written, 1);
-        assert_eq!(snap.read_syscalls, 1);
         assert_eq!(snap.read_retries, 1);
         assert_eq!(snap.write_retries, 1);
         stats.reset();
@@ -351,7 +324,6 @@ mod tests {
             logical_reads: 10,
             physical_reads: 4,
             pages_written: 1,
-            read_syscalls: 4,
             read_retries: 1,
             write_retries: 0,
         };
@@ -359,7 +331,6 @@ mod tests {
             logical_reads: 25,
             physical_reads: 9,
             pages_written: 1,
-            read_syscalls: 9,
             read_retries: 3,
             write_retries: 1,
         };
@@ -367,7 +338,6 @@ mod tests {
         assert_eq!(d.logical_reads, 15);
         assert_eq!(d.physical_reads, 5);
         assert_eq!(d.pages_written, 0);
-        assert_eq!(d.read_syscalls, 5);
         assert_eq!(d.read_retries, 2);
         assert_eq!(d.write_retries, 1);
         let s = a.plus(&d);
@@ -425,7 +395,6 @@ mod tests {
             logical_reads: 100,
             physical_reads: 10,
             pages_written: 0,
-            read_syscalls: 10,
             read_retries: 0,
             write_retries: 0,
         };

@@ -2,10 +2,9 @@
 //!
 //! One set of behavioural checks — roundtrip, reopen-after-drop
 //! persistence, concurrent readers, and a proptest write/read pattern sweep
-//! against an in-memory model — instantiated for [`MemPageStore`],
-//! [`FilePageStore`] and (with the `mmap` feature) `MmapPageStore` through
-//! the [`conformance!`] macro, so a new backend cannot ship without passing
-//! the exact same contract.
+//! against an in-memory model — instantiated for [`MemPageStore`] and
+//! [`FilePageStore`] through the [`conformance!`] macro, so a new backend
+//! cannot ship without passing the exact same contract.
 
 use ir_storage::page::zeroed_page;
 use ir_storage::{PageId, PageStore, PAGE_SIZE};
@@ -39,18 +38,11 @@ fn check_roundtrip(store: &dyn PageStore) {
 
     assert_eq!(store.allocate(1).unwrap(), PageId(3));
     assert_eq!(store.num_pages(), 4);
-
-    // Device-level accounting: every successful read was counted once.
-    let snap = store.io_snapshot();
-    assert_eq!(snap.logical_reads, 2);
-    assert_eq!(snap.pages_written, 1);
-    store.reset_io_stats();
-    assert_eq!(store.io_snapshot().logical_reads, 0);
 }
 
 /// Many threads read a shared store concurrently (the situation the
 /// parallel batch driver puts every backend in); each read must return the
-/// exact page that was written and the sharded counters must add up.
+/// exact page that was written.
 fn check_concurrent_readers(store: Arc<dyn PageStore>) {
     const PAGES: u32 = 12;
     const THREADS: u32 = 8;
@@ -61,12 +53,10 @@ fn check_concurrent_readers(store: Arc<dyn PageStore>) {
             .write_page(PageId(page), &patterned_page(page as u8))
             .unwrap();
     }
-    store.reset_io_stats();
     let mut handles = Vec::new();
     for t in 0..THREADS {
         let store = Arc::clone(&store);
         handles.push(std::thread::spawn(move || {
-            ir_storage::set_thread_stats_shard(t as usize);
             for i in 0..READS {
                 let page = (i * 13 + t * 5) % PAGES;
                 let data = store.read_page(PageId(page)).unwrap();
@@ -77,11 +67,6 @@ fn check_concurrent_readers(store: Arc<dyn PageStore>) {
     for handle in handles {
         handle.join().unwrap();
     }
-    assert_eq!(
-        store.io_snapshot().logical_reads,
-        (THREADS * READS) as u64,
-        "sharded per-thread counters must merge losslessly"
-    );
 }
 
 /// Writes survive dropping the store and reopening the same path.
@@ -98,7 +83,7 @@ fn check_reopen_persistence(
                 .write_page(PageId(page), &patterned_page(100 + page as u8))
                 .unwrap();
         }
-        // The store is dropped here — file handles and mappings close.
+        // The store is dropped here — its file handle closes.
     }
     let reopened = open(dir);
     assert_eq!(reopened.num_pages(), 5);
@@ -267,17 +252,7 @@ conformance!(
     })
 );
 
-#[cfg(feature = "mmap")]
-conformance!(
-    mmap,
-    |dir| Arc::new(ir_storage::MmapPageStore::create(dir.join("pages.bin")).unwrap()),
-    Some(|dir: &Path| {
-        Arc::new(ir_storage::MmapPageStore::open(dir.join("pages.bin")).unwrap())
-            as Arc<dyn PageStore>
-    })
-);
-
-/// Every persistent backend rejects files that are not (whole) page files
+/// The persistent backend rejects files that are not (whole) page files
 /// with a typed file-level corruption error — no panic, no misread.
 #[test]
 fn open_rejects_garbage_files() {
@@ -289,16 +264,6 @@ fn open_rejects_garbage_files() {
             matches!(err, IrError::Corruption { page: None, .. }),
             "file store, {what}: {err:?}"
         );
-        #[cfg(feature = "mmap")]
-        {
-            let err = ir_storage::MmapPageStore::open(path)
-                .map(|_| ())
-                .unwrap_err();
-            assert!(
-                matches!(err, IrError::Corruption { page: None, .. }),
-                "mmap store, {what}: {err:?}"
-            );
-        }
     }
 
     let dir = tempfile::tempdir().unwrap();
@@ -322,27 +287,4 @@ fn open_rejects_garbage_files() {
     bytes.truncate(bytes.len() - 1);
     std::fs::write(&store_path, &bytes).unwrap();
     assert_rejected(&store_path, "torn trailing frame");
-}
-
-/// The file formats are interchangeable: pages written by the positioned-
-/// read file store are served verbatim by the mmap store and vice versa —
-/// the backend choice is purely an access-path choice.
-#[cfg(feature = "mmap")]
-#[test]
-fn file_and_mmap_share_one_format() {
-    let dir = tempfile::tempdir().unwrap();
-    let path = dir.path().join("pages.bin");
-    {
-        let store = ir_storage::FilePageStore::create(&path).unwrap();
-        store.allocate(3).unwrap();
-        store.write_page(PageId(2), &patterned_page(9)).unwrap();
-    }
-    {
-        let store = ir_storage::MmapPageStore::open(&path).unwrap();
-        assert_eq!(store.num_pages(), 3);
-        assert_eq!(store.read_page(PageId(2)).unwrap(), patterned_page(9));
-        store.write_page(PageId(0), &patterned_page(4)).unwrap();
-    }
-    let store = ir_storage::FilePageStore::open(&path).unwrap();
-    assert_eq!(store.read_page(PageId(0)).unwrap(), patterned_page(4));
 }

@@ -5,8 +5,7 @@
 //! rejection of every flavour of file damage, and typed surfacing of
 //! injected device faults during open — instantiated for every backend the
 //! snapshot can serve from, so a snapshot reader cannot ship without
-//! honouring the exact same contract on mem, file and (with the `mmap`
-//! feature) mmap.
+//! honouring the exact same contract on mem and file.
 
 use ir_storage::page::{frame, PageId, PAGE_SIZE};
 use ir_storage::snapshot::{SNAPSHOT_FILE, SUPERHEADER_LEN};
@@ -36,21 +35,11 @@ fn synthetic_dataset() -> Dataset {
     builder.build()
 }
 
-/// The backends a snapshot can be served from in this build.
-fn backends() -> Vec<BackendKind> {
-    let mut kinds = vec![BackendKind::Mem, BackendKind::File];
-    if cfg!(feature = "mmap") {
-        kinds.push(BackendKind::Mmap);
-    }
-    kinds
-}
-
 /// Opens the snapshot in `dir` on the given backend kind.
 fn open_on(dir: &Path, kind: BackendKind) -> ir_types::IrResult<TopKIndex> {
     let backend = match kind {
         BackendKind::Mem => StorageBackend::Memory,
         BackendKind::File => StorageBackend::Disk(dir.to_path_buf()),
-        BackendKind::Mmap => StorageBackend::Mmap(dir.to_path_buf()),
     };
     IndexBuilder::new().backend(backend).open_snapshot(dir)
 }
@@ -95,7 +84,7 @@ fn saved_snapshot(dataset: &Dataset) -> (TopKIndex, tempfile::TempDir, PathBuf) 
 fn roundtrip_is_identical_on_every_backend() {
     let dataset = synthetic_dataset();
     let (oracle, root, _file) = saved_snapshot(&dataset);
-    for kind in backends() {
+    for kind in BackendKind::ALL {
         let opened = open_on(&root.path().join("snap"), kind).unwrap();
         assert_eq!(opened.backend_kind(), kind);
         check_identical(&oracle, &opened, &format!("backend {kind}"));
@@ -146,7 +135,7 @@ fn reseal_superheader(payload: &mut [u8]) {
 /// Asserts that opening the snapshot dir fails with a typed corruption
 /// whose detail mentions `phrase`, on every backend.
 fn assert_rejected(dir: &Path, phrase: &str, what: &str) {
-    for kind in backends() {
+    for kind in BackendKind::ALL {
         let err = open_on(dir, kind).map(|_| ()).unwrap_err();
         assert!(
             matches!(err, IrError::Corruption { .. }),
@@ -253,11 +242,10 @@ fn a_plain_page_file_is_not_a_snapshot() {
 fn armed_faults_during_open_surface_typed_errors() {
     let dataset = synthetic_dataset();
     let (_oracle, root, _file) = saved_snapshot(&dataset);
-    for kind in backends() {
+    for kind in BackendKind::ALL {
         let backend = match kind {
             BackendKind::Mem => StorageBackend::Memory,
             BackendKind::File => StorageBackend::Disk(root.path().join("snap")),
-            BackendKind::Mmap => StorageBackend::Mmap(root.path().join("snap")),
         };
         let err = IndexBuilder::new()
             .backend(backend)
@@ -305,7 +293,7 @@ fn a_failed_save_leaves_the_previous_snapshot_serving() {
         good_bytes,
         "a failed save must not touch the previous snapshot"
     );
-    for kind in backends() {
+    for kind in BackendKind::ALL {
         let reopened = open_on(&dir, kind).unwrap();
         check_identical(&oracle, &reopened, &format!("after a failed save, {kind}"));
     }

@@ -3,7 +3,7 @@
 //! Several layers need a tiny, dependency-free source of reproducible
 //! pseudo-randomness: the fault planner scatters transient read faults over
 //! an operation range, the subscription fleet shuffles its recompute order,
-//! and the cluster simulator jitters message delivery. All of them use the
+//! and the update-stream generator draws tuple mutations. All of them use the
 //! same MMIX linear congruential generator (Knuth's `a = 6364136223846793005`,
 //! `c = 1442695040888963407`); this module is the single home for it.
 //!
@@ -14,7 +14,7 @@
 //! * [`SeededLcg::scatter`] — the fault-plan convention: the state starts at
 //!   `seed * 0x5851_f42d_4c95_7f2d + 1` and draws are the raw 64-bit state
 //!   (consumers reduce with `% range`).
-//! * [`SeededLcg::mixed`] — the fleet/simulator convention: the state starts
+//! * [`SeededLcg::mixed`] — the fleet convention: the state starts
 //!   at `seed ^ 0x9E37_79B9_7F4A_7C15` (the golden-ratio constant, so that
 //!   nearby seeds such as consecutive sequence numbers diverge immediately)
 //!   and draws take the state's upper bits (`state >> 11`), which are the
@@ -50,8 +50,8 @@ impl SeededLcg {
         }
     }
 
-    /// The fleet/simulator seeding: XOR with the 64-bit golden-ratio
-    /// constant so that structured seeds (sequence numbers, shard ids)
+    /// The fleet seeding: XOR with the 64-bit golden-ratio constant so that
+    /// structured seeds (sequence numbers, nearby scheduler seeds)
     /// decorrelate. Draws pair with [`SeededLcg::next_mixed`].
     pub const fn mixed(seed: u64) -> Self {
         SeededLcg {
