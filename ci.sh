@@ -1,84 +1,34 @@
 #!/usr/bin/env bash
-# CI entry point for the immutable-regions workspace.
+# CI entry point for the immutable-regions workspace. Fully offline: every
+# dependency is a vendored path crate (see vendor/README.md).
 #
 # Stages:
 #   1. formatting        — cargo fmt --check
-#   2. lints             — cargo clippy, all targets, warnings are errors;
-#                          a clippy gate that denies unwrap/expect in the
-#                          non-test code of ir-storage and ir-core;
-#                          grep-asserts that every crate's lib.rs carries
-#                          forbid(unsafe_code), that no `unsafe` token
-#                          appears in code position anywhere under crates/,
-#                          and that ir-bench keeps no thread_local! stamping
-#                          cells
-#   3. tier-1 verify     — cargo build --release && cargo test -q (this
-#                          includes the chaos suite: seeded fault plans
-#                          against both backends and every thread count)
-#   4. api docs          — cargo doc --no-deps for all eight crates with
-#                          rustdoc warnings as errors, so the public API
-#                          (the IrEngine façade in particular) stays fully
-#                          documented; grep-asserts that the README links
-#                          ARCHITECTURE.md and that the doc anchors both
-#                          files promise (layer diagram, formats, update
-#                          flow, the Dynamic updates section) resolve
-#   5. example smoke     — every example and figure runner runs to
-#                          completion sequentially (mem backend)
-#   6. parallel smoke    — every figure runner again at --threads 2, so the
-#                          parallel execution layer is exercised in CI; the
-#                          table runners emit BENCH_<figure>.json series for
-#                          the backend matrix of stage 7 and the baseline
-#                          diff of stage 11
-#   7. backend matrix    — every figure runner with --backend file at
-#                          --threads 2; the emitted deterministic metrics
-#                          must match the mem-backend emissions of stage 6
-#                          *exactly* (bench_diff --exact; io/timing
-#                          counters that legitimately differ are never
-#                          compared); the policy stamps are asserted so a
-#                          backend-selection regression cannot make the
-#                          matrix pass vacuously
-#   8. snapshot matrix   — a figure runner served from a persisted index
-#                          snapshot (--snapshot-dir) under both backends
-#                          must emit *exactly* the built-index series
-#                          (bench_diff --exact), with the envelope's
-#                          cold-start stamp asserted ("cold_start":
-#                          {"source":"Snapshot") so a staging regression
-#                          cannot pass vacuously; the cold_start runner then
-#                          self-checks the snapshot's bring-up win
-#                          conditions (pages touched / bytes decoded, never
-#                          wall-clock)
-#   9. fleet service     — the fleet runner (a SubscriptionManager under a
-#                          deterministic drift stream) at smoke scale on the
-#                          mem and file backends; the runner self-checks the
-#                          serving economics (exit 1 on violation), the two
-#                          emissions must match *exactly* (bench_diff
-#                          --exact) with the policy stamps asserted, and
-#                          both are gated against the committed
-#                          bench_baselines/fleet/ baseline
-#  10. dynamic updates   — the dynamic runner (a subscription fleet under a
-#                          deterministic Zipf-popular tuple-update stream)
-#                          at smoke scale on the mem and file backends; the
-#                          runner self-checks the update model (survival
-#                          majority, maintenance I/O strictly below the
-#                          rebuild-per-batch I/O, incremental answers and
-#                          maintained region reports byte-identical to a
-#                          fresh engine on the mutated dataset; exit 1 on
-#                          violation), the two emissions must match
-#                          *exactly* (bench_diff --exact) with the policy
-#                          stamps asserted, and both are gated against the
-#                          committed bench_baselines/dynamic/ baseline
-#  11. bench baseline    — bench_diff compares the stage-6 series against
-#                          the committed bench_baselines/ (shape and the
-#                          deterministic metrics, never wall-clock)
-#  12. benchmark package — the standalone benchmark/ package (its own
-#                          workspace, path deps on these crates) builds and
-#                          passes its tests offline, so a public-API break
-#                          fails here and not in the bench pipeline
+#   2. lints             — clippy -D warnings on all targets; unwrap/expect
+#                          denied in non-test ir-storage and ir-core code;
+#                          every lib.rs forbids unsafe_code, no `unsafe`
+#                          token in code position under crates/, and no
+#                          thread_local! under crates/ir-bench/src
+#   3. tier-1 verify     — cargo build --release && cargo test -q (the
+#                          chaos suite included)
+#   4. api docs          — cargo doc --no-deps with rustdoc warnings as
+#                          errors, plus the README/ARCHITECTURE doc anchors
+#   5. example smoke     — every example and runner, sequential, mem
+#   6. parallel smoke    — every runner at --threads 2, emitting the
+#                          BENCH_<figure>.json series stages 7 and 9 diff
+#   7. backend matrix    — every runner on --backend file at --threads 2
+#                          must emit exactly the stage-6 series
+#                          (bench_diff --exact), policy stamps asserted
+#   8. snapshot matrix   — a figure served from a reopened snapshot on both
+#                          backends must emit exactly the built-index
+#                          series, cold-start stamp asserted
+#   9. bench baseline    — the stage-6 series against bench_baselines/
+#                          (shape and deterministic metrics, never timing)
+#  10. benchmark package — the standalone benchmark/ workspace builds and
+#                          passes its tests offline
 #
-# Per-stage wall-clock timings are collected and echoed as a summary table
-# at the end, so slow stages are visible at a glance in CI logs.
-#
-# Everything is offline: all dependencies are vendored path crates (see
-# vendor/README.md), so this script works without network access.
+# A per-stage wall-clock table is printed at the end. Scratch directories
+# come from `mktemp -d`; set TMPDIR to keep them out of /tmp.
 
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -107,11 +57,11 @@ RUNNER_BINS=("figure06_partitions --" "figures -- figure10_wsj_qlen"
     "figures -- figure15_oneoff_vs_iterative"
     "figures -- figure16_composition_only" "ablation_design_choices --")
 
-begin_stage "1/12 cargo fmt --check"
+begin_stage "1/10 cargo fmt --check"
 cargo fmt --all --check
 end_stage
 
-begin_stage "2/12 lints: clippy, unwrap/expect gate, no-unsafe + layering asserts"
+begin_stage "2/10 lints: clippy, unwrap/expect gate, no-unsafe + layering asserts"
 cargo clippy --workspace --all-targets -- -D warnings
 # Non-test code in the storage and compute layers must not panic on
 # fallible paths: deny unwrap/expect outright (tests keep using them).
@@ -141,12 +91,12 @@ fi
 echo "no-unsafe and layering assertions hold"
 end_stage
 
-begin_stage "3/12 tier-1: cargo build --release && cargo test -q"
+begin_stage "3/10 tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 end_stage
 
-begin_stage "4/12 cargo doc --no-deps (rustdoc warnings are errors) + doc anchors"
+begin_stage "4/10 cargo doc --no-deps (rustdoc warnings are errors) + doc anchors"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
     -p ir-types -p ir-storage -p ir-geometry -p ir-topk -p ir-core \
     -p ir-datagen -p ir-bench -p immutable-regions
@@ -168,22 +118,16 @@ done
 echo "doc anchors resolve"
 end_stage
 
-emit_dir_t2="$(mktemp -d)"
-emit_dir_file_t2="$(mktemp -d)"
-snap_root="$(mktemp -d)"
-snap_built="$(mktemp -d)"
-snap_mem="$(mktemp -d)"
-snap_file="$(mktemp -d)"
-cold_dir="$(mktemp -d)"
-fleet_mem="$(mktemp -d)"
-fleet_file="$(mktemp -d)"
-dynamic_mem="$(mktemp -d)"
-dynamic_file="$(mktemp -d)"
-trap 'rm -rf "$emit_dir_t2" "$emit_dir_file_t2" "$snap_root" "$snap_built" \
-    "$snap_mem" "$snap_file" "$cold_dir" "$fleet_mem" "$fleet_file" \
-    "$dynamic_mem" "$dynamic_file"' EXIT
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+emit_dir_t2="$work/emit-t2"
+emit_dir_file_t2="$work/emit-file-t2"
+snap_root="$work/snap-root"
+snap_built="$work/snap-built"
+snap_mem="$work/snap-mem"
+snap_file="$work/snap-file"
 
-begin_stage "5/12 example + figure-runner smoke loop (sequential, mem)"
+begin_stage "5/10 example + figure-runner smoke loop (sequential, mem)"
 for example in quickstart document_retrieval hotel_sensitivity weight_tuning; do
     printf -- '--- example: %s\n' "$example"
     cargo run --release -q -p immutable-regions --example "$example" >/dev/null
@@ -197,7 +141,7 @@ for figure_bin in "${RUNNER_BINS[@]}"; do
 done
 end_stage
 
-begin_stage "6/12 figure runners at --threads 2 (parallel path) + JSON emission"
+begin_stage "6/10 figure runners at --threads 2 (parallel path) + JSON emission"
 for figure_bin in "${RUNNER_BINS[@]}"; do
     printf -- '--- figure runner (threads=2): %s\n' "$figure_bin"
     # shellcheck disable=SC2086
@@ -206,7 +150,7 @@ for figure_bin in "${RUNNER_BINS[@]}"; do
 done
 end_stage
 
-begin_stage "7/12 backend matrix: file at --threads 2"
+begin_stage "7/10 backend matrix: file at --threads 2"
 for figure_bin in "${RUNNER_BINS[@]}"; do
     printf -- '--- figure runner (file, threads=2): %s\n' "$figure_bin"
     # shellcheck disable=SC2086
@@ -228,7 +172,7 @@ cargo run --release -q -p ir-bench --bin bench_diff -- \
     --exact "$emit_dir_t2" "$emit_dir_file_t2"
 end_stage
 
-begin_stage "8/12 snapshot matrix: save/reopen under both backends + exact diff"
+begin_stage "8/10 snapshot matrix: save/reopen under both backends + exact diff"
 # Built-index oracle emission for the representative figure (mem, threads 2).
 IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --bin figures -- \
     figure11_st_qlen --threads 2 --emit-json "$snap_built" >/dev/null
@@ -250,76 +194,14 @@ for d in "$snap_mem" "$snap_file"; do
     grep -q '},"cold_start":{"source":"Snapshot"' "$d"/BENCH_*.json ||
         { echo "FAIL: $d was not served from a snapshot" >&2; exit 1; }
 done
-# The dedicated cold-start runner exits non-zero unless the snapshot open
-# beats the build on the deterministic work metrics (bytes decoded on both
-# backends, pages touched on file).
-printf -- '--- cold_start runner\n'
-IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --bin cold_start -- \
-    --emit-json "$cold_dir"
-grep -q '},"cold_start":{"source":"Snapshot"' "$cold_dir"/BENCH_coldstart.json ||
-    { echo "FAIL: BENCH_coldstart.json carries no snapshot stamp" >&2; exit 1; }
 end_stage
 
-begin_stage "9/12 fleet service: drift-stream serving on mem + file backends"
-# The fleet runner is self-checking (every event answered exactly once, the
-# in-region majority served locally, batches bounded) and exits non-zero on
-# any violation.
-printf -- '--- fleet runner (mem, threads=1)\n'
-IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --bin fleet -- \
-    --emit-json "$fleet_mem" >/dev/null
-printf -- '--- fleet runner (file, threads=2)\n'
-IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --bin fleet -- \
-    --backend file --threads 2 --emit-json "$fleet_file" >/dev/null
-# The serving trace is deterministic, so the two emissions must agree
-# exactly; the policy stamps prove both backends actually ran (a
-# backend-selection regression would otherwise pass vacuously).
-grep -q '"backend":"Mem"' "$fleet_mem"/BENCH_fleet.json ||
-    { echo "FAIL: fleet emission was not served by the mem backend" >&2; exit 1; }
-grep -q '"backend":"File"' "$fleet_file"/BENCH_fleet.json ||
-    { echo "FAIL: fleet emission was not served by the file backend" >&2; exit 1; }
-cargo run --release -q -p ir-bench --bin bench_diff -- \
-    --exact "$fleet_mem" "$fleet_file"
-# And both must match the committed fleet baseline (kept in its own
-# subdirectory so the figure-runner baseline stages stay fleet-free).
-cargo run --release -q -p ir-bench --bin bench_diff -- \
-    bench_baselines/fleet "$fleet_mem"
-cargo run --release -q -p ir-bench --bin bench_diff -- \
-    bench_baselines/fleet "$fleet_file"
-end_stage
-
-begin_stage "10/12 dynamic updates: fleet under tuple churn on mem + file backends"
-# The dynamic runner is self-checking (most regions survive each update
-# batch, maintenance I/O strictly below the rebuild-per-batch I/O, every
-# incremental answer and maintained region report byte-identical to a
-# fresh engine on the mutated dataset) and exits non-zero on any violation.
-printf -- '--- dynamic runner (mem, threads=1)\n'
-IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --bin dynamic -- \
-    --emit-json "$dynamic_mem"
-printf -- '--- dynamic runner (file, threads=2)\n'
-IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --bin dynamic -- \
-    --backend file --threads 2 --emit-json "$dynamic_file" >/dev/null
-# The maintenance trace is deterministic, so the two emissions must agree
-# exactly; the policy stamps prove both backends actually ran (a
-# backend-selection regression would otherwise pass vacuously).
-grep -q '"backend":"Mem"' "$dynamic_mem"/BENCH_dynamic.json ||
-    { echo "FAIL: dynamic emission was not served by the mem backend" >&2; exit 1; }
-grep -q '"backend":"File"' "$dynamic_file"/BENCH_dynamic.json ||
-    { echo "FAIL: dynamic emission was not served by the file backend" >&2; exit 1; }
-cargo run --release -q -p ir-bench --bin bench_diff -- \
-    --exact "$dynamic_mem" "$dynamic_file"
-# And both must match the committed dynamic baseline exactly.
-cargo run --release -q -p ir-bench --bin bench_diff -- \
-    --exact bench_baselines/dynamic "$dynamic_mem"
-cargo run --release -q -p ir-bench --bin bench_diff -- \
-    --exact bench_baselines/dynamic "$dynamic_file"
-end_stage
-
-begin_stage "11/12 bench_diff against committed baseline"
+begin_stage "9/10 bench_diff against committed baseline"
 cargo run --release -q -p ir-bench --bin bench_diff -- \
     bench_baselines "$emit_dir_t2"
 end_stage
 
-begin_stage "12/12 benchmark package builds and tests offline"
+begin_stage "10/10 benchmark package builds and tests offline"
 # benchmark/ is its own workspace with path deps on these crates and is not
 # covered by any cargo invocation above.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml

@@ -181,8 +181,7 @@ impl IrEngine {
     }
 
     /// How this engine's index came up (built vs snapshot-opened) and what
-    /// deterministic work that cost — the numbers
-    /// `BENCH_coldstart.json` compares across sources and backends.
+    /// deterministic work that cost.
     pub fn cold_start_info(&self) -> ColdStartInfo {
         self.index.cold_start_info()
     }

@@ -11,9 +11,7 @@
 //!   one [`FleetAnswer`] per event — either served locally from the
 //!   cached region report or recomputed in a batch.
 //! * Region-exiting events are queued as pending recompute jobs and
-//!   flushed through [`IrEngine::query_batch`] in chunks, ordered by a
-//!   heat-weighted scheduler (see below) so hot subscriptions re-anchor
-//!   first.
+//!   flushed through [`IrEngine::query_batch`] in event-order chunks.
 //! * Every flush and local answer is counted in the manager's
 //!   [`FleetStats`] — the one home of the fleet's counters.
 //!
@@ -28,22 +26,9 @@
 //! result. The fleet oracle test (`tests/fleet_oracle.rs`) proves exactly
 //! this equivalence for every served answer.
 //!
-//! Recompute batches may be *scheduled* out of event order, but
-//! re-anchoring is applied in event-sequence order per subscription
-//! (last event wins), so the manager's end state is independent of the
-//! schedule.
-//!
-//! # The heat scheduler
-//!
-//! Pending jobs are drawn without replacement with probability
-//! proportional to their subscription's heat (drift events seen so far),
-//! using the weighted-ranges candidate-list idiom: each job owns a
-//! half-open range of the cumulative weight space, a seeded draw binary-
-//! searches the ranges, drawn jobs are marked for deletion in place, and
-//! the list is incrementally rebuilt (`rebalanced`) only once enough
-//! marked entries accumulate. Draws use an inline LCG seeded from
-//! [`FleetConfig::scheduler_seed`], so the schedule — and therefore the
-//! whole serving trace — is deterministic.
+//! Recompute jobs are queued and flushed in event-sequence order, so a
+//! subscription hit twice is left anchored at its latest weights (last
+//! event wins), and the whole serving trace is deterministic.
 //!
 //! # Dynamic data
 //!
@@ -66,7 +51,7 @@ use crate::engine::{immutable_under, EngineError, EngineResult, IrEngine};
 use ir_core::{batch_impact, RegionReport};
 use ir_datagen::DriftEvent;
 use ir_storage::AppliedUpdate;
-use ir_types::{QueryVector, SeededLcg, TupleId, TupleUpdate};
+use ir_types::{QueryVector, TupleId, TupleUpdate};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -77,16 +62,11 @@ pub struct FleetConfig {
     /// [`IrEngine::query_batch`] once this many accumulate, and flushed
     /// batches never exceed it. Must be at least 1.
     pub max_batch: usize,
-    /// Seed of the heat scheduler's deterministic draw sequence.
-    pub scheduler_seed: u64,
 }
 
 impl Default for FleetConfig {
     fn default() -> Self {
-        FleetConfig {
-            max_batch: 32,
-            scheduler_seed: 0xF1EE7,
-        }
+        FleetConfig { max_batch: 32 }
     }
 }
 
@@ -159,10 +139,8 @@ struct FleetEntry {
     result: Vec<TupleId>,
     /// Cached region report at the anchor.
     report: RegionReport,
-    /// Drift events seen — the scheduler's priority weight.
-    heat: u64,
-    /// Highest event sequence already re-anchored, so out-of-schedule
-    /// batch results can never roll an entry backwards.
+    /// Highest event sequence already re-anchored, so a re-anchor can
+    /// never roll an entry backwards.
     last_applied_seq: Option<u64>,
     /// Set when an update batch punctured the cached report (or screening
     /// could not prove survival). A stale report predates the mutation, so
@@ -203,11 +181,6 @@ impl FleetMember<'_> {
     /// The cached region report at the anchor.
     pub fn report(&self) -> &RegionReport {
         &self.entry.report
-    }
-
-    /// Drift events this subscription has seen.
-    pub fn heat(&self) -> u64 {
-        self.entry.heat
     }
 
     /// True while an update batch has punctured the cached report and its
@@ -377,7 +350,6 @@ impl SubscriptionManager {
                         current: query.clone(),
                         result: report.current_result().to_vec(),
                         report,
-                        heat: 0,
                         last_applied_seq: None,
                         stale: false,
                         cache_hits: 0,
@@ -394,7 +366,7 @@ impl SubscriptionManager {
     /// sequence order.
     ///
     /// The in-region majority is answered locally; region exits queue a
-    /// recompute job, flushed in heat-ordered batches whenever
+    /// recompute job, flushed in event-order batches whenever
     /// [`FleetConfig::max_batch`] jobs accumulate and once more at the
     /// end. On error (an unknown subscription id, a storage fault during
     /// a flush) the manager stays serviceable: untouched subscriptions
@@ -412,7 +384,6 @@ impl SubscriptionManager {
             let seq = self.next_seq;
             self.next_seq += 1;
             self.stats.events += 1;
-            entry.heat += 1;
             entry.current = entry.current.with_weight_shift(event.dim, event.delta)?;
 
             // A stale entry's report predates a mutation of the index:
@@ -522,53 +493,26 @@ impl SubscriptionManager {
         answers
     }
 
-    /// Runs every pending job through the engine in heat-ordered batches.
-    /// On a batch failure the failed chunk and everything after it go back
-    /// to the pending queue; chunks that already succeeded stay applied
-    /// (their answers are buffered in `ready`).
+    /// Runs every pending job through the engine in event-order batches.
+    /// On a batch failure the failed chunk and everything after it stay
+    /// pending; chunks that already succeeded stay applied (their answers
+    /// are buffered in `ready`).
     fn flush_pending(&mut self) -> EngineResult<()> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        let jobs = std::mem::take(&mut self.pending);
-        let mut order = self.schedule(&jobs);
-
-        while !order.is_empty() {
-            let chunk: Vec<usize> = order
-                .drain(..self.config.max_batch.min(order.len()))
+        // Jobs are pushed in sequence order, so each chunk is applied in
+        // event order and a subscription hit twice is left anchored at its
+        // latest weights.
+        while !self.pending.is_empty() {
+            let n = self.config.max_batch.min(self.pending.len());
+            let queries: Vec<QueryVector> = self.pending[..n]
+                .iter()
+                .map(|job| job.weights.clone())
                 .collect();
-            let queries: Vec<QueryVector> =
-                chunk.iter().map(|&i| jobs[i].weights.clone()).collect();
-            let reports = match self.engine.query_batch(&queries) {
-                Ok(reports) => reports,
-                Err(err) => {
-                    // Re-queue the failed chunk and every undrawn job, in
-                    // event order, so a retry flush serves them all.
-                    let mut back: Vec<PendingJob> = chunk
-                        .into_iter()
-                        .chain(order)
-                        .map(|i| &jobs[i])
-                        .map(|job| PendingJob {
-                            seq: job.seq,
-                            sub: job.sub,
-                            weights: job.weights.clone(),
-                            kind: job.kind,
-                        })
-                        .collect();
-                    back.sort_by_key(|job| job.seq);
-                    self.pending = back;
-                    return Err(err);
-                }
-            };
+            let reports = self.engine.query_batch(&queries)?;
 
             self.stats.batches += 1;
             self.stats.largest_batch = self.stats.largest_batch.max(reports.len() as u64);
-            // Apply in event order within the chunk so a subscription hit
-            // twice is left anchored at its latest weights.
-            let mut applied: Vec<(usize, RegionReport)> = chunk.into_iter().zip(reports).collect();
-            applied.sort_by_key(|(i, _)| jobs[*i].seq);
-            for (i, report) in applied {
-                let job = &jobs[i];
+            let chunk: Vec<PendingJob> = self.pending.drain(..n).collect();
+            for (job, report) in chunk.into_iter().zip(reports) {
                 let entry = self
                     .entries
                     .get_mut(&job.sub)
@@ -580,7 +524,7 @@ impl SubscriptionManager {
                     self.stats.recomputes += 1;
                 }
                 if entry.last_applied_seq.map_or(true, |last| job.seq > last) {
-                    entry.anchor = job.weights.clone();
+                    entry.anchor = job.weights;
                     entry.result = result.clone();
                     entry.report = report;
                     entry.last_applied_seq = Some(job.seq);
@@ -600,108 +544,6 @@ impl SubscriptionManager {
             }
         }
         Ok(())
-    }
-
-    /// Orders pending job indices hot-first with the weighted candidate-
-    /// list scheduler (see the [module docs](self)).
-    fn schedule(&self, jobs: &[PendingJob]) -> Vec<usize> {
-        if jobs.len() <= 1 {
-            return (0..jobs.len()).collect();
-        }
-        let heat = |job: &PendingJob| self.entries[&job.sub].heat + 1;
-        let mut list = CandidateList::new(jobs.iter().map(heat));
-        let mut rng = SeededLcg::mixed(self.config.scheduler_seed ^ jobs[0].seq);
-        let mut order = Vec::with_capacity(jobs.len());
-        while order.len() < jobs.len() {
-            order.push(list.draw(&mut rng));
-        }
-        order
-    }
-}
-
-/// Weighted sampling without replacement over pending jobs — the
-/// candidate-list idiom: cumulative weight ranges, binary-searched draws,
-/// mark-for-deletion, and an incremental `rebalanced` rebuild once marked
-/// entries dominate.
-struct Candidate {
-    index: usize,
-    start: u64,
-    end: u64,
-    is_marked_for_deletion: bool,
-}
-
-struct CandidateList {
-    candidates: Vec<Candidate>,
-    total_weight: u64,
-    marked: usize,
-}
-
-impl CandidateList {
-    fn new(weights: impl Iterator<Item = u64>) -> Self {
-        let mut candidates = Vec::new();
-        let mut total_weight = 0u64;
-        for (index, w) in weights.enumerate() {
-            let start = total_weight;
-            total_weight += w.max(1);
-            candidates.push(Candidate {
-                index,
-                start,
-                end: total_weight,
-                is_marked_for_deletion: false,
-            });
-        }
-        CandidateList {
-            candidates,
-            total_weight,
-            marked: 0,
-        }
-    }
-
-    /// Rebuilds the list without the marked entries, compacting the
-    /// cumulative weight space.
-    fn rebalanced(&self) -> Self {
-        let mut candidates = Vec::with_capacity(self.candidates.len() - self.marked);
-        let mut total_weight = 0u64;
-        for c in self.candidates.iter().filter(|c| !c.is_marked_for_deletion) {
-            let w = c.end - c.start;
-            candidates.push(Candidate {
-                index: c.index,
-                start: total_weight,
-                end: total_weight + w,
-                is_marked_for_deletion: false,
-            });
-            total_weight += w;
-        }
-        CandidateList {
-            candidates,
-            total_weight,
-            marked: 0,
-        }
-    }
-
-    /// Index of the candidate whose range contains `r`.
-    fn find(&self, r: u64) -> usize {
-        self.candidates
-            .partition_point(|c| c.end <= r)
-            .min(self.candidates.len() - 1)
-    }
-
-    /// Draws one unmarked candidate, marking it; rebalances once marked
-    /// entries reach half the list.
-    fn draw(&mut self, rng: &mut SeededLcg) -> usize {
-        loop {
-            if self.marked * 2 >= self.candidates.len() {
-                *self = self.rebalanced();
-            }
-            let r = rng.next_mixed() % self.total_weight.max(1);
-            let pos = self.find(r);
-            let c = &mut self.candidates[pos];
-            if !c.is_marked_for_deletion {
-                c.is_marked_for_deletion = true;
-                self.marked += 1;
-                return c.index;
-            }
-        }
     }
 }
 
@@ -746,14 +588,7 @@ mod tests {
     #[test]
     fn fleet_serves_a_drift_stream_end_to_end() {
         let engine = engine();
-        let mut manager = SubscriptionManager::new(
-            &engine,
-            FleetConfig {
-                max_batch: 4,
-                ..FleetConfig::default()
-            },
-        )
-        .unwrap();
+        let mut manager = SubscriptionManager::new(&engine, FleetConfig { max_batch: 4 }).unwrap();
         let fleet = fleet_queries(8, 4);
         manager.admit_all(fleet.clone()).unwrap();
         assert_eq!(manager.len(), 8);
@@ -789,8 +624,6 @@ mod tests {
         let refreshes: u64 = manager.members().map(|m| m.refreshes()).sum();
         assert_eq!(hits, stats.local_answers);
         assert_eq!(refreshes, stats.recomputes);
-        let heat: u64 = manager.members().map(|m| m.heat()).sum();
-        assert_eq!(heat, stats.events);
     }
 
     #[test]
@@ -810,13 +643,7 @@ mod tests {
     fn bad_fleet_configuration_is_a_typed_policy_error() {
         let engine = engine();
         assert!(matches!(
-            SubscriptionManager::new(
-                &engine,
-                FleetConfig {
-                    max_batch: 0,
-                    ..FleetConfig::default()
-                }
-            ),
+            SubscriptionManager::new(&engine, FleetConfig { max_batch: 0 }),
             Err(EngineError::Policy(_))
         ));
 
@@ -921,14 +748,7 @@ mod tests {
             .unwrap();
         let injector = engine.index().fault_injector().unwrap();
         injector.disarm();
-        let mut manager = SubscriptionManager::new(
-            &engine,
-            FleetConfig {
-                max_batch: 2,
-                ..FleetConfig::default()
-            },
-        )
-        .unwrap();
+        let mut manager = SubscriptionManager::new(&engine, FleetConfig { max_batch: 2 }).unwrap();
         let fleet = fleet_queries(4, 4);
         manager.admit_all(fleet.clone()).unwrap();
 
@@ -1094,28 +914,5 @@ mod tests {
         assert_eq!(again[0].kind, AnswerKind::Local);
         let stats = manager.stats();
         assert_eq!(stats.local_answers + stats.recomputes, stats.events);
-    }
-
-    #[test]
-    fn candidate_list_draws_every_index_once_hot_first_in_expectation() {
-        let weights = [1u64, 1, 1, 1000, 1, 1, 1, 1];
-        let mut first_draws = Vec::new();
-        for seed in 0..32 {
-            let mut list = CandidateList::new(weights.iter().copied());
-            let mut rng = SeededLcg::mixed(seed);
-            let mut drawn = Vec::new();
-            for _ in 0..weights.len() {
-                drawn.push(list.draw(&mut rng));
-            }
-            first_draws.push(drawn[0]);
-            let mut sorted = drawn.clone();
-            sorted.sort_unstable();
-            assert_eq!(sorted, (0..weights.len()).collect::<Vec<_>>());
-        }
-        let hot_first = first_draws.iter().filter(|&&i| i == 3).count();
-        assert!(
-            hot_first >= 28,
-            "the dominant weight should win almost every opening draw, won {hot_first}/32"
-        );
     }
 }

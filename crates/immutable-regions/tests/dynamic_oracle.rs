@@ -251,7 +251,7 @@ proptest! {
         let engine = engine_on(&base, BackendKind::Mem, RegionConfig::default(), threads);
         let mut manager = SubscriptionManager::new(
             &engine,
-            FleetConfig { max_batch: 4, ..FleetConfig::default() },
+            FleetConfig { max_batch: 4 },
         ).unwrap();
         manager.admit_all(fleet.clone()).unwrap();
 

@@ -128,7 +128,7 @@ proptest! {
         let engine = build_engine("mem", threads, None);
         let mut manager = SubscriptionManager::new(
             &engine,
-            FleetConfig { max_batch: 4, ..FleetConfig::default() },
+            FleetConfig { max_batch: 4 },
         ).unwrap();
         manager.admit_all(fleet.clone()).unwrap();
 
@@ -181,7 +181,7 @@ proptest! {
         injector.disarm();
         let mut manager = SubscriptionManager::new(
             &engine,
-            FleetConfig { max_batch: 4, ..FleetConfig::default() },
+            FleetConfig { max_batch: 4 },
         ).unwrap();
         manager.admit_all(fleet.clone()).unwrap();
 

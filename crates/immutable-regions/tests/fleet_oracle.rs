@@ -86,14 +86,8 @@ fn every_fleet_answer_matches_a_fresh_recompute() {
         for backend in BACKENDS {
             for threads in [1usize, 2, 8] {
                 let engine = build_engine(backend, threads, algorithm);
-                let mut manager = SubscriptionManager::new(
-                    &engine,
-                    FleetConfig {
-                        max_batch: 5,
-                        ..FleetConfig::default()
-                    },
-                )
-                .unwrap();
+                let mut manager =
+                    SubscriptionManager::new(&engine, FleetConfig { max_batch: 5 }).unwrap();
                 manager.admit_all(fleet.clone()).unwrap();
 
                 let answers = manager.ingest(stream.events()).unwrap();

@@ -215,7 +215,7 @@ fn main() -> EngineResult<()> {
             }
         }
         print_table(&table);
-        args.emit_with(series_id, &table, flavour(RegionConfig::default()))?;
+        args.emit(series_id, &table, flavour(RegionConfig::default()))?;
     }
     args.report_wall_clock(started);
     Ok(())

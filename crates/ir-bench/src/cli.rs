@@ -54,7 +54,7 @@ use std::time::Instant;
 /// on. (On Windows, where an open file cannot be unlinked, the scratch
 /// directory may simply outlive the run in `%TEMP%`; the harness targets
 /// Unix.)
-pub fn materialize_backend(
+pub(crate) fn materialize_backend(
     kind: BackendKind,
 ) -> IrResult<(StorageBackend, Option<tempfile::TempDir>)> {
     match kind {
@@ -180,14 +180,15 @@ impl BenchArgs {
     }
 
     /// Materializes the parsed backend kind as a concrete
-    /// [`StorageBackend`] (see [`materialize_backend`]).
+    /// [`StorageBackend`]; the file backend gets a scratch page directory
+    /// whose guard must be held until the engine is built.
     pub fn storage_backend(&self) -> IrResult<(StorageBackend, Option<tempfile::TempDir>)> {
         materialize_backend(self.backend)
     }
 
     /// The engine-policy template stamped into emitted `BENCH_<figure>.json`
     /// files: `config` is the figure's serving template (see
-    /// [`BenchArgs::emit_with`]; the per-series algorithm and the figure's
+    /// [`BenchArgs::emit`]; the per-series algorithm and the figure's
     /// x-axis parameter override it row by row), `threads` is the parsed
     /// worker count, `backend` the parsed storage backend and `fault_plan`
     /// the loaded chaos plan (`null` for ordinary runs, keeping the
@@ -201,12 +202,6 @@ impl BenchArgs {
         }
     }
 
-    /// [`BenchArgs::emit_with`] with the default region configuration as the
-    /// figure's template.
-    pub fn emit(&self, figure: &str, table: &ExperimentTable) -> IrResult<()> {
-        self.emit_with(figure, table, RegionConfig::default())
-    }
-
     /// Writes `table` as `BENCH_<figure>.json` into the emission directory
     /// (a no-op when `--emit-json` was not given), stamping the policy
     /// metadata with `config` — the figure's serving template. Pass the
@@ -214,7 +209,7 @@ impl BenchArgs {
     /// 16); the per-series algorithm and the swept x-axis parameter are
     /// recorded in the series themselves. The cold-start stamp of the
     /// envelope comes from the table itself.
-    pub fn emit_with(
+    pub fn emit(
         &self,
         figure: &str,
         table: &ExperimentTable,

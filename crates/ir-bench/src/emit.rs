@@ -66,7 +66,7 @@ pub fn table_to_series(
 }
 
 /// The canonical file name of a figure's series.
-pub fn bench_file_name(figure: &str) -> String {
+fn bench_file_name(figure: &str) -> String {
     format!("BENCH_{figure}.json")
 }
 

@@ -21,9 +21,7 @@
 //! `bench_diff` binary) and `--snapshot-dir DIR` (serve the figure from a persisted index snapshot
 //! reopened zero-copy instead of a freshly built index; deterministic
 //! output is identical, and the emitted series envelope's `cold_start`
-//! stamp records the provenance). See [`cli`] and [`emit`]. The `cold_start`
-//! runner compares the deterministic bring-up work (pages touched, bytes
-//! decoded) of the built and snapshot paths per backend.
+//! stamp records the provenance). See [`cli`] and [`emit`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +32,7 @@ pub mod metrics;
 pub mod runner;
 pub mod workloads;
 
-pub use cli::{materialize_backend, BenchArgs};
+pub use cli::BenchArgs;
 pub use emit::{
     compare_figures, compare_figures_with_tolerance, read_figure, table_to_series, write_figure,
     FigureSeries,
@@ -43,4 +41,4 @@ pub use metrics::{MethodMeasurement, MethodSeries};
 pub use runner::{
     measure_iterative, measure_method, measure_method_threaded, print_table, ExperimentTable,
 };
-pub use workloads::{BenchDataset, Scale, StagedSnapshotDir};
+pub use workloads::{BenchDataset, Scale};

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Unix the removal is safe even while a file engine still serves from
 /// the directory: the page store holds its descriptor to the
 /// then-unlinked snapshot file.
-pub struct StagedSnapshotDir {
+pub(crate) struct StagedSnapshotDir {
     path: PathBuf,
 }
 
@@ -188,7 +188,7 @@ impl BenchDataset {
     /// [`IrEngine`] with `threads` batch workers on the requested storage
     /// backend — the front door every figure runner serves its workload
     /// through. The file backend builds onto a scratch page directory
-    /// (see [`crate::cli::materialize_backend`]).
+    /// (see [`crate::BenchArgs::storage_backend`]).
     pub fn prepare_engine(
         &self,
         scale: Scale,

@@ -9,7 +9,7 @@
 //! * **Zipf-popular targets** — the subscription hit by each event is
 //!   drawn from a [`ZipfSampler`] over the fleet (fleet order is
 //!   popularity rank), so a hot head of subscriptions absorbs most of the
-//!   traffic, exactly the skew the fleet scheduler must cope with.
+//!   traffic, exactly the skew a subscription fleet must cope with.
 //! * **Seeded per-dim deltas** — each event perturbs one of the
 //!   subscription's *original* query dimensions by a small signed delta,
 //!   with every `large_every`-th event on a subscription taking a large

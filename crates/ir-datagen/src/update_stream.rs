@@ -21,8 +21,8 @@
 //!   to zero. Every emitted stream therefore replays cleanly through
 //!   [`Dataset::with_updates`], an engine's `apply_updates`, or both.
 //! * **Shared seeding** — all draws come from one
-//!   [`ir_types::SeededLcg`] in its `mixed` convention (the fleet
-//!   scheduler's), so a `(dataset, config, seed)` triple pins the stream
+//!   [`ir_types::SeededLcg`] in its `mixed` convention, so a
+//!   `(dataset, config, seed)` triple pins the stream
 //!   bit-for-bit on every platform.
 
 use crate::zipf::ZipfSampler;

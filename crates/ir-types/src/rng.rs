@@ -14,7 +14,7 @@
 //! * [`SeededLcg::scatter`] — the fault-plan convention: the state starts at
 //!   `seed * 0x5851_f42d_4c95_7f2d + 1` and draws are the raw 64-bit state
 //!   (consumers reduce with `% range`).
-//! * [`SeededLcg::mixed`] — the fleet convention: the state starts
+//! * [`SeededLcg::mixed`] — the stream convention: the state starts
 //!   at `seed ^ 0x9E37_79B9_7F4A_7C15` (the golden-ratio constant, so that
 //!   nearby seeds such as consecutive sequence numbers diverge immediately)
 //!   and draws take the state's upper bits (`state >> 11`), which are the
@@ -50,9 +50,9 @@ impl SeededLcg {
         }
     }
 
-    /// The fleet seeding: XOR with the 64-bit golden-ratio constant so that
-    /// structured seeds (sequence numbers, nearby scheduler seeds)
-    /// decorrelate. Draws pair with [`SeededLcg::next_mixed`].
+    /// The stream seeding: XOR with the 64-bit golden-ratio constant so
+    /// that structured seeds (sequence numbers, nearby seeds) decorrelate.
+    /// Draws pair with [`SeededLcg::next_mixed`].
     pub const fn mixed(seed: u64) -> Self {
         SeededLcg {
             state: seed ^ 0x9E37_79B9_7F4A_7C15,
