@@ -25,7 +25,9 @@
 #   9. bench baseline    — the stage-6 series against bench_baselines/
 #                          (shape and deterministic metrics, never timing)
 #  10. benchmark package — the standalone benchmark/ workspace builds and
-#                          passes its tests offline
+#                          passes its tests offline, then runs its smoke
+#                          suite (every workload's oracle check and every
+#                          BENCHMARK.json metric) on that same build
 #
 # A per-stage wall-clock table is printed at the end. Scratch directories
 # come from `mktemp -d`; set TMPDIR to keep them out of /tmp.
@@ -201,11 +203,15 @@ cargo run --release -q -p ir-bench --bin bench_diff -- \
     bench_baselines "$emit_dir_t2"
 end_stage
 
-begin_stage "10/10 benchmark package builds and tests offline"
+begin_stage "10/10 benchmark package: build, tests, smoke run"
 # benchmark/ is its own workspace with path deps on these crates and is not
 # covered by any cargo invocation above.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+# run.sh builds into the same target directory, so this reuses the build
+# above. It exits non-zero when a workload fails its oracle check or a
+# metric named in BENCHMARK.json is missing.
+bash benchmark/run.sh --smoke >/dev/null
 end_stage
 
 printf '\n=== stage timing summary ===\n'

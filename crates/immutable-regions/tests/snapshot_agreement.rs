@@ -13,7 +13,9 @@
 
 use immutable_regions::engine::{EngineError, IrEngine};
 use immutable_regions::prelude::*;
-use ir_storage::{BackendKind, ColdStartSource, FaultPlan, StorageBackend};
+use ir_storage::page::{frame, PAGE_SIZE};
+use ir_storage::snapshot::SNAPSHOT_FILE;
+use ir_storage::{fnv1a64, BackendKind, ColdStartSource, FaultPlan, StorageBackend};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::path::Path;
@@ -206,6 +208,48 @@ fn armed_faults_during_snapshot_open_never_panic() {
         assert!(
             message.contains("injected") && message.contains("snap"),
             "{kind}: `{message}` must name both the fault and the directory"
+        );
+    }
+}
+
+/// A snapshot saved under frame format version 1 — its header says 1 and
+/// every frame is sealed with FNV-1a-64 — is refused by the engine as a
+/// typed snapshot-open error on every backend.
+#[test]
+fn a_frame_version_1_snapshot_is_rejected_typed() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x5AFE_0001);
+    let dataset = random_dataset(&mut rng, 60, 4);
+    let engine = IrEngine::builder().dataset_ref(&dataset).build().unwrap();
+    let dir = tempfile::tempdir().unwrap();
+    let snap = dir.path().join("snap");
+    engine.save_snapshot(&snap).unwrap();
+
+    let file = snap.join(SNAPSHOT_FILE);
+    let mut bytes = std::fs::read(&file).unwrap();
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    for start in (frame::HEADER_LEN..bytes.len()).step_by(frame::FRAME_LEN) {
+        let (payload, trailer) = bytes[start..start + frame::FRAME_LEN].split_at_mut(PAGE_SIZE);
+        trailer.copy_from_slice(&fnv1a64(payload).to_le_bytes());
+    }
+    std::fs::write(&file, &bytes).unwrap();
+
+    for kind in BackendKind::ALL {
+        let backend = match kind {
+            BackendKind::Mem => StorageBackend::Memory,
+            BackendKind::File => StorageBackend::Disk(snap.clone()),
+        };
+        let err = IrEngine::builder()
+            .open_snapshot(&snap)
+            .backend(backend)
+            .build()
+            .map(|_| ())
+            .unwrap_err();
+        assert!(
+            matches!(err, EngineError::SnapshotOpen { .. })
+                && err
+                    .to_string()
+                    .contains("unsupported format version 1 (expected 2)"),
+            "{kind}: expected a typed frame-version rejection, got {err:?}"
         );
     }
 }

@@ -1,10 +1,17 @@
-//! LRU buffer pool with I/O accounting and transient-fault retries.
+//! O(1) exact-LRU buffer pool with I/O accounting and transient-fault
+//! retries.
 //!
 //! Every page access performed by the inverted-list cursors and the tuple
 //! store goes through a [`BufferPool`]. The pool keeps the most recently
-//! used pages in memory (classic LRU) and counts logical reads (requests),
-//! physical reads (misses that hit the page store) and writes. These counters
-//! are the raw material for the I/O metrics of the experiment harness.
+//! used pages in memory and counts logical reads (requests), physical reads
+//! (misses that hit the page store) and writes. These counters are the raw
+//! material for the I/O metrics of the experiment harness.
+//!
+//! Eviction is exact LRU, and a hit, a miss and an eviction each cost O(1)
+//! under the pool mutex: the frames sit in a slab, joined in an intrusive
+//! recency list. Exact LRU rather than an approximation such as CLOCK keeps
+//! the victim, and so every single-threaded physical-read count, a function
+//! of the access sequence alone.
 //!
 //! The pool is also the retry boundary of the stack: a [`RetryPolicy`]
 //! re-issues store reads and writes that fail with a *transient* error
@@ -67,21 +74,133 @@ impl RetryPolicy {
     }
 }
 
+/// End-of-list marker of the recency list.
+const NIL: usize = usize::MAX;
+
+/// One cached page: a slab slot linked into the recency list.
 struct Frame {
+    page: PageId,
     data: Arc<PageBuf>,
-    last_used: u64,
+    /// The next more recently used slot, or [`NIL`] at the head.
+    newer: usize,
+    /// The next less recently used slot, or [`NIL`] at the tail.
+    older: usize,
 }
 
-struct PoolInner {
-    frames: HashMap<PageId, Frame>,
-    tick: u64,
+/// The cached pages in exact least-recently-used order, every operation
+/// O(1): a map from page to slab slot, and the slots joined in an intrusive
+/// doubly-linked list from most recently used (`head`) to least (`tail`).
+struct LruFrames {
+    slots: HashMap<PageId, usize>,
+    frames: Vec<Frame>,
+    head: usize,
+    tail: usize,
     capacity: usize,
+}
+
+impl LruFrames {
+    fn new(capacity: usize) -> Self {
+        LruFrames {
+            slots: HashMap::with_capacity(capacity),
+            frames: Vec::with_capacity(capacity),
+            head: NIL,
+            tail: NIL,
+            capacity,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The cached copy of `page`, marked most recently used.
+    fn get(&mut self, page: PageId) -> Option<Arc<PageBuf>> {
+        let slot = *self.slots.get(&page)?;
+        self.touch(slot);
+        Some(Arc::clone(&self.frames[slot].data))
+    }
+
+    /// Caches `data` for `page` as the most recently used page. A full pool
+    /// reuses the least recently used slot. A page that is already resident
+    /// (two threads missed it at once) is only touched: it takes no second
+    /// slot and evicts nothing.
+    fn insert(&mut self, page: PageId, data: &Arc<PageBuf>) {
+        if let Some(&slot) = self.slots.get(&page) {
+            self.touch(slot);
+            return;
+        }
+        let slot = if self.frames.len() < self.capacity {
+            self.frames.push(Frame {
+                page,
+                data: Arc::clone(data),
+                newer: NIL,
+                older: NIL,
+            });
+            self.frames.len() - 1
+        } else {
+            let victim = self.tail;
+            self.unlink(victim);
+            let frame = &mut self.frames[victim];
+            self.slots.remove(&frame.page);
+            frame.page = page;
+            frame.data = Arc::clone(data);
+            victim
+        };
+        self.slots.insert(page, slot);
+        self.push_front(slot);
+    }
+
+    /// Replaces the cached copy of `page`, if any, and touches it.
+    fn refresh(&mut self, page: PageId, data: &[u8]) {
+        if let Some(&slot) = self.slots.get(&page) {
+            self.frames[slot].data = Arc::new(data.into());
+            self.touch(slot);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.frames.clear();
+        self.head = NIL;
+        self.tail = NIL;
+    }
+
+    fn touch(&mut self, slot: usize) {
+        if self.head != slot {
+            self.unlink(slot);
+            self.push_front(slot);
+        }
+    }
+
+    fn unlink(&mut self, slot: usize) {
+        let Frame { newer, older, .. } = self.frames[slot];
+        match newer {
+            NIL => self.head = older,
+            newer => self.frames[newer].older = older,
+        }
+        match older {
+            NIL => self.tail = newer,
+            older => self.frames[older].newer = newer,
+        }
+    }
+
+    fn push_front(&mut self, slot: usize) {
+        let old_head = self.head;
+        let frame = &mut self.frames[slot];
+        frame.newer = NIL;
+        frame.older = old_head;
+        match old_head {
+            NIL => self.tail = slot,
+            old_head => self.frames[old_head].newer = slot,
+        }
+        self.head = slot;
+    }
 }
 
 /// An LRU page cache in front of a [`PageStore`].
 pub struct BufferPool {
     store: Arc<dyn PageStore>,
-    inner: Mutex<PoolInner>,
+    inner: Mutex<LruFrames>,
     /// Per-worker (sharded) counters: each thread records into its own
     /// shard, so parallel drivers can attribute I/O per worker (exact while
     /// each worker owns its shard; see `ShardedIoStats`) and the shard
@@ -110,11 +229,7 @@ impl BufferPool {
     ) -> Self {
         BufferPool {
             store,
-            inner: Mutex::new(PoolInner {
-                frames: HashMap::new(),
-                tick: 0,
-                capacity: capacity.max(1),
-            }),
+            inner: Mutex::new(LruFrames::new(capacity.max(1))),
             stats: ShardedIoStats::new(),
             retry,
         }
@@ -168,21 +283,15 @@ impl BufferPool {
 
     /// Number of pages currently cached.
     pub fn cached_pages(&self) -> usize {
-        self.inner.lock().frames.len()
+        self.inner.lock().len()
     }
 
     /// Reads a page through the cache. Records one logical read, plus one
     /// physical read if the page was not cached.
     pub fn read(&self, page: PageId) -> IrResult<Arc<PageBuf>> {
         self.stats.record_logical_read();
-        {
-            let mut inner = self.inner.lock();
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(frame) = inner.frames.get_mut(&page) {
-                frame.last_used = tick;
-                return Ok(Arc::clone(&frame.data));
-            }
+        if let Some(data) = self.inner.lock().get(page) {
+            return Ok(data);
         }
         // Miss: fetch outside the lock (retrying transient faults), then
         // insert.
@@ -191,19 +300,7 @@ impl BufferPool {
             || self.store.read_page(page),
             |stats| stats.record_read_retry(),
         )?);
-        let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if inner.frames.len() >= inner.capacity {
-            Self::evict_lru(&mut inner);
-        }
-        inner.frames.insert(
-            page,
-            Frame {
-                data: Arc::clone(&data),
-                last_used: tick,
-            },
-        );
+        self.inner.lock().insert(page, &data);
         Ok(data)
     }
 
@@ -221,13 +318,7 @@ impl BufferPool {
             |stats| stats.record_write_retry(),
         )?;
         self.stats.record_write();
-        let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(frame) = inner.frames.get_mut(&page) {
-            frame.data = Arc::new(data.to_vec().into_boxed_slice());
-            frame.last_used = tick;
-        }
+        self.inner.lock().refresh(page, data);
         Ok(())
     }
 
@@ -238,7 +329,7 @@ impl BufferPool {
 
     /// Drops every cached page (the counters are preserved).
     pub fn clear_cache(&self) {
-        self.inner.lock().frames.clear();
+        self.inner.lock().clear();
     }
 
     /// Snapshot of the I/O counters (merged over every worker shard).
@@ -258,12 +349,6 @@ impl BufferPool {
     pub fn reset_io_stats(&self) {
         self.stats.reset();
     }
-
-    fn evict_lru(inner: &mut PoolInner) {
-        if let Some((&victim, _)) = inner.frames.iter().min_by_key(|(_, frame)| frame.last_used) {
-            inner.frames.remove(&victim);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -271,6 +356,8 @@ mod tests {
     use super::*;
     use crate::fault::{FaultInjectingPageStore, FaultPlan};
     use crate::pagestore::MemPageStore;
+    use std::collections::VecDeque;
+    use std::sync::Barrier;
 
     fn pool_with_pages(capacity: usize, pages: u32) -> BufferPool {
         let store = Arc::new(MemPageStore::new());
@@ -303,6 +390,119 @@ mod tests {
         assert_eq!(pool.io_snapshot().physical_reads, before);
         pool.read(PageId(1)).unwrap(); // was evicted -> physical read
         assert_eq!(pool.io_snapshot().physical_reads, before + 1);
+    }
+
+    /// Seeded random `read` / `write` / `clear_cache` sequences against a
+    /// `VecDeque` reference LRU (front = most recently used): after every
+    /// operation the pool's miss count, residency and bytes match it.
+    #[test]
+    fn pool_matches_a_reference_lru_model() {
+        const PAGES: u32 = 12;
+        for capacity in 1..=8usize {
+            for seed in 0..4u64 {
+                let pool = pool_with_pages(capacity, PAGES);
+                let mut rng = ir_types::SeededLcg::mixed(seed * 131 + capacity as u64);
+                let mut model: VecDeque<u32> = VecDeque::new();
+                let mut contents = [0u8; PAGES as usize];
+                let mut misses = 0u64;
+                for step in 0..400 {
+                    let page = rng.next_below(u64::from(PAGES)) as u32;
+                    let resident = model.iter().position(|&p| p == page);
+                    match rng.next_below(20) {
+                        0 => {
+                            pool.clear_cache();
+                            model.clear();
+                        }
+                        1..=4 => {
+                            contents[page as usize] = step as u8;
+                            pool.write(PageId(page), &vec![step as u8; PAGE_SIZE])
+                                .unwrap();
+                            if let Some(at) = resident {
+                                model.remove(at);
+                                model.push_front(page);
+                            }
+                        }
+                        _ => {
+                            let data = pool.read(PageId(page)).unwrap();
+                            assert_eq!(data[0], contents[page as usize]);
+                            match resident {
+                                Some(at) => {
+                                    model.remove(at);
+                                }
+                                None => {
+                                    misses += 1;
+                                    if model.len() == capacity {
+                                        model.pop_back();
+                                    }
+                                }
+                            }
+                            model.push_front(page);
+                        }
+                    }
+                    let context = format!("capacity {capacity} seed {seed} step {step}");
+                    assert_eq!(pool.io_snapshot().physical_reads, misses, "{context}");
+                    assert_eq!(pool.cached_pages(), model.len(), "{context}");
+                }
+            }
+        }
+    }
+
+    /// A store whose reads of one page block until two threads are inside.
+    struct RendezvousStore {
+        inner: MemPageStore,
+        page: PageId,
+        barrier: Barrier,
+    }
+
+    impl PageStore for RendezvousStore {
+        fn num_pages(&self) -> u32 {
+            self.inner.num_pages()
+        }
+
+        fn allocate(&self, count: u32) -> IrResult<PageId> {
+            self.inner.allocate(count)
+        }
+
+        fn read_page(&self, page: PageId) -> IrResult<PageBuf> {
+            if page == self.page {
+                self.barrier.wait();
+            }
+            self.inner.read_page(page)
+        }
+
+        fn write_page(&self, page: PageId, data: &[u8]) -> IrResult<()> {
+            self.inner.write_page(page, data)
+        }
+    }
+
+    #[test]
+    fn a_double_miss_evicts_nothing_else() {
+        let inner = MemPageStore::new();
+        inner.allocate(4).unwrap();
+        let store = RendezvousStore {
+            inner,
+            page: PageId(3),
+            barrier: Barrier::new(2),
+        };
+        let pool = BufferPool::with_capacity(Arc::new(store), 3);
+        for page in 0..3 {
+            pool.read(PageId(page)).unwrap();
+        }
+        // Both threads miss page 3 before either inserts it. The first
+        // insert evicts page 0, the least recently used; the second finds
+        // page 3 resident and must not evict page 1 as well.
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| pool.read(PageId(3)).unwrap());
+            }
+        });
+        assert_eq!(pool.cached_pages(), 3);
+        let misses = pool.io_snapshot().physical_reads;
+        assert_eq!(misses, 5, "three fills plus the two racing misses");
+        for page in [1, 2, 3] {
+            pool.read(PageId(page)).unwrap();
+        }
+        assert_eq!(pool.io_snapshot().physical_reads, misses, "pages 1-3 hit");
     }
 
     #[test]

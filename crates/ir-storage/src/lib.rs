@@ -10,10 +10,10 @@
 //!
 //! * [`page`] / [`pagestore`] — fixed-size pages backed by an in-memory
 //!   "disk" ([`MemPageStore`]) or a real file accessed with positioned reads
-//!   ([`FilePageStore`]),
-//! * [`buffer`] — an LRU buffer pool that every access goes through, with
-//!   logical/physical read accounting and a bounded [`RetryPolicy`] that
-//!   heals transient device faults invisibly,
+//!   ([`FilePageStore`]), every frame sealed by [`checksum`],
+//! * [`buffer`] — an O(1) exact-LRU buffer pool that every access goes
+//!   through, with logical/physical read accounting and a bounded
+//!   [`RetryPolicy`] that heals transient device faults invisibly,
 //! * [`fault`] — a deterministic fault-injection wrapper
 //!   ([`FaultInjectingPageStore`]) driven by a serializable [`FaultPlan`],
 //!   used by the chaos suite and the `--fault-plan` runner flag,

@@ -1,6 +1,7 @@
 //! Fixed-size pages, page identifiers, and the self-validating on-disk
 //! frame format the file store writes (and the mem store carries in
-//! memory, one sealed frame per page).
+//! memory, one sealed frame per page), each sealed with the lane checksum
+//! of [`crate::checksum::frame_checksum`].
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -50,22 +51,22 @@ pub fn zeroed_page() -> PageBuf {
     vec![0u8; PAGE_SIZE].into_boxed_slice()
 }
 
-// Re-exported here because the hash started life as the per-page frame
-// checksum; it now lives in the shared [`crate::checksum`] module so the
-// snapshot superheader can seal with the same function.
-pub use crate::checksum::fnv1a64;
-
 /// The self-validating on-disk layout of the file-backed page store.
 ///
 /// A page file starts with a fixed-length versioned header, followed by one
 /// *frame* per page: the 4 KiB payload plus an 8-byte little-endian
-/// [`fnv1a64`] checksum trailer computed over the payload.
+/// [`frame_checksum`] trailer computed over the payload. The trailer is
+/// verified on every physical read, which is why it is the word-wise lane
+/// checksum and not the byte-serial FNV-1a-64.
 /// `FilePageStore` reads and writes this exact layout, and
 /// `MemPageStore::from_page_file` loads it frame by frame, so a saved file
 /// is servable by either backend. Every field is explicitly little-endian;
 /// the format is independent of host endianness.
+///
+/// [`frame_checksum`]: crate::checksum::frame_checksum
 pub mod frame {
-    use super::{fnv1a64, PageId, PAGE_SIZE};
+    use super::{PageId, PAGE_SIZE};
+    use crate::checksum::frame_checksum;
     use ir_types::{IrError, IrResult};
 
     /// Length of the per-frame checksum trailer in bytes.
@@ -77,8 +78,10 @@ pub mod frame {
     /// Magic bytes opening every page file.
     pub const MAGIC: [u8; 8] = *b"IRPAGES\0";
 
-    /// Version of the frame format (bumped on any layout change).
-    pub const FORMAT_VERSION: u32 = 1;
+    /// Version of the frame format (bumped on any layout or checksum
+    /// change). Version 1 sealed frames with FNV-1a-64; version 2 seals
+    /// them with the lane checksum. Readers accept exactly this version.
+    pub const FORMAT_VERSION: u32 = 2;
 
     /// Length of the file header. Fixed so the frame offsets never move;
     /// the bytes past the three fields are zeroed and reserved.
@@ -156,13 +159,13 @@ pub mod frame {
     /// The checksum trailer for a payload, as stored on disk (LE).
     #[inline]
     pub fn seal(payload: &[u8]) -> [u8; CHECKSUM_LEN] {
-        fnv1a64(payload).to_le_bytes()
+        frame_checksum(payload).to_le_bytes()
     }
 
     /// Verifies a frame read back from disk: the trailer must equal the
     /// payload's checksum.
     pub fn verify(page: PageId, payload: &[u8], trailer: &[u8]) -> IrResult<()> {
-        let computed = fnv1a64(payload);
+        let computed = frame_checksum(payload);
         let mut stored = [0u8; CHECKSUM_LEN];
         stored.copy_from_slice(trailer);
         let stored = u64::from_le_bytes(stored);
@@ -234,6 +237,7 @@ pub mod codec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn page_id_next_increments() {
@@ -331,5 +335,29 @@ mod tests {
     #[test]
     fn zero_page_seal_matches_direct_seal() {
         assert_eq!(frame::zero_page_seal(), frame::seal(&zeroed_page()));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128).with_seed(0xF4A3_0002))]
+
+        /// Whatever the payload, XOR-ing any nonzero mask into any one
+        /// byte fails verification with a corruption naming the page.
+        #[test]
+        fn any_byte_flip_fails_verification(
+            payload in proptest::collection::vec(0u8..=255, PAGE_SIZE),
+            offset in 0usize..PAGE_SIZE,
+            mask in 1u8..=255,
+            page in 0u32..1_000_000,
+        ) {
+            let trailer = frame::seal(&payload);
+            frame::verify(PageId(page), &payload, &trailer).unwrap();
+            let mut damaged = payload;
+            damaged[offset] ^= mask;
+            let err = frame::verify(PageId(page), &damaged, &trailer).unwrap_err();
+            prop_assert!(
+                matches!(err, ir_types::IrError::Corruption { page: Some(p), .. } if p == page),
+                "offset {offset} mask {mask:#04x}: {err}"
+            );
+        }
     }
 }

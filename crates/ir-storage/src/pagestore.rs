@@ -14,12 +14,14 @@
 //!   configuration, by snapshots served in place and by the storage
 //!   round-trip tests.
 //!
-//! Both stores are *self-validating*: each stored page carries an FNV-1a-64
-//! checksum (see [`crate::page::frame`]) that is verified on every read, and
-//! the file store opens with a versioned header check. Damage surfaces as a
-//! typed [`IrError::Corruption`] naming the page, never as silently wrong
-//! bytes. Out-of-range accesses likewise return the same typed
-//! [`IrError::PageOutOfBounds`] from every backend.
+//! Both stores are *self-validating*: each stored page carries the lane
+//! checksum of [`crate::checksum::frame_checksum`] (see
+//! [`crate::page::frame`]), and every read verifies the whole frame before
+//! returning it. Both ways of opening a page file check its versioned
+//! header first, so a file of another frame format version never serves a
+//! page. Damage surfaces as a typed [`IrError::Corruption`] naming the
+//! page, never as silently wrong bytes. Out-of-range accesses likewise
+//! return the same typed [`IrError::PageOutOfBounds`] from every backend.
 //!
 //! Stores keep no counters of their own. Every store read is a buffer-pool
 //! miss, so the pool's `physical_reads` (see [`crate::buffer::BufferPool`])
@@ -501,5 +503,34 @@ mod tests {
         std::fs::write(&path, vec![0xEEu8; frame::HEADER_LEN + frame::FRAME_LEN]).unwrap();
         let err = FilePageStore::open(&path).map(|_| ()).unwrap_err();
         assert!(err.to_string().contains("bad magic"), "{err}");
+    }
+
+    #[test]
+    fn both_stores_reject_a_version_1_page_file() {
+        // What frame format version 1 wrote: its header, then one frame
+        // sealed with FNV-1a-64.
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().join("v1.pages");
+        let mut bytes = frame::encode_header().to_vec();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let mut payload = zeroed_page();
+        payload[0] = 42;
+        bytes.extend_from_slice(&payload);
+        bytes.extend_from_slice(&crate::checksum::fnv1a64(&payload).to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+
+        let errors = [
+            FilePageStore::open(&path).map(|_| ()).unwrap_err(),
+            MemPageStore::from_page_file(&path).map(|_| ()).unwrap_err(),
+        ];
+        for err in errors {
+            assert!(
+                matches!(err, IrError::Corruption { page: None, .. })
+                    && err
+                        .to_string()
+                        .contains("unsupported format version 1 (expected 2)"),
+                "{err}"
+            );
+        }
     }
 }

@@ -46,8 +46,8 @@
 //! [44..48)  tuple_region_first  (first page of the tuple store)
 //! [48..52)  tuple_region_pages
 //! [52..56)  reserved, zero
-//! [56..64)  FNV-1a-64 of bytes [0..56) (LE) — the same shared
-//!           [`crate::checksum::fnv1a64`] that seals page frames
+//! [56..64)  FNV-1a-64 of bytes [0..56) (LE), [`crate::checksum::fnv1a64`];
+//!           the frame around it carries its own lane checksum
 //! ```
 //!
 //! Every multi-byte field is explicitly little-endian; the format is
@@ -62,7 +62,11 @@
 //! it points into. Readers accept exactly their own version: snapshots are
 //! cheap to regenerate from the dataset, so there is no cross-version
 //! migration path — a version bump is a clean "rebuild and re-save" signal,
-//! never a silent reinterpretation of bytes.
+//! never a silent reinterpretation of bytes. The frames underneath are
+//! versioned separately by [`crate::page::frame::FORMAT_VERSION`], which
+//! both stores check when they open the file, before the superheader is
+//! read: a snapshot saved under another frame format (such as version 1,
+//! sealed with FNV-1a-64) is rejected the same way.
 
 use crate::buffer::BufferPool;
 use crate::checksum::fnv1a64;
