@@ -8,7 +8,8 @@
 #                          denied in non-test ir-storage and ir-core code;
 #                          every lib.rs forbids unsafe_code, no `unsafe`
 #                          token in code position under crates/, and no
-#                          thread_local! under crates/ir-bench/src
+#                          thread_local! under crates/ (counters travel
+#                          with the work, stamps are passed explicitly)
 #   3. tier-1 verify     — cargo build --release && cargo test -q (the
 #                          chaos suite included)
 #   4. api docs          — cargo doc --no-deps with rustdoc warnings as
@@ -84,10 +85,11 @@ if grep -rnw 'unsafe' crates --include='*.rs' |
     echo "FAIL: unsafe code under crates/ (listed above)" >&2
     exit 1
 fi
-# The bench harness stamps its envelope from values passed explicitly,
-# never from thread-local cells.
-if grep -rn 'thread_local!' crates/ir-bench/src; then
-    echo "FAIL: thread_local! under crates/ir-bench/src (listed above)" >&2
+# No layer keeps state in thread-local cells: I/O counters are tallies
+# owned by the unit of work, and the bench envelope is stamped from values
+# passed explicitly.
+if grep -rn 'thread_local!' crates; then
+    echo "FAIL: thread_local! under crates/ (listed above)" >&2
     exit 1
 fi
 echo "no-unsafe and layering assertions hold"

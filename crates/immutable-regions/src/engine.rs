@@ -287,8 +287,9 @@ impl IrEngine {
             .map(|outcome| outcome.reports)
     }
 
-    /// [`IrEngine::query_batch`], also returning per-worker I/O tallies and
-    /// the batch wall-clock time.
+    /// [`IrEngine::query_batch`], also returning the batch wall-clock time.
+    /// Each report carries its own I/O, and [`BatchOutcome::total_io`] sums
+    /// them to every page access the batch made.
     pub fn query_batch_detailed(&self, queries: &[QueryVector]) -> EngineResult<BatchOutcome> {
         self.run_guarded("query batch", || {
             for query in queries {

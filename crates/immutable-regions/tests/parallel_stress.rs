@@ -4,17 +4,21 @@
 //! Invariants under stress:
 //!
 //! * no worker panics and every query produces a report,
-//! * the merged per-worker buffer statistics equal the pool's global delta
-//!   (the sharded counters merge losslessly — nothing double counted,
-//!   nothing dropped),
+//! * the reports' I/O tallies sum to the pool's global delta (each access
+//!   is counted once, by the unit of work that made it — nothing double
+//!   counted, nothing dropped),
+//! * a report's I/O is its own, however many callers share the pool, and
+//!   maintenance I/O is the batch's own while queries run beside it,
 //! * reports are identical across worker counts (determinism survives
 //!   contention).
 
 use immutable_regions::prelude::*;
-use ir_storage::IoStatsSnapshot;
+use ir_storage::{IoStatsSnapshot, PageId};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 
 fn build_dataset(seed: u64, n: usize, dims: u32) -> Dataset {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -52,17 +56,19 @@ fn build_queries(seed: u64, dims: u32, count: usize, k: usize) -> Vec<QueryVecto
         .collect()
 }
 
-fn sum(snapshots: &[IoStatsSnapshot]) -> IoStatsSnapshot {
-    snapshots
-        .iter()
-        .fold(IoStatsSnapshot::default(), |acc, s| acc.plus(s))
+/// Reads every page of the index's store once, so that with a pool larger
+/// than the store every later read of an existing page is a hit.
+fn warm(index: &TopKIndex) {
+    for page in 0..index.pool().store().num_pages() {
+        index.pool().read(PageId(page)).unwrap();
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10).with_seed(0x57E5_5001))]
 
-    /// Random batches at 1/2/4/8 workers over one shared pool: merged
-    /// per-worker stats must equal the pool delta, and reports must not
+    /// Random batches at 1/2/4/8 workers over one shared pool: the summed
+    /// report tallies must equal the pool delta, and reports must not
     /// depend on the worker count.
     #[test]
     fn merged_worker_stats_equal_pool_delta(
@@ -86,11 +92,11 @@ proptest! {
                 .unwrap();
             let delta = index.io_snapshot().since(&before);
 
-            // Lossless merge: what the workers self-reported is exactly
-            // what the pool observed — nothing lost, nothing double
-            // counted, even with every worker on the same pool.
+            // What the reports tallied is exactly what the pool observed
+            // — nothing lost, nothing double counted, even with every
+            // worker on the same pool.
             prop_assert_eq!(
-                sum(&outcome.worker_io), delta,
+                outcome.total_io(), delta,
                 "workers = {}", workers
             );
             prop_assert!(delta.logical_reads > 0);
@@ -109,7 +115,7 @@ proptest! {
 }
 
 /// Two batches run *concurrently* against the same index: their combined
-/// per-worker tallies must still account for every page access the pool
+/// report tallies must still account for every page access the pool
 /// served, and both must agree with a sequential reference run.
 #[test]
 fn concurrent_batches_share_one_pool_losslessly() {
@@ -160,7 +166,7 @@ fn concurrent_batches_share_one_pool_losslessly() {
 }
 
 /// A long-lived hammering run: many repeated batches over a cold-started
-/// pool keep the per-worker/global agreement and never panic.
+/// pool keep the report/global agreement and never panic.
 #[test]
 fn repeated_batches_keep_stats_consistent() {
     let dims = 4u32;
@@ -180,4 +186,121 @@ fn repeated_batches_keep_stats_consistent() {
     let delta = index.io_snapshot().since(&before_all);
     assert_eq!(accounted, delta);
     assert!(delta.physical_reads > 0, "cold start must hit the store");
+}
+
+/// 96 concurrent callers, each computing one φ = 1 CPT query 30 times on
+/// one warm index: every report's `io` and `topk_io` must equal the
+/// sequential oracle's, because a report counts only its own units of work.
+#[test]
+fn concurrent_callers_keep_their_own_io() {
+    const CALLERS: usize = 96;
+    const REPEATS: usize = 30;
+    let dims = 5u32;
+    let dataset = build_dataset(0xC0DE, 200, dims);
+    let index = IndexBuilder::new()
+        .pool_capacity(4096)
+        .build_shared(&dataset)
+        .unwrap();
+    warm(&index);
+    let query = build_queries(3, dims, 1, 4).remove(0);
+    let config = RegionConfig::with_phi(Algorithm::Cpt, 1);
+    let oracle = RegionComputation::new(&index, &query, config)
+        .unwrap()
+        .compute()
+        .unwrap()
+        .stats;
+    assert!(oracle.io.logical_reads > 0 && oracle.topk_io.logical_reads > 0);
+    assert_eq!(oracle.io.physical_reads + oracle.topk_io.physical_reads, 0);
+
+    let start = Barrier::new(CALLERS);
+    let wrong: usize = std::thread::scope(|scope| {
+        let callers: Vec<_> = (0..CALLERS)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    (0..REPEATS)
+                        .filter(|_| {
+                            let stats = RegionComputation::new(&index, &query, config)
+                                .unwrap()
+                                .compute()
+                                .unwrap()
+                                .stats;
+                            (stats.io, stats.topk_io) != (oracle.io, oracle.topk_io)
+                        })
+                        .count()
+                })
+            })
+            .collect();
+        callers.into_iter().map(|c| c.join().unwrap()).sum()
+    });
+    assert_eq!(
+        wrong,
+        0,
+        "{wrong} of {} reports counted another caller's reads",
+        CALLERS * REPEATS
+    );
+}
+
+/// A maintenance batch applied while eight threads query the same index
+/// counts exactly the I/O the same batch counts on an idle index.
+#[test]
+fn concurrent_queries_stay_out_of_maintenance_io() {
+    let dims = 5u32;
+    let dataset = build_dataset(0x0DD5, 300, dims);
+    let batch: Vec<TupleUpdate> = (0..12u32)
+        .map(|i| match i % 3 {
+            0 => TupleUpdate::Insert {
+                vector: SparseVector::from_pairs([(i % dims, 0.9), ((i + 1) % dims, 0.4)]).unwrap(),
+            },
+            1 => TupleUpdate::Delete {
+                tuple: TupleId(i * 7),
+            },
+            _ => TupleUpdate::UpdateScore {
+                tuple: TupleId(i * 5),
+                dim: DimId(i % dims),
+                value: 0.55,
+            },
+        })
+        .collect();
+    let build = || {
+        let index = IndexBuilder::new()
+            .pool_capacity(4096)
+            .build_shared(&dataset)
+            .unwrap();
+        warm(&index);
+        index
+    };
+
+    let idle = build();
+    idle.apply_updates(&batch).unwrap();
+    let expected = idle.maintenance_stats();
+    assert!(expected.logical_reads > 0 && expected.pages_written > 0);
+
+    let busy: Arc<TopKIndex> = build();
+    let queries = build_queries(7, dims, 8, 3);
+    let start = Barrier::new(queries.len() + 1);
+    let applied = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        for query in &queries {
+            let (busy, start, applied) = (&busy, &start, &applied);
+            scope.spawn(move || {
+                start.wait();
+                // At least one query per thread, then until the batch is in.
+                loop {
+                    let report = RegionComputation::new(busy, query, RegionConfig::default())
+                        .unwrap()
+                        .compute()
+                        .unwrap();
+                    assert!(report.stats.topk_io.logical_reads > 0);
+                    if applied.load(Ordering::Acquire) {
+                        break;
+                    }
+                }
+            });
+        }
+        start.wait();
+        busy.apply_updates(&batch).unwrap();
+        applied.store(true, Ordering::Release);
+    });
+    assert_eq!(busy.maintenance_stats(), expected);
 }

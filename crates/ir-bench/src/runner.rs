@@ -88,10 +88,9 @@ pub fn measure_iterative(
         reports
     } else {
         engine.cold_start();
-        let (results, _worker_io) =
-            run_queries(index, engine.threads(), queries.len(), "query", |qi| {
-                compute_iterative(index, &queries[qi], algorithm, phi)
-            });
+        let results = run_queries(engine.threads(), queries.len(), "query", |qi| {
+            compute_iterative(index, &queries[qi], algorithm, phi)
+        });
         results.into_iter().collect::<IrResult<Vec<_>>>()?
     };
     for report in &reports {

@@ -4,7 +4,7 @@ use crate::config::{PerturbationMode, RegionConfig};
 use crate::evaluator::CandidateEvaluator;
 use crate::metrics::ComputationStats;
 use crate::region::{DimRegions, RegionReport};
-use crate::solver_flat::solve_dim_flat;
+use crate::solver_flat::{solve_dim_flat, DimSolveInfo};
 use crate::solver_phi::solve_dim_phi;
 use ir_storage::{IoStatsSnapshot, TopKIndex};
 use ir_topk::{TaConfig, TaRun};
@@ -58,13 +58,8 @@ impl RegionComputation {
         config: RegionConfig,
         ta_config: &TaConfig,
     ) -> IrResult<Self> {
-        // Diff the calling thread's own stats shard (not the pool total) so
-        // the TA I/O stays correctly attributed even when other workers are
-        // using the same buffer pool concurrently; single-threaded the two
-        // are identical.
-        let before = index.thread_io_snapshot();
         let ta = TaRun::execute(index, query, ta_config)?;
-        let topk_io = index.thread_io_snapshot().since(&before);
+        let topk_io = ta.io();
         Ok(RegionComputation {
             index: Arc::clone(index),
             ta,
@@ -93,66 +88,12 @@ impl RegionComputation {
     /// regions) of every query dimension.
     pub fn compute(&mut self) -> IrResult<RegionReport> {
         let initial_candidates = self.ta.candidates().len();
-        // Thread-shard diff, like `with_ta_config`: identical to the pool
-        // total in sequential use, correctly attributed when other workers
-        // share the pool.
-        let io_before = self.index.thread_io_snapshot();
         let started = Instant::now();
-
         let mut evaluator = CandidateEvaluator::new(&self.index);
-        let qlen = self.ta.dims().len();
-        let mut dims: Vec<DimRegions> = Vec::with_capacity(qlen);
-        let mut evaluated_per_dim = Vec::with_capacity(qlen);
-        let mut evaluated_total = 0u64;
-        let mut phase3_total = 0u64;
-        let mut footprint = 0usize;
-
-        for dim_index in 0..qlen {
-            evaluator.start_dimension();
-            // The flat (Lemma-1 against d_k) solver is only valid while the
-            // result ordering is fixed inside the region, i.e. when
-            // reorderings count as perturbations. In composition-only mode
-            // the lowest-ranked result member can change identity inside the
-            // region, so the envelope-based solver is used even for φ = 0.
-            let use_flat =
-                self.config.phi == 0 && self.config.mode == PerturbationMode::WithReorderings;
-            let (regions, info) = if use_flat {
-                solve_dim_flat(
-                    &self.index,
-                    &mut self.ta,
-                    dim_index,
-                    &self.config,
-                    &mut evaluator,
-                )?
-            } else {
-                solve_dim_phi(
-                    &self.index,
-                    &mut self.ta,
-                    dim_index,
-                    &self.config,
-                    &mut evaluator,
-                )?
-            };
-            evaluated_per_dim.push(info.evaluated);
-            evaluated_total += info.evaluated;
-            phase3_total += info.phase3_tuples;
-            footprint = footprint.max(info.footprint_bytes);
-            dims.push(regions);
-        }
-
-        let cpu_time = started.elapsed();
-        let io = self.index.thread_io_snapshot().since(&io_before);
-        let stats = ComputationStats {
-            evaluated_candidates: evaluated_total,
-            evaluated_per_dim,
-            phase3_tuples: phase3_total,
-            initial_candidates,
-            io,
-            topk_io: self.topk_io,
-            cpu_time,
-            memory_footprint_bytes: footprint,
-        };
-        Ok(RegionReport { dims, stats })
+        let (index, ta, config) = (&self.index, &mut self.ta, &self.config);
+        let solved = (0..ta.dims().len())
+            .map(|dim_index| solve_dim(index, ta, dim_index, config, &mut evaluator));
+        fold_report(initial_candidates, self.topk_io, started, solved)
     }
 
     /// Computes the regions with the per-dimension solves fanned out over
@@ -168,50 +109,73 @@ impl RegionComputation {
     pub fn compute_parallel(&self, threads: usize) -> IrResult<RegionReport> {
         let initial_candidates = self.ta.candidates().len();
         let started = Instant::now();
-        let qlen = self.ta.dims().len();
-
-        let (solved, _worker_io) =
-            crate::parallel::run_queries(&self.index, threads, qlen, "dimension", |dim_index| {
-                let before = self.index.thread_io_snapshot();
-                let result = crate::parallel::solve_dim_from_snapshot(
+        let solved =
+            crate::parallel::run_queries(threads, self.ta.dims().len(), "dimension", |dim_index| {
+                crate::parallel::solve_dim_from_snapshot(
                     &self.index,
                     &self.ta,
                     dim_index,
                     &self.config,
-                );
-                let io = self.index.thread_io_snapshot().since(&before);
-                result.map(|(regions, info)| (regions, info, io))
+                )
             });
-
-        // Merge in dimension order — fixed by index, never completion order.
-        let mut dims: Vec<DimRegions> = Vec::with_capacity(qlen);
-        let mut evaluated_per_dim = Vec::with_capacity(qlen);
-        let mut evaluated_total = 0u64;
-        let mut phase3_total = 0u64;
-        let mut footprint = 0usize;
-        let mut io = ir_storage::IoStatsSnapshot::default();
-        for solved_dim in solved {
-            let (regions, info, dim_io) = solved_dim?;
-            evaluated_per_dim.push(info.evaluated);
-            evaluated_total += info.evaluated;
-            phase3_total += info.phase3_tuples;
-            footprint = footprint.max(info.footprint_bytes);
-            io = io.plus(&dim_io);
-            dims.push(regions);
-        }
-
-        let stats = ComputationStats {
-            evaluated_candidates: evaluated_total,
-            evaluated_per_dim,
-            phase3_tuples: phase3_total,
-            initial_candidates,
-            io,
-            topk_io: self.topk_io,
-            cpu_time: started.elapsed(),
-            memory_footprint_bytes: footprint,
-        };
-        Ok(RegionReport { dims, stats })
+        // Merged in dimension order — fixed by index, never completion order.
+        fold_report(initial_candidates, self.topk_io, started, solved)
     }
+}
+
+/// Solves one query dimension with the solver `config` calls for, and
+/// records in the returned info the page accesses the solve made through
+/// `evaluator` and `ta`.
+///
+/// The flat (Lemma-1 against d_k) solver is only valid while the result
+/// ordering is fixed inside the region, i.e. when reorderings count as
+/// perturbations. In composition-only mode the lowest-ranked result member
+/// can change identity inside the region, so the envelope-based solver is
+/// used even for φ = 0.
+pub(crate) fn solve_dim(
+    index: &TopKIndex,
+    ta: &mut TaRun,
+    dim_index: usize,
+    config: &RegionConfig,
+    evaluator: &mut CandidateEvaluator<'_>,
+) -> IrResult<(DimRegions, DimSolveInfo)> {
+    evaluator.start_dimension();
+    let io_before = evaluator.io().plus(&ta.io());
+    let flat = config.phi == 0 && config.mode == PerturbationMode::WithReorderings;
+    let (regions, mut info) = if flat {
+        solve_dim_flat(index, ta, dim_index, config, evaluator)?
+    } else {
+        solve_dim_phi(index, ta, dim_index, config, evaluator)?
+    };
+    info.io = evaluator.io().plus(&ta.io()).since(&io_before);
+    Ok((regions, info))
+}
+
+/// Folds per-dimension solves, in dimension order, into one report. The
+/// first failed solve is the report's error; no later solve is consumed.
+fn fold_report(
+    initial_candidates: usize,
+    topk_io: IoStatsSnapshot,
+    started: Instant,
+    solved: impl IntoIterator<Item = IrResult<(DimRegions, DimSolveInfo)>>,
+) -> IrResult<RegionReport> {
+    let mut dims = Vec::new();
+    let mut stats = ComputationStats {
+        initial_candidates,
+        topk_io,
+        ..ComputationStats::default()
+    };
+    for solved_dim in solved {
+        let (regions, info) = solved_dim?;
+        stats.evaluated_per_dim.push(info.evaluated);
+        stats.evaluated_candidates += info.evaluated;
+        stats.phase3_tuples += info.phase3_tuples;
+        stats.memory_footprint_bytes = stats.memory_footprint_bytes.max(info.footprint_bytes);
+        stats.io = stats.io.plus(&info.io);
+        dims.push(regions);
+    }
+    stats.cpu_time = started.elapsed();
+    Ok(RegionReport { dims, stats })
 }
 
 #[cfg(test)]

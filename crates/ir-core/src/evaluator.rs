@@ -9,9 +9,10 @@
 //! is the primary performance metric, and why pruning/thresholding pay off.
 //!
 //! The evaluator deduplicates per dimension: a candidate pulled from several
-//! sorted lists is fetched and counted once.
+//! sorted lists is fetched and counted once. It tallies the page accesses of
+//! its fetches ([`CandidateEvaluator::io`]).
 
-use ir_storage::TopKIndex;
+use ir_storage::{IoStatsSnapshot, TopKIndex};
 use ir_types::{DimId, IrResult, TupleId};
 use std::collections::HashMap;
 
@@ -21,6 +22,7 @@ pub struct CandidateEvaluator<'a> {
     /// Coordinates already fetched for the current dimension.
     cache: HashMap<TupleId, f64>,
     evaluated: u64,
+    io: IoStatsSnapshot,
 }
 
 impl<'a> CandidateEvaluator<'a> {
@@ -30,11 +32,12 @@ impl<'a> CandidateEvaluator<'a> {
             index,
             cache: HashMap::new(),
             evaluated: 0,
+            io: IoStatsSnapshot::default(),
         }
     }
 
     /// Starts a new dimension: clears the per-dimension deduplication cache
-    /// and the counter.
+    /// and the counter (the I/O tally keeps accumulating).
     pub fn start_dimension(&mut self) {
         self.cache.clear();
         self.evaluated = 0;
@@ -47,7 +50,7 @@ impl<'a> CandidateEvaluator<'a> {
         if let Some(&coord) = self.cache.get(&id) {
             return Ok(coord);
         }
-        let tuple = self.index.fetch_tuple(id)?;
+        let tuple = self.index.fetch_tuple_counted(id, &mut self.io)?;
         let coord = tuple.get(dim);
         self.cache.insert(id, coord);
         self.evaluated += 1;
@@ -57,6 +60,11 @@ impl<'a> CandidateEvaluator<'a> {
     /// Number of distinct candidates evaluated for the current dimension.
     pub fn evaluated(&self) -> u64 {
         self.evaluated
+    }
+
+    /// Page accesses of every fetch since the evaluator was created.
+    pub fn io(&self) -> IoStatsSnapshot {
+        self.io
     }
 }
 
@@ -95,5 +103,6 @@ mod tests {
         ev.start_dimension();
         ev.evaluate(TupleId(1), DimId(0)).unwrap();
         assert!(index.io_snapshot().logical_reads > 0);
+        assert_eq!(ev.io(), index.io_snapshot());
     }
 }

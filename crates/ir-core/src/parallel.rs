@@ -28,18 +28,18 @@
 //! ever poisoned (the collection locks are `parking_lot` locks, which have
 //! no poisoning at all) — the process and the driver stay fully serviceable.
 //!
-//! **I/O attribution.** Workers register a private shard of the pool's
-//! sharded I/O counters ([`ir_storage::set_thread_stats_shard`]) and diff it
-//! around their own work, so per-query and per-worker I/O tallies stay exact
-//! while many workers hammer the same buffer pool, and the per-worker
-//! tallies always merge losslessly into the pool total.
+//! **I/O attribution.** Counters travel with the work, not the thread: each
+//! query's cursors, TA run and evaluator tally their own page accesses, and
+//! a report's `io` / `topk_io` is the sum of those tallies. A report's I/O
+//! is therefore exactly its own however many workers or other callers share
+//! the buffer pool, and the reports of a batch sum to every access the
+//! batch made ([`BatchOutcome::total_io`]).
 
-use crate::compute::RegionComputation;
-use crate::config::{PerturbationMode, RegionConfig};
+use crate::compute::{solve_dim, RegionComputation};
+use crate::config::RegionConfig;
 use crate::evaluator::CandidateEvaluator;
 use crate::region::{DimRegions, RegionReport};
-use crate::solver_flat::{solve_dim_flat, DimSolveInfo};
-use crate::solver_phi::solve_dim_phi;
+use crate::solver_flat::DimSolveInfo;
 use ir_storage::{IoStatsSnapshot, TopKIndex};
 use ir_topk::{TaConfig, TaRun};
 use ir_types::{IrError, IrResult, QueryVector};
@@ -49,11 +49,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Global allocator of worker shard hints: each pool of workers takes a
-/// consecutive block, so up to [`ir_storage::IO_STATS_SHARDS`] concurrent
-/// workers own pairwise-distinct shards.
-static NEXT_SHARD_HINT: AtomicUsize = AtomicUsize::new(0);
 
 /// Best-effort extraction of a human-readable message from a panic payload
 /// (the `&str`/`String` payloads `panic!` produces; anything else becomes a
@@ -83,8 +78,8 @@ where
     }
 }
 
-/// Runs `n` index-bound jobs on up to `threads` workers and returns the
-/// per-job results **in job order** together with one I/O tally per worker.
+/// Runs `n` jobs on up to `threads` workers and returns the per-job results
+/// **in job order**.
 ///
 /// The driver is a scoped work-stealing pool: workers pull the next
 /// unclaimed job index from a shared atomic counter until none remain, so
@@ -97,53 +92,24 @@ where
 /// result vector (named `"{label} {i}"`), the worker moves on to the next
 /// job, and no lock is ever poisoned — the process survives and every other
 /// job's result is unaffected.
-///
-/// Each spawned worker pins a private I/O-stats shard and reports the shard
-/// delta it caused; with the run's workers owning their shards (guaranteed
-/// within a single run — worker counts are capped at the shard count) the
-/// tallies sum to exactly the I/O of the whole run. If *other* threads use
-/// the same pool concurrently (another driver run, or a sequential caller
-/// whose hash-derived shard collides), their reads can blur into a worker's
-/// tally; the pool totals remain exact either way.
-pub fn run_queries<T, F>(
-    index: &TopKIndex,
-    threads: usize,
-    n: usize,
-    label: &str,
-    job: F,
-) -> (Vec<IrResult<T>>, Vec<IoStatsSnapshot>)
+pub fn run_queries<T, F>(threads: usize, n: usize, label: &str, job: F) -> Vec<IrResult<T>>
 where
     T: Send,
     F: Fn(usize) -> IrResult<T> + Sync,
 {
-    // Clamp to the shard count: a single pool of up to IO_STATS_SHARDS
-    // workers owns pairwise-distinct stats shards (consecutive hint block),
-    // which is what keeps the per-worker I/O tallies exact. More workers
-    // than shards would alias shards and double-count concurrent diffs.
-    let threads = threads
-        .max(1)
-        .min(n.max(1))
-        .min(ir_storage::IO_STATS_SHARDS);
+    let threads = threads.max(1).min(n.max(1));
     if threads <= 1 {
-        let before = index.thread_io_snapshot();
-        let items: Vec<IrResult<T>> = (0..n).map(|i| run_contained(label, i, &job)).collect();
-        let io = index.thread_io_snapshot().since(&before);
-        return (items, vec![io]);
+        return (0..n).map(|i| run_contained(label, i, &job)).collect();
     }
 
     let next_job = AtomicUsize::new(0);
     let collected: Mutex<Vec<(usize, IrResult<T>)>> = Mutex::new(Vec::with_capacity(n));
-    let tallies: Mutex<Vec<IoStatsSnapshot>> = Mutex::new(Vec::with_capacity(threads));
-    let hint_base = NEXT_SHARD_HINT.fetch_add(threads, Ordering::Relaxed);
     std::thread::scope(|scope| {
-        for worker in 0..threads {
+        for _ in 0..threads {
             let job = &job;
             let next_job = &next_job;
             let collected = &collected;
-            let tallies = &tallies;
             scope.spawn(move || {
-                ir_storage::set_thread_stats_shard(hint_base.wrapping_add(worker));
-                let before = index.thread_io_snapshot();
                 let mut local = Vec::new();
                 loop {
                     let i = next_job.fetch_add(1, Ordering::Relaxed);
@@ -152,18 +118,13 @@ where
                     }
                     local.push((i, run_contained(label, i, job)));
                 }
-                let io = index.thread_io_snapshot().since(&before);
                 collected.lock().extend(local);
-                tallies.lock().push(io);
             });
         }
     });
     let mut items = collected.into_inner();
     items.sort_by_key(|(i, _)| *i);
-    (
-        items.into_iter().map(|(_, item)| item).collect(),
-        tallies.into_inner(),
-    )
+    items.into_iter().map(|(_, item)| item).collect()
 }
 
 /// Solves one query dimension from a frozen TA snapshot.
@@ -172,25 +133,16 @@ where
 /// workers can solve distinct dimensions of the same query concurrently.
 /// The result is a pure function of `(index contents, snapshot, dim_index,
 /// config)` — independent of thread count and scheduling — which is what
-/// makes the parallel drivers deterministic.
+/// makes the parallel drivers deterministic. The info's `io` counts what
+/// the clone read beyond the snapshot, plus the evaluator's fetches.
 pub fn solve_dim_from_snapshot(
     index: &TopKIndex,
     ta: &TaRun,
     dim_index: usize,
     config: &RegionConfig,
 ) -> IrResult<(DimRegions, DimSolveInfo)> {
-    let mut ta = ta.clone();
     let mut evaluator = CandidateEvaluator::new(index);
-    evaluator.start_dimension();
-    // Same dispatch as the sequential path (see `RegionComputation::compute`):
-    // the flat Lemma-1 solver is only valid while reorderings count as
-    // perturbations and a single region is requested.
-    let use_flat = config.phi == 0 && config.mode == PerturbationMode::WithReorderings;
-    if use_flat {
-        solve_dim_flat(index, &mut ta, dim_index, config, &mut evaluator)
-    } else {
-        solve_dim_phi(index, &mut ta, dim_index, config, &mut evaluator)
-    }
+    solve_dim(index, &mut ta.clone(), dim_index, config, &mut evaluator)
 }
 
 /// The outcome of a [`BatchRegionComputation`] run: the per-query reports
@@ -200,20 +152,19 @@ pub struct BatchOutcome {
     /// One report per input query, in input order regardless of which
     /// worker finished when.
     pub reports: Vec<RegionReport>,
-    /// I/O attributed to each worker of the pool; sums to the I/O of the
-    /// whole batch when this batch's threads are the pool's only users
-    /// (see [`run_queries`] on shard ownership).
-    pub worker_io: Vec<IoStatsSnapshot>,
     /// Wall-clock time of the whole batch.
     pub wall_time: Duration,
 }
 
 impl BatchOutcome {
-    /// The batch-wide I/O: counter-wise sum of the per-worker tallies.
+    /// The batch-wide I/O: the sum of every report's `topk_io` and `io`,
+    /// which is every page access the batch made.
     pub fn total_io(&self) -> IoStatsSnapshot {
-        self.worker_io
+        self.reports
             .iter()
-            .fold(IoStatsSnapshot::default(), |acc, io| acc.plus(io))
+            .fold(IoStatsSnapshot::default(), |acc, r| {
+                acc.plus(&r.stats.topk_io).plus(&r.stats.io)
+            })
     }
 }
 
@@ -262,11 +213,10 @@ impl BatchRegionComputation {
         }
     }
 
-    /// Sets the worker count (clamped to at least 1; the driver further
-    /// caps it at [`ir_storage::IO_STATS_SHARDS`] so every worker owns a
-    /// private stats shard). Regions and deterministic counters are
-    /// identical for every value; only wall-clock time and cache-dependent
-    /// physical reads change.
+    /// Sets the worker count (clamped to at least 1; the driver never runs
+    /// more workers than there are queries). Regions and deterministic
+    /// counters are identical for every value; only wall-clock time and
+    /// cache-dependent physical reads change.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -293,34 +243,26 @@ impl BatchRegionComputation {
         self.run_detailed(queries).map(|outcome| outcome.reports)
     }
 
-    /// Runs every query, also returning per-worker I/O tallies and the
-    /// batch wall-clock time.
+    /// Runs every query, also returning the batch wall-clock time.
     pub fn run_detailed(&self, queries: &[QueryVector]) -> IrResult<BatchOutcome> {
         let started = Instant::now();
-        let (results, worker_io) = run_queries(
-            &self.index,
-            self.threads,
-            queries.len(),
-            "query",
-            |query_index| {
-                let mut computation = RegionComputation::with_ta_config(
-                    &self.index,
-                    &queries[query_index],
-                    self.config,
-                    &self.ta_config,
-                )?;
-                // Each query runs the plain sequential solve on its worker:
-                // a query is self-contained, so the report (regions *and*
-                // candidate counts) is exactly what the sequential oracle
-                // produces, for every worker count. Per-dimension fan-out
-                // (`compute_parallel`) is a separate, latency-oriented tool.
-                computation.compute()
-            },
-        );
+        let results = run_queries(self.threads, queries.len(), "query", |query_index| {
+            let mut computation = RegionComputation::with_ta_config(
+                &self.index,
+                &queries[query_index],
+                self.config,
+                &self.ta_config,
+            )?;
+            // Each query runs the plain sequential solve on its worker:
+            // a query is self-contained, so the report (regions *and*
+            // candidate counts) is exactly what the sequential oracle
+            // produces, for every worker count. Per-dimension fan-out
+            // (`compute_parallel`) is a separate, latency-oriented tool.
+            computation.compute()
+        });
         let reports = results.into_iter().collect::<IrResult<Vec<_>>>()?;
         Ok(BatchOutcome {
             reports,
-            worker_io,
             wall_time: started.elapsed(),
         })
     }
@@ -377,25 +319,20 @@ mod tests {
 
     #[test]
     fn run_queries_preserves_job_order() {
-        let dataset = Dataset::running_example();
-        let index = ir_storage::TopKIndex::build_in_memory(&dataset).unwrap();
         for threads in [1usize, 2, 5] {
-            let (items, tallies) = run_queries(&index, threads, 9, "job", |i| Ok(i * i));
+            let items = run_queries(threads, 9, "job", |i| Ok(i * i));
             let items: Vec<usize> = items.into_iter().map(|r| r.unwrap()).collect();
             assert_eq!(items, (0..9).map(|i| i * i).collect::<Vec<_>>());
-            assert!(!tallies.is_empty());
         }
     }
 
     #[test]
     fn run_queries_contains_panics_per_job() {
-        let dataset = Dataset::running_example();
-        let index = ir_storage::TopKIndex::build_in_memory(&dataset).unwrap();
         // Suppress the default panic hook's stderr spam for the injected
         // panics; the hook is process-global, so set it once.
         quiet_panics();
         for threads in [1usize, 2, 8] {
-            let (items, _) = run_queries(&index, threads, 9, "job", |i| {
+            let items = run_queries(threads, 9, "job", |i| {
                 if i == 4 {
                     panic!("injected fault: job four exploded");
                 }
@@ -418,7 +355,7 @@ mod tests {
             }
         }
         // The driver is reusable after a panic: no poisoned state anywhere.
-        let (items, _) = run_queries(&index, 4, 3, "job", Ok);
+        let items = run_queries(4, 3, "job", Ok);
         assert!(items.into_iter().all(|r| r.is_ok()));
     }
 

@@ -21,7 +21,7 @@ use crate::partition::Partition;
 use crate::region::{DimRegions, Perturbation, RegionBoundary, WeightRegion};
 use crate::threshold::{exhaustive_phase2, threshold_phase2, BoundState, CandView};
 use ir_geometry::Interval;
-use ir_storage::TopKIndex;
+use ir_storage::{IoStatsSnapshot, TopKIndex};
 use ir_topk::TaRun;
 use ir_types::{IrError, IrResult, TupleId};
 
@@ -36,6 +36,9 @@ pub struct DimSolveInfo {
     pub phase2_pool: usize,
     /// Approximate bytes of candidate bookkeeping this dimension required.
     pub footprint_bytes: usize,
+    /// Page accesses of this dimension's solve (evaluator fetches plus the
+    /// resumed TA of Phase 3), filled in by the dispatcher.
+    pub io: IoStatsSnapshot,
 }
 
 /// Solves one query dimension for `φ = 0`.

@@ -4,8 +4,12 @@
 //! Every page access performed by the inverted-list cursors and the tuple
 //! store goes through a [`BufferPool`]. The pool keeps the most recently
 //! used pages in memory and counts logical reads (requests), physical reads
-//! (misses that hit the page store) and writes. These counters are the raw
-//! material for the I/O metrics of the experiment harness.
+//! (misses that hit the page store) and writes. Every count lands twice: in
+//! the pool's lifetime totals, kept beside the frames under the pool mutex
+//! each request already takes, and in the tally of the unit of work that
+//! asked ([`BufferPool::read_counted`], [`BufferPool::write_counted`]). The
+//! totals are exact for the whole pool and a tally is exact for its owner,
+//! however many threads share the pool.
 //!
 //! Eviction is exact LRU, and a hit, a miss and an eviction each cost O(1)
 //! under the pool mutex: the frames sit in a slab, joined in an intrusive
@@ -24,7 +28,7 @@
 
 use crate::page::{PageBuf, PageId, PAGE_SIZE};
 use crate::pagestore::PageStore;
-use crate::stats::{IoStatsSnapshot, ShardedIoStats};
+use crate::stats::IoStatsSnapshot;
 use ir_types::{IrError, IrResult};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -96,6 +100,8 @@ struct LruFrames {
     head: usize,
     tail: usize,
     capacity: usize,
+    /// The pool's lifetime I/O totals (not reset by [`LruFrames::clear`]).
+    io: IoStatsSnapshot,
 }
 
 impl LruFrames {
@@ -106,6 +112,7 @@ impl LruFrames {
             head: NIL,
             tail: NIL,
             capacity,
+            io: IoStatsSnapshot::default(),
         }
     }
 
@@ -201,11 +208,6 @@ impl LruFrames {
 pub struct BufferPool {
     store: Arc<dyn PageStore>,
     inner: Mutex<LruFrames>,
-    /// Per-worker (sharded) counters: each thread records into its own
-    /// shard, so parallel drivers can attribute I/O per worker (exact while
-    /// each worker owns its shard; see `ShardedIoStats`) and the shard
-    /// snapshots always merge losslessly into the pool total.
-    stats: ShardedIoStats,
     retry: RetryPolicy,
 }
 
@@ -230,7 +232,6 @@ impl BufferPool {
         BufferPool {
             store,
             inner: Mutex::new(LruFrames::new(capacity.max(1))),
-            stats: ShardedIoStats::new(),
             retry,
         }
     }
@@ -246,12 +247,13 @@ impl BufferPool {
     }
 
     /// Runs `op` under the retry policy: transient failures are re-issued
-    /// (recording one retry counter tick via `on_retry` per re-attempt)
-    /// until they heal or the attempt budget is spent.
+    /// (`count_retry` ticks the pool totals and `tally` once per
+    /// re-attempt) until they heal or the attempt budget is spent.
     fn with_retries<T>(
         &self,
+        tally: &mut IoStatsSnapshot,
+        count_retry: fn(&mut IoStatsSnapshot),
         op: impl Fn() -> IrResult<T>,
-        on_retry: impl Fn(&ShardedIoStats),
     ) -> IrResult<T> {
         let mut attempt = 0u32;
         loop {
@@ -274,7 +276,8 @@ impl BufferPool {
                     if !backoff.is_zero() {
                         std::thread::sleep(backoff);
                     }
-                    on_retry(&self.stats);
+                    count_retry(&mut self.inner.lock().io);
+                    count_retry(tally);
                 }
                 Err(err) => return Err(err),
             }
@@ -286,27 +289,55 @@ impl BufferPool {
         self.inner.lock().len()
     }
 
-    /// Reads a page through the cache. Records one logical read, plus one
-    /// physical read if the page was not cached.
+    /// [`BufferPool::read_counted`] for a caller that keeps no tally.
     pub fn read(&self, page: PageId) -> IrResult<Arc<PageBuf>> {
-        self.stats.record_logical_read();
-        if let Some(data) = self.inner.lock().get(page) {
-            return Ok(data);
+        self.read_counted(page, &mut IoStatsSnapshot::default())
+    }
+
+    /// Reads a page through the cache. Records one logical read, plus one
+    /// physical read if the page was not cached and one read retry per
+    /// re-issued store read, in the pool's totals and in `tally` alike.
+    pub fn read_counted(
+        &self,
+        page: PageId,
+        tally: &mut IoStatsSnapshot,
+    ) -> IrResult<Arc<PageBuf>> {
+        tally.logical_reads += 1;
+        {
+            let mut inner = self.inner.lock();
+            inner.io.logical_reads += 1;
+            if let Some(data) = inner.get(page) {
+                return Ok(data);
+            }
+            inner.io.physical_reads += 1;
         }
+        tally.physical_reads += 1;
         // Miss: fetch outside the lock (retrying transient faults), then
         // insert.
-        self.stats.record_physical_read();
         let data = Arc::new(self.with_retries(
+            tally,
+            |io| io.read_retries += 1,
             || self.store.read_page(page),
-            |stats| stats.record_read_retry(),
         )?);
         self.inner.lock().insert(page, &data);
         Ok(data)
     }
 
-    /// Writes a page through the cache (write-through: the store is updated
-    /// immediately and the cached copy, if any, is refreshed).
+    /// [`BufferPool::write_counted`] for a caller that keeps no tally.
     pub fn write(&self, page: PageId, data: &[u8]) -> IrResult<()> {
+        self.write_counted(page, data, &mut IoStatsSnapshot::default())
+    }
+
+    /// Writes a page through the cache (write-through: the store is updated
+    /// immediately and the cached copy, if any, is refreshed). Records one
+    /// page written and one write retry per re-issued store write, in the
+    /// pool's totals and in `tally` alike.
+    pub fn write_counted(
+        &self,
+        page: PageId,
+        data: &[u8],
+        tally: &mut IoStatsSnapshot,
+    ) -> IrResult<()> {
         if data.len() != PAGE_SIZE {
             return Err(IrError::Storage(format!(
                 "buffer pool write expects {PAGE_SIZE} bytes, got {}",
@@ -314,11 +345,14 @@ impl BufferPool {
             )));
         }
         self.with_retries(
+            tally,
+            |io| io.write_retries += 1,
             || self.store.write_page(page, data),
-            |stats| stats.record_write_retry(),
         )?;
-        self.stats.record_write();
-        self.inner.lock().refresh(page, data);
+        tally.pages_written += 1;
+        let mut inner = self.inner.lock();
+        inner.io.pages_written += 1;
+        inner.refresh(page, data);
         Ok(())
     }
 
@@ -327,27 +361,20 @@ impl BufferPool {
         self.store.allocate(count)
     }
 
-    /// Drops every cached page (the counters are preserved).
+    /// Drops every cached page (the I/O totals are preserved).
     pub fn clear_cache(&self) {
         self.inner.lock().clear();
     }
 
-    /// Snapshot of the I/O counters (merged over every worker shard).
+    /// The pool's I/O totals since it was created or last reset: every
+    /// request from every caller.
     pub fn io_snapshot(&self) -> IoStatsSnapshot {
-        self.stats.snapshot()
+        self.inner.lock().io
     }
 
-    /// Snapshot of the calling thread's own I/O shard. Diffing this around
-    /// a unit of work attributes its I/O to the current worker even while
-    /// other workers hammer the same pool (see
-    /// [`crate::stats::set_thread_stats_shard`]).
-    pub fn thread_io_snapshot(&self) -> IoStatsSnapshot {
-        self.stats.thread_snapshot()
-    }
-
-    /// Resets the I/O counters (the cache content is preserved).
+    /// Resets the I/O totals (the cache content is preserved).
     pub fn reset_io_stats(&self) {
-        self.stats.reset();
+        self.inner.lock().io = IoStatsSnapshot::default();
     }
 }
 

@@ -14,7 +14,7 @@
 use crate::buffer::{BufferPool, RetryPolicy, DEFAULT_POOL_CAPACITY};
 use crate::fault::{FaultInjectingPageStore, FaultPlan};
 use crate::inverted::{write_list, InvertedListCursor, ListDirectoryEntry, ENTRY_BYTES};
-use crate::maintain::{self, AppliedUpdate, MaintenanceStats, MaintenanceStatsSnapshot, Mutable};
+use crate::maintain::{self, AppliedUpdate, MaintenanceStatsSnapshot, Mutable};
 use crate::pagestore::{FilePageStore, MemPageStore, PageStore};
 use crate::snapshot::{self, SnapshotSummary};
 use crate::stats::{IoConfig, IoStatsSnapshot};
@@ -277,7 +277,6 @@ impl IndexBuilder {
             backend_kind: self.backend.kind(),
             fault_injector: injector,
             cold_start_info,
-            maintenance: MaintenanceStats::default(),
         })
     }
 
@@ -360,7 +359,6 @@ impl IndexBuilder {
             backend_kind,
             fault_injector: injector,
             cold_start_info,
-            maintenance: MaintenanceStats::default(),
         })
     }
 
@@ -390,7 +388,6 @@ pub struct TopKIndex {
     backend_kind: BackendKind,
     fault_injector: Option<Arc<FaultInjectingPageStore>>,
     cold_start_info: ColdStartInfo,
-    maintenance: MaintenanceStats,
 }
 
 impl TopKIndex {
@@ -474,12 +471,22 @@ impl TopKIndex {
         Ok(InvertedListCursor::new(Arc::clone(&self.pool), directory))
     }
 
-    /// Fetches the full sparse vector of a tuple (random access). A deleted
-    /// tuple reads back as the empty vector. The directory read lock is held
-    /// for this one fetch, so the record is read either entirely before or
-    /// entirely after any [`TopKIndex::apply_updates`] batch.
+    /// [`TopKIndex::fetch_tuple_counted`] for a caller that keeps no tally.
     pub fn fetch_tuple(&self, id: TupleId) -> IrResult<SparseVector> {
-        read_tuple(&self.pool, &self.mutable.read().tuple_region, id)
+        self.fetch_tuple_counted(id, &mut IoStatsSnapshot::default())
+    }
+
+    /// Fetches the full sparse vector of a tuple (random access), counting
+    /// its page reads in `tally`. A deleted tuple reads back as the empty
+    /// vector. The directory read lock is held for this one fetch, so the
+    /// record is read either entirely before or entirely after any
+    /// [`TopKIndex::apply_updates`] batch.
+    pub fn fetch_tuple_counted(
+        &self,
+        id: TupleId,
+        tally: &mut IoStatsSnapshot,
+    ) -> IrResult<SparseVector> {
+        read_tuple(&self.pool, &self.mutable.read().tuple_region, id, tally)
     }
 
     /// Applies a batch of logical updates to the physical index in place —
@@ -495,22 +502,20 @@ impl TopKIndex {
     /// vector) per input, in order; the layers above use exactly that pair
     /// to decide which immutable regions were punctured.
     ///
-    /// All I/O performed by the batch is measured on the calling thread's
-    /// shard and folded into [`TopKIndex::maintenance_stats`], so
-    /// maintenance cost is accounted separately from query cost even with
-    /// concurrent readers.
+    /// Every page the batch reads or writes is counted in the batch's own
+    /// tally and added to [`TopKIndex::maintenance_stats`] under the write
+    /// lock, so maintenance cost is accounted separately from query cost
+    /// even with concurrent readers.
     pub fn apply_updates(&self, updates: &[TupleUpdate]) -> IrResult<Vec<AppliedUpdate>> {
         if updates.is_empty() {
             return Ok(Vec::new());
         }
-        let mut m = self.mutable.write();
-        let before = self.pool.thread_io_snapshot();
-        let (applied, outcome) =
-            maintain::apply_batch(&self.pool, self.dimensionality, &mut m, updates)?;
-        let io = self.pool.thread_io_snapshot().since(&before);
-        self.maintenance
-            .record_batch(updates.len() as u64, &outcome, &io);
-        Ok(applied)
+        maintain::apply_batch(
+            &self.pool,
+            self.dimensionality,
+            &mut self.mutable.write(),
+            updates,
+        )
     }
 
     /// Applies one logical update; see [`TopKIndex::apply_updates`].
@@ -525,18 +530,13 @@ impl TopKIndex {
     /// rewritten, tuple-region relocations, and the I/O attributed to
     /// maintenance (kept separate from the query counters).
     pub fn maintenance_stats(&self) -> MaintenanceStatsSnapshot {
-        self.maintenance.snapshot()
+        self.mutable.read().stats
     }
 
-    /// Snapshot of the I/O counters accumulated since the last reset.
+    /// The buffer pool's I/O totals since the last reset: every caller's
+    /// requests, maintenance included.
     pub fn io_snapshot(&self) -> IoStatsSnapshot {
         self.pool.io_snapshot()
-    }
-
-    /// Snapshot of the calling thread's own I/O shard (per-worker
-    /// attribution; see [`BufferPool::thread_io_snapshot`]).
-    pub fn thread_io_snapshot(&self) -> IoStatsSnapshot {
-        self.pool.thread_io_snapshot()
     }
 
     /// Resets the I/O counters (keeps the cache warm).

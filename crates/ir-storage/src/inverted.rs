@@ -9,6 +9,7 @@
 
 use crate::buffer::BufferPool;
 use crate::page::{codec, zeroed_page, PageId, PAGE_SIZE};
+use crate::stats::IoStatsSnapshot;
 use ir_types::{DimId, IrError, IrResult, TupleId};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -46,7 +47,13 @@ pub fn write_list(
 ) -> IrResult<ListDirectoryEntry> {
     let num_pages = entries.len().div_ceil(ENTRIES_PER_PAGE).max(1) as u32;
     let first_page = pool.allocate(num_pages)?;
-    write_list_at(pool, dim, entries, first_page)
+    write_list_at(
+        pool,
+        dim,
+        entries,
+        first_page,
+        &mut IoStatsSnapshot::default(),
+    )
 }
 
 /// Writes an inverted list (already sorted by decreasing value) into an
@@ -54,11 +61,13 @@ pub fn write_list(
 /// twin of [`write_list`], used when a list is rewritten into its own (or a
 /// recycled) run instead of freshly allocated pages. The caller guarantees
 /// the run is long enough ([`ListDirectoryEntry::num_pages`] of the result).
+/// The writes are counted in `tally`.
 pub fn write_list_at(
     pool: &BufferPool,
     dim: DimId,
     entries: &[(TupleId, f64)],
     first_page: PageId,
+    tally: &mut IoStatsSnapshot,
 ) -> IrResult<ListDirectoryEntry> {
     debug_assert!(
         entries
@@ -73,7 +82,7 @@ pub fn write_list_at(
             codec::put_u32(&mut page, off, tuple.0);
             codec::put_f64(&mut page, off + 4, *value);
         }
-        pool.write(PageId(first_page.0 + page_idx as u32), &page)?;
+        pool.write_counted(PageId(first_page.0 + page_idx as u32), &page, tally)?;
     }
     Ok(ListDirectoryEntry {
         dim,
@@ -84,14 +93,15 @@ pub fn write_list_at(
 
 /// Reads a whole inverted list back into memory, in stored order — the
 /// read-modify step of a maintenance rewrite. Touches each list page once
-/// through the pool, so the read is accounted like any other access.
+/// through the pool, counted in `tally`.
 pub fn read_list(
     pool: &BufferPool,
     directory: &ListDirectoryEntry,
+    tally: &mut IoStatsSnapshot,
 ) -> IrResult<Vec<(TupleId, f64)>> {
     let mut entries = Vec::with_capacity(directory.num_entries as usize);
     for page_idx in 0..directory.num_pages() {
-        let page = pool.read(PageId(directory.first_page.0 + page_idx))?;
+        let page = pool.read_counted(PageId(directory.first_page.0 + page_idx), tally)?;
         let start = page_idx as usize * ENTRIES_PER_PAGE;
         let in_page = (directory.num_entries as usize - start).min(ENTRIES_PER_PAGE);
         for slot in 0..in_page {
@@ -110,16 +120,19 @@ pub fn read_list(
 /// The cursor is the physical realisation of TA's sorted access: `peek`
 /// exposes the sorting key `t_j` of the next entry (used in the threshold)
 /// and `next` consumes it. Reading an entry touches exactly one page via the
-/// buffer pool. Cursors are cheap to clone-position: `position`/`seek` allow
+/// buffer pool, counted in the cursor's own tally ([`InvertedListCursor::io`]).
+/// Cursors are cheap to clone-position: `position`/`seek` allow
 /// the resumable TA of Phase 3 to continue exactly where the top-k
 /// computation stopped. Cursors are `Clone`: a clone shares the buffer pool
 /// but scans independently from the cloned position, which is what lets a
-/// resumable TA state be snapshotted per worker thread.
+/// resumable TA state be snapshotted per worker thread. A clone carries its
+/// tally, so what the clone read is its tally minus the original's.
 #[derive(Clone)]
 pub struct InvertedListCursor {
     pool: Arc<BufferPool>,
     directory: ListDirectoryEntry,
     position: u32,
+    io: IoStatsSnapshot,
 }
 
 impl InvertedListCursor {
@@ -129,6 +142,7 @@ impl InvertedListCursor {
             pool,
             directory,
             position: 0,
+            io: IoStatsSnapshot::default(),
         }
     }
 
@@ -167,7 +181,12 @@ impl InvertedListCursor {
         self.position = position.min(self.directory.num_entries);
     }
 
-    fn read_at(&self, index: u32) -> IrResult<(TupleId, f64)> {
+    /// The page accesses this cursor (and, for a clone, its original) made.
+    pub fn io(&self) -> IoStatsSnapshot {
+        self.io
+    }
+
+    fn read_at(&mut self, index: u32) -> IrResult<(TupleId, f64)> {
         if index >= self.directory.num_entries {
             return Err(IrError::Storage(format!(
                 "inverted list read past the end: {} >= {}",
@@ -176,9 +195,10 @@ impl InvertedListCursor {
         }
         let page_idx = index as usize / ENTRIES_PER_PAGE;
         let slot = index as usize % ENTRIES_PER_PAGE;
-        let page = self
-            .pool
-            .read(PageId(self.directory.first_page.0 + page_idx as u32))?;
+        let page = self.pool.read_counted(
+            PageId(self.directory.first_page.0 + page_idx as u32),
+            &mut self.io,
+        )?;
         let off = slot * ENTRY_BYTES;
         Ok((
             TupleId(codec::get_u32(&page, off)),
@@ -187,7 +207,7 @@ impl InvertedListCursor {
     }
 
     /// Returns the next entry without consuming it.
-    pub fn peek(&self) -> IrResult<Option<(TupleId, f64)>> {
+    pub fn peek(&mut self) -> IrResult<Option<(TupleId, f64)>> {
         if self.exhausted() {
             return Ok(None);
         }
@@ -197,7 +217,7 @@ impl InvertedListCursor {
     /// The sorting key `t_j` of the next entry; zero once the list is
     /// exhausted (all coordinates are non-negative, so zero is the correct
     /// lower bound for unseen values).
-    pub fn threshold_value(&self) -> IrResult<f64> {
+    pub fn threshold_value(&mut self) -> IrResult<f64> {
         Ok(self.peek()?.map_or(0.0, |(_, v)| v))
     }
 
@@ -319,5 +339,6 @@ mod tests {
         let snap = pool.io_snapshot();
         assert_eq!(snap.physical_reads, 3);
         assert_eq!(snap.logical_reads, entries.len() as u64);
+        assert_eq!(cursor.io(), snap, "the cursor tallied every access");
     }
 }

@@ -17,9 +17,12 @@
 //! * [`fault`] — a deterministic fault-injection wrapper
 //!   ([`FaultInjectingPageStore`]) driven by a serializable [`FaultPlan`],
 //!   used by the chaos suite and the `--fault-plan` runner flag,
-//! * [`stats`] — the buffer pool's I/O counters (the only home of device
-//!   reads) and a configurable latency model used by the experiment
-//!   harness to report I/O time,
+//! * [`stats`] — [`IoStatsSnapshot`], the one counter set of page accesses:
+//!   the buffer pool's lifetime totals (the only home of device reads) and
+//!   the tally each unit of work (cursor, TA run, evaluator, maintenance
+//!   batch) owns, so a report's I/O is the sum of what its units read —
+//!   plus a configurable latency model used by the experiment harness to
+//!   report I/O time,
 //! * [`inverted`] — the per-dimension inverted lists with resumable
 //!   sequential cursors (TA's *sorted access*),
 //! * [`tuplestore`] — the external tuple file with random access by tuple id
@@ -54,8 +57,5 @@ pub use maintain::{AppliedUpdate, MaintenanceStatsSnapshot};
 pub use page::{PageId, PAGE_SIZE};
 pub use pagestore::{FilePageStore, MemPageStore, PageStore};
 pub use snapshot::SnapshotSummary;
-pub use stats::{
-    set_thread_stats_shard, thread_stats_shard, IoConfig, IoStats, IoStatsSnapshot, ShardedIoStats,
-    IO_STATS_SHARDS,
-};
+pub use stats::{IoConfig, IoStatsSnapshot};
 pub use tuplestore::TupleDirectoryEntry;

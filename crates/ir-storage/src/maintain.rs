@@ -34,10 +34,20 @@
 //! of applying a prefix. I/O failures mid-batch can still leave a partially
 //! applied batch behind (the error is surfaced; the index remains
 //! internally consistent up to the last completed update).
+//!
+//! Maintenance cost is counted apart from query cost: a batch threads its
+//! own I/O tally through every page it reads and writes, and folds it with
+//! its list rewrites and relocations into the [`MaintenanceStatsSnapshot`]
+//! kept beside the index's directories, under the write lock the batch
+//! already holds. Concurrent queries tally their own reads, so they never
+//! land here. A batch that fails part-way on an I/O error still counts the
+//! pages, rewrites and relocations it did; only `updates_applied` and
+//! `batches` wait for the batch to complete.
 
 use crate::buffer::BufferPool;
 use crate::inverted::{read_list, write_list_at, ListDirectoryEntry, ENTRIES_PER_PAGE};
 use crate::page::{PageId, PAGE_SIZE};
+use crate::stats::IoStatsSnapshot;
 use crate::tuplestore::{
     encode_record, read_tuple, write_region_bytes, TupleDirectoryEntry, TupleRegion,
 };
@@ -45,7 +55,6 @@ use ir_types::update::TupleUpdate;
 use ir_types::{DimId, IrResult, SparseVector, TupleId};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// What one applied update changed, as the layers above need to see it: the
 /// touched tuple plus its vector before and after. The region-invalidation
@@ -62,22 +71,8 @@ pub struct AppliedUpdate {
     pub new_vector: SparseVector,
 }
 
-/// Monotonic maintenance counters owned by a [`crate::TopKIndex`] — the
-/// "maintenance I/O accounted separately" half of the update model. Updated
-/// once per batch from a thread-local I/O diff, so concurrent queries on
-/// other threads never pollute the attribution.
-#[derive(Debug, Default)]
-pub struct MaintenanceStats {
-    updates_applied: AtomicU64,
-    batches: AtomicU64,
-    lists_rewritten: AtomicU64,
-    tuple_relocations: AtomicU64,
-    logical_reads: AtomicU64,
-    physical_reads: AtomicU64,
-    pages_written: AtomicU64,
-}
-
-/// Snapshot of [`MaintenanceStats`], suitable for diffing and emission.
+/// Cumulative maintenance counters of a [`crate::TopKIndex`]: the
+/// "maintenance I/O accounted separately" half of the update model.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MaintenanceStatsSnapshot {
     /// Individual updates applied (a batch of `n` counts `n`).
@@ -98,54 +93,11 @@ pub struct MaintenanceStatsSnapshot {
     pub pages_written: u64,
 }
 
-impl MaintenanceStats {
-    /// Folds one applied batch into the counters.
-    pub(crate) fn record_batch(
-        &self,
-        updates: u64,
-        outcome: &BatchOutcome,
-        io: &crate::stats::IoStatsSnapshot,
-    ) {
-        self.updates_applied.fetch_add(updates, Ordering::Relaxed);
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.lists_rewritten
-            .fetch_add(outcome.lists_rewritten, Ordering::Relaxed);
-        self.tuple_relocations
-            .fetch_add(outcome.tuple_relocations, Ordering::Relaxed);
-        self.logical_reads
-            .fetch_add(io.logical_reads, Ordering::Relaxed);
-        self.physical_reads
-            .fetch_add(io.physical_reads, Ordering::Relaxed);
-        self.pages_written
-            .fetch_add(io.pages_written, Ordering::Relaxed);
-    }
-
-    /// Takes a snapshot of the current counters.
-    pub fn snapshot(&self) -> MaintenanceStatsSnapshot {
-        MaintenanceStatsSnapshot {
-            updates_applied: self.updates_applied.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            lists_rewritten: self.lists_rewritten.load(Ordering::Relaxed),
-            tuple_relocations: self.tuple_relocations.load(Ordering::Relaxed),
-            logical_reads: self.logical_reads.load(Ordering::Relaxed),
-            physical_reads: self.physical_reads.load(Ordering::Relaxed),
-            pages_written: self.pages_written.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Per-batch tallies the caller folds into [`MaintenanceStats`].
-#[derive(Debug, Default)]
-pub(crate) struct BatchOutcome {
-    pub(crate) lists_rewritten: u64,
-    pub(crate) tuple_relocations: u64,
-}
-
 /// The mutable half of a [`crate::TopKIndex`]: directories plus the
-/// allocation bookkeeping maintenance needs. Lives behind the index's
-/// `RwLock`; a tuple fetch holds the read lock for its duration, a list
-/// cursor copies only its own 12-byte directory entry out, maintenance holds
-/// the write lock for a whole batch.
+/// allocation bookkeeping and counters maintenance needs. Lives behind the
+/// index's `RwLock`; a tuple fetch holds the read lock for its duration, a
+/// list cursor copies only its own 12-byte directory entry out, maintenance
+/// holds the write lock for a whole batch.
 pub(crate) struct Mutable {
     /// Per-dimension inverted-list directory.
     pub(crate) lists: HashMap<DimId, ListDirectoryEntry>,
@@ -163,6 +115,8 @@ pub(crate) struct Mutable {
     /// Recyclable page runs `(first, len)`, sorted by first page and
     /// coalesced.
     free_runs: Vec<(PageId, u32)>,
+    /// Every batch's work so far.
+    pub(crate) stats: MaintenanceStatsSnapshot,
 }
 
 impl Mutable {
@@ -188,6 +142,7 @@ impl Mutable {
             tuple_capacity_pages: tuple_region.num_pages,
             tuple_tail_bytes,
             free_runs: Vec::new(),
+            stats: MaintenanceStatsSnapshot::default(),
             lists,
             tuple_region,
             cardinality,
@@ -195,8 +150,8 @@ impl Mutable {
     }
 }
 
-/// Applies a batch of updates to the physical index. Returns one
-/// [`AppliedUpdate`] per input update, in order, plus the batch tallies.
+/// Applies a batch of updates to the physical index and adds its work to
+/// `m.stats`. Returns one [`AppliedUpdate`] per input update, in order.
 ///
 /// The batch is validated in full first (against the shape the dataset will
 /// have at each update's turn, so a batch may mutate a tuple it inserted
@@ -206,7 +161,7 @@ pub(crate) fn apply_batch(
     dimensionality: u32,
     m: &mut Mutable,
     updates: &[TupleUpdate],
-) -> IrResult<(Vec<AppliedUpdate>, BatchOutcome)> {
+) -> IrResult<Vec<AppliedUpdate>> {
     let mut simulated_cardinality = m.cardinality;
     for update in updates {
         update.validate(simulated_cardinality, dimensionality)?;
@@ -215,7 +170,26 @@ pub(crate) fn apply_batch(
         }
     }
 
-    let mut outcome = BatchOutcome::default();
+    let mut io = IoStatsSnapshot::default();
+    let applied = apply_validated(pool, m, updates, &mut io);
+    let stats = &mut m.stats;
+    stats.logical_reads += io.logical_reads;
+    stats.physical_reads += io.physical_reads;
+    stats.pages_written += io.pages_written;
+    if applied.is_ok() {
+        stats.updates_applied += updates.len() as u64;
+        stats.batches += 1;
+    }
+    applied
+}
+
+/// The page-touching body of [`apply_batch`], every access counted in `io`.
+fn apply_validated(
+    pool: &BufferPool,
+    m: &mut Mutable,
+    updates: &[TupleUpdate],
+    io: &mut IoStatsSnapshot,
+) -> IrResult<Vec<AppliedUpdate>> {
     let mut applied = Vec::with_capacity(updates.len());
     // Net posting change per dimension: tuple → Some(new value) | None
     // (gone). Later writes to the same (dim, tuple) overwrite earlier ones,
@@ -223,7 +197,7 @@ pub(crate) fn apply_batch(
     let mut deltas: BTreeMap<DimId, BTreeMap<TupleId, Option<f64>>> = BTreeMap::new();
 
     for update in updates {
-        let (tuple, old_vector, new_vector) = apply_tuple_change(pool, m, update, &mut outcome)?;
+        let (tuple, old_vector, new_vector) = apply_tuple_change(pool, m, update, io)?;
         merge_posting_deltas(&mut deltas, tuple, &old_vector, &new_vector);
         applied.push(AppliedUpdate {
             tuple,
@@ -239,7 +213,7 @@ pub(crate) fn apply_batch(
             continue;
         }
         let mut entries = match m.lists.get(&dim) {
-            Some(entry) => read_list(pool, entry)?,
+            Some(entry) => read_list(pool, entry, io)?,
             None => Vec::new(),
         };
         entries.retain(|(tuple, _)| !changes.contains_key(tuple));
@@ -250,11 +224,11 @@ pub(crate) fn apply_batch(
         }
         // The exact build-time order: decreasing value, ties by id.
         entries.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        rewrite_list(pool, m, dim, &entries)?;
-        outcome.lists_rewritten += 1;
+        rewrite_list(pool, m, dim, &entries, io)?;
+        m.stats.lists_rewritten += 1;
     }
 
-    Ok((applied, outcome))
+    Ok(applied)
 }
 
 /// Applies one update to the tuple store and returns `(tuple, old, new)`.
@@ -262,12 +236,12 @@ fn apply_tuple_change(
     pool: &BufferPool,
     m: &mut Mutable,
     update: &TupleUpdate,
-    outcome: &mut BatchOutcome,
+    io: &mut IoStatsSnapshot,
 ) -> IrResult<(TupleId, SparseVector, SparseVector)> {
     match update {
         TupleUpdate::Insert { vector } => {
             let id = TupleId::from(m.cardinality);
-            let offset = append_record(pool, m, vector, outcome)?;
+            let offset = append_record(pool, m, vector, io)?;
             m.tuple_region.directory.push(TupleDirectoryEntry {
                 offset,
                 nnz: vector.nnz() as u32,
@@ -276,12 +250,12 @@ fn apply_tuple_change(
             Ok((id, SparseVector::new(), vector.clone()))
         }
         TupleUpdate::Delete { tuple } => {
-            let old = read_tuple(pool, &m.tuple_region, *tuple)?;
+            let old = read_tuple(pool, &m.tuple_region, *tuple, io)?;
             m.tuple_region.directory[tuple.index()].nnz = 0;
             Ok((*tuple, old, SparseVector::new()))
         }
         TupleUpdate::UpdateScore { tuple, dim, value } => {
-            let old = read_tuple(pool, &m.tuple_region, *tuple)?;
+            let old = read_tuple(pool, &m.tuple_region, *tuple, io)?;
             let new = old.with_coordinate(*dim, *value)?;
             let entry = &mut m.tuple_region.directory[tuple.index()];
             if new.nnz() == 0 {
@@ -291,9 +265,9 @@ fn apply_tuple_change(
                 let offset = entry.offset;
                 let mut bytes = Vec::new();
                 encode_record(&new, &mut bytes);
-                write_region_bytes(pool, &m.tuple_region, offset, &bytes)?;
+                write_region_bytes(pool, &m.tuple_region, offset, &bytes, io)?;
             } else {
-                let offset = append_record(pool, m, &new, outcome)?;
+                let offset = append_record(pool, m, &new, io)?;
                 let entry = &mut m.tuple_region.directory[tuple.index()];
                 entry.offset = offset;
                 entry.nnz = new.nnz() as u32;
@@ -337,7 +311,7 @@ fn append_record(
     pool: &BufferPool,
     m: &mut Mutable,
     vector: &SparseVector,
-    outcome: &mut BatchOutcome,
+    io: &mut IoStatsSnapshot,
 ) -> IrResult<u64> {
     let mut bytes = Vec::new();
     encode_record(vector, &mut bytes);
@@ -345,11 +319,11 @@ fn append_record(
     let end = start + bytes.len() as u64;
     let needed_pages = (end.div_ceil(PAGE_SIZE as u64) as u32).max(1);
     if needed_pages > m.tuple_capacity_pages {
-        relocate_tuple_region(pool, m, needed_pages)?;
-        outcome.tuple_relocations += 1;
+        relocate_tuple_region(pool, m, needed_pages, io)?;
+        m.stats.tuple_relocations += 1;
     }
     if !bytes.is_empty() {
-        write_region_bytes(pool, &m.tuple_region, start, &bytes)?;
+        write_region_bytes(pool, &m.tuple_region, start, &bytes, io)?;
     }
     m.tuple_tail_bytes = end;
     m.tuple_region.num_pages = m.tuple_region.num_pages.max(needed_pages);
@@ -358,14 +332,19 @@ fn append_record(
 
 /// Copies the region's used pages into a fresh contiguous run of at least
 /// `needed_pages` (geometric doubling), freeing the old run.
-fn relocate_tuple_region(pool: &BufferPool, m: &mut Mutable, needed_pages: u32) -> IrResult<()> {
+fn relocate_tuple_region(
+    pool: &BufferPool,
+    m: &mut Mutable,
+    needed_pages: u32,
+    io: &mut IoStatsSnapshot,
+) -> IrResult<()> {
     let new_capacity = needed_pages
         .max(m.tuple_capacity_pages.saturating_mul(2))
         .max(1);
     let new_first = acquire_run(pool, &mut m.free_runs, new_capacity)?;
     for page_idx in 0..m.tuple_region.num_pages {
-        let buf = pool.read(PageId(m.tuple_region.first_page.0 + page_idx))?;
-        pool.write(PageId(new_first.0 + page_idx), &buf)?;
+        let buf = pool.read_counted(PageId(m.tuple_region.first_page.0 + page_idx), io)?;
+        pool.write_counted(PageId(new_first.0 + page_idx), &buf, io)?;
     }
     release_run(
         &mut m.free_runs,
@@ -386,6 +365,7 @@ fn rewrite_list(
     m: &mut Mutable,
     dim: DimId,
     entries: &[(TupleId, f64)],
+    io: &mut IoStatsSnapshot,
 ) -> IrResult<()> {
     if entries.is_empty() {
         if let Some(old) = m.lists.remove(&dim) {
@@ -411,7 +391,7 @@ fn rewrite_list(
         }
         None => (acquire_run(pool, &mut m.free_runs, needed)?, needed),
     };
-    let directory = write_list_at(pool, dim, entries, first_page)?;
+    let directory = write_list_at(pool, dim, entries, first_page, io)?;
     m.lists.insert(dim, directory);
     m.list_caps.insert(dim, cap);
     Ok(())

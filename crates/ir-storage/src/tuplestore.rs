@@ -8,6 +8,7 @@
 
 use crate::buffer::BufferPool;
 use crate::page::{codec, zeroed_page, PageId, PAGE_SIZE};
+use crate::stats::IoStatsSnapshot;
 use ir_types::{Dataset, IrError, IrResult, SparseVector, TupleId};
 use serde::{Deserialize, Serialize};
 
@@ -110,17 +111,19 @@ pub(crate) fn encode_record(tuple: &SparseVector, out: &mut Vec<u8>) {
 /// access) — the only tuple reader: queries call it under the index's
 /// directory read lock, maintenance under the write lock. The stored
 /// coordinates are untrusted bytes, so they go through every range and
-/// duplicate check of [`SparseVector::from_pairs`].
+/// duplicate check of [`SparseVector::from_pairs`]. The page reads are
+/// counted in `tally`.
 pub(crate) fn read_tuple(
     pool: &BufferPool,
     region: &TupleRegion,
     id: TupleId,
+    tally: &mut IoStatsSnapshot,
 ) -> IrResult<SparseVector> {
     let entry = region
         .directory
         .get(id.index())
         .ok_or(IrError::UnknownTuple { tuple: id.0 })?;
-    let bytes = read_region_bytes(pool, region, entry.offset, entry.byte_len())?;
+    let bytes = read_region_bytes(pool, region, entry.offset, entry.byte_len(), tally)?;
     SparseVector::from_pairs(
         bytes
             .chunks_exact(COORD_BYTES)
@@ -135,6 +138,7 @@ fn read_region_bytes(
     region: &TupleRegion,
     offset: u64,
     len: usize,
+    tally: &mut IoStatsSnapshot,
 ) -> IrResult<Vec<u8>> {
     let mut out = Vec::with_capacity(len);
     let mut remaining = len;
@@ -147,7 +151,7 @@ fn read_region_bytes(
                 "tuple record extends past the tuple region".to_string(),
             ));
         }
-        let page = pool.read(PageId(region.first_page.0 + page_idx as u32))?;
+        let page = pool.read_counted(PageId(region.first_page.0 + page_idx as u32), tally)?;
         let take = (PAGE_SIZE - in_page).min(remaining);
         out.extend_from_slice(&page[in_page..in_page + take]);
         pos += take;
@@ -161,12 +165,14 @@ fn read_region_bytes(
 /// append primitive. The caller guarantees the touched pages are already
 /// allocated (the region's capacity run covers them); `region.num_pages`
 /// is *not* consulted, because an append legitimately writes past the
-/// current end of the region into its capacity slack.
+/// current end of the region into its capacity slack. The page reads and
+/// writes are counted in `tally`.
 pub(crate) fn write_region_bytes(
     pool: &BufferPool,
     region: &TupleRegion,
     offset: u64,
     bytes: &[u8],
+    tally: &mut IoStatsSnapshot,
 ) -> IrResult<()> {
     let mut written = 0usize;
     let mut pos = offset as usize;
@@ -175,9 +181,9 @@ pub(crate) fn write_region_bytes(
         let in_page = pos % PAGE_SIZE;
         let take = (PAGE_SIZE - in_page).min(bytes.len() - written);
         let page_id = PageId(region.first_page.0 + page_idx as u32);
-        let mut page = pool.read(page_id)?.as_ref().clone();
+        let mut page = pool.read_counted(page_id, tally)?.as_ref().clone();
         page[in_page..in_page + take].copy_from_slice(&bytes[written..written + take]);
-        pool.write(page_id, &page)?;
+        pool.write_counted(page_id, &page, tally)?;
         pos += take;
         written += take;
     }
@@ -202,9 +208,13 @@ mod tests {
         let region = write_tuples(&pool, &dataset).unwrap();
         assert_eq!(region.directory.len(), 4);
         for (id, tuple) in dataset.iter() {
-            assert_eq!(&read_tuple(&pool, &region, id).unwrap(), tuple);
+            assert_eq!(
+                &read_tuple(&pool, &region, id, &mut IoStatsSnapshot::default()).unwrap(),
+                tuple
+            );
         }
-        assert!(read_tuple(&pool, &region, TupleId(10)).is_err());
+        let mut tally = IoStatsSnapshot::default();
+        assert!(read_tuple(&pool, &region, TupleId(10), &mut tally).is_err());
     }
 
     #[test]
@@ -223,7 +233,10 @@ mod tests {
         let region = write_tuples(&pool, &dataset).unwrap();
         assert!(region.num_pages >= 2);
         for (id, tuple) in dataset.iter() {
-            assert_eq!(&read_tuple(&pool, &region, id).unwrap(), tuple);
+            assert_eq!(
+                &read_tuple(&pool, &region, id, &mut IoStatsSnapshot::default()).unwrap(),
+                tuple
+            );
         }
     }
 
@@ -235,8 +248,10 @@ mod tests {
         let dataset = builder.build();
         let pool = make_pool();
         let region = write_tuples(&pool, &dataset).unwrap();
-        assert_eq!(read_tuple(&pool, &region, TupleId(0)).unwrap().nnz(), 0);
-        assert_eq!(read_tuple(&pool, &region, TupleId(1)).unwrap().nnz(), 1);
+        let mut tally = IoStatsSnapshot::default();
+        let mut read = |id| read_tuple(&pool, &region, TupleId(id), &mut tally).unwrap();
+        assert_eq!(read(0).nnz(), 0);
+        assert_eq!(read(1).nnz(), 1);
     }
 
     #[test]
@@ -246,9 +261,11 @@ mod tests {
         let region = write_tuples(&pool, &dataset).unwrap();
         pool.clear_cache();
         pool.reset_io_stats();
-        read_tuple(&pool, &region, TupleId(2)).unwrap();
+        let mut tally = IoStatsSnapshot::default();
+        read_tuple(&pool, &region, TupleId(2), &mut tally).unwrap();
         let snap = pool.io_snapshot();
         assert!(snap.logical_reads >= 1);
         assert!(snap.physical_reads >= 1);
+        assert_eq!(tally, snap, "the caller's tally saw every access");
     }
 }

@@ -1,7 +1,7 @@
 //! The random-access Threshold Algorithm with resumable state.
 
 use crate::candidates::{CandidateEntry, CandidateList};
-use ir_storage::{InvertedListCursor, TopKIndex};
+use ir_storage::{InvertedListCursor, IoStatsSnapshot, TopKIndex};
 use ir_types::{score_cmp, DimId, IrResult, QueryVector, RankedTuple, TopKResult, TupleId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -41,7 +41,9 @@ pub struct TaStats {
 /// independent cursors, candidate list and result, so several worker threads
 /// can each resume Phase 3 from the same frozen snapshot without
 /// coordination — the basis of the deterministic parallel driver in
-/// `ir-core`.
+/// `ir-core`. A run tallies its own page accesses ([`TaRun::io`]); a clone
+/// carries that tally, so what the clone read is its tally minus the
+/// snapshot's.
 #[derive(Clone)]
 pub struct TaRun {
     query: QueryVector,
@@ -61,6 +63,8 @@ pub struct TaRun {
     candidates: CandidateList,
     k: usize,
     stats: TaStats,
+    /// Page accesses of the random accesses (the cursors tally their own).
+    io: IoStatsSnapshot,
 }
 
 impl TaRun {
@@ -74,7 +78,7 @@ impl TaRun {
         let mut next_values = Vec::with_capacity(dims.len());
         let mut last_pulled = Vec::with_capacity(dims.len());
         for &dim in &dims {
-            let cursor = index.list_cursor(dim)?;
+            let mut cursor = index.list_cursor(dim)?;
             let head = cursor.threshold_value()?;
             next_values.push(head);
             last_pulled.push(head);
@@ -94,6 +98,7 @@ impl TaRun {
             candidates: CandidateList::new(),
             k: query.k(),
             stats: TaStats::default(),
+            io: IoStatsSnapshot::default(),
         };
         run.run_topk(index)?;
         Ok(run)
@@ -140,7 +145,7 @@ impl TaRun {
 
         // Random access: fetch the full tuple and compute score + coordinates
         // in the query dimensions.
-        let tuple = index.fetch_tuple(id)?;
+        let tuple = index.fetch_tuple_counted(id, &mut self.io)?;
         self.stats.random_accesses += 1;
         let coords: Vec<f64> = self.dims.iter().map(|&d| tuple.get(d)).collect();
         let score: f64 = coords.iter().zip(&self.weights).map(|(c, w)| c * w).sum();
@@ -259,6 +264,14 @@ impl TaRun {
     /// Access counters.
     pub fn stats(&self) -> TaStats {
         self.stats
+    }
+
+    /// Every page access of the run so far: its cursors' sorted accesses
+    /// plus its random accesses.
+    pub fn io(&self) -> IoStatsSnapshot {
+        self.cursors
+            .iter()
+            .fold(self.io, |acc, cursor| acc.plus(&cursor.io()))
     }
 
     /// True when every query-dimension list has been scanned to the end.
@@ -397,6 +410,8 @@ mod tests {
         assert!(stats.random_accesses >= 2);
         assert!(stats.random_accesses <= 4);
         assert!(stats.random_accesses <= stats.sorted_accesses);
+        // The run tallied every page request the pool served.
+        assert_eq!(run.io(), index.io_snapshot());
     }
 
     #[test]
