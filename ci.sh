@@ -7,9 +7,11 @@
 #   2. lints             — clippy -D warnings on all targets; unwrap/expect
 #                          denied in non-test ir-storage and ir-core code;
 #                          every lib.rs forbids unsafe_code, no `unsafe`
-#                          token in code position under crates/, and no
+#                          token in code position under crates/, no
 #                          thread_local! under crates/ (counters travel
-#                          with the work, stamps are passed explicitly)
+#                          with the work, stamps are passed explicitly),
+#                          and no `entries().to_vec()` deep copy of the
+#                          candidate list under crates/ (borrow it)
 #   3. tier-1 verify     — cargo build --release && cargo test -q (the
 #                          chaos suite included)
 #   4. api docs          — cargo doc --no-deps with rustdoc warnings as
@@ -90,6 +92,12 @@ fi
 # passed explicitly.
 if grep -rn 'thread_local!' crates; then
     echo "FAIL: thread_local! under crates/ (listed above)" >&2
+    exit 1
+fi
+# Solvers and runners borrow the candidate list; a per-dimension deep copy
+# of every candidate and its coordinates is what this guards against.
+if grep -rn 'entries().to_vec()' crates; then
+    echo "FAIL: entries().to_vec() under crates/ (listed above)" >&2
     exit 1
 fi
 echo "no-unsafe and layering assertions hold"

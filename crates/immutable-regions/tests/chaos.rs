@@ -8,14 +8,15 @@
 //!   **invisible** — reports byte-identical to a fault-free oracle run,
 //! * permanent faults (device outage, corruption, exhausted retries,
 //!   injected worker panics) surface as **typed errors**, never a panic of
-//!   the calling thread and never a poisoned engine,
+//!   the calling thread and never a poisoned engine — and so does a tuple
+//!   record that is sealed but wrong, which no checksum can catch,
 //! * after any failed query the engine answers the next one correctly.
 //!
 //! The matrix covers the mem and file backends × 1/2/8 workers; a proptest
 //! sweep drives arbitrary fault plans through the same invariants.
 
 use immutable_regions::prelude::*;
-use immutable_regions::storage::{CorruptionSpec, FaultPlan};
+use immutable_regions::storage::{CorruptionSpec, FaultPlan, PageId};
 use ir_core::DimRegions;
 use proptest::prelude::*;
 
@@ -247,6 +248,66 @@ fn corruption_is_typed_and_one_shot() {
         let health = engine.health();
         assert_eq!(health.corruption_errors, 1, "{backend}");
         assert_eq!(health.queries_ok, 1, "{backend}");
+    }
+}
+
+#[test]
+fn a_sealed_but_wrong_tuple_record_is_counted_as_corruption() {
+    // 40 tuples on dimensions 0 and 1, then one tuple only on dimension 2.
+    let mut builder = DatasetBuilder::new(3);
+    for i in 0..40u32 {
+        builder
+            .push_pairs([(0, f64::from(i + 1) / 41.0), (1, f64::from(40 - i) / 41.0)])
+            .unwrap();
+    }
+    builder.push_pairs([(2, 0.9)]).unwrap();
+    let dataset = builder.build();
+    let touches = QueryVector::new([(1, 0.5), (2, 0.9)], 2).unwrap();
+    let clean = QueryVector::new([(0, 0.6), (1, 0.4)], 2).unwrap();
+    let oracle = IrEngine::builder()
+        .dataset_ref(&dataset)
+        .build()
+        .unwrap()
+        .query(&clean)
+        .unwrap()
+        .dims;
+    for backend in BACKENDS {
+        let dir = tempfile::tempdir().unwrap();
+        let storage = match backend {
+            "mem" => StorageBackend::Memory,
+            _ => StorageBackend::Disk(dir.path().to_path_buf()),
+        };
+        let engine = IrEngine::builder()
+            .dataset_ref(&dataset)
+            .backend(storage)
+            .build()
+            .unwrap();
+        // The tuple region is allocated last and fits one page, so the last
+        // tuple's one coordinate is the 12 bytes after the 80 before it.
+        // Rewrite its value through the pool: the frame seal stays valid.
+        let pool = engine.index().pool();
+        let page = PageId(pool.store().num_pages() - 1);
+        let at = 80 * 12;
+        let mut bytes = pool.read(page).unwrap().to_vec();
+        assert_eq!(bytes[at..at + 4], 2u32.to_le_bytes(), "{backend}");
+        assert_eq!(bytes[at + 4..at + 12], 0.9f64.to_le_bytes(), "{backend}");
+        bytes[at + 4..at + 12].copy_from_slice(&1.5f64.to_le_bytes());
+        pool.write(page, &bytes).unwrap();
+
+        let err = engine.query(&touches).map(|_| ()).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                EngineError::Core(IrError::Corruption { page: Some(p), .. }) if *p == page.0
+            ),
+            "{backend}: {err:?}"
+        );
+        let health = engine.health();
+        assert_eq!(health.corruption_errors, 1, "{backend}");
+        assert_eq!(health.queries_failed, 1, "{backend}");
+        // A query whose lists never reach the damaged tuple is still exact.
+        assert_eq!(engine.query(&clean).unwrap().dims, oracle, "{backend}");
+        assert_eq!(engine.health().queries_ok, 1, "{backend}");
     }
 }
 

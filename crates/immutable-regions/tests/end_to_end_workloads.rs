@@ -174,9 +174,9 @@ fn candidate_partition_structure_matches_figure_6() {
         .clone();
     let text_rc =
         RegionComputation::new(&text_index, &text_query, RegionConfig::default()).unwrap();
-    let entries = text_rc.ta().candidates().entries().to_vec();
+    let entries = text_rc.ta().candidates().entries();
     assert!(!entries.is_empty());
-    let p = Partition::classify(&entries, 0);
+    let p = Partition::classify(entries, 0);
     let sizes = p.sizes();
     assert!(
         sizes.low <= (sizes.zero + sizes.high) / 4 + 1,
@@ -193,9 +193,9 @@ fn candidate_partition_structure_matches_figure_6() {
     let st_index = IndexBuilder::new().build_shared(&st).unwrap();
     let st_query = QueryVector::new([(0, 1.0), (3, 1.0), (6, 1.0), (9, 1.0)], 10).unwrap();
     let st_rc = RegionComputation::new(&st_index, &st_query, RegionConfig::default()).unwrap();
-    let st_entries = st_rc.ta().candidates().entries().to_vec();
+    let st_entries = st_rc.ta().candidates().entries();
     assert!(!st_entries.is_empty());
-    let sp = Partition::classify(&st_entries, 0).sizes();
+    let sp = Partition::classify(st_entries, 0).sizes();
     assert!(
         sp.low > sp.high && sp.low > sp.zero,
         "correlated data should be dominated by C^L: {sp:?}"

@@ -46,7 +46,7 @@ fn main() -> EngineResult<()> {
         drop(scratch);
         let query = &workload.queries()[0];
         let computation = engine.computation(query)?;
-        let candidates = computation.ta().candidates().entries().to_vec();
+        let candidates = computation.ta().candidates().entries();
         println!(
             "=== Figure 6 — {} (qlen=4, k=10, equal weights) ===",
             dataset_kind.name()
@@ -57,7 +57,7 @@ fn main() -> EngineResult<()> {
             candidates.len()
         );
         for (dim_index, (dim, _)) in query.dims().enumerate() {
-            let sizes = Partition::classify(&candidates, dim_index).sizes();
+            let sizes = Partition::classify(candidates, dim_index).sizes();
             println!(
                 "  query dim {:>6}: |C0| = {:>4}  |CH| = {:>4}  |CL| = {:>4}",
                 dim.0, sizes.zero, sizes.high, sizes.low

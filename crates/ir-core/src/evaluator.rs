@@ -8,6 +8,12 @@
 //! random access — this is precisely why the number of evaluated candidates
 //! is the primary performance metric, and why pruning/thresholding pay off.
 //!
+//! Each evaluation is still one random access per `(dimension, tuple)`: the
+//! tuple's record is read through the buffer pool and every stored
+//! coordinate is checked, but only the one coordinate of the dimension under
+//! consideration is decoded out of it
+//! ([`TopKIndex::fetch_coords_counted`]), so the access allocates nothing.
+//!
 //! The evaluator deduplicates per dimension: a candidate pulled from several
 //! sorted lists is fetched and counted once. It tallies the page accesses of
 //! its fetches ([`CandidateEvaluator::io`]).
@@ -43,15 +49,20 @@ impl<'a> CandidateEvaluator<'a> {
         self.evaluated = 0;
     }
 
-    /// Evaluates a candidate for the given dimension: fetches its tuple
+    /// Evaluates a candidate for the given dimension: reads its tuple
     /// (random access through the buffer pool) and returns its coordinate.
     /// Counted once per `(dimension, tuple)` pair.
     pub fn evaluate(&mut self, id: TupleId, dim: DimId) -> IrResult<f64> {
         if let Some(&coord) = self.cache.get(&id) {
             return Ok(coord);
         }
-        let tuple = self.index.fetch_tuple_counted(id, &mut self.io)?;
-        let coord = tuple.get(dim);
+        let mut coord = 0.0;
+        self.index.fetch_coords_counted(
+            id,
+            std::slice::from_ref(&dim),
+            std::slice::from_mut(&mut coord),
+            &mut self.io,
+        )?;
         self.cache.insert(id, coord);
         self.evaluated += 1;
         Ok(coord)

@@ -125,8 +125,8 @@ pub fn solve_dim_flat(
     };
     let dk = ScoreCoord::new(dk_score, dk_coord);
 
-    let candidate_views: Vec<CandView> = ta
-        .candidates()
+    let all_candidate_entries = ta.candidates().entries();
+    let candidate_views: Vec<CandView> = all_candidate_entries
         .iter()
         .map(|c| CandView {
             id: c.id,
@@ -134,13 +134,12 @@ pub fn solve_dim_flat(
             coord: c.coord(dim_index),
         })
         .collect();
-    let all_candidate_entries: Vec<_> = ta.candidates().entries().to_vec();
 
     let selected: Vec<CandView> = if config.algorithm.prunes() {
-        let partition = Partition::classify(&all_candidate_entries, dim_index);
+        let partition = Partition::classify(all_candidate_entries, dim_index);
         let mut picks: Vec<usize> = partition.low.clone();
         picks.extend(partition.top_zero_by_score(1));
-        picks.extend(partition.top_high_by_coord(&all_candidate_entries, dim_index, 1));
+        picks.extend(partition.top_high_by_coord(all_candidate_entries, dim_index, 1));
         picks.sort_unstable();
         picks.dedup();
         picks.into_iter().map(|i| candidate_views[i]).collect()

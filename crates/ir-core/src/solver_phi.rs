@@ -18,7 +18,7 @@ use ir_geometry::{
     sweep_topk, Interval, Line, LowerEnvelope, SweepEvent, SweepEventKind, SweepOutcome,
 };
 use ir_storage::TopKIndex;
-use ir_topk::{CandidateEntry, TaRun};
+use ir_topk::TaRun;
 use ir_types::{IrResult, TupleId};
 use std::collections::HashSet;
 
@@ -209,7 +209,7 @@ pub fn solve_dim_phi(
     // ------------------------------------------------------------------
     // Phase 2: fold the candidates of C(q) into the sweeps.
     // ------------------------------------------------------------------
-    let all_entries: Vec<CandidateEntry> = ta.candidates().entries().to_vec();
+    let all_entries = ta.candidates().entries();
     let views: Vec<PhiCand> = all_entries
         .iter()
         .map(|c| PhiCand {
@@ -221,9 +221,9 @@ pub fn solve_dim_phi(
 
     // Candidate selection (Lemma 4) per direction.
     let (right_pool, left_pool): (Vec<usize>, Vec<usize>) = if config.algorithm.prunes() {
-        let partition = Partition::classify(&all_entries, dim_index);
+        let partition = Partition::classify(all_entries, dim_index);
         let mut right_pool = partition.low.clone();
-        right_pool.extend(partition.top_high_by_coord(&all_entries, dim_index, phi + 1));
+        right_pool.extend(partition.top_high_by_coord(all_entries, dim_index, phi + 1));
         let mut left_pool = partition.low.clone();
         left_pool.extend(partition.top_zero_by_score(phi + 1));
         (right_pool, left_pool)

@@ -18,7 +18,7 @@ use crate::maintain::{self, AppliedUpdate, MaintenanceStatsSnapshot, Mutable};
 use crate::pagestore::{FilePageStore, MemPageStore, PageStore};
 use crate::snapshot::{self, SnapshotSummary};
 use crate::stats::{IoConfig, IoStatsSnapshot};
-use crate::tuplestore::{read_tuple, write_tuples, TupleRegion};
+use crate::tuplestore::{read_tuple, read_tuple_coords, write_tuples, TupleRegion};
 use ir_types::{Dataset, DimId, IrError, IrResult, SparseVector, TupleId, TupleUpdate};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
@@ -478,15 +478,41 @@ impl TopKIndex {
 
     /// Fetches the full sparse vector of a tuple (random access), counting
     /// its page reads in `tally`. A deleted tuple reads back as the empty
-    /// vector. The directory read lock is held for this one fetch, so the
-    /// record is read either entirely before or entirely after any
-    /// [`TopKIndex::apply_updates`] batch.
+    /// vector; a stored record that fails its checks (a value outside
+    /// `[0, 1]`, dimensions not strictly ascending) is
+    /// [`IrError::Corruption`] naming its page. The directory read lock is
+    /// held for this one fetch, so the record is read either entirely before
+    /// or entirely after any [`TopKIndex::apply_updates`] batch.
     pub fn fetch_tuple_counted(
         &self,
         id: TupleId,
         tally: &mut IoStatsSnapshot,
     ) -> IrResult<SparseVector> {
         read_tuple(&self.pool, &self.mutable.read().tuple_region, id, tally)
+    }
+
+    /// Random access restricted to some dimensions: decodes tuple `id`'s
+    /// coordinates in the strictly ascending `dims` into `out` (one slot per
+    /// dimension, zero where the tuple stores none), straight from the
+    /// pooled pages and without allocating. It reads the same pages as
+    /// [`TopKIndex::fetch_tuple_counted`], counts them in `tally`, checks
+    /// every stored coordinate the same way, and holds the directory read
+    /// lock for the same span.
+    pub fn fetch_coords_counted(
+        &self,
+        id: TupleId,
+        dims: &[DimId],
+        out: &mut [f64],
+        tally: &mut IoStatsSnapshot,
+    ) -> IrResult<()> {
+        read_tuple_coords(
+            &self.pool,
+            &self.mutable.read().tuple_region,
+            id,
+            dims,
+            out,
+            tally,
+        )
     }
 
     /// Applies a batch of logical updates to the physical index in place —

@@ -4,7 +4,6 @@ use crate::candidates::{CandidateEntry, CandidateList};
 use ir_storage::{InvertedListCursor, IoStatsSnapshot, TopKIndex};
 use ir_types::{score_cmp, DimId, IrResult, QueryVector, RankedTuple, TopKResult, TupleId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// Which inverted list receives the next sorted access.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -44,6 +43,11 @@ pub struct TaStats {
 /// `ir-core`. A run tallies its own page accesses ([`TaRun::io`]); a clone
 /// carries that tally, so what the clone read is its tally minus the
 /// snapshot's.
+///
+/// The tuples already fetched are a bitmap indexed by tuple id, sized from
+/// the index's cardinality at [`TaRun::execute`] and grown on demand when a
+/// cursor meets an id inserted since. A clone carries its own copy, so a
+/// resumed clone never fetches a tuple its snapshot had already seen.
 #[derive(Clone)]
 pub struct TaRun {
     query: QueryVector,
@@ -58,7 +62,8 @@ pub struct TaRun {
     last_pulled: Vec<f64>,
     rr_next: usize,
     strategy: ProbeStrategy,
-    seen: HashSet<TupleId>,
+    /// One bit per tuple id: set once the tuple has been fetched.
+    seen: Vec<u64>,
     result: Vec<CandidateEntry>,
     candidates: CandidateList,
     k: usize,
@@ -93,7 +98,7 @@ impl TaRun {
             last_pulled,
             rr_next: 0,
             strategy: config.probe_strategy,
-            seen: HashSet::new(),
+            seen: vec![0; index.cardinality().div_ceil(64)],
             result: Vec::with_capacity(query.k()),
             candidates: CandidateList::new(),
             k: query.k(),
@@ -123,8 +128,8 @@ impl TaRun {
 
     /// Performs one sorted access (possibly skipping nothing — a single list
     /// pop), fetching and scoring the tuple if it is new. Returns the newly
-    /// scored tuple, if any.
-    fn sorted_access_step(&mut self, index: &TopKIndex) -> IrResult<Option<CandidateEntry>> {
+    /// scored tuple's id and score, if any.
+    fn sorted_access_step(&mut self, index: &TopKIndex) -> IrResult<Option<RankedTuple>> {
         let Some(list_idx) = self.pick_list() else {
             return Ok(None);
         };
@@ -138,20 +143,31 @@ impl TaRun {
         self.last_pulled[list_idx] = value;
         self.next_values[list_idx] = cursor.threshold_value()?;
 
-        if self.seen.contains(&id) {
+        if !self.mark_seen(id) {
             return Ok(None);
         }
-        self.seen.insert(id);
 
-        // Random access: fetch the full tuple and compute score + coordinates
-        // in the query dimensions.
-        let tuple = index.fetch_tuple_counted(id, &mut self.io)?;
+        // Random access: decode the tuple's coordinates in the query
+        // dimensions and score it.
+        let mut coords = vec![0.0; self.dims.len()];
+        index.fetch_coords_counted(id, &self.dims, &mut coords, &mut self.io)?;
         self.stats.random_accesses += 1;
-        let coords: Vec<f64> = self.dims.iter().map(|&d| tuple.get(d)).collect();
         let score: f64 = coords.iter().zip(&self.weights).map(|(c, w)| c * w).sum();
         let entry = CandidateEntry { id, score, coords };
-        self.place(entry.clone());
-        Ok(Some(entry))
+        let ranked = entry.ranked();
+        self.place(entry);
+        Ok(Some(ranked))
+    }
+
+    /// Marks `id` seen; false when it already was.
+    fn mark_seen(&mut self, id: TupleId) -> bool {
+        let (word, bit) = (id.index() / 64, 1u64 << (id.index() % 64));
+        if word >= self.seen.len() {
+            self.seen.resize(word + 1, 0);
+        }
+        let fresh = self.seen[word] & bit == 0;
+        self.seen[word] |= bit;
+        fresh
     }
 
     /// Places a scored tuple into the result (possibly displacing the current
@@ -281,16 +297,17 @@ impl TaRun {
 
     /// Resumes the scan (Phase 3 of Scan/CPT): performs sorted accesses until
     /// the next previously unseen tuple is found, adds it to the candidate
-    /// list and returns it. Returns `None` once every list is exhausted.
-    pub fn resume_next_candidate(&mut self, index: &TopKIndex) -> IrResult<Option<CandidateEntry>> {
+    /// list and returns its id and score. Returns `None` once every list is
+    /// exhausted.
+    pub fn resume_next_candidate(&mut self, index: &TopKIndex) -> IrResult<Option<RankedTuple>> {
         while !self.all_exhausted() {
-            if let Some(entry) = self.sorted_access_step(index)? {
+            if let Some(found) = self.sorted_access_step(index)? {
                 // A tuple discovered after TA terminated cannot outrank the
                 // current k-th result member at the *current* weights, so it
                 // lands in the candidate list (the `place` call inside
                 // `sorted_access_step` already put it there unless the result
                 // was not yet full).
-                return Ok(Some(entry));
+                return Ok(Some(found));
             }
         }
         Ok(None)
@@ -300,7 +317,7 @@ impl TaRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ir_types::Dataset;
+    use ir_types::{Dataset, SparseVector, TupleUpdate};
 
     fn running_example() -> (TopKIndex, QueryVector) {
         let dataset = Dataset::running_example();
@@ -399,6 +416,47 @@ mod tests {
         // seen before.
         assert!(run.candidates().contains(TupleId(3)));
         assert!(!found.is_empty());
+    }
+
+    #[test]
+    fn seen_bitmap_grows_for_tuples_inserted_after_execute() {
+        // One list, values falling with the id: k = 2 stops after two
+        // sorted accesses, and the bitmap starts at two words (100 ids).
+        let mut builder = ir_types::DatasetBuilder::new(1);
+        for i in 0..100u32 {
+            builder
+                .push_pairs([(0, f64::from(100 - i) / 100.0)])
+                .unwrap();
+        }
+        let index = TopKIndex::build_in_memory(&builder.build()).unwrap();
+        let query = QueryVector::new([(0, 0.7)], 2).unwrap();
+        let mut run = TaRun::execute_default(&index, &query).unwrap();
+        let mut ids: Vec<TupleId> = run.result().ids();
+        ids.extend(run.candidates().iter().map(|c| c.id));
+
+        // Ids 100..=170. The list is rewritten in place, so the open cursor
+        // reads it: id 100 (value 1.0) shifts the already-seen head back
+        // under the cursor, and the rest land mid-list, ahead of it.
+        let value = |i: u32| match i {
+            0 => 1.0,
+            _ => 0.305 + f64::from(i) / 250.0,
+        };
+        let updates: Vec<TupleUpdate> = (0..=70u32)
+            .map(|i| TupleUpdate::Insert {
+                vector: SparseVector::from_pairs([(0, value(i))]).unwrap(),
+            })
+            .collect();
+        index.apply_updates(&updates).unwrap();
+        while let Some(found) = run.resume_next_candidate(&index).unwrap() {
+            ids.push(found.id);
+        }
+        assert!(run.exhausted());
+        assert!(
+            ids.iter().any(|id| id.index() >= 128),
+            "an id past the initial two bitmap words came back: {ids:?}"
+        );
+        let distinct: std::collections::BTreeSet<TupleId> = ids.iter().copied().collect();
+        assert_eq!(distinct.len(), ids.len(), "an id came back twice: {ids:?}");
     }
 
     #[test]

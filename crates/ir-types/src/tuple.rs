@@ -35,32 +35,51 @@ impl SparseVector {
     ///
     /// The pairs may arrive in any order; zero values are dropped. Returns an
     /// error if a value is outside `[0, 1]`, not finite, or a dimension is
-    /// repeated with conflicting values.
+    /// repeated with conflicting values. Pairs that already arrive strictly
+    /// dimension-ascending are checked in one pass, without a sort.
     pub fn from_pairs<I>(pairs: I) -> IrResult<Self>
     where
         I: IntoIterator<Item = (u32, f64)>,
     {
-        let mut entries: Vec<(DimId, f64)> = Vec::new();
-        for (dim, value) in pairs {
+        Self::from_entries(pairs.into_iter().map(|(d, v)| (DimId(d), v)).collect())
+    }
+
+    /// [`SparseVector::from_pairs`] over owned entries, with the same checks
+    /// and errors; the vector keeps their allocation, trimmed to fit.
+    /// Entries that already arrive strictly dimension-ascending are checked
+    /// in one pass, without a sort.
+    pub fn from_entries(mut entries: Vec<(DimId, f64)>) -> IrResult<Self> {
+        let mut ascending = true;
+        let mut zeros = false;
+        let mut last: Option<DimId> = None;
+        for &(dim, value) in &entries {
             if !value.is_finite() || !(0.0..=1.0).contains(&value) {
                 return Err(IrError::ValueOutOfRange {
-                    what: format!("coordinate in dimension {dim}"),
+                    what: format!("coordinate in dimension {}", dim.0),
                     value,
                 });
             }
             if value == 0.0 {
+                zeros = true;
                 continue;
             }
-            entries.push((DimId(dim), value));
+            ascending &= last.map_or(true, |l| l < dim);
+            last = Some(dim);
         }
-        entries.sort_by_key(|(d, _)| *d);
-        for window in entries.windows(2) {
-            if window[0].0 == window[1].0 {
-                return Err(IrError::DuplicateDimension {
-                    dim: window[0].0 .0,
-                });
+        if zeros {
+            entries.retain(|&(_, v)| v != 0.0);
+        }
+        if !ascending {
+            entries.sort_by_key(|(d, _)| *d);
+            for window in entries.windows(2) {
+                if window[0].0 == window[1].0 {
+                    return Err(IrError::DuplicateDimension {
+                        dim: window[0].0 .0,
+                    });
+                }
             }
         }
+        entries.shrink_to_fit();
         Ok(SparseVector { entries })
     }
 
@@ -176,7 +195,7 @@ impl FromIterator<(DimId, f64)> for SparseVector {
     /// Collects pairs assumed to be valid; panics on invalid input. Prefer
     /// [`SparseVector::from_pairs`] for untrusted data.
     fn from_iter<T: IntoIterator<Item = (DimId, f64)>>(iter: T) -> Self {
-        SparseVector::from_pairs(iter.into_iter().map(|(d, v)| (d.0, v)))
+        SparseVector::from_entries(iter.into_iter().collect())
             .expect("invalid sparse vector literal")
     }
 }
@@ -197,6 +216,29 @@ mod tests {
         assert_eq!(v.entries()[0].0, DimId(1));
         assert_eq!(v.entries()[1].0, DimId(5));
         assert_eq!(v.get(DimId(3)), 0.0);
+    }
+
+    #[test]
+    fn from_entries_checks_like_from_pairs() {
+        let entries = |pairs: &[(u32, f64)]| pairs.iter().map(|&(d, v)| (DimId(d), v)).collect();
+        for pairs in [
+            &[(1, 0.5), (3, 0.0), (4, 0.25)][..],
+            &[(4, 0.25), (1, 0.5)],
+            &[],
+        ] {
+            assert_eq!(
+                SparseVector::from_entries(entries(pairs)).unwrap(),
+                sv(pairs)
+            );
+        }
+        assert!(matches!(
+            SparseVector::from_entries(entries(&[(2, 0.1), (2, 0.2)])),
+            Err(IrError::DuplicateDimension { dim: 2 })
+        ));
+        assert!(matches!(
+            SparseVector::from_entries(entries(&[(0, 0.5), (1, f64::NAN)])),
+            Err(IrError::ValueOutOfRange { .. })
+        ));
     }
 
     #[test]
