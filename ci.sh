@@ -17,7 +17,7 @@
 #   4. api docs          — cargo doc --no-deps with rustdoc warnings as
 #                          errors, plus the README/ARCHITECTURE doc anchors
 #   5. example smoke     — every example and runner, sequential, mem
-#   6. parallel smoke    — every runner at --threads 2, emitting the
+#   6. batch smoke       — the seven figures at --threads 2, emitting the
 #                          BENCH_<figure>.json series stages 7 and 9 diff
 #   7. backend matrix    — every runner on --backend file at --threads 2
 #                          must emit exactly the stage-6 series
@@ -55,12 +55,12 @@ end_stage() {
 }
 
 # Each entry is spliced unquoted after `--bin`: the binary, `--`, and (for
-# the `figures` bin, which serves Figures 10–16) the figure id.
-RUNNER_BINS=("figure06_partitions --" "figures -- figure10_wsj_qlen"
-    "figures -- figure11_st_qlen" "figures -- figure12_kb_qlen"
-    "figures -- figure13_vary_k" "figures -- figure14_vary_phi"
-    "figures -- figure15_oneoff_vs_iterative"
-    "figures -- figure16_composition_only" "ablation_design_choices --")
+# `figures`, which serves Figures 10–16 and alone emits JSON) the figure id.
+FIGURE_BINS=("figures -- figure10_wsj_qlen" "figures -- figure11_st_qlen"
+    "figures -- figure12_kb_qlen" "figures -- figure13_vary_k"
+    "figures -- figure14_vary_phi" "figures -- figure15_oneoff_vs_iterative"
+    "figures -- figure16_composition_only")
+RUNNER_BINS=("figure06_partitions --" "${FIGURE_BINS[@]}" "ablation_design_choices --")
 
 begin_stage "1/10 cargo fmt --check"
 cargo fmt --all --check
@@ -153,8 +153,8 @@ for figure_bin in "${RUNNER_BINS[@]}"; do
 done
 end_stage
 
-begin_stage "6/10 figure runners at --threads 2 (parallel path) + JSON emission"
-for figure_bin in "${RUNNER_BINS[@]}"; do
+begin_stage "6/10 figures at --threads 2 (batch path) + JSON emission"
+for figure_bin in "${FIGURE_BINS[@]}"; do
     printf -- '--- figure runner (threads=2): %s\n' "$figure_bin"
     # shellcheck disable=SC2086
     IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --bin $figure_bin \

@@ -4,7 +4,8 @@
 //! prints the immutable region of each query weight together with the result
 //! that takes over just past each boundary — the information a slide-bar
 //! interface for interactive weight tuning would display. The engine then
-//! serves a small batch and a subscription, the two other call styles.
+//! serves a small batch, and a subscription (a fleet of one) follows a
+//! drifting weight.
 //!
 //! Run with: `cargo run --example quickstart`
 
@@ -95,7 +96,7 @@ fn main() -> EngineResult<()> {
     // The subscribed-query loop: weight drift inside the reported region is
     // answered from the cached report (no I/O); drift outside triggers
     // exactly one recompute and re-anchors the subscription.
-    let mut subscription = engine.subscribe(query.clone())?;
+    let mut subscription = Subscription::new(&engine, query.clone())?;
     for delta in [0.02, 0.05, 0.08, 0.15] {
         let drifted = query.with_weight_shift(DimId(0), delta)?;
         let recomputed = subscription.update(&drifted)?;
@@ -106,13 +107,13 @@ fn main() -> EngineResult<()> {
             } else {
                 "inside region -> cached"
             },
-            subscription.result().ids()
+            subscription.member().result()
         );
     }
+    let stats = subscription.stats();
     println!(
         "subscription served {} drifts from cache, recomputed {}",
-        subscription.cache_hits(),
-        subscription.refreshes()
+        stats.local_answers, stats.recomputes
     );
     Ok(())
 }

@@ -11,18 +11,17 @@
 //! above it. The subscription fleet ([`crate::fleet`]) and anything built on
 //! top keep their own counters and metadata.
 //!
-//! Three call styles are surfaced:
+//! Two call styles are surfaced:
 //!
 //! * [`IrEngine::query`] — one query, one [`RegionReport`] (bit-identical to
 //!   the low-level sequential path),
 //! * [`IrEngine::query_batch`] — many queries fanned out over the engine's
 //!   worker pool sharing the warm buffer pool
 //!   ([`BatchRegionComputation`] underneath; reports are identical for
-//!   every worker count),
-//! * [`IrEngine::subscribe`] — the paper's subscribed-query loop as a
-//!   first-class API: a [`Subscription`] caches the last report, answers
-//!   [`Subscription::is_immutable_under`] locally, and recomputes only when
-//!   the weights actually leave the reported region.
+//!   every worker count).
+//!
+//! The paper's subscribed-query loop — one subscription or a fleet of them —
+//! is built on top, in [`crate::fleet`].
 //!
 //! ```
 //! use immutable_regions::prelude::*;
@@ -40,14 +39,11 @@ mod builder;
 mod error;
 mod health;
 mod policy;
-mod subscription;
 
 pub use builder::IrEngineBuilder;
 pub use error::{EngineError, EngineResult};
 pub use health::EngineHealthSnapshot;
 pub use policy::EnginePolicy;
-pub(crate) use subscription::immutable_under;
-pub use subscription::Subscription;
 
 use health::EngineHealth;
 use ir_core::{
@@ -69,7 +65,7 @@ use std::sync::Arc;
 /// The engine holds the [`TopKIndex`] (inverted lists, tuple file, buffer
 /// pool) behind [`Arc`], so clones are cheap handles onto the same warm
 /// state and the type is `Send + Sync + Clone` with no lifetimes. See the
-/// [module docs](self) for the three call styles.
+/// [module docs](self) for the two call styles.
 #[derive(Clone)]
 pub struct IrEngine {
     index: Arc<TopKIndex>,
@@ -216,8 +212,7 @@ impl IrEngine {
 
     /// Prepares a full computation handle for one query: runs the top-k
     /// phase and returns the [`RegionComputation`], for callers that need
-    /// the TA internals or per-dimension parallel solves in addition to the
-    /// report.
+    /// the TA internals (result, candidate list) in addition to the report.
     pub fn computation(&self, query: &QueryVector) -> EngineResult<RegionComputation> {
         self.computation_with(query, self.config)
     }
@@ -314,8 +309,8 @@ impl IrEngine {
     /// tuple, out-of-range value) rejects the batch with a typed error
     /// before any page is touched. Returns one [`AppliedUpdate`] per input
     /// (the touched tuple plus its vector before and after), which is what
-    /// [`Subscription::absorb_updates`] and the fleet manager consume to
-    /// decide which cached regions survived.
+    /// the subscription fleet ([`crate::fleet`]) consumes to decide which
+    /// cached regions survived.
     ///
     /// Mutations are single-writer and not linearizable with in-flight
     /// queries: a query racing this call sees either the old or the new
@@ -408,51 +403,6 @@ mod tests {
         let d0 = report.for_dim(DimId(0)).unwrap();
         assert!((d0.immutable.lo + 16.0 / 35.0).abs() < 1e-9);
         assert!((d0.immutable.hi - 0.1).abs() < 1e-9);
-    }
-
-    #[test]
-    fn subscription_serves_drift_inside_region_from_cache() {
-        let engine = engine();
-        let query = QueryVector::running_example();
-        let mut subscription = engine.subscribe(query.clone()).unwrap();
-        assert_eq!(
-            subscription.result().ids(),
-            vec![TupleId(1), TupleId(0)],
-            "running example top-2"
-        );
-
-        // Inside IR_1 = (-16/35, 0.1): cache hit, no recompute.
-        let inside = query.with_weight_shift(DimId(0), 0.05).unwrap();
-        assert!(subscription.is_immutable_under(&inside));
-        assert!(!subscription.update(&inside).unwrap());
-        assert_eq!(subscription.cache_hits(), 1);
-        assert_eq!(subscription.refreshes(), 0);
-
-        // Past the upper boundary at +0.1: recompute and re-anchor.
-        let outside = query.with_weight_shift(DimId(0), 0.15).unwrap();
-        assert!(!subscription.is_immutable_under(&outside));
-        assert!(subscription.update(&outside).unwrap());
-        assert_eq!(subscription.refreshes(), 1);
-        assert_eq!(
-            subscription.result().ids(),
-            vec![TupleId(0), TupleId(1)],
-            "crossing +0.1 swaps d1 and d2"
-        );
-        assert!((subscription.query().weight(DimId(0)) - 0.95).abs() < 1e-12);
-    }
-
-    #[test]
-    fn multi_dimension_drift_is_conservative() {
-        let engine = engine();
-        let query = QueryVector::running_example();
-        let subscription = engine.subscribe(query.clone()).unwrap();
-        // Both weights move a hair — per-dimension regions don't compose,
-        // so the subscription must not claim immutability.
-        let both = QueryVector::new([(0, 0.81), (1, 0.51)], 2).unwrap();
-        assert!(!subscription.is_immutable_under(&both));
-        // A changed k is never immutable either.
-        let other_k = query.with_k(1).unwrap();
-        assert!(!subscription.is_immutable_under(&other_k));
     }
 
     #[test]
@@ -676,34 +626,6 @@ mod tests {
         assert!(engine.delete(TupleId(99)).is_err());
         assert_eq!(engine.maintenance_stats().updates_applied, 3);
         assert_eq!(engine.health().queries_failed, 1);
-    }
-
-    #[test]
-    fn subscription_absorbs_surviving_updates_without_recompute() {
-        let engine = engine();
-        let mut subscription = engine.subscribe(QueryVector::running_example()).unwrap();
-
-        // A low-scoring insert cannot threaten the top-2: no recompute, and
-        // the cached report must equal a recompute on the mutated data.
-        let applied = engine
-            .apply_updates(&[ir_types::TupleUpdate::Insert {
-                vector: SparseVector::from_pairs([(0, 0.05), (1, 0.05)]).unwrap(),
-            }])
-            .unwrap();
-        assert!(!subscription.absorb_updates(&applied).unwrap());
-        assert_eq!(subscription.refreshes(), 0);
-        let oracle = engine.query(&QueryVector::running_example()).unwrap();
-        assert_eq!(subscription.report().dims, oracle.dims);
-
-        // Deleting a result member must puncture and re-anchor.
-        let applied = engine.apply_updates(&[ir_types::TupleUpdate::Delete { tuple: TupleId(1) }]);
-        let applied = applied.unwrap();
-        assert!(subscription.absorb_updates(&applied).unwrap());
-        assert_eq!(subscription.refreshes(), 1);
-        let oracle = engine.query(&QueryVector::running_example()).unwrap();
-        assert_eq!(subscription.report().dims, oracle.dims);
-        assert_eq!(subscription.result().ids(), oracle.current_result());
-        assert_eq!(engine.maintenance_stats().updates_applied, 2);
     }
 
     #[test]

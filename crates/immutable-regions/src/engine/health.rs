@@ -6,9 +6,9 @@ use ir_types::IrError;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Cumulative failure accounting shared by every handle onto one engine
-/// (clones, [`IrEngine::with_config`](super::IrEngine::with_config),
-/// subscriptions). Interior-mutable so `&self` query paths can record
-/// outcomes.
+/// (clones, [`IrEngine::with_config`](super::IrEngine::with_config) and
+/// the handles the fleet holds). Interior-mutable so `&self` query paths
+/// can record outcomes.
 #[derive(Debug, Default)]
 pub(super) struct EngineHealth {
     queries_ok: AtomicU64,
@@ -69,7 +69,8 @@ impl EngineHealth {
 /// [`IrEngine::maintenance_stats`](super::IrEngine::maintenance_stats).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineHealthSnapshot {
-    /// Operations (queries, batches, subscription refreshes) that succeeded.
+    /// Operations (queries, batches, computations, update batches) that
+    /// succeeded.
     pub queries_ok: u64,
     /// Operations that returned an error of any kind.
     pub queries_failed: u64,

@@ -14,6 +14,8 @@
 //!   flushed through [`IrEngine::query_batch`] in event-order chunks.
 //! * Every flush and local answer is counted in the manager's
 //!   [`FleetStats`] — the one home of the fleet's counters.
+//! * [`Subscription`] is a fleet of one: the paper's single subscribed
+//!   query, served by the same anchor / re-anchor / screen state machine.
 //!
 //! # Correctness model
 //!
@@ -47,11 +49,11 @@
 //! managers share one engine, the mutating one forwards the returned
 //! [`AppliedUpdate`]s to its peers' [`SubscriptionManager::revalidate`].
 
-use crate::engine::{immutable_under, EngineError, EngineResult, IrEngine};
+use crate::engine::{EngineError, EngineResult, IrEngine};
 use ir_core::{batch_impact, RegionReport};
 use ir_datagen::DriftEvent;
 use ir_storage::AppliedUpdate;
-use ir_types::{QueryVector, TupleId, TupleUpdate};
+use ir_types::{DimId, IrResult, QueryVector, TupleId, TupleUpdate};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -151,35 +153,44 @@ struct FleetEntry {
     refreshes: u64,
 }
 
+impl FleetEntry {
+    /// The one local-answer gate: a fresh cached report whose anchor region
+    /// covers `weights`. A stale report predates a mutation of the index,
+    /// so the region check against it proves nothing.
+    fn is_immutable_under(&self, weights: &QueryVector) -> bool {
+        !self.stale && immutable_under(&self.anchor, &self.report, weights)
+    }
+}
+
 /// A read-only view of one fleet member ([`SubscriptionManager::member`]).
 pub struct FleetMember<'a> {
     id: u64,
     entry: &'a FleetEntry,
 }
 
-impl FleetMember<'_> {
+impl<'a> FleetMember<'a> {
     /// The subscription id.
     pub fn id(&self) -> u64 {
         self.id
     }
 
     /// The anchor query the cached report is relative to.
-    pub fn anchor(&self) -> &QueryVector {
+    pub fn anchor(&self) -> &'a QueryVector {
         &self.entry.anchor
     }
 
     /// The latest drifted weights.
-    pub fn current(&self) -> &QueryVector {
+    pub fn current(&self) -> &'a QueryVector {
         &self.entry.current
     }
 
     /// The cached top-k ids at the anchor.
-    pub fn result(&self) -> &[TupleId] {
+    pub fn result(&self) -> &'a [TupleId] {
         &self.entry.result
     }
 
     /// The cached region report at the anchor.
-    pub fn report(&self) -> &RegionReport {
+    pub fn report(&self) -> &'a RegionReport {
         &self.entry.report
     }
 
@@ -188,6 +199,21 @@ impl FleetMember<'_> {
     /// by recompute, never from the cache.
     pub fn is_stale(&self) -> bool {
         self.entry.stale
+    }
+
+    /// Decides — locally, from the cached report — whether the member's
+    /// cached result is guaranteed unchanged under `new_weights`.
+    ///
+    /// `true` requires a fresh (not stale) report and that `new_weights`
+    /// deviates from the anchor in **at most one** dimension (the paper's
+    /// model: one slider moves while the others stay), strictly inside that
+    /// dimension's immutable region. Everything else — a stale report, a
+    /// changed `k`, several deviating weights, a new query dimension, a
+    /// deviation at or past a region boundary — returns `false`, the
+    /// conservative answer: the caller recomputes and never serves a stale
+    /// result.
+    pub fn is_immutable_under(&self, new_weights: &QueryVector) -> bool {
+        self.entry.is_immutable_under(new_weights)
     }
 
     /// Events answered locally for this subscription.
@@ -375,44 +401,65 @@ impl SubscriptionManager {
     /// resumes where the failure struck.
     pub fn ingest(&mut self, events: &[DriftEvent]) -> EngineResult<Vec<FleetAnswer>> {
         for event in events {
-            let entry = self.entries.get_mut(&event.sub).ok_or_else(|| {
-                EngineError::Policy(format!(
-                    "drift event targets unknown subscription {}",
-                    event.sub
-                ))
+            self.step(event.sub, |current| {
+                current.with_weight_shift(event.dim, event.delta)
             })?;
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.stats.events += 1;
-            entry.current = entry.current.with_weight_shift(event.dim, event.delta)?;
+        }
+        self.flush()
+    }
 
-            // A stale entry's report predates a mutation of the index:
-            // `immutable_under` against it proves nothing, so the event is
-            // forced through a recompute even when the weights stayed put.
-            if !entry.stale && immutable_under(&entry.anchor, &entry.report, &entry.current) {
-                entry.cache_hits += 1;
-                self.stats.local_answers += 1;
-                self.ready.push(FleetAnswer {
-                    seq,
-                    sub: event.sub,
-                    kind: AnswerKind::Local,
-                    result: entry.result.clone(),
-                    evaluated_candidates: 0,
-                });
-            } else {
-                self.pending.push(PendingJob {
-                    seq,
-                    sub: event.sub,
-                    weights: entry.current.clone(),
-                    kind: JobKind::Drift,
-                });
-                if self.pending.len() >= self.config.max_batch {
-                    self.flush_pending()?;
-                }
+    /// Moves member `sub` to the absolute weights `weights` as one drift
+    /// event and returns the answers [`SubscriptionManager::ingest`] would.
+    /// The weights are validated against the index first, so a malformed
+    /// request changes nothing.
+    pub(crate) fn retarget(
+        &mut self,
+        sub: u64,
+        weights: &QueryVector,
+    ) -> EngineResult<Vec<FleetAnswer>> {
+        self.engine.validate(weights)?;
+        self.step(sub, |_| Ok(weights.clone()))?;
+        self.flush()
+    }
+
+    /// One drift event: moves member `sub`'s current weights to
+    /// `to(current)`, then answers locally through the stale-aware gate or
+    /// queues a drift recompute, flushing once a full batch is pending.
+    fn step(
+        &mut self,
+        sub: u64,
+        to: impl FnOnce(&QueryVector) -> IrResult<QueryVector>,
+    ) -> EngineResult<()> {
+        let entry = self.entries.get_mut(&sub).ok_or_else(|| {
+            EngineError::Policy(format!("drift event targets unknown subscription {sub}"))
+        })?;
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.stats.events += 1;
+        entry.current = to(&entry.current)?;
+
+        if entry.is_immutable_under(&entry.current) {
+            entry.cache_hits += 1;
+            self.stats.local_answers += 1;
+            self.ready.push(FleetAnswer {
+                seq,
+                sub,
+                kind: AnswerKind::Local,
+                result: entry.result.clone(),
+                evaluated_candidates: 0,
+            });
+        } else {
+            self.pending.push(PendingJob {
+                seq,
+                sub,
+                weights: entry.current.clone(),
+                kind: JobKind::Drift,
+            });
+            if self.pending.len() >= self.config.max_batch {
+                self.flush_pending()?;
             }
         }
-        self.flush_pending()?;
-        Ok(self.drain_ready())
+        Ok(())
     }
 
     /// Flushes all pending recompute jobs and returns the answers they
@@ -547,6 +594,135 @@ impl SubscriptionManager {
     }
 }
 
+/// A subscribed query — the paper's interactive weight-tuning loop — served
+/// as a fleet of one: a one-member [`SubscriptionManager`], so it shares the
+/// fleet's state machine, its stale gate and its [`FleetStats`].
+///
+/// [`Subscription::update`] answers from the cached regions while the
+/// weights stay inside the anchor's immutable region and recomputes (and
+/// re-anchors) once they leave it. [`Subscription::absorb_updates`]
+/// screens applied tuple updates and re-anchors a punctured report. A
+/// recompute that fails stays queued and the next call retries it; while
+/// a punctured report waits for its re-anchoring the member is stale and
+/// never answers from the pre-mutation cache.
+#[derive(Debug)]
+pub struct Subscription {
+    fleet: SubscriptionManager,
+}
+
+/// The id of a subscription's one member.
+const SOLE: u64 = 0;
+
+impl Subscription {
+    /// Subscribes `query`: computes its result and regions once.
+    pub fn new(engine: &IrEngine, query: QueryVector) -> EngineResult<Self> {
+        let mut fleet = SubscriptionManager::new(engine, FleetConfig::default())?;
+        fleet.admit(SOLE, query)?;
+        Ok(Subscription { fleet })
+    }
+
+    /// The subscription's state: anchor, current weights, cached result and
+    /// report, staleness and per-member counters.
+    pub fn member(&self) -> FleetMember<'_> {
+        self.fleet
+            .member(SOLE)
+            .expect("a subscription holds its one member")
+    }
+
+    /// Cumulative serving statistics (local answers, drift recomputes,
+    /// regions survived and punctured by update batches).
+    pub fn stats(&self) -> FleetStats {
+        self.fleet.stats()
+    }
+
+    /// See [`FleetMember::is_immutable_under`].
+    pub fn is_immutable_under(&self, new_weights: &QueryVector) -> bool {
+        self.member().is_immutable_under(new_weights)
+    }
+
+    /// Drives the subscription to `new_weights`: `Ok(false)` when the
+    /// answer came from the cached regions, `Ok(true)` when it took a
+    /// recompute, which re-anchors the subscription at `new_weights`.
+    pub fn update(&mut self, new_weights: &QueryVector) -> EngineResult<bool> {
+        let answers = self.fleet.retarget(SOLE, new_weights)?;
+        // Answers come back in event order: the last one is this update's.
+        Ok(answers
+            .last()
+            .is_some_and(|answer| answer.kind == AnswerKind::Recomputed))
+    }
+
+    /// Maintains the subscription across a batch of applied data updates
+    /// (the return value of [`IrEngine::apply_updates`]) — the fleet's
+    /// [`SubscriptionManager::revalidate`]. Returns `Ok(true)` when an
+    /// update punctured the cached report and it was re-anchored.
+    ///
+    /// Survival is a proof: when this returns `Ok(false)` the cached report
+    /// is byte-identical to a full recompute on the mutated dataset.
+    pub fn absorb_updates(&mut self, applied: &[AppliedUpdate]) -> EngineResult<bool> {
+        let punctured = self.fleet.stats().regions_punctured;
+        self.fleet.revalidate(applied)?;
+        Ok(self.fleet.stats().regions_punctured > punctured)
+    }
+}
+
+/// Is the result anchored at `anchor` (with cached `report`) guaranteed
+/// unchanged under `new_weights`? See [`FleetMember::is_immutable_under`].
+///
+/// Allocation-free: the two sparse weight vectors are merge-walked in one
+/// pass over their sorted entry slices — this runs once per drift event
+/// across a fleet of millions, so it must not touch the heap.
+fn immutable_under(anchor: &QueryVector, report: &RegionReport, new_weights: &QueryVector) -> bool {
+    if new_weights.k() != anchor.k() {
+        return false;
+    }
+    let a = anchor.weights().entries();
+    let b = new_weights.weights().entries();
+    let (mut i, mut j) = (0usize, 0usize);
+    let mut deviation: Option<(DimId, f64)> = None;
+    loop {
+        // delta = new - old; a dimension absent from a vector weighs 0.
+        let (dim, delta) = match (a.get(i), b.get(j)) {
+            (None, None) => break,
+            (Some(&(dim, old)), None) => {
+                i += 1;
+                (dim, -old)
+            }
+            (None, Some(&(dim, new))) => {
+                j += 1;
+                (dim, new)
+            }
+            (Some(&(da, old)), Some(&(db, new))) => {
+                if da < db {
+                    i += 1;
+                    (da, -old)
+                } else if db < da {
+                    j += 1;
+                    (db, new)
+                } else {
+                    i += 1;
+                    j += 1;
+                    (da, new - old)
+                }
+            }
+        };
+        if delta != 0.0 {
+            if deviation.is_some() {
+                return false;
+            }
+            deviation = Some((dim, delta));
+        }
+    }
+    match deviation {
+        None => true,
+        Some((dim, delta)) => match report.for_dim(dim) {
+            // Strict interior: at the boundary itself the perturbation
+            // occurs, so boundary hits count as exits.
+            Some(regions) => regions.immutable.lo < delta && delta < regions.immutable.hi,
+            None => false,
+        },
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -583,6 +759,152 @@ mod tests {
 
     fn engine() -> IrEngine {
         IrEngine::builder().dataset_ref(&dataset()).build().unwrap()
+    }
+
+    fn running_example_engine() -> IrEngine {
+        IrEngine::builder()
+            .dataset(Dataset::running_example())
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn subscription_serves_drift_inside_region_from_cache() {
+        let engine = running_example_engine();
+        let query = QueryVector::running_example();
+        let mut subscription = Subscription::new(&engine, query.clone()).unwrap();
+        assert_eq!(
+            subscription.member().result(),
+            [TupleId(1), TupleId(0)],
+            "running example top-2"
+        );
+
+        // Inside IR_1 = (-16/35, 0.1): cache hit, no recompute.
+        let inside = query.with_weight_shift(DimId(0), 0.05).unwrap();
+        assert!(subscription.is_immutable_under(&inside));
+        assert!(!subscription.update(&inside).unwrap());
+        assert_eq!(subscription.member().cache_hits(), 1);
+        assert_eq!(subscription.member().refreshes(), 0);
+
+        // Past the upper boundary at +0.1: recompute and re-anchor.
+        let outside = query.with_weight_shift(DimId(0), 0.15).unwrap();
+        assert!(!subscription.is_immutable_under(&outside));
+        assert!(subscription.update(&outside).unwrap());
+        assert_eq!(subscription.member().refreshes(), 1);
+        assert_eq!(
+            subscription.member().result(),
+            [TupleId(0), TupleId(1)],
+            "crossing +0.1 swaps d1 and d2"
+        );
+        assert!((subscription.member().anchor().weight(DimId(0)) - 0.95).abs() < 1e-12);
+        let stats = subscription.stats();
+        assert_eq!(
+            (stats.events, stats.local_answers, stats.recomputes),
+            (2, 1, 1)
+        );
+    }
+
+    #[test]
+    fn multi_dimension_drift_is_conservative() {
+        let engine = running_example_engine();
+        let query = QueryVector::running_example();
+        let subscription = Subscription::new(&engine, query.clone()).unwrap();
+        // Both weights move a hair — per-dimension regions don't compose,
+        // so the subscription must not claim immutability.
+        let both = QueryVector::new([(0, 0.81), (1, 0.51)], 2).unwrap();
+        assert!(!subscription.is_immutable_under(&both));
+        // A changed k is never immutable either.
+        let other_k = query.with_k(1).unwrap();
+        assert!(!subscription.is_immutable_under(&other_k));
+    }
+
+    #[test]
+    fn subscription_absorbs_surviving_updates_without_recompute() {
+        let engine = running_example_engine();
+        let mut subscription = Subscription::new(&engine, QueryVector::running_example()).unwrap();
+
+        // A low-scoring insert cannot threaten the top-2: no recompute, and
+        // the cached report must equal a recompute on the mutated data.
+        let applied = engine
+            .apply_updates(&[TupleUpdate::Insert {
+                vector: ir_types::SparseVector::from_pairs([(0, 0.05), (1, 0.05)]).unwrap(),
+            }])
+            .unwrap();
+        assert!(!subscription.absorb_updates(&applied).unwrap());
+        assert_eq!(subscription.stats().regions_survived, 1);
+        assert_eq!(subscription.stats().regions_punctured, 0);
+        let oracle = engine.query(&QueryVector::running_example()).unwrap();
+        assert_eq!(subscription.member().report().dims, oracle.dims);
+
+        // Deleting a result member must puncture and re-anchor. The
+        // invalidation is maintenance: it shows in `regions_punctured`,
+        // not in the drift-recompute counters.
+        let applied = engine
+            .apply_updates(&[TupleUpdate::Delete { tuple: TupleId(1) }])
+            .unwrap();
+        assert!(subscription.absorb_updates(&applied).unwrap());
+        assert_eq!(subscription.stats().regions_punctured, 1);
+        assert_eq!(subscription.stats().recomputes, 0);
+        assert_eq!(subscription.member().refreshes(), 0);
+        let oracle = engine.query(&QueryVector::running_example()).unwrap();
+        assert_eq!(subscription.member().report().dims, oracle.dims);
+        assert_eq!(subscription.member().result(), oracle.current_result());
+        assert_eq!(engine.maintenance_stats().updates_applied, 2);
+    }
+
+    #[test]
+    fn a_subscription_never_serves_a_pre_mutation_cache() {
+        // A puncturing update whose re-anchoring recompute dies at the
+        // device must leave the subscription stale: until a recompute
+        // lands, no update may be answered from the cached report, which
+        // still holds the deleted tuple.
+        let dir = tempfile::tempdir().unwrap();
+        let engine = IrEngine::builder()
+            .dataset_ref(&dataset())
+            .backend(crate::storage::StorageBackend::Disk(
+                dir.path().to_path_buf(),
+            ))
+            .pool_capacity(4)
+            .fault_plan(crate::storage::FaultPlan::device_outage(0, None))
+            .build()
+            .unwrap();
+        let injector = engine.index().fault_injector().unwrap();
+        injector.disarm();
+        let (_, query) = fleet_queries(1, 4).pop().unwrap();
+        let mut subscription = Subscription::new(&engine, query).unwrap();
+        let anchor = subscription.member().anchor().clone();
+
+        // A weight shift strictly inside the first dimension's region.
+        let regions = &subscription.member().report().dims[0];
+        let delta = if regions.immutable.hi > 0.0 {
+            regions.immutable.hi.min(0.1) / 2.0
+        } else {
+            regions.immutable.lo.max(-0.1) / 2.0
+        };
+        assert!(delta != 0.0);
+        let inside = anchor.with_weight_shift(regions.dim, delta).unwrap();
+        assert!(subscription.is_immutable_under(&inside));
+
+        let victim = subscription.member().result()[0];
+        let applied = engine.delete(victim).unwrap();
+        injector.arm();
+        engine.cold_start();
+        assert!(subscription
+            .absorb_updates(std::slice::from_ref(&applied))
+            .is_err());
+
+        // The cache predates the delete: nothing may be served from it.
+        assert!(!subscription.is_immutable_under(&anchor));
+        assert!(!subscription.is_immutable_under(&inside));
+        assert!(!matches!(subscription.update(&inside), Ok(false)));
+
+        // Heal: the next update recomputes on the mutated index.
+        injector.disarm();
+        assert!(subscription.update(&inside).unwrap());
+        let fresh = engine.query(&inside).unwrap();
+        assert_eq!(subscription.member().result(), fresh.current_result());
+        assert!(!subscription.member().result().contains(&victim));
+        assert!(!subscription.member().is_stale());
     }
 
     #[test]

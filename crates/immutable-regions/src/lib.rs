@@ -11,7 +11,7 @@
 //! subsequent regions in each direction.
 //!
 //! This umbrella crate re-exports the whole stack and adds the [`engine`]
-//! layer on top:
+//! and [`fleet`] layers on top:
 //!
 //! | layer | crate / module | contents |
 //! |-------|----------------|----------|
@@ -21,15 +21,16 @@
 //! | top-k | [`topk`] | the resumable random-access Threshold Algorithm |
 //! | regions | [`core`] | Scan / Prune / Thres / CPT, `φ ≥ 0`, oracle, parallel driver |
 //! | workloads | [`datagen`] | WSJ-like, KB-like and ST dataset generators |
-//! | serving | [`engine`] | [`IrEngine`](engine::IrEngine): owned façade, batches, subscriptions, tuple updates |
-//! | fleet | [`fleet`] | [`SubscriptionManager`](fleet::SubscriptionManager): many live subscriptions, batched recomputes, region revalidation under updates |
+//! | serving | [`engine`] | [`IrEngine`](engine::IrEngine): owned façade, queries, batches, tuple updates |
+//! | fleet | [`fleet`] | [`SubscriptionManager`](fleet::SubscriptionManager): many live subscriptions, batched recomputes, region revalidation under updates; [`Subscription`](fleet::Subscription), a fleet of one |
 //!
 //! ## Quickstart
 //!
 //! [`engine::IrEngine`] is the front door: an owned, `Send + Sync + Clone`
 //! handle that holds the index and warm buffer pool and serves one-off
-//! queries, batches over a worker pool, and subscriptions that recompute
-//! only when drifting weights leave the reported region.
+//! queries and batches over a worker pool. The [`fleet`] layer on top serves
+//! subscriptions that recompute only when drifting weights leave the
+//! reported region.
 //!
 //! ```
 //! use immutable_regions::prelude::*;
@@ -49,9 +50,10 @@
 //!
 //! // The subscribed-query loop: drift inside the region is answered from
 //! // the cached report, drift outside triggers one recompute.
-//! let mut subscription = engine.subscribe(query.clone())?;
+//! let mut subscription = Subscription::new(&engine, query.clone())?;
 //! let drifted = query.with_weight_shift(DimId(0), 0.05)?;
 //! assert!(subscription.is_immutable_under(&drifted));
+//! assert!(!subscription.update(&drifted)?); // cache hit, no recompute
 //! # Ok::<(), immutable_regions::engine::EngineError>(())
 //! ```
 //!
@@ -75,10 +77,10 @@ pub use ir_types as types;
 pub mod prelude {
     pub use crate::engine::{
         EngineError, EngineHealthSnapshot, EnginePolicy, EngineResult, IrEngine, IrEngineBuilder,
-        Subscription,
     };
     pub use crate::fleet::{
-        AnswerKind, FleetAnswer, FleetConfig, FleetMember, FleetStats, SubscriptionManager,
+        AnswerKind, FleetAnswer, FleetConfig, FleetMember, FleetStats, Subscription,
+        SubscriptionManager,
     };
     pub use ir_core::{
         update_impact, Algorithm, BatchOutcome, BatchRegionComputation, ComputationStats,

@@ -88,7 +88,7 @@ fn k_larger_than_dataset_is_a_typed_error() {
         Err(EngineError::KTooLarge { .. })
     ));
     assert!(matches!(
-        engine.subscribe(query),
+        Subscription::new(&engine, query),
         Err(EngineError::KTooLarge { .. })
     ));
 }
@@ -379,10 +379,10 @@ proptest! {
             .build()
             .unwrap();
         let query = build_queries(seed, dims, 1, k).pop().unwrap();
-        let subscription = engine.subscribe(query.clone()).unwrap();
-        let cached_ids = subscription.result().ids();
+        let subscription = Subscription::new(&engine, query.clone()).unwrap();
+        let cached_ids = subscription.member().result().to_vec();
 
-        for dim_regions in subscription.report().dims.clone() {
+        for dim_regions in subscription.member().report().dims.clone() {
             let dim = dim_regions.dim;
             let immutable = dim_regions.immutable;
 

@@ -1,12 +1,11 @@
 //! Determinism-first agreement suite for the parallel execution layer.
 //!
-//! The contract of `BatchRegionComputation` (and of
-//! `RegionComputation::compute_parallel`) is that parallel output is
+//! The contract of `BatchRegionComputation` is that parallel output is
 //! *identical* to the sequential oracle — same regions, same boundary
 //! perturbations, same per-region results — for every algorithm, every φ
 //! level and every worker count. Scheduling must never leak into the
-//! output: the merge order is fixed by dimension/query index, and each
-//! dimension is solved from a private snapshot of the initial TA state.
+//! output: the merge order is fixed by query index, and each query runs
+//! the one sequential solve on its worker.
 //!
 //! Seeded like the other property suites so failures reproduce exactly.
 
@@ -157,44 +156,6 @@ fn batch_matches_sequential_oracle_in_composition_only_mode() {
                     &format!("{} composition-only threads={threads}", algorithm.name()),
                 );
             }
-        }
-    }
-}
-
-/// `compute_parallel` (per-dimension fan-out within one query) is
-/// thread-count invariant *including its deterministic stats* — evaluated
-/// candidates per dimension and logical reads never depend on scheduling.
-#[test]
-fn per_dimension_fanout_is_thread_count_invariant() {
-    let mut rng = ChaCha8Rng::seed_from_u64(0xD17_FA17);
-    for algorithm in Algorithm::ALL {
-        let dims = 6;
-        let dataset = random_dataset(&mut rng, 150, dims);
-        let index = IndexBuilder::new().build_shared(&dataset).unwrap();
-        let query = random_query(&mut rng, dims, 4, 5);
-        let config = RegionConfig::with_phi(algorithm, 1);
-        let computation = RegionComputation::new(&index, &query, config).unwrap();
-        let baseline = computation.compute_parallel(1).unwrap();
-        for threads in [2usize, 4, 8] {
-            let report = computation.compute_parallel(threads).unwrap();
-            assert_eq!(
-                baseline.dims,
-                report.dims,
-                "{} threads={threads}",
-                algorithm.name()
-            );
-            assert_eq!(
-                baseline.stats.evaluated_per_dim,
-                report.stats.evaluated_per_dim,
-                "{} threads={threads}: evaluated candidates leaked scheduling",
-                algorithm.name()
-            );
-            assert_eq!(
-                baseline.stats.io.logical_reads,
-                report.stats.io.logical_reads,
-                "{} threads={threads}: logical reads leaked scheduling",
-                algorithm.name()
-            );
         }
     }
 }

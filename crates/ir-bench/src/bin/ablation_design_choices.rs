@@ -10,14 +10,16 @@
 //! 3. **Pruning and thresholding in isolation** — the per-dimension pool
 //!    sizes each technique leaves for Phase 2 on each dataset kind.
 //!
+//! Every measurement is one sequential solve per query, so the printed
+//! numbers are identical for every `--threads` value.
+//!
 //! Run with `cargo run --release -p ir-bench --bin ablation_design_choices`.
 
 use immutable_regions::engine::{EngineResult, IrEngine};
 use ir_bench::{BenchArgs, BenchDataset, Scale};
-use ir_core::{Algorithm, RegionConfig, RegionReport};
+use ir_core::{Algorithm, RegionConfig};
 use ir_storage::IoConfig;
 use ir_topk::{ProbeStrategy, TaConfig, TaRun};
-use ir_types::QueryVector;
 use std::time::Instant;
 
 fn main() -> EngineResult<()> {
@@ -29,29 +31,6 @@ fn main() -> EngineResult<()> {
     phase2_pool_ablation(scale, &args)?;
     args.report_wall_clock(started);
     Ok(())
-}
-
-/// Measures on the sequential path — the printed ablation numbers are
-/// identical for every `--threads` value. With more than one worker, a
-/// second computation then exercises the per-dimension parallel driver and
-/// its regions are checked against the sequential ones; it runs *after*
-/// measurement so the measured cache behaviour is untouched.
-fn measure_and_check(
-    engine: &IrEngine,
-    query: &QueryVector,
-    config: RegionConfig,
-) -> EngineResult<RegionReport> {
-    let mut computation = engine.computation_with(query, config)?;
-    let report = computation.compute()?;
-    if engine.threads() > 1 {
-        let check = engine.computation_with(query, config)?;
-        let parallel = check.compute_parallel(engine.threads())?;
-        assert_eq!(
-            report.dims, parallel.dims,
-            "parallel regions diverged from sequential"
-        );
-    }
-    Ok(report)
 }
 
 fn probe_strategy_ablation(scale: Scale, args: &BenchArgs) -> EngineResult<()> {
@@ -125,7 +104,7 @@ fn pool_size_ablation(scale: Scale, args: &BenchArgs) -> EngineResult<()> {
             let mut physical = 0u64;
             for query in workload.iter() {
                 engine.cold_start();
-                let report = measure_and_check(&engine, query, RegionConfig::flat(algorithm))?;
+                let report = engine.query_with(query, RegionConfig::flat(algorithm))?;
                 logical += report.stats.io.logical_reads;
                 physical += report.stats.io.physical_reads;
             }
@@ -159,7 +138,7 @@ fn phase2_pool_ablation(scale: Scale, args: &BenchArgs) -> EngineResult<()> {
             let mut evaluated = 0.0;
             let mut initial = 0usize;
             for query in workload.iter() {
-                let report = measure_and_check(&engine, query, RegionConfig::flat(algorithm))?;
+                let report = engine.query_with(query, RegionConfig::flat(algorithm))?;
                 evaluated += report.stats.evaluated_per_dim_avg();
                 initial += report.stats.initial_candidates;
             }

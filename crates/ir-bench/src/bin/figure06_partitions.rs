@@ -45,7 +45,7 @@ fn main() -> EngineResult<()> {
             .build()?;
         drop(scratch);
         let query = &workload.queries()[0];
-        let computation = engine.computation(query)?;
+        let mut computation = engine.computation(query)?;
         let candidates = computation.ta().candidates().entries();
         println!(
             "=== Figure 6 — {} (qlen=4, k=10, equal weights) ===",
@@ -71,9 +71,9 @@ fn main() -> EngineResult<()> {
         for entry in candidates.iter().take(30) {
             println!("    C {:.4} {:.4}", entry.score, entry.coord(0));
         }
-        // The regions behind the partitions, solved with the per-dimension
-        // parallel driver (identical output for every worker count).
-        let report = computation.compute_parallel(args.threads)?;
+        // The regions behind the partitions (the one sequential solve, so
+        // identical output for every `--threads` value).
+        let report = computation.compute()?;
         for dim in &report.dims {
             println!(
                 "  IR(dim {:>6}) = ({:+.4}, {:+.4})",

@@ -70,8 +70,8 @@ pub(crate) fn materialize_backend(
 /// Parsed runner options.
 #[derive(Clone, Debug, Default)]
 pub struct BenchArgs {
-    /// Worker count for batch/per-dimension parallel execution (1 =
-    /// sequential, today's default path).
+    /// Worker count for query-batch parallel execution (1 = sequential,
+    /// the default path).
     pub threads: usize,
     /// Which page-store backend the index is built on (default: mem).
     pub backend: BackendKind,

@@ -86,40 +86,37 @@ impl RegionComputation {
 
     /// Computes the immutable regions (and, for `φ > 0`, the surrounding
     /// regions) of every query dimension.
+    ///
+    /// This is the one solve path. The dimensions are solved in query order
+    /// against one TA run, so `C(q)` and the tuples Phase 3 discovers for
+    /// one dimension are shared with every later one. Parallelism lives one
+    /// level up, across queries ([`crate::parallel`]).
     pub fn compute(&mut self) -> IrResult<RegionReport> {
-        let initial_candidates = self.ta.candidates().len();
         let started = Instant::now();
         let mut evaluator = CandidateEvaluator::new(&self.index);
-        let (index, ta, config) = (&self.index, &mut self.ta, &self.config);
-        let solved = (0..ta.dims().len())
-            .map(|dim_index| solve_dim(index, ta, dim_index, config, &mut evaluator));
-        fold_report(initial_candidates, self.topk_io, started, solved)
-    }
-
-    /// Computes the regions with the per-dimension solves fanned out over
-    /// up to `threads` workers (see [`crate::parallel`]).
-    ///
-    /// Every dimension is solved from a private clone of the initial TA
-    /// snapshot, so the report — regions *and* candidate counts — is
-    /// identical for every `threads` value; only `cpu_time` and
-    /// physical-read counts (cache dependent) vary. Unlike
-    /// [`RegionComputation::compute`], later dimensions do not reuse the
-    /// Phase-3 discoveries of earlier ones, which is exactly what makes the
-    /// solves order-free; the regions themselves are the same either way.
-    pub fn compute_parallel(&self, threads: usize) -> IrResult<RegionReport> {
-        let initial_candidates = self.ta.candidates().len();
-        let started = Instant::now();
-        let solved =
-            crate::parallel::run_queries(threads, self.ta.dims().len(), "dimension", |dim_index| {
-                crate::parallel::solve_dim_from_snapshot(
-                    &self.index,
-                    &self.ta,
-                    dim_index,
-                    &self.config,
-                )
-            });
-        // Merged in dimension order — fixed by index, never completion order.
-        fold_report(initial_candidates, self.topk_io, started, solved)
+        let mut dims = Vec::new();
+        let mut stats = ComputationStats {
+            initial_candidates: self.ta.candidates().len(),
+            topk_io: self.topk_io,
+            ..ComputationStats::default()
+        };
+        for dim_index in 0..self.ta.dims().len() {
+            let (regions, info) = solve_dim(
+                &self.index,
+                &mut self.ta,
+                dim_index,
+                &self.config,
+                &mut evaluator,
+            )?;
+            stats.evaluated_per_dim.push(info.evaluated);
+            stats.evaluated_candidates += info.evaluated;
+            stats.phase3_tuples += info.phase3_tuples;
+            stats.memory_footprint_bytes = stats.memory_footprint_bytes.max(info.footprint_bytes);
+            stats.io = stats.io.plus(&info.io);
+            dims.push(regions);
+        }
+        stats.cpu_time = started.elapsed();
+        Ok(RegionReport { dims, stats })
     }
 }
 
@@ -132,7 +129,7 @@ impl RegionComputation {
 /// perturbations. In composition-only mode the lowest-ranked result member
 /// can change identity inside the region, so the envelope-based solver is
 /// used even for φ = 0.
-pub(crate) fn solve_dim(
+fn solve_dim(
     index: &TopKIndex,
     ta: &mut TaRun,
     dim_index: usize,
@@ -149,33 +146,6 @@ pub(crate) fn solve_dim(
     };
     info.io = evaluator.io().plus(&ta.io()).since(&io_before);
     Ok((regions, info))
-}
-
-/// Folds per-dimension solves, in dimension order, into one report. The
-/// first failed solve is the report's error; no later solve is consumed.
-fn fold_report(
-    initial_candidates: usize,
-    topk_io: IoStatsSnapshot,
-    started: Instant,
-    solved: impl IntoIterator<Item = IrResult<(DimRegions, DimSolveInfo)>>,
-) -> IrResult<RegionReport> {
-    let mut dims = Vec::new();
-    let mut stats = ComputationStats {
-        initial_candidates,
-        topk_io,
-        ..ComputationStats::default()
-    };
-    for solved_dim in solved {
-        let (regions, info) = solved_dim?;
-        stats.evaluated_per_dim.push(info.evaluated);
-        stats.evaluated_candidates += info.evaluated;
-        stats.phase3_tuples += info.phase3_tuples;
-        stats.memory_footprint_bytes = stats.memory_footprint_bytes.max(info.footprint_bytes);
-        stats.io = stats.io.plus(&info.io);
-        dims.push(regions);
-    }
-    stats.cpu_time = started.elapsed();
-    Ok(RegionReport { dims, stats })
 }
 
 #[cfg(test)]

@@ -57,7 +57,7 @@ pub fn compute_iterative(
     // The first pass over the original query serves every dimension.
     let mut base = RegionComputation::new(index, query, flat)?;
     let base_report = base.compute()?;
-    accumulate(&mut total, &base_report.stats, true);
+    accumulate(&mut total, &base_report.stats);
 
     for dim_regions in &base_report.dims {
         let dim = dim_regions.dim;
@@ -77,7 +77,7 @@ pub fn compute_iterative(
             let shifted = query.with_weight_shift(dim, shift + BOUNDARY_NUDGE)?;
             let mut rc = RegionComputation::new(index, &shifted, flat)?;
             let report = rc.compute()?;
-            accumulate(&mut total, &report.stats, true);
+            accumulate(&mut total, &report.stats);
             let Some(d) = report.for_dim(dim) else { break };
             let lo = shift;
             let hi = shift + BOUNDARY_NUDGE + d.immutable.hi;
@@ -99,7 +99,7 @@ pub fn compute_iterative(
             let shifted = query.with_weight_shift(dim, shift - BOUNDARY_NUDGE)?;
             let mut rc = RegionComputation::new(index, &shifted, flat)?;
             let report = rc.compute()?;
-            accumulate(&mut total, &report.stats, true);
+            accumulate(&mut total, &report.stats);
             let Some(d) = report.for_dim(dim) else { break };
             let hi = shift;
             let lo = shift - BOUNDARY_NUDGE + d.immutable.lo;
@@ -128,13 +128,11 @@ pub fn compute_iterative(
     })
 }
 
-fn accumulate(total: &mut ComputationStats, stats: &ComputationStats, include_topk: bool) {
+/// Folds one repetition into the total. The repeated TA runs are genuine
+/// extra work of the iterative approach, so their I/O counts toward `io`.
+fn accumulate(total: &mut ComputationStats, stats: &ComputationStats) {
     total.merge(stats);
-    if include_topk {
-        // The repeated TA runs are genuine extra work of the iterative
-        // approach, so their I/O counts toward the total.
-        total.io = total.io.plus(&stats.topk_io);
-    }
+    total.io = total.io.plus(&stats.topk_io);
 }
 
 #[cfg(test)]

@@ -28,9 +28,9 @@
 //! The entry point is [`RegionComputation`]; [`oracle::ExhaustiveOracle`]
 //! provides an `O(n²)` reference implementation used by the test-suite to
 //! validate every algorithm on randomized inputs. The [`parallel`] module
-//! adds a deterministic work-stealing driver on top: per-dimension fan-out
-//! within a query ([`RegionComputation::compute_parallel`]) and
-//! [`BatchRegionComputation`] for many queries over one warm buffer pool.
+//! adds a deterministic work-stealing driver on top:
+//! [`BatchRegionComputation`] runs many queries over one warm buffer pool,
+//! one sequential solve per query.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,26 +1,16 @@
 //! Parallel execution of region computations.
 //!
-//! The per-dimension region computations of a query are independent (they
-//! only read the frozen TA snapshot and the shared, `Sync` index), and so
-//! are the computations of distinct queries. This module exploits both
-//! levels:
+//! Parallelism is per query: [`BatchRegionComputation`] runs *many* queries
+//! concurrently over one warm buffer pool, each worker running the one
+//! sequential solve ([`RegionComputation::compute`]) for its query. Within
+//! a query the dimensions stay sequential, because they share `C(q)` and
+//! the tuples Phase 3 discovers.
 //!
-//! * [`RegionComputation::compute_parallel`](crate::RegionComputation::compute_parallel)
-//!   fans the per-dimension solves of *one* query out over a scoped
-//!   work-stealing worker pool, and
-//! * [`BatchRegionComputation`] runs *many* queries concurrently over one
-//!   warm buffer pool, each worker owning its private scratch state (a
-//!   cloned [`TaRun`] snapshot plus a fresh
-//!   [`CandidateEvaluator`]).
-//!
-//! **Determinism.** Parallel output is byte-for-byte identical for every
-//! worker count, and merge order is fixed by dimension / query index, never
-//! by completion order. Per-dimension fan-out solves each dimension from a
-//! private clone of the *initial* TA snapshot — a pure function of index +
-//! query, independent of scheduling. Batch fan-out runs each query's plain
-//! sequential solve on one worker, so its reports equal the sequential
-//! oracle's exactly (regions *and* candidate counts). Only wall-clock time
-//! and physical-read counts (cache-state dependent) may vary between runs.
+//! **Determinism.** Batch output is byte-for-byte identical for every
+//! worker count: results are merged by query index, never by completion
+//! order, and each report equals the sequential oracle's exactly (regions
+//! *and* candidate counts). Only wall-clock time and physical-read counts
+//! (cache-state dependent) may vary between runs.
 //!
 //! **Panic containment.** Every job runs under `catch_unwind`: a panicking
 //! worker job surfaces as a typed [`ir_types::IrError::WorkerPanicked`] in
@@ -35,13 +25,11 @@
 //! the buffer pool, and the reports of a batch sum to every access the
 //! batch made ([`BatchOutcome::total_io`]).
 
-use crate::compute::{solve_dim, RegionComputation};
+use crate::compute::RegionComputation;
 use crate::config::RegionConfig;
-use crate::evaluator::CandidateEvaluator;
-use crate::region::{DimRegions, RegionReport};
-use crate::solver_flat::DimSolveInfo;
+use crate::region::RegionReport;
 use ir_storage::{IoStatsSnapshot, TopKIndex};
-use ir_topk::{TaConfig, TaRun};
+use ir_topk::TaConfig;
 use ir_types::{IrError, IrResult, QueryVector};
 use parking_lot::Mutex;
 use std::any::Any;
@@ -125,24 +113,6 @@ where
     let mut items = collected.into_inner();
     items.sort_by_key(|(i, _)| *i);
     items.into_iter().map(|(_, item)| item).collect()
-}
-
-/// Solves one query dimension from a frozen TA snapshot.
-///
-/// The snapshot is cloned, so the caller's `TaRun` is untouched and many
-/// workers can solve distinct dimensions of the same query concurrently.
-/// The result is a pure function of `(index contents, snapshot, dim_index,
-/// config)` — independent of thread count and scheduling — which is what
-/// makes the parallel drivers deterministic. The info's `io` counts what
-/// the clone read beyond the snapshot, plus the evaluator's fetches.
-pub fn solve_dim_from_snapshot(
-    index: &TopKIndex,
-    ta: &TaRun,
-    dim_index: usize,
-    config: &RegionConfig,
-) -> IrResult<(DimRegions, DimSolveInfo)> {
-    let mut evaluator = CandidateEvaluator::new(index);
-    solve_dim(index, &mut ta.clone(), dim_index, config, &mut evaluator)
 }
 
 /// The outcome of a [`BatchRegionComputation`] run: the per-query reports
@@ -256,8 +226,7 @@ impl BatchRegionComputation {
             // Each query runs the plain sequential solve on its worker:
             // a query is self-contained, so the report (regions *and*
             // candidate counts) is exactly what the sequential oracle
-            // produces, for every worker count. Per-dimension fan-out
-            // (`compute_parallel`) is a separate, latency-oriented tool.
+            // produces, for every worker count.
             computation.compute()
         });
         let reports = results.into_iter().collect::<IrResult<Vec<_>>>()?;

@@ -121,13 +121,8 @@ pub fn read_list(
 /// exposes the sorting key `t_j` of the next entry (used in the threshold)
 /// and `next` consumes it. Reading an entry touches exactly one page via the
 /// buffer pool, counted in the cursor's own tally ([`InvertedListCursor::io`]).
-/// Cursors are cheap to clone-position: `position`/`seek` allow
-/// the resumable TA of Phase 3 to continue exactly where the top-k
-/// computation stopped. Cursors are `Clone`: a clone shares the buffer pool
-/// but scans independently from the cloned position, which is what lets a
-/// resumable TA state be snapshotted per worker thread. A clone carries its
-/// tally, so what the clone read is its tally minus the original's.
-#[derive(Clone)]
+/// `position`/`seek` allow the resumable TA of Phase 3 to continue exactly
+/// where the top-k computation stopped.
 pub struct InvertedListCursor {
     pool: Arc<BufferPool>,
     directory: ListDirectoryEntry,

@@ -36,19 +36,10 @@ pub struct TaStats {
 /// A (possibly still resumable) TA execution: the top-k result, the candidate
 /// list, and the frozen scan state needed to continue deeper into the lists.
 ///
-/// A `TaRun` is `Clone`: the clone shares the index's buffer pool but owns
-/// independent cursors, candidate list and result, so several worker threads
-/// can each resume Phase 3 from the same frozen snapshot without
-/// coordination — the basis of the deterministic parallel driver in
-/// `ir-core`. A run tallies its own page accesses ([`TaRun::io`]); a clone
-/// carries that tally, so what the clone read is its tally minus the
-/// snapshot's.
-///
-/// The tuples already fetched are a bitmap indexed by tuple id, sized from
-/// the index's cardinality at [`TaRun::execute`] and grown on demand when a
-/// cursor meets an id inserted since. A clone carries its own copy, so a
-/// resumed clone never fetches a tuple its snapshot had already seen.
-#[derive(Clone)]
+/// A run tallies its own page accesses ([`TaRun::io`]). The tuples already
+/// fetched are a bitmap indexed by tuple id, sized from the index's
+/// cardinality at [`TaRun::execute`] and grown on demand when a cursor meets
+/// an id inserted since.
 pub struct TaRun {
     query: QueryVector,
     dims: Vec<DimId>,
