@@ -10,8 +10,9 @@
 #                          token in code position under crates/, no
 #                          thread_local! under crates/ (counters travel
 #                          with the work, stamps are passed explicitly),
-#                          and no `entries().to_vec()` deep copy of the
-#                          candidate list under crates/ (borrow it)
+#                          no `entries().to_vec()` deep copy of the
+#                          candidate list under crates/ (borrow it), and no
+#                          from-scratch `sweep_topk(` in ir-core/src
 #   3. tier-1 verify     — cargo build --release && cargo test -q (the
 #                          chaos suite included)
 #   4. api docs          — cargo doc --no-deps with rustdoc warnings as
@@ -98,6 +99,12 @@ fi
 # of every candidate and its coordinates is what this guards against.
 if grep -rn 'entries().to_vec()' crates; then
     echo "FAIL: entries().to_vec() under crates/ (listed above)" >&2
+    exit 1
+fi
+# The φ solver folds candidates into incremental sweeps; a from-scratch
+# sweep per round is the quadratic cost this guards against.
+if grep -rn 'sweep_topk(' crates/ir-core/src; then
+    echo "FAIL: from-scratch sweep_topk( under crates/ir-core/src (listed above)" >&2
     exit 1
 fi
 echo "no-unsafe and layering assertions hold"

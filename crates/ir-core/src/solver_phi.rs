@@ -8,6 +8,15 @@
 //! which candidates need to be considered (Lemma 4) and thresholding
 //! processes them in potential order with a threshold-line termination test
 //! against the lower envelope of the result.
+//!
+//! Each direction keeps one [`IncrementalSweep`], as Section 6 keeps one
+//! sweep per direction. A fed candidate is tested against the cached
+//! outcome: a line the sweep would never select stays *dormant* and costs no
+//! sweep; only a line that could select an event becomes *active* and
+//! re-runs the sweep over the result and the active lines. The envelope the
+//! termination tests read is rebuilt only when that happens, so a round of
+//! the thresholded loop or of Phase 3 that adds only dormant lines costs one
+//! test per line and no sweep.
 
 use crate::config::{PerturbationMode, RegionConfig};
 use crate::evaluator::CandidateEvaluator;
@@ -15,12 +24,11 @@ use crate::partition::Partition;
 use crate::region::{DimRegions, Perturbation, RegionBoundary, WeightRegion};
 use crate::solver_flat::{phase2_footprint, DimSolveInfo};
 use ir_geometry::{
-    sweep_topk, Interval, Line, LowerEnvelope, SweepEvent, SweepEventKind, SweepOutcome,
+    IncrementalSweep, Interval, Line, LowerEnvelope, SweepEvent, SweepEventKind, SweepOutcome,
 };
 use ir_storage::TopKIndex;
 use ir_topk::TaRun;
 use ir_types::{IrResult, TupleId};
-use std::collections::HashSet;
 
 /// Which side of the current weight a directional sweep covers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,10 +59,12 @@ impl PhiCand {
 /// State of one directional sweep while candidates are being folded in.
 struct DirectionalSweep {
     direction: Direction,
-    result_lines: Vec<Line>,
-    accepted: Vec<Line>,
+    sweep: IncrementalSweep,
     x_max: f64,
-    max_events: usize,
+    /// Lower envelope of `sweep`'s outcome, built after sweep number
+    /// `envelope_sweeps`.
+    envelope: Option<LowerEnvelope>,
+    envelope_sweeps: usize,
 }
 
 impl DirectionalSweep {
@@ -67,10 +77,7 @@ impl DirectionalSweep {
     ) -> Self {
         let result_lines: Vec<Line> = result
             .iter()
-            .map(|&(id, score, coord)| match direction {
-                Direction::Right => Line::new(id.0 as u64, score, coord),
-                Direction::Left => Line::new(id.0 as u64, score, -coord),
-            })
+            .map(|&(id, score, coord)| PhiCand { id, score, coord }.line(direction))
             .collect();
         let x_max = match direction {
             Direction::Right => 1.0 - weight,
@@ -88,60 +95,59 @@ impl DirectionalSweep {
                 (phi + 1) + members * members.saturating_sub(1) / 2 + 1
             }
         };
+        let mut sweep = IncrementalSweep::new(result_lines, 0.0, x_max, head_room);
+        let envelope = envelope_of(sweep.outcome());
         DirectionalSweep {
             direction,
-            result_lines,
-            accepted: Vec::new(),
+            envelope_sweeps: sweep.sweeps(),
+            sweep,
             x_max,
-            max_events: head_room,
+            envelope,
         }
     }
 
     fn add_candidate(&mut self, cand: PhiCand) {
-        self.accepted.push(cand.line(self.direction));
+        self.sweep.push(cand.line(self.direction));
     }
 
-    fn outcome(&self) -> SweepOutcome {
-        sweep_topk(
-            self.result_lines.clone(),
-            self.accepted.clone(),
-            0.0,
-            self.x_max,
-            self.max_events,
-        )
-    }
-
-    /// The lower envelope of the k-th result line over the currently known
-    /// region range, used by the threshold-line termination tests.
-    fn envelope(&self, outcome: &SweepOutcome) -> Option<LowerEnvelope> {
-        if outcome.end_x <= 0.0 {
-            return None;
+    /// The threshold-line termination test: true if `threshold` stays
+    /// strictly below the lower envelope of the k-th result line over the
+    /// currently known region range, or there is no envelope to reach. The
+    /// fed candidates are folded in first; the envelope is rebuilt only if
+    /// that re-ran the sweep.
+    fn safe_below(&mut self, threshold: &Line) -> bool {
+        self.sweep.outcome();
+        if self.sweep.sweeps() != self.envelope_sweeps {
+            self.envelope = envelope_of(self.sweep.outcome());
+            self.envelope_sweeps = self.sweep.sweeps();
         }
-        let lines: Vec<Line> = outcome.envelope.iter().map(|p| p.line).collect();
-        if lines.is_empty() {
-            return None;
-        }
-        Some(LowerEnvelope::build(&lines, 0.0, outcome.end_x))
+        self.envelope
+            .as_ref()
+            .map_or(true, |env| env.line_strictly_below(threshold))
     }
 }
 
-/// Counts the events that are perturbations under the given mode.
-fn filter_events(events: &[SweepEvent], mode: PerturbationMode, phi: usize) -> Vec<SweepEvent> {
-    let mut kept = Vec::new();
-    for ev in events {
-        let counts = match (mode, &ev.kind) {
-            (PerturbationMode::WithReorderings, _) => true,
-            (PerturbationMode::CompositionOnly, SweepEventKind::Enter { .. }) => true,
-            (PerturbationMode::CompositionOnly, SweepEventKind::Reorder { .. }) => false,
-        };
-        if counts {
-            kept.push(ev.clone());
-            if kept.len() > phi {
-                break;
-            }
-        }
+/// The lower envelope of the lines that were k-th in `outcome`, over
+/// `[0, end_x]`.
+fn envelope_of(outcome: &SweepOutcome) -> Option<LowerEnvelope> {
+    if outcome.end_x <= 0.0 || outcome.envelope.is_empty() {
+        return None;
     }
-    kept
+    let lines: Vec<Line> = outcome.envelope.iter().map(|p| p.line).collect();
+    Some(LowerEnvelope::build(&lines, 0.0, outcome.end_x))
+}
+
+/// The events that are perturbations under the given mode, up to the
+/// `(φ+1)`-th, borrowed from the outcome.
+fn filter_events(events: &[SweepEvent], mode: PerturbationMode, phi: usize) -> Vec<&SweepEvent> {
+    events
+        .iter()
+        .filter(|ev| match mode {
+            PerturbationMode::WithReorderings => true,
+            PerturbationMode::CompositionOnly => matches!(ev.kind, SweepEventKind::Enter { .. }),
+        })
+        .take(phi + 1)
+        .collect()
 }
 
 fn event_perturbation(kind: &SweepEventKind) -> Perturbation {
@@ -230,20 +236,26 @@ pub fn solve_dim_phi(
     } else {
         ((0..views.len()).collect(), (0..views.len()).collect())
     };
-    let pool_union: HashSet<usize> = right_pool.iter().chain(left_pool.iter()).copied().collect();
-    info.phase2_pool = pool_union.len();
-    info.footprint_bytes =
-        phase2_footprint(config, all_entries.len(), pool_union.len(), ta.dims().len());
+    // Per-view flags; the ids of C(q) are unique, so a view stands for its
+    // tuple.
+    let mut in_pool = vec![false; views.len()];
+    for &idx in right_pool.iter().chain(&left_pool) {
+        in_pool[idx] = true;
+    }
+    let pool_size = in_pool.iter().filter(|&&member| member).count();
+    info.phase2_pool = pool_size;
+    info.footprint_bytes = phase2_footprint(config, all_entries.len(), pool_size, ta.dims().len());
 
-    let mut evaluated_ids: HashSet<TupleId> = HashSet::new();
+    let mut evaluated = vec![false; views.len()];
     let feed = |idx: usize,
                 sweep: &mut DirectionalSweep,
                 evaluator: &mut CandidateEvaluator<'_>,
-                evaluated_ids: &mut HashSet<TupleId>,
+                evaluated: &mut [bool],
                 info: &mut DimSolveInfo|
      -> IrResult<()> {
         let cand = views[idx];
-        if evaluated_ids.insert(cand.id) {
+        if !evaluated[idx] {
+            evaluated[idx] = true;
             let before = evaluator.evaluated();
             evaluator.evaluate(cand.id, dim)?;
             info.evaluated += evaluator.evaluated() - before;
@@ -255,6 +267,7 @@ pub fn solve_dim_phi(
     if config.algorithm.thresholds() {
         // Thresholded processing per direction: pull candidates by potential,
         // stopping as soon as the threshold line cannot reach the envelope.
+        let mut processed = vec![false; views.len()];
         for (pool, direction) in [
             (&right_pool, Direction::Right),
             (&left_pool, Direction::Left),
@@ -287,13 +300,11 @@ pub fn solve_dim_phi(
                         .then_with(|| views[a].id.cmp(&views[b].id))
                 }),
             }
-            let mut processed: HashSet<usize> = HashSet::new();
+            processed.fill(false);
             let (mut pos_s, mut pos_j) = (0usize, 0usize);
             loop {
                 // Termination test: the threshold line built from the current
                 // list positions must stay strictly below the envelope.
-                let outcome = sweep.outcome();
-                let envelope = sweep.envelope(&outcome);
                 let t_s = sls.get(pos_s).map(|&i| views[i].score);
                 let t_j = slj.get(pos_j).map(|&i| views[i].coord);
                 let (Some(t_s), Some(t_j)) = (t_s, t_j) else {
@@ -303,31 +314,21 @@ pub fn solve_dim_phi(
                     Direction::Right => Line::new(u64::MAX, t_s, t_j),
                     Direction::Left => Line::new(u64::MAX, t_s, -t_j),
                 };
-                if let Some(env) = &envelope {
-                    if env.line_strictly_below(&threshold_line) {
-                        break;
-                    }
-                } else {
+                if sweep.safe_below(&threshold_line) {
                     break;
                 }
                 // Round-robin pull: SLS first, then SLj.
                 let mut pulled = false;
-                while pos_s < sls.len() {
-                    let idx = sls[pos_s];
-                    pos_s += 1;
-                    if processed.insert(idx) {
-                        feed(idx, sweep, evaluator, &mut evaluated_ids, &mut info)?;
-                        pulled = true;
-                        break;
-                    }
-                }
-                while pos_j < slj.len() {
-                    let idx = slj[pos_j];
-                    pos_j += 1;
-                    if processed.insert(idx) {
-                        feed(idx, sweep, evaluator, &mut evaluated_ids, &mut info)?;
-                        pulled = true;
-                        break;
+                for (list, pos) in [(&sls, &mut pos_s), (&slj, &mut pos_j)] {
+                    while *pos < list.len() {
+                        let idx = list[*pos];
+                        *pos += 1;
+                        if !processed[idx] {
+                            processed[idx] = true;
+                            feed(idx, sweep, evaluator, &mut evaluated, &mut info)?;
+                            pulled = true;
+                            break;
+                        }
                     }
                 }
                 if !pulled {
@@ -338,10 +339,10 @@ pub fn solve_dim_phi(
     } else {
         // Scan / Prune: every pool member is evaluated and folded in.
         for &idx in &right_pool {
-            feed(idx, &mut right, evaluator, &mut evaluated_ids, &mut info)?;
+            feed(idx, &mut right, evaluator, &mut evaluated, &mut info)?;
         }
         for &idx in &left_pool {
-            feed(idx, &mut left, evaluator, &mut evaluated_ids, &mut info)?;
+            feed(idx, &mut left, evaluator, &mut evaluated, &mut info)?;
         }
     }
 
@@ -349,25 +350,14 @@ pub fn solve_dim_phi(
     // Phase 3: resume TA until no unseen tuple can reach either envelope.
     // ------------------------------------------------------------------
     loop {
-        let right_outcome = right.outcome();
-        let left_outcome = left.outcome();
-        let tvals = ta.threshold_values().to_vec();
-        let weights = ta.weights().to_vec();
-        let base: f64 = weights.iter().zip(&tvals).map(|(w, t)| w * t).sum();
+        let tvals = ta.threshold_values();
+        let base: f64 = ta.weights().iter().zip(tvals).map(|(w, t)| w * t).sum();
         let tj = tvals[dim_index];
         // Unseen tuples score at most `base` at δ = 0; to the right their
         // score grows at most with slope t_j, to the left it cannot grow at
         // all (coordinates are non-negative).
-        let right_threshold = Line::new(u64::MAX, base, tj);
-        let left_threshold = Line::new(u64::MAX, base, 0.0);
-        let right_safe = match right.envelope(&right_outcome) {
-            Some(env) => env.line_strictly_below(&right_threshold),
-            None => true,
-        };
-        let left_safe = match left.envelope(&left_outcome) {
-            Some(env) => env.line_strictly_below(&left_threshold),
-            None => true,
-        };
+        let right_safe = right.safe_below(&Line::new(u64::MAX, base, tj));
+        let left_safe = left.safe_below(&Line::new(u64::MAX, base, 0.0));
         if (right_safe && left_safe) || ta.exhausted() {
             break;
         }
@@ -388,15 +378,14 @@ pub fn solve_dim_phi(
     }
 
     // ------------------------------------------------------------------
-    // Assemble regions from the two directional outcomes.
+    // Assemble regions from the two directional outcomes. Every candidate
+    // fed so far was folded in by the last termination test.
     // ------------------------------------------------------------------
-    let right_outcome = right.outcome();
-    let left_outcome = left.outcome();
-    let right_events = filter_events(&right_outcome.events, config.mode, phi);
-    let left_events = filter_events(&left_outcome.events, config.mode, phi);
+    let right_events = filter_events(&right.sweep.outcome().events, config.mode, phi);
+    let left_events = filter_events(&left.sweep.outcome().events, config.mode, phi);
 
     let build_side =
-        |events: &[SweepEvent], x_max: f64, direction: Direction| -> Vec<WeightRegion> {
+        |events: &[&SweepEvent], x_max: f64, direction: Direction| -> Vec<WeightRegion> {
             // Region r (1-based) lies between event r and event r+1 (or x_max).
             let mut regions = Vec::new();
             for r in 0..events.len().min(phi) {

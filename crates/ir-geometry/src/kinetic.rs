@@ -10,6 +10,26 @@
 //!
 //! The sweep works on abstract [`Line`]s; the caller mirrors lines
 //! (`slope → -slope`) to reuse the same machinery for negative deviations.
+//!
+//! # Selection rule
+//!
+//! Each step picks the next event at or after the current position `x`:
+//!
+//! * the best *reorder* is the first adjacent pair of the ordered result, in
+//!   rank order, whose crossing is earliest by more than `EVENT_EPS`;
+//! * the best *enter* is the outside line with the smallest
+//!   `(entry x, label)`, where a line's entry is `x` itself when it is
+//!   already clearly above the k-th line (relative `1e-12`), else its
+//!   crossing with the k-th line when it is steeper, else never;
+//! * the enter wins only when it beats the best reorder by more than
+//!   `EVENT_EPS`.
+//!
+//! The outside lines are never scanned in an order that can decide a tie,
+//! so a [`SweepOutcome`] depends only on the ordered result and the *set* of
+//! outside lines, not on the order they were added in. That is what lets
+//! [`IncrementalSweep`] leave out lines the sweep would never select
+//! ([`SweepOutcome::is_inert`]) and still equal [`sweep_topk`] over all of
+//! them bit for bit.
 
 use crate::envelope::EnvelopePiece;
 use crate::line::{intersection_x, Line};
@@ -46,6 +66,20 @@ pub struct SweepEvent {
     pub order_after: Vec<u64>,
 }
 
+/// One selection step of a sweep: where it started, the k-th line it
+/// tested outside lines against, and where the event it selected lies
+/// (`x_max` when it found none). Zero-width steps at a repeated `x` are
+/// recorded too, unlike envelope pieces.
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+pub struct SweepStep {
+    /// Sweep position the step started from.
+    pub x_start: f64,
+    /// The k-th result line during the step.
+    pub kth: Line,
+    /// Position of the selected event, or `x_max` if there was none.
+    pub x_end: f64,
+}
+
 /// Result of running a sweep.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SweepOutcome {
@@ -61,6 +95,20 @@ pub struct SweepOutcome {
     /// Whether the sweep stopped because it found the maximum number of
     /// events (as opposed to reaching `x_max`).
     pub truncated: bool,
+    /// Every selection step the sweep made, in order.
+    pub steps: Vec<SweepStep>,
+}
+
+impl SweepOutcome {
+    /// True if the sweep would never select `line` had it been one of the
+    /// outside lines: at every step its entry is absent or strictly after
+    /// the step's end. Adding an inert line to the sweep leaves the outcome
+    /// bit-identical (see the module docs' selection rule).
+    pub fn is_inert(&self, line: &Line) -> bool {
+        self.steps
+            .iter()
+            .all(|step| entry_x(line, &step.kth, step.x_start).map_or(true, |cx| cx > step.x_end))
+    }
 }
 
 /// The kinetic sorted list.
@@ -72,9 +120,31 @@ pub struct KineticSweep {
     outside: Vec<Line>,
     envelope: Vec<EnvelopePiece>,
     envelope_from: f64,
+    steps: Vec<SweepStep>,
 }
 
 const EVENT_EPS: f64 = 1e-15;
+
+/// Where `cand` overtakes `kth` at or after `x`: `x` itself when it is
+/// already clearly above, the crossing when it is steeper, else never.
+#[inline]
+fn entry_x(cand: &Line, kth: &Line, x: f64) -> Option<f64> {
+    let kth_here = kth.eval(x);
+    // Tolerance for the "already above" test: right after an Enter event
+    // the evicted line is numerically equal to the new k-th line at the
+    // event position; without a tolerance, rounding can make it appear
+    // infinitesimally above and the two lines would flip-flop forever.
+    let above_eps = 1e-12 * kth_here.abs().max(1.0);
+    if cand.eval(x) > kth_here + above_eps {
+        // Clearly above already (can happen right after another event at
+        // the same x): enters immediately.
+        Some(x)
+    } else if cand.slope > kth.slope {
+        intersection_x(cand, kth).map(|cx| cx.max(x))
+    } else {
+        None
+    }
+}
 
 impl KineticSweep {
     /// Creates a sweep starting at `x = x_start` with the given ordered
@@ -89,6 +159,7 @@ impl KineticSweep {
             outside: Vec::new(),
             envelope: Vec::new(),
             envelope_from: x_start,
+            steps: Vec::new(),
         }
     }
 
@@ -130,16 +201,9 @@ impl KineticSweep {
     /// position, returning `None` when no further perturbation occurs before
     /// `x_max`.
     pub fn next_event(&mut self) -> Option<SweepEvent> {
-        #[derive(Clone, Copy)]
-        enum Pending {
-            Reorder(usize),
-            Enter(usize),
-        }
-
-        let mut best_x = f64::INFINITY;
-        let mut best: Option<Pending> = None;
-
-        // Adjacent reorderings inside the result.
+        // Adjacent reorderings inside the result, in rank order.
+        let mut reorder: Option<usize> = None;
+        let mut reorder_x = f64::INFINITY;
         for i in 0..self.ordered.len().saturating_sub(1) {
             let upper = &self.ordered[i];
             let lower = &self.ordered[i + 1];
@@ -148,69 +212,81 @@ impl KineticSweep {
             }
             if let Some(cx) = intersection_x(upper, lower) {
                 let cx = cx.max(self.x);
-                if cx <= self.x_max && cx < best_x - EVENT_EPS {
-                    best_x = cx;
-                    best = Some(Pending::Reorder(i));
+                if cx <= self.x_max && cx < reorder_x - EVENT_EPS {
+                    reorder_x = cx;
+                    reorder = Some(i);
                 }
             }
         }
 
-        // Outside lines overtaking the k-th result line.
+        // The outside line with the smallest (entry x, label).
         let kth = self.kth_line();
-        let kth_here = kth.eval(self.x);
-        // Tolerance for the "already above" test: right after an Enter event
-        // the evicted line is numerically equal to the new k-th line at the
-        // event position; without a tolerance, rounding can make it appear
-        // infinitesimally above and the two lines would flip-flop forever.
-        let above_eps = 1e-12 * kth_here.abs().max(1.0);
+        let mut enter: Option<(f64, u64, usize)> = None;
         for (idx, cand) in self.outside.iter().enumerate() {
-            let entry_x = if cand.eval(self.x) > kth_here + above_eps {
-                // Clearly above already (can happen right after another event
-                // at the same x): enters immediately.
-                Some(self.x)
-            } else if cand.slope > kth.slope {
-                intersection_x(cand, &kth).map(|cx| cx.max(self.x))
-            } else {
-                None
+            let Some(cx) = entry_x(cand, &kth, self.x) else {
+                continue;
             };
-            if let Some(cx) = entry_x {
-                if cx <= self.x_max && cx < best_x - EVENT_EPS {
-                    best_x = cx;
-                    best = Some(Pending::Enter(idx));
-                }
+            if cx > self.x_max {
+                continue;
+            }
+            let earlier = enter.map_or(true, |(best_x, best_label, _)| {
+                cx < best_x || (cx == best_x && cand.label < best_label)
+            });
+            if earlier {
+                enter = Some((cx, cand.label, idx));
             }
         }
 
-        let pending = best?;
-        self.record_envelope_piece(best_x);
-        self.x = best_x;
-
-        let kind = match pending {
-            Pending::Reorder(i) => {
-                let overtaker = self.ordered[i + 1].label;
-                let overtaken = self.ordered[i].label;
-                self.ordered.swap(i, i + 1);
-                SweepEventKind::Reorder {
-                    overtaker,
-                    overtaken,
-                }
-            }
-            Pending::Enter(idx) => {
+        let (event_x, kind) = match (enter, reorder) {
+            (Some((ex, _, idx)), _) if ex < reorder_x - EVENT_EPS => {
+                self.begin_step(ex);
                 let entering = self.outside.swap_remove(idx);
                 let evicted = self.ordered.pop().expect("non-empty order");
                 self.ordered.push(entering);
                 self.outside.push(evicted);
-                SweepEventKind::Enter {
+                let kind = SweepEventKind::Enter {
                     entering: entering.label,
                     evicted: evicted.label,
-                }
+                };
+                (ex, kind)
+            }
+            (_, Some(i)) => {
+                self.begin_step(reorder_x);
+                let overtaker = self.ordered[i + 1].label;
+                let overtaken = self.ordered[i].label;
+                self.ordered.swap(i, i + 1);
+                let kind = SweepEventKind::Reorder {
+                    overtaker,
+                    overtaken,
+                };
+                (reorder_x, kind)
+            }
+            (_, None) => {
+                self.steps.push(SweepStep {
+                    x_start: self.x,
+                    kth,
+                    x_end: self.x_max,
+                });
+                return None;
             }
         };
         Some(SweepEvent {
-            x: best_x,
+            x: event_x,
             kind,
             order_after: self.order(),
         })
+    }
+
+    /// Records the step that ends at the selected event `to_x` and moves the
+    /// sweep there, before the event changes the order.
+    fn begin_step(&mut self, to_x: f64) {
+        self.steps.push(SweepStep {
+            x_start: self.x,
+            kth: self.kth_line(),
+            x_end: to_x,
+        });
+        self.record_envelope_piece(to_x);
+        self.x = to_x;
     }
 
     /// Runs the sweep until `max_events` perturbations were found or `x_max`
@@ -239,13 +315,15 @@ impl KineticSweep {
             envelope: self.envelope,
             end_x,
             truncated,
+            steps: self.steps,
         }
     }
 }
 
 /// Convenience wrapper: sweeps `ordered` (best first) against `outside`
 /// candidates over `[x_start, x_max]`, reporting at most `max_events`
-/// perturbations.
+/// perturbations. This is the from-scratch reference [`IncrementalSweep`]
+/// must equal.
 pub fn sweep_topk(
     ordered: Vec<Line>,
     outside: Vec<Line>,
@@ -258,6 +336,106 @@ pub fn sweep_topk(
         sweep.add_outside(line);
     }
     sweep.run(max_events)
+}
+
+/// A sweep that candidates are fed into one at a time, re-run only when a
+/// fed line could change its outcome.
+///
+/// Fed lines wait as *pending* until the next [`IncrementalSweep::outcome`]
+/// call. There each is tested against the cached outcome: an inert line
+/// ([`SweepOutcome::is_inert`]) becomes *dormant* and is left out of the
+/// sweep; any other line becomes *active* and invalidates the cache. A miss
+/// sweeps the ordered result against the active lines only, then re-tests
+/// every dormant line and promotes those the new outcome is no longer
+/// blind to, repeating until none wakes. Dormancy is not monotone — a new
+/// line can remove events, so a truncated sweep's `end_x` can grow and
+/// uncover a dormant line's entry — which is why every miss re-tests them
+/// all.
+///
+/// The cached outcome always equals [`sweep_topk`] over the result and every
+/// line fed so far, in any order.
+#[derive(Clone, Debug)]
+pub struct IncrementalSweep {
+    ordered: Vec<Line>,
+    x_start: f64,
+    x_max: f64,
+    max_events: usize,
+    pending: Vec<Line>,
+    active: Vec<Line>,
+    dormant: Vec<Line>,
+    outcome: SweepOutcome,
+    sweeps: usize,
+}
+
+impl IncrementalSweep {
+    /// Creates the sweep of `ordered` (best first) over `[x_start, x_max]`
+    /// with no outside lines yet, reporting at most `max_events`
+    /// perturbations. Panics if `ordered` is empty.
+    pub fn new(ordered: Vec<Line>, x_start: f64, x_max: f64, max_events: usize) -> Self {
+        let outcome = sweep_topk(ordered.clone(), Vec::new(), x_start, x_max, max_events);
+        IncrementalSweep {
+            ordered,
+            x_start,
+            x_max,
+            max_events,
+            pending: Vec::new(),
+            active: Vec::new(),
+            dormant: Vec::new(),
+            outcome,
+            sweeps: 1,
+        }
+    }
+
+    /// Feeds a candidate line; it is folded in by the next
+    /// [`IncrementalSweep::outcome`] call.
+    pub fn push(&mut self, line: Line) {
+        self.pending.push(line);
+    }
+
+    /// The outcome over the result and every line fed so far.
+    pub fn outcome(&mut self) -> &SweepOutcome {
+        let mut stale = false;
+        for line in self.pending.drain(..) {
+            if self.outcome.is_inert(&line) {
+                self.dormant.push(line);
+            } else {
+                self.active.push(line);
+                stale = true;
+            }
+        }
+        while stale {
+            self.outcome = sweep_topk(
+                self.ordered.clone(),
+                self.active.clone(),
+                self.x_start,
+                self.x_max,
+                self.max_events,
+            );
+            self.sweeps += 1;
+            let (outcome, active) = (&self.outcome, &mut self.active);
+            let awake = active.len();
+            self.dormant.retain(|line| {
+                let inert = outcome.is_inert(line);
+                if !inert {
+                    active.push(*line);
+                }
+                inert
+            });
+            stale = active.len() > awake;
+        }
+        &self.outcome
+    }
+
+    /// How many sweeps have run, the one over the bare result included. It
+    /// grows only when the outcome may have changed.
+    pub fn sweeps(&self) -> usize {
+        self.sweeps
+    }
+
+    /// The fed lines currently left out of the sweep as inert.
+    pub fn dormant(&self) -> &[Line] {
+        &self.dormant
+    }
 }
 
 #[cfg(test)]
@@ -396,5 +574,46 @@ mod tests {
         assert!(!outcome.truncated);
         assert_eq!(outcome.envelope.len(), 1);
         assert_eq!(outcome.envelope[0].line.label, 1);
+    }
+
+    #[test]
+    fn a_line_that_removes_events_wakes_a_dormant_line() {
+        // k = 1 under a flat result line r, at most two events. a enters at
+        // 0.2 and b overtakes a at 0.3, where the sweep truncates. d is
+        // steep but starts low: it would cross r at 0.3 and a at 0.311, both
+        // after their steps end, so it is inert. n enters at 0.0167 with a
+        // slope neither a nor b can match: one event, no truncation, and
+        // end_x grows from 0.3 to 1 — which uncovers d crossing n at 0.421.
+        let r = l(0, 0.5, 0.0);
+        let (a, b) = (l(1, 0.3, 1.0), l(2, 0.0, 2.0));
+        let (n, d) = (l(3, 0.45, 3.0), l(4, -2.5, 10.0));
+        let bits = |o: &SweepOutcome| format!("{o:?}");
+
+        let mut sweep = IncrementalSweep::new(vec![r], 0.0, 1.0, 2);
+        sweep.push(a);
+        sweep.push(b);
+        let before = sweep.outcome().clone();
+        assert_eq!((before.events.len(), before.end_x), (2, 0.3));
+        assert_eq!(sweep.sweeps(), 2);
+
+        sweep.push(d);
+        assert_eq!(bits(sweep.outcome()), bits(&before));
+        assert_eq!(sweep.sweeps(), 2, "an inert line must not re-run the sweep");
+        assert_eq!(sweep.dormant(), &[d]);
+
+        let without_d = sweep_topk(vec![r], vec![a, b, n], 0.0, 1.0, 2);
+        assert_eq!(without_d.events.len(), 1);
+        assert!(!without_d.truncated);
+        assert_eq!(without_d.end_x, 1.0);
+        assert!(!without_d.is_inert(&d));
+
+        sweep.push(n);
+        let after = sweep.outcome().clone();
+        assert_eq!(sweep.sweeps(), 4, "one sweep for n, one after d woke");
+        assert!(sweep.dormant().is_empty());
+        assert_eq!(after.events.len(), 2);
+        assert!((after.end_x - 2.95 / 7.0).abs() < 1e-12);
+        let reference = sweep_topk(vec![r], vec![a, b, n, d], 0.0, 1.0, 2);
+        assert_eq!(bits(&after), bits(&reference));
     }
 }

@@ -29,5 +29,7 @@ pub mod line;
 
 pub use envelope::{EnvelopePiece, LowerEnvelope};
 pub use interval::Interval;
-pub use kinetic::{sweep_topk, KineticSweep, SweepEvent, SweepEventKind, SweepOutcome};
+pub use kinetic::{
+    sweep_topk, IncrementalSweep, KineticSweep, SweepEvent, SweepEventKind, SweepOutcome, SweepStep,
+};
 pub use line::{intersection_x, Line};
