@@ -17,6 +17,9 @@
 #                          chaos suite included)
 #   4. api docs          — cargo doc --no-deps with rustdoc warnings as
 #                          errors, plus the README/ARCHITECTURE doc anchors
+#                          and no `*.md` path named in README.md,
+#                          ARCHITECTURE.md or crates/**/*.rs that is not in
+#                          the tree
 #   5. example smoke     — every example and runner, sequential, mem
 #   6. batch smoke       — the seven figures at --threads 2, emitting the
 #                          BENCH_<figure>.json series stages 7 and 9 diff
@@ -115,7 +118,7 @@ cargo build --release
 cargo test -q
 end_stage
 
-begin_stage "4/10 cargo doc --no-deps (rustdoc warnings are errors) + doc anchors"
+begin_stage "4/10 cargo doc (rustdoc warnings are errors) + doc anchors + md paths"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
     -p ir-types -p ir-storage -p ir-geometry -p ir-topk -p ir-core \
     -p ir-datagen -p ir-bench -p immutable-regions
@@ -134,7 +137,21 @@ for anchor in '^## Dynamic updates' '^## Snapshots & cold start' \
     grep -q "$anchor" README.md ||
         { echo "FAIL: README.md anchor missing: $anchor" >&2; exit 1; }
 done
-echo "doc anchors resolve"
+# Every `*.md` path the prose docs or the sources name exists, resolved
+# from the repository root: a pointer to a document that was never written
+# or has since gone fails here, naming the file that points at it.
+dead_md=$(
+    { grep -oHE '[A-Za-z0-9_./-]+\.md\b' README.md ARCHITECTURE.md || true
+      grep -roHE --include='*.rs' '[A-Za-z0-9_./-]+\.md\b' crates || true; } |
+        while IFS=: read -r file path; do
+            [ -e "$path" ] || echo "  $file names $path"
+        done
+)
+if [ -n "$dead_md" ]; then
+    printf 'FAIL: *.md paths not in the tree:\n%s\n' "$dead_md" >&2
+    exit 1
+fi
+echo "doc anchors and *.md paths resolve"
 end_stage
 
 work="$(mktemp -d)"

@@ -52,7 +52,6 @@ use ir_core::{
 use ir_storage::{
     AppliedUpdate, BackendKind, ColdStartInfo, MaintenanceStatsSnapshot, SnapshotSummary, TopKIndex,
 };
-use ir_topk::TaConfig;
 use ir_types::{DimId, IrError, QueryVector, SparseVector, TupleId, TupleUpdate};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -70,7 +69,6 @@ use std::sync::Arc;
 pub struct IrEngine {
     index: Arc<TopKIndex>,
     config: RegionConfig,
-    ta_config: TaConfig,
     threads: usize,
     health: Arc<EngineHealth>,
 }
@@ -235,12 +233,7 @@ impl IrEngine {
         config: RegionConfig,
     ) -> EngineResult<RegionComputation> {
         self.validate(query)?;
-        Ok(RegionComputation::with_ta_config(
-            &self.index,
-            query,
-            config,
-            &self.ta_config,
-        )?)
+        Ok(RegionComputation::new(&self.index, query, config)?)
     }
 
     /// Computes the immutable regions of one query with the engine's
@@ -290,9 +283,8 @@ impl IrEngine {
             for query in queries {
                 self.validate(query)?;
             }
-            let batch = BatchRegionComputation::new(&self.index, self.config)
-                .with_threads(self.threads)
-                .with_ta_config(self.ta_config);
+            let batch =
+                BatchRegionComputation::new(&self.index, self.config).with_threads(self.threads);
             Ok(batch.run_detailed(queries)?)
         })
     }
@@ -452,13 +444,9 @@ mod tests {
     #[test]
     fn fault_plan_flows_from_policy_to_device_and_back() {
         let plan = FaultPlan::device_outage(2, None);
-        let policy = EnginePolicy {
-            fault_plan: Some(plan.clone()),
-            ..EnginePolicy::default()
-        };
         let chaos = IrEngine::builder()
             .dataset(Dataset::running_example())
-            .policy(policy)
+            .fault_plan(plan.clone())
             .build()
             .unwrap();
         assert_eq!(chaos.policy().fault_plan.as_ref(), Some(&plan));
@@ -519,18 +507,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_storage_knobs_on_prebuilt_index() {
-        let dataset = Dataset::running_example();
-        let index = ir_storage::TopKIndex::build_in_memory(&dataset).unwrap();
-        let err = IrEngine::builder()
-            .index(index)
-            .pool_capacity(64)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, EngineError::Policy(_)), "{err}");
-    }
-
-    #[test]
     fn snapshot_roundtrip_through_the_facade() {
         use ir_storage::ColdStartSource;
 
@@ -541,8 +517,8 @@ mod tests {
         let summary = built.save_snapshot(dir.path()).unwrap();
         assert!(summary.total_pages > summary.data_pages);
 
-        // Storage knobs compose with the snapshot source (unlike a
-        // prebuilt index): pool capacity + backend are the serving stack.
+        // Storage knobs compose with the snapshot source: pool capacity +
+        // backend are the serving stack.
         let reopened = IrEngine::builder()
             .open_snapshot(dir.path())
             .pool_capacity(8)

@@ -14,8 +14,8 @@ pub type EngineResult<T> = Result<T, EngineError>;
 /// retrying it); everything else is carried through as [`EngineError::Core`].
 #[derive(Debug)]
 pub enum EngineError {
-    /// The engine was built over a dataset (or prebuilt index) with no
-    /// tuples — no query can be answered.
+    /// The engine was built over a dataset (or snapshot) with no tuples —
+    /// no query can be answered.
     EmptyDataset,
     /// A query requested more result tuples than the dataset holds.
     KTooLarge {
@@ -34,7 +34,7 @@ pub enum EngineError {
     /// A query had no strictly positive weight (all weights zero or absent).
     ZeroWeightQuery,
     /// [`IrEngineBuilder::build`](super::IrEngineBuilder::build) was called
-    /// without a dataset or index.
+    /// without a dataset or snapshot.
     NoSource,
     /// [`IrEngine::save_snapshot`](super::IrEngine::save_snapshot) failed;
     /// the directory is named so an operator can tell a permissions/space
@@ -79,7 +79,7 @@ impl fmt::Display for EngineError {
                 write!(f, "query has no dimension with a positive weight")
             }
             EngineError::NoSource => {
-                write!(f, "engine builder needs a dataset or a prebuilt index")
+                write!(f, "engine builder needs a dataset or a snapshot")
             }
             EngineError::SnapshotSave { dir, source } => {
                 write!(f, "saving snapshot to {}: {source}", dir.display())

@@ -4,12 +4,12 @@ use super::{EngineError, EngineResult};
 use ir_core::RegionConfig;
 use ir_storage::{BackendKind, FaultPlan};
 use serde::{DeError, Deserialize, Serialize, Value};
-use std::path::Path;
 
 /// The serializable part of an engine's configuration: the default region
-/// policy, the worker count and the storage-backend kind. Loadable from a
-/// JSON file ([`EnginePolicy::from_json_file`]) and dumped into
-/// `BENCH_*.json` metadata by the experiment harness.
+/// policy, the worker count, the storage-backend kind and the fault plan.
+/// Reported by [`IrEngine::policy`](super::IrEngine::policy) and dumped into
+/// `BENCH_*.json` metadata by the experiment harness, which reads it back
+/// with [`EnginePolicy::from_json`].
 ///
 /// Deserialization is strict both ways — every field must be present (the
 /// vendored serde has no `#[serde(default)]`) and no other key may be: a
@@ -26,21 +26,14 @@ pub struct EnginePolicy {
     ///
     /// Descriptive metadata: [`IrEngine::policy`](super::IrEngine::policy)
     /// reports the backend the index was actually built on, and the
-    /// experiment harness stamps it into emitted series. When *loading* a
-    /// policy, the field is advisory — selecting the file backend needs a
-    /// path and goes through the builder's
-    /// [`backend`](super::IrEngineBuilder::backend) /
-    /// [`on_disk`](super::IrEngineBuilder::on_disk). A name that is no
+    /// experiment harness stamps it into emitted series. Selecting a backend
+    /// goes through the builder's [`backend`](super::IrEngineBuilder::backend)
+    /// / [`on_disk`](super::IrEngineBuilder::on_disk). A name that is no
     /// backend is rejected with [`EngineError::Policy`], never read as
     /// mem.
     pub backend: BackendKind,
     /// The fault plan the engine's storage device executes, if any
     /// (`null`/`None` — the default — means a well-behaved device).
-    ///
-    /// Unlike `backend` this field *is* applied by
-    /// [`IrEngineBuilder::policy`](super::IrEngineBuilder::policy): a policy
-    /// file describing a chaos-testing configuration is enough to reproduce
-    /// it.
     pub fault_plan: Option<FaultPlan>,
 }
 
@@ -76,14 +69,6 @@ impl EnginePolicy {
     /// Parses a policy from its JSON representation.
     pub fn from_json(json: &str) -> EngineResult<Self> {
         serde_json::from_str(json).map_err(|e| EngineError::Policy(e.to_string()))
-    }
-
-    /// Reads a policy from a JSON file.
-    pub fn from_json_file(path: impl AsRef<Path>) -> EngineResult<Self> {
-        let path = path.as_ref();
-        let json = std::fs::read_to_string(path)
-            .map_err(|e| EngineError::Policy(format!("{}: {e}", path.display())))?;
-        Self::from_json(&json)
     }
 
     /// Renders the policy as JSON (the format [`EnginePolicy::from_json`]

@@ -94,7 +94,7 @@ pub mod prelude {
     pub use ir_datagen::{DriftConfig, DriftEvent, DriftStream};
     pub use ir_datagen::{UpdateConfig, UpdateStream};
     pub use ir_storage::{
-        AppliedUpdate, FaultPlan, IndexBuilder, IoConfig, MaintenanceStatsSnapshot, RetryPolicy,
+        AppliedUpdate, FaultPlan, IndexBuilder, MaintenanceStatsSnapshot, RetryPolicy,
         StorageBackend, TopKIndex,
     };
     pub use ir_topk::{ProbeStrategy, TaConfig, TaRun};

@@ -2,6 +2,8 @@
 //!
 //! * typed error paths — malformed requests come back as the right
 //!   [`EngineError`] variant, never a panic,
+//! * storage forwarding — every storage option set on the builder reaches
+//!   the index, for a dataset source and a snapshot source alike,
 //! * batch parity — `IrEngine::query_batch` output equals the borrow-based
 //!   sequential oracle (`RegionComputation::new` + `compute`) for every
 //!   worker count, regions *and* deterministic counters,
@@ -11,6 +13,7 @@
 //!   recompute.
 
 use immutable_regions::prelude::*;
+use immutable_regions::storage::BackendKind;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -267,6 +270,68 @@ fn engine_error_display_is_informative() {
         .unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains('9') && msg.contains('4'), "{msg}");
+}
+
+// --------------------------------------------------------- storage options --
+
+/// The builder configures storage only by forwarding into its
+/// `IndexBuilder`; a forward that went missing for one source shows up as
+/// a default read back from the served index.
+#[test]
+fn storage_options_reach_the_index_from_every_source() {
+    const PAGES: usize = 4;
+    let dataset = build_dataset(31, 600, 6);
+    let query = build_queries(31, 6, 1, 5).remove(0);
+    let saved = tempfile::tempdir().unwrap();
+    IrEngine::builder()
+        .dataset_ref(&dataset)
+        .build()
+        .unwrap()
+        .save_snapshot(saved.path())
+        .unwrap();
+    // Neither is a default: 5 attempts without backoff, and two transient
+    // read faults early enough to strike the build's or the open's reads.
+    let retry = RetryPolicy {
+        max_attempts: 5,
+        backoff_base: std::time::Duration::ZERO,
+    };
+    let plan = FaultPlan::transient_reads(7, 2, 40);
+
+    for (snapshot, kind) in [
+        (false, BackendKind::Mem),
+        (false, BackendKind::File),
+        (true, BackendKind::Mem),
+        (true, BackendKind::File),
+    ] {
+        let scratch = tempfile::tempdir().unwrap();
+        let backend = match kind {
+            BackendKind::Mem => StorageBackend::Memory,
+            BackendKind::File => StorageBackend::Disk(scratch.path().to_path_buf()),
+        };
+        let builder = if snapshot {
+            IrEngine::builder().open_snapshot(saved.path())
+        } else {
+            IrEngine::builder().dataset_ref(&dataset)
+        };
+        let engine = builder
+            .backend(backend)
+            .pool_capacity(PAGES)
+            .retry_policy(retry)
+            .fault_plan(plan.clone())
+            .build()
+            .unwrap();
+        let at = format!("snapshot = {snapshot}, backend = {kind}");
+        assert_eq!(engine.backend_kind(), kind, "{at}");
+        assert_eq!(engine.index().pool().retry_policy(), retry, "{at}");
+        assert_eq!(engine.index().fault_plan(), Some(&plan), "{at}");
+        engine.cold_start();
+        let report = engine.query(&query).unwrap();
+        assert!(
+            report.stats.io.physical_reads > PAGES as u64,
+            "{at}: the query must read more pages than the pool holds"
+        );
+        assert!(engine.index().pool().cached_pages() <= PAGES, "{at}");
+    }
 }
 
 // ------------------------------------------------------------ batch parity --

@@ -87,31 +87,3 @@ fn small_buffer_pool_forces_physical_rereads() {
         roomy.io_snapshot().logical_reads
     );
 }
-
-#[test]
-fn io_latency_model_converts_physical_reads_to_time() {
-    let dataset = medium_dataset();
-    let index = IndexBuilder::new()
-        .io_config(IoConfig::default())
-        .pool_capacity(8)
-        .build_shared(&dataset)
-        .unwrap();
-    let query = QueryVector::new([(2, 0.8), (7, 0.5)], 5).unwrap();
-    index.cold_start();
-    let mut rc =
-        RegionComputation::new(&index, &query, RegionConfig::flat(Algorithm::Cpt)).unwrap();
-    let report = rc.compute().unwrap();
-    let io_time = index
-        .io_config()
-        .simulated_io_time(&report.stats.io.plus(&report.stats.topk_io));
-    assert!(
-        io_time.as_micros() > 0,
-        "physical reads must cost simulated time"
-    );
-    assert_eq!(
-        IoConfig::memory_resident()
-            .simulated_io_time(&report.stats.io)
-            .as_nanos(),
-        0
-    );
-}

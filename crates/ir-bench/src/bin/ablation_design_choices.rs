@@ -1,4 +1,4 @@
-//! Ablation study over the design choices called out in DESIGN.md:
+//! Ablation study over three design choices of the implementation:
 //!
 //! 1. **TA probe strategy** — the weighted-key heuristic of Section 7.1
 //!    versus plain round-robin: sorted/random accesses and candidate-list
@@ -16,9 +16,8 @@
 //! Run with `cargo run --release -p ir-bench --bin ablation_design_choices`.
 
 use immutable_regions::engine::{EngineResult, IrEngine};
-use ir_bench::{BenchArgs, BenchDataset, Scale};
+use ir_bench::{simulated_io_ms, BenchArgs, BenchDataset, Scale};
 use ir_core::{Algorithm, RegionConfig};
-use ir_storage::IoConfig;
 use ir_topk::{ProbeStrategy, TaConfig, TaRun};
 use std::time::Instant;
 
@@ -40,7 +39,7 @@ fn probe_strategy_ablation(scale: Scale, args: &BenchArgs) -> EngineResult<()> {
         "dataset", "strategy", "sorted accesses", "random accesses", "|C(q)|"
     );
     for dataset in [BenchDataset::Wsj, BenchDataset::Kb, BenchDataset::St] {
-        let (engine, workload) = dataset.prepare_engine_for(scale, 4, 10, 5, args)?;
+        let (engine, workload) = dataset.prepare_engine(scale, 4, 10, 5, args)?;
         for (name, strategy) in [
             ("round-robin", ProbeStrategy::RoundRobin),
             ("weighted-key", ProbeStrategy::WeightedKey),
@@ -82,23 +81,12 @@ fn pool_size_ablation(scale: Scale, args: &BenchArgs) -> EngineResult<()> {
         "pool pages", "method", "logical reads", "physical reads", "sim. I/O (ms)"
     );
     let dataset = BenchDataset::Wsj.generate(scale);
-    let workload = {
-        let (_, workload) = BenchDataset::Wsj.prepare(scale, 4, 10, 5)?;
-        workload
-    };
+    let workload = BenchDataset::Wsj.workload_for(&dataset, 4, 10, 5)?;
     for pool_pages in [16usize, 128, 1024, 8192] {
         // A fresh engine per pool budget: the pool size is a build-time
         // storage choice, exactly what the engine builder exposes. The
         // dataset is borrowed, not cloned — only the index is rebuilt.
-        let (storage, scratch) = args.storage_backend()?;
-        let engine = IrEngine::builder()
-            .dataset_ref(&dataset)
-            .backend(storage)
-            .pool_capacity(pool_pages)
-            .io_config(IoConfig::default())
-            .threads(args.threads)
-            .build()?;
-        drop(scratch);
+        let engine = args.engine(&dataset, IrEngine::builder().pool_capacity(pool_pages))?;
         for algorithm in [Algorithm::Scan, Algorithm::Cpt] {
             let mut logical = 0u64;
             let mut physical = 0u64;
@@ -109,9 +97,7 @@ fn pool_size_ablation(scale: Scale, args: &BenchArgs) -> EngineResult<()> {
                 physical += report.stats.io.physical_reads;
             }
             let n = workload.len() as f64;
-            let io_ms =
-                engine.index().io_config().page_read_latency.as_secs_f64() * 1e3 * physical as f64
-                    / n;
+            let io_ms = simulated_io_ms(physical) / n;
             println!(
                 "{:<12} {:<8} {:>16.1} {:>16.1} {:>14.2}",
                 pool_pages,
@@ -133,7 +119,7 @@ fn phase2_pool_ablation(scale: Scale, args: &BenchArgs) -> EngineResult<()> {
         "dataset", "method", "evaluated cands/dim", "initial |C(q)|"
     );
     for dataset in [BenchDataset::Wsj, BenchDataset::Kb, BenchDataset::St] {
-        let (engine, workload) = dataset.prepare_engine_for(scale, 4, 10, 5, args)?;
+        let (engine, workload) = dataset.prepare_engine(scale, 4, 10, 5, args)?;
         for algorithm in Algorithm::ALL {
             let mut evaluated = 0.0;
             let mut initial = 0usize;

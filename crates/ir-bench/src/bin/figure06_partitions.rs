@@ -37,13 +37,7 @@ fn main() -> EngineResult<()> {
             },
             6,
         )?;
-        let (storage, scratch) = args.storage_backend()?;
-        let engine = IrEngine::builder()
-            .dataset(dataset)
-            .backend(storage)
-            .threads(args.threads)
-            .build()?;
-        drop(scratch);
+        let engine = args.engine(&dataset, IrEngine::builder())?;
         let query = &workload.queries()[0];
         let mut computation = engine.computation(query)?;
         let candidates = computation.ta().candidates().entries();

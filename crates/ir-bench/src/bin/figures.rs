@@ -192,7 +192,7 @@ fn main() -> EngineResult<()> {
     for (series_id, dataset, title) in figure.tables {
         let mut table = ExperimentTable::new(*title, x_label);
         for &(qlen, k) in &points {
-            let (engine, workload) = dataset.prepare_engine_for(scale, qlen, k, queries, &args)?;
+            let (engine, workload) = dataset.prepare_engine(scale, qlen, k, queries, &args)?;
             table.cold_start = engine.cold_start_info();
             for &phi in phis {
                 let x = match figure.axis {

@@ -15,13 +15,8 @@
 //! * `--emit-json DIR` — write each printed table as a
 //!   `BENCH_<figure>.json` series into `DIR` (for the CI baseline diff; see
 //!   the `bench_diff` binary). The parsed backend and worker count are
-//!   stamped into the series' policy metadata,
-//! * `--fault-plan FILE` — run the figure against a fault-injecting device
-//!   executing the JSON-serialized `FaultPlan` in `FILE` (chaos
-//!   benchmarking: measure a figure under transient faults or injected
-//!   latency). The plan is stamped into the emitted policy metadata;
-//!   without the flag the stamp is `null`, which keeps the committed
-//!   baselines byte-stable,
+//!   stamped into the series' policy metadata (its fault plan is always
+//!   `null`: the runners measure a well-behaved device),
 //! * `--snapshot-dir DIR` — serve the figure from a persisted index
 //!   snapshot instead of a freshly built index: the runner builds the index
 //!   once in memory, saves it into a unique staging directory under `DIR`,
@@ -32,16 +27,56 @@
 //!   self-describing.
 //!
 //! Unknown arguments are ignored so the runners stay tolerant of harness
-//! plumbing.
+//! plumbing. Every runner gets its engine from [`BenchArgs::engine`], so
+//! the options mean the same thing in all of them.
 
 use crate::emit::{table_to_series, write_figure};
 use crate::runner::ExperimentTable;
-use immutable_regions::engine::EnginePolicy;
+use immutable_regions::engine::{EnginePolicy, EngineResult, IrEngine, IrEngineBuilder};
 use ir_core::RegionConfig;
-use ir_storage::{BackendKind, FaultPlan, StorageBackend};
-use ir_types::{IrError, IrResult};
-use std::path::PathBuf;
+use ir_storage::{BackendKind, StorageBackend};
+use ir_types::{Dataset, IrError, IrResult};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
+
+/// A unique staging directory under `root` for one saved snapshot,
+/// removed — with everything inside it — when the guard drops.
+///
+/// Process id plus a process-wide counter keeps concurrent runners (and
+/// repeated preparations inside one runner) from saving over each other
+/// when they share one `--snapshot-dir`; the drop keeps repeated runner
+/// invocations from accreting orphaned `snap-*` directories there. On
+/// Unix the removal is safe even while a file engine still serves from
+/// the directory: the page store holds its descriptor to the
+/// then-unlinked snapshot file.
+pub(crate) struct StagedSnapshotDir {
+    path: PathBuf,
+}
+
+impl StagedSnapshotDir {
+    /// Reserves a fresh `snap-{pid}-{n}` staging path under `root`.
+    pub fn unique(root: &Path) -> Self {
+        static COUNTER: AtomicU64 = AtomicU64::new(0);
+        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
+        StagedSnapshotDir {
+            path: root.join(format!("snap-{}-{}", std::process::id(), n)),
+        }
+    }
+
+    /// The staging path (not created until a snapshot is saved into it).
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+}
+
+impl Drop for StagedSnapshotDir {
+    fn drop(&mut self) {
+        // Best-effort: a staging dir that was never created (error before
+        // the save) or raced away is not worth failing a run over.
+        let _ = std::fs::remove_dir_all(&self.path);
+    }
+}
 
 /// Materializes a backend kind as a concrete [`StorageBackend`], creating a
 /// scratch page directory for the file backend.
@@ -77,12 +112,9 @@ pub struct BenchArgs {
     pub backend: BackendKind,
     /// Directory to write `BENCH_<figure>.json` series into, if any.
     pub emit_dir: Option<PathBuf>,
-    /// Fault plan the index's device executes, loaded eagerly from the
-    /// `--fault-plan` JSON file (default: none — a well-behaved device).
-    pub fault_plan: Option<FaultPlan>,
     /// Staging root for snapshot-served runs (`--snapshot-dir`): when set,
-    /// the workload helpers save the built index as a snapshot under this
-    /// directory and serve the figure from the reopened snapshot.
+    /// [`BenchArgs::engine`] saves the built index as a snapshot under this
+    /// directory and serves the figure from the reopened snapshot.
     pub snapshot_dir: Option<PathBuf>,
 }
 
@@ -116,30 +148,9 @@ impl BenchArgs {
             None
         }
 
-        // Loads and parses a fault-plan file eagerly: a chaos run with a
-        // typo'd or stale plan must die loudly at startup, not silently
-        // measure a healthy device.
-        fn load_fault_plan(path: &str) -> FaultPlan {
-            let json = match std::fs::read_to_string(path) {
-                Ok(json) => json,
-                Err(e) => {
-                    eprintln!("error: --fault-plan: reading {path}: {e}");
-                    std::process::exit(2);
-                }
-            };
-            match serde_json::from_str(&json) {
-                Ok(plan) => plan,
-                Err(e) => {
-                    eprintln!("error: --fault-plan: {path} is not a valid fault plan: {e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-
         let mut threads = 1usize;
         let mut backend = BackendKind::default();
         let mut emit_dir: Option<PathBuf> = None;
-        let mut fault_plan: Option<FaultPlan> = None;
         let mut snapshot_dir: Option<PathBuf> = None;
         let mut args = args.into_iter().peekable();
         while let Some(arg) = args.next() {
@@ -164,8 +175,6 @@ impl BenchArgs {
                 }
             } else if let Some(dir) = flag_value(&arg, "--emit-json", &mut args) {
                 emit_dir = Some(PathBuf::from(dir));
-            } else if let Some(path) = flag_value(&arg, "--fault-plan", &mut args) {
-                fault_plan = Some(load_fault_plan(&path));
             } else if let Some(dir) = flag_value(&arg, "--snapshot-dir", &mut args) {
                 snapshot_dir = Some(PathBuf::from(dir));
             }
@@ -174,16 +183,53 @@ impl BenchArgs {
             threads,
             backend,
             emit_dir,
-            fault_plan,
             snapshot_dir,
         }
     }
 
-    /// Materializes the parsed backend kind as a concrete
-    /// [`StorageBackend`]; the file backend gets a scratch page directory
-    /// whose guard must be held until the engine is built.
-    pub fn storage_backend(&self) -> IrResult<(StorageBackend, Option<tempfile::TempDir>)> {
-        materialize_backend(self.backend)
+    /// The one way a runner gets its engine: `dataset` served through
+    /// `builder` (which may already carry a storage option of the runner's
+    /// own, e.g. a pool budget) with the parsed worker count on the parsed
+    /// backend; the file backend builds onto a scratch page directory.
+    ///
+    /// With `--snapshot-dir` the index is built once in memory, saved into
+    /// a unique staging directory under that root, and the engine is
+    /// reopened from the snapshot on the parsed backend. Deterministic
+    /// query output is identical either way; only the cold-start
+    /// provenance ([`IrEngine::cold_start_info`]) differs.
+    pub fn engine<'d>(
+        &self,
+        dataset: &'d Dataset,
+        builder: IrEngineBuilder<'d>,
+    ) -> EngineResult<IrEngine> {
+        let builder = builder.threads(self.threads);
+        let Some(root) = &self.snapshot_dir else {
+            let (storage, scratch) = materialize_backend(self.backend)?;
+            let engine = builder.dataset_ref(dataset).backend(storage).build()?;
+            // The scratch guard may drop now: the store holds its
+            // descriptor to the (unlinked) page file for the engine's
+            // lifetime.
+            drop(scratch);
+            return Ok(engine);
+        };
+        let staged = StagedSnapshotDir::unique(root);
+        IrEngine::builder()
+            .dataset_ref(dataset)
+            .build()?
+            .save_snapshot(staged.path())?;
+        // With a snapshot source only the backend's *kind* matters (the
+        // snapshot file is served in place); the staged path on the
+        // variant documents where the pages live. The staging directory
+        // goes with the guard once the engine is up (it holds its
+        // descriptor), on the error path alike.
+        let storage = match self.backend {
+            BackendKind::Mem => StorageBackend::Memory,
+            BackendKind::File => StorageBackend::Disk(staged.path().to_path_buf()),
+        };
+        builder
+            .open_snapshot(staged.path())
+            .backend(storage)
+            .build()
     }
 
     /// The engine-policy template stamped into emitted `BENCH_<figure>.json`
@@ -191,14 +237,14 @@ impl BenchArgs {
     /// [`BenchArgs::emit`]; the per-series algorithm and the figure's
     /// x-axis parameter override it row by row), `threads` is the parsed
     /// worker count, `backend` the parsed storage backend and `fault_plan`
-    /// the loaded chaos plan (`null` for ordinary runs, keeping the
-    /// committed baselines stable).
+    /// `null` (a well-behaved device, the shape the committed baselines
+    /// carry).
     pub fn policy_with(&self, config: RegionConfig) -> EnginePolicy {
         EnginePolicy {
             config,
             threads: self.threads,
             backend: self.backend,
-            fault_plan: self.fault_plan.clone(),
+            fault_plan: None,
         }
     }
 
@@ -275,16 +321,11 @@ mod tests {
 
     #[test]
     fn storage_backend_materializes_scratch_dirs() {
-        let mem = BenchArgs::default();
-        let (backend, guard) = mem.storage_backend().unwrap();
+        let (backend, guard) = materialize_backend(BackendKind::Mem).unwrap();
         assert!(matches!(backend, StorageBackend::Memory));
         assert!(guard.is_none());
 
-        let file = BenchArgs {
-            backend: BackendKind::File,
-            ..BenchArgs::default()
-        };
-        let (backend, guard) = file.storage_backend().unwrap();
+        let (backend, guard) = materialize_backend(BackendKind::File).unwrap();
         let StorageBackend::Disk(dir) = backend else {
             panic!("expected a disk backend, got {backend:?}");
         };
@@ -294,36 +335,44 @@ mod tests {
     }
 
     #[test]
+    fn engine_keeps_the_runners_storage_options_on_every_path() {
+        // What the pool ablation relies on: a pool budget set on the
+        // builder survives the parsed backend and a snapshot-served run.
+        let dataset = crate::BenchDataset::St.generate(crate::Scale::Smoke);
+        let workload = crate::BenchDataset::St
+            .workload_for(&dataset, 2, 5, 1)
+            .unwrap();
+        let root = tempfile::tempdir().unwrap();
+        for snapshot_dir in [None, Some(root.path().to_path_buf())] {
+            for backend in BackendKind::ALL {
+                let args = BenchArgs {
+                    threads: 3,
+                    backend,
+                    snapshot_dir: snapshot_dir.clone(),
+                    ..BenchArgs::default()
+                };
+                let engine = args
+                    .engine(&dataset, IrEngine::builder().pool_capacity(4))
+                    .unwrap();
+                let at = format!("{backend}, snapshot dir {snapshot_dir:?}");
+                assert_eq!(engine.backend_kind(), backend, "{at}");
+                assert_eq!(engine.threads(), 3, "{at}");
+                engine.cold_start();
+                let report = engine.query(&workload.queries()[0]).unwrap();
+                assert!(report.stats.io.physical_reads > 4, "{at}");
+                assert!(engine.index().pool().cached_pages() <= 4, "{at}");
+            }
+        }
+    }
+
+    #[test]
     fn policy_stamp_carries_backend_and_threads() {
         let args = BenchArgs::from_arg_list(strings(&["--threads", "3", "--backend", "file"]));
         let policy = args.policy_with(RegionConfig::default());
         assert_eq!(policy.threads, 3);
         assert_eq!(policy.backend, BackendKind::File);
-    }
-
-    #[test]
-    fn parses_a_fault_plan_file() {
-        let dir = tempfile::tempdir().unwrap();
-        let path = dir.path().join("plan.json");
-        let plan = FaultPlan::transient_reads(7, 3, 100);
-        std::fs::write(&path, serde_json::to_string(&plan).unwrap()).unwrap();
-        let args = BenchArgs::from_arg_list(strings(&[
-            "--fault-plan",
-            path.to_str().unwrap(),
-            "--threads",
-            "2",
-        ]));
-        assert_eq!(args.fault_plan, Some(plan.clone()));
-        // The plan is stamped into the emitted policy metadata.
-        let policy = args.policy_with(RegionConfig::default());
-        assert_eq!(policy.fault_plan, Some(plan));
-        // Without the flag there is no plan and the stamp is null.
-        let args = BenchArgs::from_arg_list(strings(&[]));
-        assert_eq!(args.fault_plan, None);
-        assert!(args
-            .policy_with(RegionConfig::default())
-            .to_json()
-            .contains("\"fault_plan\":null"));
+        // The runners measure a well-behaved device: the stamp is null.
+        assert!(policy.to_json().contains("\"fault_plan\":null"));
     }
 
     #[test]

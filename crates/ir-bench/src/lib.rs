@@ -8,9 +8,9 @@
 //! Wall-clock measurement lives in the standalone `benchmark/` package.
 //!
 //! The scale of the generated datasets is controlled by the
-//! `IR_BENCH_SCALE` environment variable: `smoke` (seconds, CI-friendly),
-//! `default` (minutes, laptop-scale — the scale used for the numbers in
-//! `EXPERIMENTS.md`), or `full` (the paper's cardinalities).
+//! `IR_BENCH_SCALE` environment variable: `smoke` (seconds, CI-friendly —
+//! also what an unset variable means), `default` (minutes, laptop-scale),
+//! or `full` (the paper's cardinalities). Any other value exits 2.
 //!
 //! Every runner additionally accepts `--threads N` (fan the workload out
 //! over N workers of the parallel execution layer; the measured candidate
@@ -18,10 +18,14 @@
 //! `--backend {mem,file}` (which page store backs the index — the series
 //! are byte-identical across backends), `--emit-json DIR` (write each
 //! table as `BENCH_<figure>.json` for the CI baseline diff performed by the
-//! `bench_diff` binary) and `--snapshot-dir DIR` (serve the figure from a persisted index snapshot
-//! reopened zero-copy instead of a freshly built index; deterministic
-//! output is identical, and the emitted series envelope's `cold_start`
-//! stamp records the provenance). See [`cli`] and [`emit`].
+//! `bench_diff` binary) and `--snapshot-dir DIR` (serve the figure from a
+//! persisted index snapshot reopened zero-copy instead of a freshly built
+//! index; deterministic output is identical, and the emitted series
+//! envelope's `cold_start` stamp records the provenance). Every runner
+//! gets its engine from [`BenchArgs::engine`]. See [`cli`] and [`emit`].
+//!
+//! The I/O-time column prices each physical page read at one fixed 5 ms
+//! ([`simulated_io_ms`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,6 +43,7 @@ pub use emit::{
 };
 pub use metrics::{MethodMeasurement, MethodSeries};
 pub use runner::{
-    measure_iterative, measure_method, measure_method_threaded, print_table, ExperimentTable,
+    measure_iterative, measure_method, measure_method_threaded, print_table, simulated_io_ms,
+    ExperimentTable,
 };
 pub use workloads::{BenchDataset, Scale};

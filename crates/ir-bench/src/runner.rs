@@ -6,13 +6,26 @@ use ir_core::iterative::compute_iterative;
 use ir_core::parallel::run_queries;
 use ir_core::{Algorithm, ComputationStats, RegionConfig};
 use ir_datagen::QueryWorkload;
-use ir_storage::{ColdStartInfo, TopKIndex};
+use ir_storage::ColdStartInfo;
 use ir_types::IrResult;
+use std::time::Duration;
 
-fn accumulate_stats(total: &mut MethodMeasurement, index: &TopKIndex, stats: &ComputationStats) {
+/// Simulated latency of one physical page read, in nanoseconds: ~5 ms, a
+/// random read on the magnetic disks of the paper's 2012 testbed (its
+/// Section 7.1 charges I/O per page read).
+const PAGE_READ_NANOS: u64 = 5_000_000;
+
+/// Simulated time of `physical_reads` page reads in milliseconds at 5 ms
+/// per read, saturating at `u64::MAX` nanoseconds — the one price behind
+/// every `io-time-ms` column.
+pub fn simulated_io_ms(physical_reads: u64) -> f64 {
+    Duration::from_nanos(PAGE_READ_NANOS.saturating_mul(physical_reads)).as_secs_f64() * 1e3
+}
+
+fn accumulate_stats(total: &mut MethodMeasurement, stats: &ComputationStats) {
     total.evaluated_per_dim += stats.evaluated_per_dim_avg();
     total.cpu_time_ms += stats.cpu_time.as_secs_f64() * 1e3;
-    total.io_time_ms += index.io_config().simulated_io_time(&stats.io).as_secs_f64() * 1e3;
+    total.io_time_ms += simulated_io_ms(stats.io.physical_reads);
     total.memory_kbytes += stats.memory_footprint_bytes as f64 / 1024.0;
     total.logical_reads += stats.io.logical_reads as f64;
     total.physical_reads += stats.io.physical_reads as f64;
@@ -32,7 +45,7 @@ pub fn measure_method(
     for query in workload.iter() {
         engine.cold_start();
         let report = engine.query_with(query, config)?;
-        accumulate_stats(&mut total, engine.index(), &report.stats);
+        accumulate_stats(&mut total, &report.stats);
     }
     Ok(total.averaged_over(workload.len()))
 }
@@ -59,7 +72,7 @@ pub fn measure_method_threaded(
         .query_batch_detailed(workload.queries())?;
     let mut total = MethodMeasurement::new(algorithm, x);
     for report in &outcome.reports {
-        accumulate_stats(&mut total, engine.index(), &report.stats);
+        accumulate_stats(&mut total, &report.stats);
     }
     Ok(total.averaged_over(workload.len()))
 }
@@ -94,7 +107,7 @@ pub fn measure_iterative(
         results.into_iter().collect::<IrResult<Vec<_>>>()?
     };
     for report in &reports {
-        accumulate_stats(&mut total, index, &report.stats);
+        accumulate_stats(&mut total, &report.stats);
     }
     Ok(total.averaged_over(workload.len()))
 }
@@ -129,7 +142,8 @@ impl ExperimentTable {
         self.rows.push(row);
     }
 
-    /// Renders the table in the layout used by `EXPERIMENTS.md`.
+    /// Renders the table: one row per measurement, the paper's four panels
+    /// as columns plus logical reads.
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("### {}\n", self.title));
@@ -175,12 +189,65 @@ pub fn print_table(table: &ExperimentTable) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cli::BenchArgs;
     use crate::workloads::{BenchDataset, Scale};
+
+    fn args(threads: usize) -> BenchArgs {
+        BenchArgs {
+            threads,
+            ..BenchArgs::default()
+        }
+    }
+
+    #[test]
+    fn latency_model_scales_with_physical_reads() {
+        assert_eq!(simulated_io_ms(0), 0.0);
+        assert_eq!(simulated_io_ms(10), 50.0);
+    }
+
+    #[test]
+    fn latency_model_does_not_wrap_past_u32_reads() {
+        let reads = u32::MAX as u64 + 2;
+        assert_eq!(
+            simulated_io_ms(reads),
+            Duration::from_nanos(PAGE_READ_NANOS * reads).as_secs_f64() * 1e3
+        );
+        assert!(simulated_io_ms(reads) > simulated_io_ms(u32::MAX as u64));
+        // An absurd count saturates instead of overflowing.
+        assert_eq!(
+            simulated_io_ms(u64::MAX),
+            Duration::from_nanos(u64::MAX).as_secs_f64() * 1e3
+        );
+    }
+
+    #[test]
+    fn io_time_is_priced_per_physical_read() {
+        // A pool far smaller than the index: every cold query reads pages
+        // from the device, and each read costs the one page latency.
+        let dataset = BenchDataset::Wsj.generate(Scale::Smoke);
+        let workload = BenchDataset::Wsj.workload_for(&dataset, 2, 5, 3).unwrap();
+        let engine = args(1)
+            .engine(&dataset, IrEngine::builder().pool_capacity(8))
+            .unwrap();
+        let measured = measure_method(
+            &engine,
+            &workload,
+            Algorithm::Cpt,
+            RegionConfig::flat(Algorithm::Cpt),
+            2.0,
+        )
+        .unwrap();
+        assert!(measured.physical_reads > 0.0);
+        assert!(
+            (measured.io_time_ms - 5.0 * measured.physical_reads).abs() < 1e-6,
+            "{measured:?}"
+        );
+    }
 
     #[test]
     fn measure_method_produces_sane_averages() {
         let (engine, workload) = BenchDataset::Wsj
-            .prepare_engine(Scale::Smoke, 2, 5, 2, 1, ir_storage::BackendKind::Mem)
+            .prepare_engine(Scale::Smoke, 2, 5, 2, &args(1))
             .unwrap();
         let scan = measure_method(
             &engine,
@@ -206,7 +273,7 @@ mod tests {
     #[test]
     fn threaded_measurements_are_worker_count_invariant() {
         let (engine, workload) = BenchDataset::St
-            .prepare_engine(Scale::Smoke, 2, 5, 3, 2, ir_storage::BackendKind::Mem)
+            .prepare_engine(Scale::Smoke, 2, 5, 3, &args(2))
             .unwrap();
         let two = measure_method_threaded(
             &engine,

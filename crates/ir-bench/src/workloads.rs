@@ -1,72 +1,49 @@
 //! Benchmark datasets and workloads (the paper's WSJ, KB and ST).
 
+use crate::cli::BenchArgs;
 use immutable_regions::engine::{EngineResult, IrEngine};
 use ir_datagen::queries::DimSelection;
 use ir_datagen::{
     CorrelatedConfig, CorrelatedGenerator, FeatureConfig, FeatureVectorGenerator, QueryWorkload,
     TextCorpusConfig, TextCorpusGenerator, WorkloadConfig,
 };
-use ir_storage::{BackendKind, FaultPlan, TopKIndex};
 use ir_types::{Dataset, IrResult};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// A unique staging directory under `root` for one saved snapshot,
-/// removed — with everything inside it — when the guard drops.
-///
-/// Process id plus a process-wide counter keeps concurrent runners (and
-/// repeated preparations inside one runner) from saving over each other
-/// when they share one `--snapshot-dir`; the drop keeps repeated runner
-/// invocations from accreting orphaned `snap-*` directories there. On
-/// Unix the removal is safe even while a file engine still serves from
-/// the directory: the page store holds its descriptor to the
-/// then-unlinked snapshot file.
-pub(crate) struct StagedSnapshotDir {
-    path: PathBuf,
-}
-
-impl StagedSnapshotDir {
-    /// Reserves a fresh `snap-{pid}-{n}` staging path under `root`.
-    pub fn unique(root: &Path) -> Self {
-        static COUNTER: AtomicU64 = AtomicU64::new(0);
-        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-        StagedSnapshotDir {
-            path: root.join(format!("snap-{}-{}", std::process::id(), n)),
-        }
-    }
-
-    /// The staging path (not created until a snapshot is saved into it).
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-impl Drop for StagedSnapshotDir {
-    fn drop(&mut self) {
-        // Best-effort: a staging dir that was never created (error before
-        // the save) or raced away is not worth failing a run over.
-        let _ = std::fs::remove_dir_all(&self.path);
-    }
-}
 
 /// Dataset scale, selected with the `IR_BENCH_SCALE` environment variable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
-    /// Seconds per figure; used by `cargo bench` and CI.
+    /// Seconds per figure; what CI runs.
     Smoke,
-    /// Laptop-scale runs (the scale behind `EXPERIMENTS.md`).
+    /// Laptop-scale runs.
     Default,
     /// The paper's cardinalities (172,891 / 28,452 / 1M tuples).
     Full,
 }
 
 impl Scale {
-    /// Reads the scale from `IR_BENCH_SCALE` (defaults to `smoke`).
+    /// Reads the scale from `IR_BENCH_SCALE`; unset means `smoke`. Any other
+    /// value than `smoke`, `default` or `full` exits 2 listing them — the
+    /// rule `--backend` follows — so a mistyped full-scale run never prints
+    /// smoke tables.
     pub fn from_env() -> Scale {
-        match std::env::var("IR_BENCH_SCALE").unwrap_or_default().as_str() {
-            "full" => Scale::Full,
-            "default" => Scale::Default,
-            _ => Scale::Smoke,
+        let value = std::env::var_os("IR_BENCH_SCALE");
+        match Scale::parse(value.as_deref().map(|v| v.to_string_lossy()).as_deref()) {
+            Ok(scale) => scale,
+            Err(e) => {
+                eprintln!("error: {e}");
+                std::process::exit(2);
+            }
+        }
+    }
+
+    fn parse(value: Option<&str>) -> Result<Scale, String> {
+        match value {
+            None | Some("smoke") => Ok(Scale::Smoke),
+            Some("default") => Ok(Scale::Default),
+            Some("full") => Ok(Scale::Full),
+            Some(other) => Err(format!(
+                "unknown IR_BENCH_SCALE `{other}` (expected smoke, default or full)"
+            )),
         }
     }
 }
@@ -169,131 +146,20 @@ impl BenchDataset {
         )
     }
 
-    /// Builds the (in-memory) index plus a workload of `num_queries`
-    /// queries with the given `qlen` and `k`.
-    pub fn prepare(
-        &self,
-        scale: Scale,
-        qlen: usize,
-        k: usize,
-        num_queries: usize,
-    ) -> IrResult<(TopKIndex, QueryWorkload)> {
-        let dataset = self.generate(scale);
-        let index = TopKIndex::build_in_memory(&dataset)?;
-        let workload = self.workload_for(&dataset, qlen, k, num_queries)?;
-        Ok((index, workload))
-    }
-
-    /// Like [`BenchDataset::prepare`], but wrapping the index into an
-    /// [`IrEngine`] with `threads` batch workers on the requested storage
-    /// backend — the front door every figure runner serves its workload
-    /// through. The file backend builds onto a scratch page directory
-    /// (see [`crate::BenchArgs::storage_backend`]).
+    /// Generates the dataset at `scale`, the standard workload over it (see
+    /// [`BenchDataset::workload_for`]) and the engine serving it, prepared
+    /// by [`BenchArgs::engine`] from the parsed runner options.
     pub fn prepare_engine(
         &self,
         scale: Scale,
         qlen: usize,
         k: usize,
         num_queries: usize,
-        threads: usize,
-        backend: BackendKind,
-    ) -> EngineResult<(IrEngine, QueryWorkload)> {
-        self.prepare_engine_faulty(scale, qlen, k, num_queries, threads, backend, None, None)
-    }
-
-    /// [`BenchDataset::prepare_engine`] driven by parsed runner options —
-    /// worker count, storage backend, the optional fault plan from
-    /// `--fault-plan` and the optional snapshot staging root from
-    /// `--snapshot-dir` (serve the figure from a reopened snapshot instead
-    /// of the freshly built index).
-    pub fn prepare_engine_for(
-        &self,
-        scale: Scale,
-        qlen: usize,
-        k: usize,
-        num_queries: usize,
-        args: &crate::cli::BenchArgs,
-    ) -> EngineResult<(IrEngine, QueryWorkload)> {
-        self.prepare_engine_faulty(
-            scale,
-            qlen,
-            k,
-            num_queries,
-            args.threads,
-            args.backend,
-            args.fault_plan.clone(),
-            args.snapshot_dir.as_deref(),
-        )
-    }
-
-    /// [`BenchDataset::prepare_engine`] with an optional [`FaultPlan`] and
-    /// an optional snapshot staging root.
-    ///
-    /// With a fault plan the engine's device executes it, armed after the
-    /// index build (or after the snapshot trailer read) so the injected
-    /// faults strike the measured queries. With a snapshot root the index
-    /// is built once in memory, saved into a unique staging directory
-    /// under the root, and the serving engine is reopened from that
-    /// snapshot on the requested backend — deterministic query output is
-    /// identical either way; only the cold-start provenance
-    /// ([`IrEngine::cold_start_info`]) differs.
-    #[allow(clippy::too_many_arguments)]
-    pub fn prepare_engine_faulty(
-        &self,
-        scale: Scale,
-        qlen: usize,
-        k: usize,
-        num_queries: usize,
-        threads: usize,
-        backend: BackendKind,
-        fault_plan: Option<FaultPlan>,
-        snapshot_dir: Option<&Path>,
+        args: &BenchArgs,
     ) -> EngineResult<(IrEngine, QueryWorkload)> {
         let dataset = self.generate(scale);
         let workload = self.workload_for(&dataset, qlen, k, num_queries)?;
-        if let Some(root) = snapshot_dir {
-            // Build a pristine in-memory index once, persist it, and let
-            // the staged snapshot serve the figure. The builder engine
-            // never sees the fault plan: faults are meant to strike the
-            // measured (snapshot-served) engine, mirroring how the built
-            // path arms them only after construction.
-            let staged = StagedSnapshotDir::unique(root);
-            let built = IrEngine::builder().dataset_ref(&dataset).build()?;
-            built.save_snapshot(staged.path())?;
-            drop(built);
-            // With a snapshot source only the backend's *kind* matters
-            // (the snapshot file is served in place); the staged path on
-            // the variant documents where the pages live.
-            let storage = match backend {
-                BackendKind::Mem => ir_storage::StorageBackend::Memory,
-                BackendKind::File => ir_storage::StorageBackend::Disk(staged.path().to_path_buf()),
-            };
-            let mut builder = IrEngine::builder()
-                .open_snapshot(staged.path())
-                .backend(storage)
-                .threads(threads);
-            if let Some(plan) = fault_plan {
-                builder = builder.fault_plan(plan);
-            }
-            let engine = builder.build()?;
-            // The engine is up (its descriptor is open), so the
-            // staging directory may go — success and error paths alike
-            // clean up via the guard's drop.
-            drop(staged);
-            return Ok((engine, workload));
-        }
-        let (storage, scratch) = crate::cli::materialize_backend(backend)?;
-        let mut builder = IrEngine::builder()
-            .dataset_ref(&dataset)
-            .backend(storage)
-            .threads(threads);
-        if let Some(plan) = fault_plan {
-            builder = builder.fault_plan(plan);
-        }
-        let engine = builder.build()?;
-        // The scratch guard may drop now: the store holds its descriptor to
-        // the (unlinked) page file for the engine's lifetime.
-        drop(scratch);
+        let engine = args.engine(&dataset, IrEngine::builder())?;
         Ok((engine, workload))
     }
 
@@ -311,12 +177,26 @@ impl BenchDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cli::StagedSnapshotDir;
+    use ir_storage::BackendKind;
+    use std::path::{Path, PathBuf};
+
+    fn args(backend: BackendKind, snapshot_dir: Option<&Path>) -> BenchArgs {
+        BenchArgs {
+            threads: 1,
+            backend,
+            snapshot_dir: snapshot_dir.map(Path::to_path_buf),
+            ..BenchArgs::default()
+        }
+    }
 
     #[test]
     fn smoke_scale_prepares_all_datasets() {
         for dataset in [BenchDataset::Wsj, BenchDataset::Kb, BenchDataset::St] {
-            let (index, workload) = dataset.prepare(Scale::Smoke, 3, 10, 2).unwrap();
-            assert!(index.cardinality() >= 2_000, "{}", dataset.name());
+            let (engine, workload) = dataset
+                .prepare_engine(Scale::Smoke, 3, 10, 2, &args(BackendKind::Mem, None))
+                .unwrap();
+            assert!(engine.index().cardinality() >= 2_000, "{}", dataset.name());
             assert_eq!(workload.len(), 2);
         }
     }
@@ -328,23 +208,41 @@ mod tests {
     }
 
     #[test]
+    fn unknown_scale_is_an_error_listing_the_scales() {
+        assert_eq!(Scale::parse(None), Ok(Scale::Smoke));
+        assert_eq!(Scale::parse(Some("smoke")), Ok(Scale::Smoke));
+        assert_eq!(Scale::parse(Some("default")), Ok(Scale::Default));
+        assert_eq!(Scale::parse(Some("full")), Ok(Scale::Full));
+        // Near misses are errors that list the scales, never smoke.
+        for typo in ["Full", "defualt", "fulll", ""] {
+            let err = Scale::parse(Some(typo)).unwrap_err();
+            assert!(
+                err.contains("smoke") && err.contains("default") && err.contains("full"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
     fn prepare_engine_with_snapshot_dir_serves_identically() {
         use ir_storage::ColdStartSource;
 
         let root = tempfile::tempdir().unwrap();
-        let args = crate::cli::BenchArgs {
-            snapshot_dir: Some(root.path().to_path_buf()),
-            ..Default::default()
-        };
         let (engine, workload) = BenchDataset::St
-            .prepare_engine_for(Scale::Smoke, 2, 5, 2, &args)
+            .prepare_engine(
+                Scale::Smoke,
+                2,
+                5,
+                2,
+                &args(BackendKind::Mem, Some(root.path())),
+            )
             .unwrap();
         let info = engine.cold_start_info();
         assert_eq!(info.source, ColdStartSource::Snapshot);
 
         // Deterministic output identical to the built path.
         let (built, _) = BenchDataset::St
-            .prepare_engine(Scale::Smoke, 2, 5, 2, 1, BackendKind::Mem)
+            .prepare_engine(Scale::Smoke, 2, 5, 2, &args(BackendKind::Mem, None))
             .unwrap();
         assert_eq!(built.cold_start_info().source, ColdStartSource::Built);
         for query in workload.queries() {
@@ -366,12 +264,17 @@ mod tests {
         };
 
         // Success path: the staged `snap-*` dir is gone by the time
-        // `prepare_engine_faulty` returns, on every backend, and the
-        // engine still serves from its (unlinked) snapshot.
+        // `prepare_engine` returns, on every backend, and the engine still
+        // serves from its (unlinked) snapshot.
         for backend in BackendKind::ALL {
             let (engine, workload) = BenchDataset::St
-                .prepare_engine_faulty(Scale::Smoke, 2, 5, 2, 1, backend, None, Some(root.path()))
+                .prepare_engine(Scale::Smoke, 2, 5, 2, &args(backend, Some(root.path())))
                 .unwrap();
+            assert_eq!(
+                engine.backend_kind(),
+                backend,
+                "the snapshot is served on the parsed backend"
+            );
             assert_eq!(
                 list(root.path()),
                 Vec::<PathBuf>::new(),
@@ -383,15 +286,12 @@ mod tests {
         // Error path: an impossible workload config fails preparation
         // before any staging, and a pre-created collision in the staging
         // root never survives a failed run either.
-        let err = BenchDataset::St.prepare_engine_faulty(
+        let err = BenchDataset::St.prepare_engine(
             Scale::Smoke,
             50,
             5,
             2,
-            1,
-            BackendKind::Mem,
-            None,
-            Some(root.path()),
+            &args(BackendKind::Mem, Some(root.path())),
         );
         assert!(err.is_err());
         assert_eq!(list(root.path()), Vec::<PathBuf>::new());
@@ -409,7 +309,7 @@ mod tests {
         let mut reports = Vec::new();
         for backend in BackendKind::ALL {
             let (engine, workload) = BenchDataset::St
-                .prepare_engine(Scale::Smoke, 2, 5, 2, 1, backend)
+                .prepare_engine(Scale::Smoke, 2, 5, 2, &args(backend, None))
                 .unwrap();
             assert_eq!(engine.backend_kind(), backend);
             reports.push(engine.query(&workload.queries()[0]).unwrap());

@@ -7,7 +7,7 @@ use crate::region::{DimRegions, RegionReport};
 use crate::solver_flat::{solve_dim_flat, DimSolveInfo};
 use crate::solver_phi::solve_dim_phi;
 use ir_storage::{IoStatsSnapshot, TopKIndex};
-use ir_topk::{TaConfig, TaRun};
+use ir_topk::TaRun;
 use ir_types::{IrResult, QueryVector, TopKResult};
 use std::sync::Arc;
 use std::time::Instant;
@@ -39,7 +39,8 @@ pub struct RegionComputation {
 }
 
 impl RegionComputation {
-    /// Runs TA for the query and prepares the region computation. The
+    /// Runs TA for the query (weighted-key probing, the paper's Section 7.1
+    /// setup) and prepares the region computation. The
     /// computation shares ownership of the index, so it has no borrowed
     /// lifetime and can be stored, sent across threads, or returned from
     /// owning services.
@@ -48,17 +49,7 @@ impl RegionComputation {
         query: &QueryVector,
         config: RegionConfig,
     ) -> IrResult<Self> {
-        Self::with_ta_config(index, query, config, &TaConfig::default())
-    }
-
-    /// Same as [`RegionComputation::new`] with an explicit TA configuration.
-    pub fn with_ta_config(
-        index: &Arc<TopKIndex>,
-        query: &QueryVector,
-        config: RegionConfig,
-        ta_config: &TaConfig,
-    ) -> IrResult<Self> {
-        let ta = TaRun::execute(index, query, ta_config)?;
+        let ta = TaRun::execute_default(index, query)?;
         let topk_io = ta.io();
         Ok(RegionComputation {
             index: Arc::clone(index),

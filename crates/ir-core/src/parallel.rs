@@ -29,7 +29,6 @@ use crate::compute::RegionComputation;
 use crate::config::RegionConfig;
 use crate::region::RegionReport;
 use ir_storage::{IoStatsSnapshot, TopKIndex};
-use ir_topk::TaConfig;
 use ir_types::{IrError, IrResult, QueryVector};
 use parking_lot::Mutex;
 use std::any::Any;
@@ -166,7 +165,6 @@ impl BatchOutcome {
 pub struct BatchRegionComputation {
     index: Arc<TopKIndex>,
     config: RegionConfig,
-    ta_config: TaConfig,
     threads: usize,
 }
 
@@ -178,7 +176,6 @@ impl BatchRegionComputation {
         BatchRegionComputation {
             index: Arc::clone(index),
             config,
-            ta_config: TaConfig::default(),
             threads: 1,
         }
     }
@@ -189,12 +186,6 @@ impl BatchRegionComputation {
     /// cache-dependent physical reads change.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Overrides the TA configuration used for every query.
-    pub fn with_ta_config(mut self, ta_config: TaConfig) -> Self {
-        self.ta_config = ta_config;
         self
     }
 
@@ -217,12 +208,8 @@ impl BatchRegionComputation {
     pub fn run_detailed(&self, queries: &[QueryVector]) -> IrResult<BatchOutcome> {
         let started = Instant::now();
         let results = run_queries(self.threads, queries.len(), "query", |query_index| {
-            let mut computation = RegionComputation::with_ta_config(
-                &self.index,
-                &queries[query_index],
-                self.config,
-                &self.ta_config,
-            )?;
+            let mut computation =
+                RegionComputation::new(&self.index, &queries[query_index], self.config)?;
             // Each query runs the plain sequential solve on its worker:
             // a query is self-contained, so the report (regions *and*
             // candidate counts) is exactly what the sequential oracle

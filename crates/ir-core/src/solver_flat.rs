@@ -147,12 +147,7 @@ pub fn solve_dim_flat(
         candidate_views.clone()
     };
     info.phase2_pool = selected.len();
-    info.footprint_bytes = phase2_footprint(
-        config,
-        all_candidate_entries.len(),
-        selected.len(),
-        ta.dims().len(),
-    );
+    info.footprint_bytes = phase2_footprint(config, all_candidate_entries.len(), selected.len());
 
     {
         let before_eval = evaluator.evaluated();
@@ -269,12 +264,7 @@ pub fn solve_dim_flat(
 /// pair per candidate; thresholding additionally keeps the score- and
 /// coordinate-sorted lists (one pointer each per member of its pool); pruning
 /// shrinks the pool itself.
-pub fn phase2_footprint(
-    config: &RegionConfig,
-    total_candidates: usize,
-    pool: usize,
-    _qlen: usize,
-) -> usize {
+pub fn phase2_footprint(config: &RegionConfig, total_candidates: usize, pool: usize) -> usize {
     let pair = std::mem::size_of::<f64>() + std::mem::size_of::<u64>();
     let pointer = std::mem::size_of::<u64>();
     let base = if config.algorithm.prunes() {

@@ -244,7 +244,7 @@ pub fn solve_dim_phi(
     }
     let pool_size = in_pool.iter().filter(|&&member| member).count();
     info.phase2_pool = pool_size;
-    info.footprint_bytes = phase2_footprint(config, all_entries.len(), pool_size, ta.dims().len());
+    info.footprint_bytes = phase2_footprint(config, all_entries.len(), pool_size);
 
     let mut evaluated = vec![false; views.len()];
     let feed = |idx: usize,

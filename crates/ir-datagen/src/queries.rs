@@ -62,26 +62,6 @@ impl Default for WorkloadConfig {
     }
 }
 
-impl WorkloadConfig {
-    /// Builder-style setter for `qlen`.
-    pub fn with_qlen(mut self, qlen: usize) -> Self {
-        self.qlen = qlen;
-        self
-    }
-
-    /// Builder-style setter for `k`.
-    pub fn with_k(mut self, k: usize) -> Self {
-        self.k = k;
-        self
-    }
-
-    /// Builder-style setter for the number of queries.
-    pub fn with_num_queries(mut self, n: usize) -> Self {
-        self.num_queries = n;
-        self
-    }
-}
-
 /// A deterministic list of queries over one dataset.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct QueryWorkload {
@@ -237,14 +217,12 @@ mod tests {
     #[test]
     fn workload_is_deterministic() {
         let dataset = small_corpus();
-        let config = WorkloadConfig::default()
-            .with_qlen(2)
-            .with_num_queries(5)
-            .with_k(3);
         let config = WorkloadConfig {
+            qlen: 2,
+            k: 3,
+            num_queries: 5,
             min_postings: 5,
-            max_postings: usize::MAX,
-            ..config
+            ..WorkloadConfig::default()
         };
         let a = QueryWorkload::generate(&dataset, &config, 9).unwrap();
         let b = QueryWorkload::generate(&dataset, &config, 9).unwrap();

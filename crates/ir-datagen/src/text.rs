@@ -154,20 +154,6 @@ impl TextCorpusGenerator {
         }
         builder.build()
     }
-
-    /// Terms sorted by document frequency (most common first) — used by the
-    /// query workload generator to mimic realistic search terms.
-    pub fn popular_terms(dataset: &Dataset, limit: usize) -> Vec<u32> {
-        let mut df: HashMap<u32, u32> = HashMap::new();
-        for (_, tuple) in dataset.iter() {
-            for (dim, _) in tuple.iter() {
-                *df.entry(dim.0).or_insert(0) += 1;
-            }
-        }
-        let mut terms: Vec<(u32, u32)> = df.into_iter().collect();
-        terms.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        terms.into_iter().take(limit).map(|(t, _)| t).collect()
-    }
 }
 
 impl DatasetGenerator for TextCorpusGenerator {
@@ -214,18 +200,19 @@ mod tests {
     fn term_popularity_is_skewed() {
         let gen = TextCorpusGenerator::new(TextCorpusConfig::tiny());
         let dataset = gen.generate_corpus(1);
-        let popular = TextCorpusGenerator::popular_terms(&dataset, 10);
-        assert_eq!(popular.len(), 10);
+        let mut df: HashMap<u32, usize> = HashMap::new();
+        for (_, tuple) in dataset.iter() {
+            for (dim, _) in tuple.iter() {
+                *df.entry(dim.0).or_insert(0) += 1;
+            }
+        }
+        let mut counts: Vec<usize> = df.into_values().collect();
+        counts.sort_unstable_by(|a, b| b.cmp(a));
+        assert!(counts.len() >= 10);
         // The most popular term must appear in far more documents than the
         // 10th most popular one.
-        let df = |term: u32| {
-            dataset
-                .iter()
-                .filter(|(_, t)| t.get(ir_types::DimId(term)) > 0.0)
-                .count()
-        };
-        assert!(df(popular[0]) >= df(popular[9]));
-        assert!(df(popular[0]) > 30, "head term should be common");
+        assert!(counts[0] >= counts[9]);
+        assert!(counts[0] > 30, "head term should be common");
     }
 
     #[test]

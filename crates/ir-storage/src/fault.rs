@@ -2,10 +2,10 @@
 //! [`PageStore`] and misbehaves exactly where a [`FaultPlan`] says to.
 //!
 //! The plan is *seeded and serializable*: a chaos run is reproducible from
-//! its JSON plan alone (the ir-bench runners accept one via `--fault-plan`),
-//! and every fault fires at a deterministic operation index rather than at a
-//! random wall-clock moment. Faults are injected *underneath* the buffer
-//! pool, so the layers above see exactly what a flaky disk would produce:
+//! its JSON plan alone, and every fault fires at a deterministic operation
+//! index rather than at a random wall-clock moment. Faults are injected
+//! *underneath* the buffer pool, so the layers above see exactly what a
+//! flaky disk would produce:
 //!
 //! * **Transient faults** — scheduled read/write ops fail once with a
 //!   retryable `io::ErrorKind::Interrupted`; the pool's `RetryPolicy`

@@ -17,7 +17,7 @@ use crate::inverted::{write_list, InvertedListCursor, ListDirectoryEntry, ENTRY_
 use crate::maintain::{self, AppliedUpdate, MaintenanceStatsSnapshot, Mutable};
 use crate::pagestore::{FilePageStore, MemPageStore, PageStore};
 use crate::snapshot::{self, SnapshotSummary};
-use crate::stats::{IoConfig, IoStatsSnapshot};
+use crate::stats::IoStatsSnapshot;
 use crate::tuplestore::{read_tuple, read_tuple_coords, write_tuples, TupleRegion};
 use ir_types::{Dataset, DimId, IrError, IrResult, SparseVector, TupleId, TupleUpdate};
 use parking_lot::RwLock;
@@ -132,13 +132,13 @@ pub struct ColdStartInfo {
     pub bytes: u64,
 }
 
-/// Builder for [`TopKIndex`].
+/// Builder for [`TopKIndex`]: the one place storage is configured — backend,
+/// buffer-pool budget, retry policy and fault plan.
 #[derive(Debug)]
 #[must_use = "an index builder does nothing until `build` is called"]
 pub struct IndexBuilder {
     backend: StorageBackend,
     pool_capacity: usize,
-    io_config: IoConfig,
     retry_policy: RetryPolicy,
     fault_plan: Option<FaultPlan>,
 }
@@ -148,12 +148,15 @@ impl Default for IndexBuilder {
         IndexBuilder {
             backend: StorageBackend::Memory,
             pool_capacity: DEFAULT_POOL_CAPACITY,
-            io_config: IoConfig::default(),
             retry_policy: RetryPolicy::default(),
             fault_plan: None,
         }
     }
 }
+
+/// What loading an index onto its pool produced: the directory state, the
+/// dimensionality and the cold-start cost.
+type Loaded = (Mutable, u32, ColdStartInfo);
 
 impl IndexBuilder {
     /// Starts a builder with the default (memory) backend.
@@ -170,12 +173,6 @@ impl IndexBuilder {
     /// Sets the buffer-pool capacity in pages.
     pub fn pool_capacity(mut self, pages: usize) -> Self {
         self.pool_capacity = pages;
-        self
-    }
-
-    /// Sets the I/O latency model reported by the index.
-    pub fn io_config(mut self, config: IoConfig) -> Self {
-        self.io_config = config;
         self
     }
 
@@ -203,80 +200,48 @@ impl IndexBuilder {
                 Arc::new(FilePageStore::create(dir.join("index.pages"))?)
             }
         };
-        let (store, injector): (Arc<dyn PageStore>, Option<Arc<FaultInjectingPageStore>>) =
-            match self.fault_plan {
-                Some(plan) => {
-                    // Disarmed while the index is built: faults are a query-
-                    // time phenomenon, the offline build runs fault-free.
-                    let faulty = FaultInjectingPageStore::new(store, plan);
-                    (Arc::clone(&faulty) as Arc<dyn PageStore>, Some(faulty))
+        // Faults are a query-time phenomenon: the offline build runs on a
+        // disarmed device.
+        self.assemble(store, false, |pool| {
+            // Collect the per-dimension postings.
+            let mut postings: HashMap<DimId, Vec<(TupleId, f64)>> = HashMap::new();
+            for (id, tuple) in dataset.iter() {
+                for (dim, value) in tuple.iter() {
+                    postings.entry(dim).or_default().push((id, value));
                 }
-                None => (store, None),
-            };
-        let pool = Arc::new(BufferPool::with_capacity_and_policy(
-            store,
-            self.pool_capacity,
-            self.retry_policy,
-        ));
-
-        // Collect the per-dimension postings.
-        let mut postings: HashMap<DimId, Vec<(TupleId, f64)>> = HashMap::new();
-        for (id, tuple) in dataset.iter() {
-            for (dim, value) in tuple.iter() {
-                postings.entry(dim).or_default().push((id, value));
             }
-        }
-        // Sort each list by decreasing value, ties by increasing tuple id, and
-        // write it out. Dimensions are processed in increasing id order so the
-        // physical layout is deterministic.
-        let mut dims: Vec<DimId> = postings.keys().copied().collect();
-        dims.sort_unstable();
-        let mut lists: HashMap<DimId, ListDirectoryEntry> = HashMap::with_capacity(dims.len());
-        for dim in dims {
-            let Some(mut entries) = postings.remove(&dim) else {
-                continue; // unreachable: `dims` are exactly the keys
+            // Sort each list by decreasing value, ties by increasing tuple
+            // id, and write it out. Dimensions are processed in increasing
+            // id order so the physical layout is deterministic.
+            let mut dims: Vec<DimId> = postings.keys().copied().collect();
+            dims.sort_unstable();
+            let mut lists: HashMap<DimId, ListDirectoryEntry> = HashMap::with_capacity(dims.len());
+            for dim in dims {
+                let Some(mut entries) = postings.remove(&dim) else {
+                    continue; // unreachable: `dims` are exactly the keys
+                };
+                entries.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+                lists.insert(dim, write_list(pool, dim, &entries)?);
+            }
+            let tuple_region: TupleRegion = write_tuples(pool, dataset)?;
+
+            // The cold-start cost of *this* path: every page written, every
+            // posting/coordinate parsed.
+            let cold_start_info = ColdStartInfo {
+                source: ColdStartSource::Built,
+                pages: pool.io_snapshot().pages_written,
+                bytes: lists
+                    .values()
+                    .map(|l| l.num_entries as u64 * ENTRY_BYTES as u64)
+                    .sum::<u64>()
+                    + tuple_region
+                        .directory
+                        .iter()
+                        .map(|t| t.byte_len() as u64)
+                        .sum::<u64>(),
             };
-            entries.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-            let directory = write_list(&pool, dim, &entries)?;
-            lists.insert(dim, directory);
-        }
-
-        let tuple_region: TupleRegion = write_tuples(&pool, dataset)?;
-
-        // The cold-start cost of *this* path, captured before the counters
-        // are wiped: every page written, every posting/coordinate parsed.
-        let cold_start_info = ColdStartInfo {
-            source: ColdStartSource::Built,
-            pages: pool.io_snapshot().pages_written,
-            bytes: lists
-                .values()
-                .map(|l| l.num_entries as u64 * ENTRY_BYTES as u64)
-                .sum::<u64>()
-                + tuple_region
-                    .directory
-                    .iter()
-                    .map(|t| t.byte_len() as u64)
-                    .sum::<u64>(),
-        };
-
-        // Index construction is an offline step: wipe the build-time I/O so
-        // query measurements start from a clean slate (and from a cold cache).
-        pool.clear_cache();
-        pool.reset_io_stats();
-
-        // The device starts misbehaving only now that the index exists.
-        if let Some(faulty) = &injector {
-            faulty.arm();
-        }
-
-        Ok(TopKIndex {
-            pool,
-            mutable: RwLock::new(Mutable::derive(lists, tuple_region, dataset.cardinality())),
-            dimensionality: dataset.dimensionality(),
-            io_config: self.io_config,
-            backend_kind: self.backend.kind(),
-            fault_injector: injector,
-            cold_start_info,
+            let mutable = Mutable::derive(lists, tuple_region, dataset.cardinality());
+            Ok((mutable, dataset.dimensionality(), cold_start_info))
         })
     }
 
@@ -307,56 +272,71 @@ impl IndexBuilder {
             BackendKind::Mem => Arc::new(MemPageStore::from_page_file(&path)?),
             BackendKind::File => Arc::new(FilePageStore::open(&path)?),
         };
-        let total_pages = store.num_pages();
-        let (store, injector): (Arc<dyn PageStore>, Option<Arc<FaultInjectingPageStore>>) =
-            match self.fault_plan {
-                Some(plan) => {
-                    let faulty = FaultInjectingPageStore::new(store, plan);
-                    // Armed immediately: snapshot open is an online read
-                    // path, not an offline build.
-                    faulty.arm();
-                    (Arc::clone(&faulty) as Arc<dyn PageStore>, Some(faulty))
-                }
-                None => (store, None),
+        // The mem backend had to materialize the whole file to serve it
+        // from memory; the file backend touches only the trailer.
+        let materialized = match backend_kind {
+            BackendKind::Mem => store.num_pages() as u64,
+            BackendKind::File => 0,
+        };
+        self.assemble(store, true, |pool| {
+            let contents = snapshot::read_contents(pool)?;
+            let cold_start_info = ColdStartInfo {
+                source: ColdStartSource::Snapshot,
+                pages: pool.io_snapshot().physical_reads + materialized,
+                bytes: snapshot::SUPERHEADER_LEN as u64
+                    + (contents.lists.len() as u64 + contents.tuple_region.directory.len() as u64)
+                        * snapshot::RECORD_BYTES as u64,
             };
+            let cardinality = contents.tuple_region.directory.len();
+            let mutable = Mutable::derive(contents.lists, contents.tuple_region, cardinality);
+            Ok((mutable, contents.dimensionality, cold_start_info))
+        })
+    }
+
+    /// The serving stack [`IndexBuilder::build`] and
+    /// [`IndexBuilder::open_snapshot`] share: wraps `store` in the fault
+    /// injector (armed before `load` when `arm_before_load`, after it
+    /// otherwise), puts the buffer pool on top, lets `load` fill the index,
+    /// and hands the index over with a cold cache and clean counters.
+    fn assemble(
+        self,
+        store: Arc<dyn PageStore>,
+        arm_before_load: bool,
+        load: impl FnOnce(&Arc<BufferPool>) -> IrResult<Loaded>,
+    ) -> IrResult<TopKIndex> {
+        let injector = self
+            .fault_plan
+            .map(|plan| FaultInjectingPageStore::new(Arc::clone(&store), plan));
+        let device: Arc<dyn PageStore> = match &injector {
+            Some(faulty) => Arc::clone(faulty) as Arc<dyn PageStore>,
+            None => store,
+        };
+        let arm = || {
+            if let Some(faulty) = &injector {
+                faulty.arm();
+            }
+        };
+        if arm_before_load {
+            arm();
+        }
         let pool = Arc::new(BufferPool::with_capacity_and_policy(
-            store,
+            device,
             self.pool_capacity,
             self.retry_policy,
         ));
-        let contents = snapshot::read_contents(&pool)?;
-
-        let trailer_reads = pool.io_snapshot().physical_reads;
-        let cold_start_info = ColdStartInfo {
-            source: ColdStartSource::Snapshot,
-            // The mem backend had to materialize the whole file to serve it
-            // from memory; the file backend touched only the trailer.
-            pages: trailer_reads
-                + match backend_kind {
-                    BackendKind::Mem => total_pages as u64,
-                    BackendKind::File => 0,
-                },
-            bytes: snapshot::SUPERHEADER_LEN as u64
-                + (contents.lists.len() as u64 + contents.tuple_region.directory.len() as u64)
-                    * snapshot::RECORD_BYTES as u64,
-        };
-
-        // The trailer pages have served their purpose; queries start from a
-        // cold cache and clean counters, exactly like a fresh build.
+        let (mutable, dimensionality, cold_start_info) = load(&pool)?;
+        // Loading is not serving: wipe its I/O so query measurements start
+        // from a clean slate and a cold cache.
         pool.clear_cache();
         pool.reset_io_stats();
-
-        let cardinality = contents.tuple_region.directory.len();
+        if !arm_before_load {
+            arm();
+        }
         Ok(TopKIndex {
             pool,
-            mutable: RwLock::new(Mutable::derive(
-                contents.lists,
-                contents.tuple_region,
-                cardinality,
-            )),
-            dimensionality: contents.dimensionality,
-            io_config: self.io_config,
-            backend_kind,
+            mutable: RwLock::new(mutable),
+            dimensionality,
+            backend_kind: self.backend.kind(),
             fault_injector: injector,
             cold_start_info,
         })
@@ -384,7 +364,6 @@ pub struct TopKIndex {
     pool: Arc<BufferPool>,
     mutable: RwLock<Mutable>,
     dimensionality: u32,
-    io_config: IoConfig,
     backend_kind: BackendKind,
     fault_injector: Option<Arc<FaultInjectingPageStore>>,
     cold_start_info: ColdStartInfo,
@@ -405,11 +384,6 @@ impl TopKIndex {
     /// Dataset dimensionality `m`.
     pub fn dimensionality(&self) -> u32 {
         self.dimensionality
-    }
-
-    /// The I/O latency model configured for this index.
-    pub fn io_config(&self) -> IoConfig {
-        self.io_config
     }
 
     /// Which page-store backend this index was built on.

@@ -16,13 +16,11 @@
 //!   [`RetryPolicy`] that heals transient device faults invisibly,
 //! * [`fault`] — a deterministic fault-injection wrapper
 //!   ([`FaultInjectingPageStore`]) driven by a serializable [`FaultPlan`],
-//!   used by the chaos suite and the `--fault-plan` runner flag,
+//!   used by the chaos suite,
 //! * [`stats`] — [`IoStatsSnapshot`], the one counter set of page accesses:
 //!   the buffer pool's lifetime totals (the only home of device reads) and
 //!   the tally each unit of work (cursor, TA run, evaluator, maintenance
-//!   batch) owns, so a report's I/O is the sum of what its units read —
-//!   plus a configurable latency model used by the experiment harness to
-//!   report I/O time,
+//!   batch) owns, so a report's I/O is the sum of what its units read,
 //! * [`inverted`] — the per-dimension inverted lists with resumable
 //!   sequential cursors (TA's *sorted access*),
 //! * [`tuplestore`] — the external tuple file with random access by tuple id
@@ -57,5 +55,5 @@ pub use maintain::{AppliedUpdate, MaintenanceStatsSnapshot};
 pub use page::{PageId, PAGE_SIZE};
 pub use pagestore::{FilePageStore, MemPageStore, PageStore};
 pub use snapshot::SnapshotSummary;
-pub use stats::{IoConfig, IoStatsSnapshot};
+pub use stats::IoStatsSnapshot;
 pub use tuplestore::TupleDirectoryEntry;

@@ -1,11 +1,11 @@
-//! I/O accounting and the latency model used to report I/O cost.
+//! I/O accounting at page granularity.
 //!
 //! The paper's primary cost metrics (Section 7.1) are the number of evaluated
 //! candidates, the I/O time and the CPU time. We account I/O at page
-//! granularity in the buffer pool and convert *physical* page reads into a
-//! simulated I/O time with a configurable per-page latency, defaulting to a
-//! 2012-era magnetic-disk random read. Logical reads (buffer hits) are also
-//! reported because they are the machine-independent part of the metric.
+//! granularity in the buffer pool; the experiment harness converts
+//! *physical* page reads into a simulated I/O time at one fixed per-page
+//! latency. Logical reads (buffer hits) are also reported because they are
+//! the machine-independent part of the metric.
 //!
 //! Counters travel with the work, not the thread: every unit of work that
 //! reads pages (a list cursor, a TA run's random accesses, a candidate
@@ -15,7 +15,6 @@
 //! it already takes per request.
 
 use serde::{Deserialize, Serialize};
-use std::time::Duration;
 
 /// A set of page-access counters: the pool's lifetime totals, one unit of
 /// work's tally, or the difference or sum of such sets.
@@ -58,47 +57,6 @@ impl IoStatsSnapshot {
     }
 }
 
-/// Configuration of the I/O latency model.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct IoConfig {
-    /// Latency charged per *physical* page read.
-    pub page_read_latency: Duration,
-    /// Latency charged per page write.
-    pub page_write_latency: Duration,
-}
-
-impl Default for IoConfig {
-    fn default() -> Self {
-        // ~5 ms per random page read approximates the magnetic disks of the
-        // paper's 2012 testbed; writes only occur at index-build time and are
-        // not part of any reported query metric.
-        IoConfig {
-            page_read_latency: Duration::from_micros(5_000),
-            page_write_latency: Duration::from_micros(5_000),
-        }
-    }
-}
-
-impl IoConfig {
-    /// An I/O model for a memory-resident deployment: zero latency, so the
-    /// reported cost is CPU-only (the paper's Section 7.5, conclusion 4).
-    pub fn memory_resident() -> Self {
-        IoConfig {
-            page_read_latency: Duration::ZERO,
-            page_write_latency: Duration::ZERO,
-        }
-    }
-
-    /// Simulated time to serve the physical I/O of a snapshot (saturating
-    /// at `u64::MAX` nanoseconds).
-    pub fn simulated_io_time(&self, snap: &IoStatsSnapshot) -> Duration {
-        let nanos = |latency: Duration, pages: u64| latency.as_nanos().saturating_mul(pages.into());
-        let total = nanos(self.page_read_latency, snap.physical_reads)
-            .saturating_add(nanos(self.page_write_latency, snap.pages_written));
-        Duration::from_nanos(u64::try_from(total).unwrap_or(u64::MAX))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,6 +65,7 @@ mod tests {
     use crate::page::{PageId, PAGE_SIZE};
     use crate::pagestore::{MemPageStore, PageStore};
     use std::sync::Arc;
+    use std::time::Duration;
 
     /// Every counter the pool keeps moves once per event, in the pool's
     /// totals and in the caller's tally alike, and a reset zeroes the
@@ -174,45 +133,5 @@ mod tests {
         assert_eq!(s, b);
         // `since` saturates rather than underflowing.
         assert_eq!(a.since(&b).logical_reads, 0);
-    }
-
-    #[test]
-    fn latency_model_scales_with_physical_reads() {
-        let cfg = IoConfig::default();
-        let snap = IoStatsSnapshot {
-            logical_reads: 100,
-            physical_reads: 10,
-            pages_written: 0,
-            read_retries: 0,
-            write_retries: 0,
-        };
-        assert_eq!(cfg.simulated_io_time(&snap), Duration::from_millis(50));
-        assert_eq!(
-            IoConfig::memory_resident().simulated_io_time(&snap),
-            Duration::ZERO
-        );
-    }
-
-    #[test]
-    fn latency_model_does_not_wrap_past_u32_reads() {
-        let cfg = IoConfig::default();
-        let reads = u32::MAX as u64 + 2;
-        let snap = IoStatsSnapshot {
-            physical_reads: reads,
-            ..IoStatsSnapshot::default()
-        };
-        let per_read = cfg.page_read_latency.as_nanos() as u64;
-        assert!(per_read > 0);
-        assert_eq!(
-            cfg.simulated_io_time(&snap),
-            Duration::from_nanos(per_read * reads)
-        );
-        // An absurd count saturates instead of overflowing.
-        let snap = IoStatsSnapshot {
-            physical_reads: u64::MAX,
-            pages_written: u64::MAX,
-            ..IoStatsSnapshot::default()
-        };
-        assert_eq!(cfg.simulated_io_time(&snap), Duration::from_nanos(u64::MAX));
     }
 }

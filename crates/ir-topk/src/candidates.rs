@@ -93,25 +93,6 @@ impl CandidateList {
     pub fn iter(&self) -> impl Iterator<Item = &CandidateEntry> {
         self.entries.iter()
     }
-
-    /// Approximate memory footprint in bytes when only `(score, pointer)` is
-    /// retained per candidate — the accounting the paper uses for Scan and
-    /// the pruning-based methods (Section 7.2).
-    pub fn footprint_score_pointer(&self) -> usize {
-        self.entries.len() * (std::mem::size_of::<f64>() + std::mem::size_of::<u64>())
-    }
-
-    /// Approximate memory footprint in bytes when the query-dimension
-    /// coordinates are retained as well (what the sorted lists of the
-    /// thresholding methods are built from).
-    pub fn footprint_with_coords(&self) -> usize {
-        self.footprint_score_pointer()
-            + self
-                .entries
-                .iter()
-                .map(|e| e.coords.len() * std::mem::size_of::<f64>())
-                .sum::<usize>()
-    }
 }
 
 impl FromIterator<CandidateEntry> for CandidateList {
@@ -166,16 +147,5 @@ mod tests {
         assert_eq!(list.get(TupleId(1)).unwrap().coord(0), 0.2);
         assert_eq!(list.len(), 2);
         assert!(!list.is_empty());
-    }
-
-    #[test]
-    fn footprints_scale_with_contents() {
-        let list: CandidateList = (0..10)
-            .map(|i| entry(i, 0.1 * i as f64, &[0.0, 0.1, 0.2, 0.3]))
-            .collect();
-        let base = list.footprint_score_pointer();
-        let full = list.footprint_with_coords();
-        assert_eq!(base, 10 * 16);
-        assert_eq!(full, base + 10 * 4 * 8);
     }
 }

@@ -112,11 +112,6 @@ impl QueryVector {
         self.weights.iter()
     }
 
-    /// The query dimensions only (without weights).
-    pub fn dim_ids(&self) -> Vec<DimId> {
-        self.weights.iter().map(|(d, _)| d).collect()
-    }
-
     /// The underlying sparse weight vector.
     #[inline]
     pub fn weights(&self) -> &SparseVector {
@@ -192,7 +187,8 @@ mod tests {
         let q = QueryVector::new([(0, 0.5), (3, 0.0), (7, 0.2)], 5).unwrap();
         assert_eq!(q.qlen(), 2);
         assert_eq!(q.weight(DimId(3)), 0.0);
-        assert_eq!(q.dim_ids(), vec![DimId(0), DimId(7)]);
+        let dims: Vec<DimId> = q.dims().map(|(d, _)| d).collect();
+        assert_eq!(dims, vec![DimId(0), DimId(7)]);
     }
 
     #[test]

@@ -149,16 +149,6 @@ impl SparseVector {
         sum
     }
 
-    /// The L1 norm (sum of coordinates); coordinates are non-negative.
-    pub fn l1_norm(&self) -> f64 {
-        self.entries.iter().map(|(_, v)| v).sum()
-    }
-
-    /// The L2 norm.
-    pub fn l2_norm(&self) -> f64 {
-        self.entries.iter().map(|(_, v)| v * v).sum::<f64>().sqrt()
-    }
-
     /// Returns a copy with every value divided by `max`, clamping to 1.0 for
     /// rounding safety. Used by generators to normalise raw weights (e.g.
     /// TF-IDF) into the `[0, 1]` domain.
@@ -183,11 +173,6 @@ impl SparseVector {
                 .map(|(d, v)| (d.0, *v))
                 .chain(std::iter::once((dim.0, value))),
         )
-    }
-
-    /// Estimated in-memory footprint of the vector in bytes (entries only).
-    pub fn approx_bytes(&self) -> usize {
-        self.entries.len() * (std::mem::size_of::<DimId>() + std::mem::size_of::<f64>())
     }
 }
 
@@ -282,26 +267,12 @@ mod tests {
     }
 
     #[test]
-    fn norms_are_consistent() {
-        let v = sv(&[(0, 0.3), (1, 0.4)]);
-        assert!((v.l1_norm() - 0.7).abs() < 1e-12);
-        assert!((v.l2_norm() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn normalized_by_scales_values() {
         let raw = SparseVector::from_pairs([(0, 0.9), (1, 0.3)]).unwrap();
         let norm = raw.normalized_by(0.9).unwrap();
         assert!((norm.get(DimId(0)) - 1.0).abs() < 1e-12);
         assert!((norm.get(DimId(1)) - 1.0 / 3.0).abs() < 1e-12);
         assert!(raw.normalized_by(0.0).is_err());
-    }
-
-    #[test]
-    fn approx_bytes_scales_with_nnz() {
-        let small = sv(&[(0, 0.1)]);
-        let large = sv(&[(0, 0.1), (1, 0.2), (2, 0.3)]);
-        assert!(large.approx_bytes() > small.approx_bytes());
     }
 
     proptest! {
