@@ -19,7 +19,9 @@
 #                          errors, plus the README/ARCHITECTURE doc anchors
 #                          and no `*.md` path named in README.md,
 #                          ARCHITECTURE.md or crates/**/*.rs that is not in
-#                          the tree
+#                          the tree; the same for `tests/*.rs` paths (the
+#                          verify skill included) and the skill's
+#                          `--test NAME` targets
 #   5. example smoke     — every example and runner, sequential, mem
 #   6. batch smoke       — the seven figures at --threads 2, emitting the
 #                          BENCH_<figure>.json series stages 7 and 9 diff
@@ -151,7 +153,29 @@ if [ -n "$dead_md" ]; then
     printf 'FAIL: *.md paths not in the tree:\n%s\n' "$dead_md" >&2
     exit 1
 fi
-echo "doc anchors and *.md paths resolve"
+# Every test-suite path the prose docs, the verify skill or the sources
+# name exists under some crate's tests/ tree, and every `--test NAME` the
+# verify skill runs names a test target (tests/NAME.rs or
+# tests/NAME/main.rs).
+skill=.claude/skills/verify/SKILL.md
+dead_tests=$(
+    { grep -oHE 'tests/[A-Za-z0-9_/]+\.rs' README.md ARCHITECTURE.md "$skill" || true
+      grep -roHE --include='*.rs' 'tests/[A-Za-z0-9_/]+\.rs' crates || true; } |
+        while IFS=: read -r file path; do
+            compgen -G "crates/*/$path" >/dev/null || echo "  $file names $path"
+        done
+    { grep -oE -e '--test [A-Za-z0-9_]+' "$skill" || true; } |
+        while read -r _ name; do
+            compgen -G "crates/*/tests/$name.rs" >/dev/null ||
+                compgen -G "crates/*/tests/$name/main.rs" >/dev/null ||
+                echo "  $skill runs --test $name"
+        done
+)
+if [ -n "$dead_tests" ]; then
+    printf 'FAIL: test suites not in the tree:\n%s\n' "$dead_tests" >&2
+    exit 1
+fi
+echo "doc anchors, *.md paths and test-suite paths resolve"
 end_stage
 
 work="$(mktemp -d)"

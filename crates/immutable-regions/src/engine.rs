@@ -17,8 +17,8 @@
 //!   the low-level sequential path),
 //! * [`IrEngine::query_batch`] — many queries fanned out over the engine's
 //!   worker pool sharing the warm buffer pool
-//!   ([`BatchRegionComputation`] underneath; reports are identical for
-//!   every worker count).
+//!   ([`ir_core::parallel::run_queries`] underneath; reports are identical
+//!   for every worker count).
 //!
 //! The paper's subscribed-query loop — one subscription or a fleet of them —
 //! is built on top, in [`crate::fleet`].
@@ -46,9 +46,8 @@ pub use health::EngineHealthSnapshot;
 pub use policy::EnginePolicy;
 
 use health::EngineHealth;
-use ir_core::{
-    BatchOutcome, BatchRegionComputation, RegionComputation, RegionConfig, RegionReport,
-};
+use ir_core::parallel::run_queries;
+use ir_core::{RegionComputation, RegionConfig, RegionReport};
 use ir_storage::{
     AppliedUpdate, BackendKind, ColdStartInfo, MaintenanceStatsSnapshot, SnapshotSummary, TopKIndex,
 };
@@ -270,22 +269,17 @@ impl IrEngine {
     /// Runs a batch of queries over the engine's worker pool, sharing the
     /// warm buffer pool. Reports come back in query order and are identical
     /// to running each query sequentially, for every worker count.
+    /// Each report carries its own I/O, so the reports' `topk_io` and `io`
+    /// sum to every page access the batch made.
     pub fn query_batch(&self, queries: &[QueryVector]) -> EngineResult<Vec<RegionReport>> {
-        self.query_batch_detailed(queries)
-            .map(|outcome| outcome.reports)
-    }
-
-    /// [`IrEngine::query_batch`], also returning the batch wall-clock time.
-    /// Each report carries its own I/O, and [`BatchOutcome::total_io`] sums
-    /// them to every page access the batch made.
-    pub fn query_batch_detailed(&self, queries: &[QueryVector]) -> EngineResult<BatchOutcome> {
         self.run_guarded("query batch", || {
             for query in queries {
                 self.validate(query)?;
             }
-            let batch =
-                BatchRegionComputation::new(&self.index, self.config).with_threads(self.threads);
-            Ok(batch.run_detailed(queries)?)
+            let reports = run_queries(self.threads, queries.len(), "query", |i| {
+                RegionComputation::new(&self.index, &queries[i], self.config)?.compute()
+            });
+            Ok(reports.into_iter().collect::<Result<Vec<_>, _>>()?)
         })
     }
 

@@ -25,7 +25,7 @@
 //! region is a guarantee about results, not about the anchor's freshness:
 //! if the drifted weights lie inside the anchor's region, a fresh
 //! recompute at those weights returns byte-identically the anchor's
-//! result. The fleet oracle test (`tests/fleet_oracle.rs`) proves exactly
+//! result. The fleet oracle suite (`tests/laws/fleet.rs`) proves exactly
 //! this equivalence for every served answer.
 //!
 //! Recompute jobs are queued and flushed in event-sequence order, so a
@@ -363,26 +363,27 @@ impl SubscriptionManager {
                 )));
             }
         }
+        // Every chunk is computed before any member is inserted, so a
+        // failing chunk leaves the fleet as it was.
         let queries: Vec<QueryVector> = subs.iter().map(|(_, q)| q.clone()).collect();
-        for chunk_start in (0..queries.len()).step_by(self.config.max_batch) {
-            let chunk_end = (chunk_start + self.config.max_batch).min(queries.len());
-            let reports = self.engine.query_batch(&queries[chunk_start..chunk_end])?;
-            for (offset, report) in reports.into_iter().enumerate() {
-                let (sub, query) = &subs[chunk_start + offset];
-                self.entries.insert(
-                    *sub,
-                    FleetEntry {
-                        anchor: query.clone(),
-                        current: query.clone(),
-                        result: report.current_result().to_vec(),
-                        report,
-                        last_applied_seq: None,
-                        stale: false,
-                        cache_hits: 0,
-                        refreshes: 0,
-                    },
-                );
-            }
+        let mut reports = Vec::with_capacity(queries.len());
+        for chunk in queries.chunks(self.config.max_batch) {
+            reports.extend(self.engine.query_batch(chunk)?);
+        }
+        for ((sub, query), report) in subs.into_iter().zip(reports) {
+            self.entries.insert(
+                sub,
+                FleetEntry {
+                    anchor: query.clone(),
+                    current: query,
+                    result: report.current_result().to_vec(),
+                    report,
+                    last_applied_seq: None,
+                    stale: false,
+                    cache_hits: 0,
+                    refreshes: 0,
+                },
+            );
         }
         Ok(())
     }

@@ -83,9 +83,8 @@ pub mod prelude {
         SubscriptionManager,
     };
     pub use ir_core::{
-        update_impact, Algorithm, BatchOutcome, BatchRegionComputation, ComputationStats,
-        DimRegions, ExhaustiveOracle, Perturbation, RegionBoundary, RegionComputation,
-        RegionConfig, RegionReport, UpdateImpact, WeightRegion,
+        update_impact, Algorithm, ComputationStats, DimRegions, ExhaustiveOracle, Perturbation,
+        RegionBoundary, RegionComputation, RegionConfig, RegionReport, UpdateImpact, WeightRegion,
     };
     pub use ir_datagen::{
         CorrelatedConfig, CorrelatedGenerator, FeatureConfig, FeatureVectorGenerator,

@@ -15,79 +15,41 @@
 //! The matrix covers the mem and file backends × 1/2/8 workers; a proptest
 //! sweep drives arbitrary fault plans through the same invariants.
 
+use crate::support::*;
 use immutable_regions::prelude::*;
 use immutable_regions::storage::{CorruptionSpec, FaultPlan, PageId};
 use ir_core::DimRegions;
 use proptest::prelude::*;
 
-/// Deterministic 160 × 5 dataset (same shape the parallel-driver tests
-/// use): every value derived from the tuple and dimension index.
-fn dataset() -> Dataset {
-    let mut builder = DatasetBuilder::new(5);
-    for i in 0..160u32 {
-        let pairs: Vec<(u32, f64)> = (0..5u32)
-            .map(|d| (d, (((i * 31 + d * 17) % 97) + 1) as f64 / 98.0))
-            .collect();
-        builder.push_pairs(pairs).unwrap();
-    }
-    builder.build()
-}
-
-/// Six deterministic 3-dimensional queries.
+/// Six deterministic 3-dimensional queries over [`grid_dataset`].
 fn queries(k: usize) -> Vec<QueryVector> {
-    (0..6u32)
-        .map(|i| {
-            QueryVector::new(
-                [
-                    (i % 5, 0.2 + 0.1 * (i % 4) as f64),
-                    ((i + 1) % 5, 0.9 - 0.1 * (i % 3) as f64),
-                    ((i + 2) % 5, 0.5),
-                ],
-                k,
-            )
-            .unwrap()
-        })
-        .collect()
+    (0..6).map(|i| grid_query(i, k)).collect()
 }
 
-/// The backend matrix.
-const BACKENDS: [&str; 2] = ["mem", "file"];
-
-/// Builds an engine over the chaos workload. The tempdir guard must stay
-/// alive until the engine is built; afterwards the store holds its own
-/// descriptor. A tiny pool (4 pages) forces real device traffic, and a
-/// cold start clears whatever the build left cached so injected faults
-/// actually strike the queries.
+/// Builds a CPT engine over the chaos workload. A tiny pool (4 pages)
+/// forces real device traffic, and a cold start clears whatever the build
+/// left cached so injected faults actually strike the queries.
 fn build_engine(
-    backend: &str,
+    backend: BackendKind,
     threads: usize,
     plan: Option<FaultPlan>,
     retry: RetryPolicy,
 ) -> IrEngine {
-    let dataset = dataset();
-    let dir = tempfile::tempdir().unwrap();
-    let storage = match backend {
-        "mem" => StorageBackend::Memory,
-        "file" => StorageBackend::Disk(dir.path().to_path_buf()),
-        other => panic!("unknown backend {other}"),
-    };
-    let mut builder = IrEngine::builder()
-        .dataset_ref(&dataset)
-        .backend(storage)
-        .pool_capacity(4)
-        .retry_policy(retry)
-        .threads(threads);
-    if let Some(plan) = plan {
-        builder = builder.fault_plan(plan);
-    }
-    let engine = builder.build().unwrap();
+    let cell = Cell::built(RegionConfig::default(), backend, threads);
+    let engine = engine_with(&cell, &grid_dataset(), |builder| {
+        let builder = builder.pool_capacity(4).retry_policy(retry);
+        match plan {
+            Some(plan) => builder.fault_plan(plan),
+            None => builder,
+        }
+    });
     engine.cold_start();
     engine
 }
 
 /// The fault-free reports every scenario compares against.
 fn oracle_reports(k: usize) -> Vec<Vec<DimRegions>> {
-    let engine = build_engine("mem", 1, None, RetryPolicy::default());
+    let engine = build_engine(Mem, 1, None, RetryPolicy::default());
     engine
         .query_batch(&queries(k))
         .unwrap()
@@ -126,7 +88,7 @@ fn transient_faults_heal_to_byte_identical_results() {
         max_attempts: 12,
         ..RetryPolicy::default()
     };
-    for backend in BACKENDS {
+    for backend in BackendKind::ALL {
         for threads in [1usize, 2, 8] {
             let plan = FaultPlan::transient_reads(7, 10, 400);
             let engine = build_engine(backend, threads, Some(plan), retry);
@@ -153,7 +115,7 @@ fn transient_faults_heal_to_byte_identical_results() {
 #[test]
 fn device_outage_surfaces_typed_errors_then_heals() {
     let oracle = oracle_reports(4);
-    for backend in BACKENDS {
+    for backend in BackendKind::ALL {
         // Read ops 0..3 fail permanently; no retries, so each failed query
         // burns exactly one op.
         let plan = FaultPlan::device_outage(0, Some(3));
@@ -184,7 +146,7 @@ fn device_outage_surfaces_typed_errors_then_heals() {
 fn worker_panics_are_contained_on_every_thread_count() {
     quiet_panics();
     let oracle = oracle_reports(4);
-    for backend in BACKENDS {
+    for backend in BackendKind::ALL {
         for threads in [1usize, 2, 8] {
             let plan = FaultPlan {
                 panic_read_ops: vec![2],
@@ -215,7 +177,7 @@ fn worker_panics_are_contained_on_every_thread_count() {
 #[test]
 fn corruption_is_typed_and_one_shot() {
     let oracle = oracle_reports(4);
-    for backend in BACKENDS {
+    for backend in BackendKind::ALL {
         let plan = FaultPlan {
             corruptions: vec![CorruptionSpec {
                 op: 1,
@@ -264,24 +226,10 @@ fn a_sealed_but_wrong_tuple_record_is_counted_as_corruption() {
     let dataset = builder.build();
     let touches = QueryVector::new([(1, 0.5), (2, 0.9)], 2).unwrap();
     let clean = QueryVector::new([(0, 0.6), (1, 0.4)], 2).unwrap();
-    let oracle = IrEngine::builder()
-        .dataset_ref(&dataset)
-        .build()
-        .unwrap()
-        .query(&clean)
-        .unwrap()
-        .dims;
-    for backend in BACKENDS {
-        let dir = tempfile::tempdir().unwrap();
-        let storage = match backend {
-            "mem" => StorageBackend::Memory,
-            _ => StorageBackend::Disk(dir.path().to_path_buf()),
-        };
-        let engine = IrEngine::builder()
-            .dataset_ref(&dataset)
-            .backend(storage)
-            .build()
-            .unwrap();
+    let cell = |backend| Cell::built(RegionConfig::default(), backend, 1);
+    let oracle = engine(&cell(Mem), &dataset).query(&clean).unwrap().dims;
+    for backend in BackendKind::ALL {
+        let engine = engine(&cell(backend), &dataset);
         // The tuple region is allocated last and fits one page, so the last
         // tuple's one coordinate is the 12 bytes after the 80 before it.
         // Rewrite its value through the pool: the frame seal stays valid.
@@ -314,7 +262,7 @@ fn a_sealed_but_wrong_tuple_record_is_counted_as_corruption() {
 #[test]
 fn consecutive_transients_exhaust_retries_with_a_typed_error() {
     let oracle = oracle_reports(4);
-    for backend in BACKENDS {
+    for backend in BackendKind::ALL {
         // Ops 0, 1 and 2 all fail transiently: a 3-attempt policy burns
         // attempt 1 on op 0, retries into ops 1 and 2, and gives up typed.
         let plan = FaultPlan {
@@ -391,7 +339,7 @@ proptest! {
     #[test]
     fn arbitrary_fault_plans_never_poison_the_engine(plan in arb_fault_plan()) {
         let oracle = oracle_reports(4);
-        let engine = build_engine("mem", 2, Some(plan), RetryPolicy::default());
+        let engine = build_engine(Mem, 2, Some(plan), RetryPolicy::default());
         for (i, query) in queries(4).iter().enumerate() {
             match engine.query(query) {
                 Ok(report) => prop_assert_eq!(

@@ -15,59 +15,15 @@
 //!   agreement with a fresh engine at every step, plus counter
 //!   conservation across both kinds of traffic.
 
-use immutable_regions::engine::IrEngine;
+use crate::support::*;
 use immutable_regions::prelude::*;
 use ir_datagen::{UpdateConfig, UpdateStream};
-use ir_storage::BackendKind;
 use ir_types::TupleUpdate;
 use proptest::prelude::*;
 
-/// Deterministic 160 × 5 dataset (the chaos-suite workload).
-fn dataset() -> Dataset {
-    let mut builder = DatasetBuilder::new(5);
-    for i in 0..160u32 {
-        let pairs: Vec<(u32, f64)> = (0..5u32)
-            .map(|d| (d, (((i * 31 + d * 17) % 97) + 1) as f64 / 98.0))
-            .collect();
-        builder.push_pairs(pairs).unwrap();
-    }
-    builder.build()
-}
-
-/// A fixed five-query workload over the 160 × 5 dataset, spanning 2–3
-/// dims and mixed k.
+/// A fixed five-query workload over [`grid_dataset`] with mixed k.
 fn queries() -> Vec<QueryVector> {
-    (0..5u64)
-        .map(|i| {
-            let dims = [
-                (((i) % 5) as u32, 0.2 + 0.1 * ((i % 4) as f64)),
-                (((i + 1) % 5) as u32, 0.9 - 0.1 * ((i % 3) as f64)),
-                (((i + 2) % 5) as u32, 0.5),
-            ];
-            QueryVector::new(dims, 3 + (i as usize % 4)).unwrap()
-        })
-        .collect()
-}
-
-/// Builds an engine over `dataset` on the requested backend.
-fn engine_on(
-    dataset: &Dataset,
-    backend: BackendKind,
-    config: RegionConfig,
-    threads: usize,
-) -> IrEngine {
-    let builder = IrEngine::builder()
-        .dataset_ref(dataset)
-        .config(config)
-        .threads(threads);
-    let engine = match backend {
-        BackendKind::Mem => builder.build(),
-        BackendKind::File => {
-            let dir = tempfile::tempdir().unwrap();
-            builder.on_disk(dir.path()).build()
-        }
-    };
-    engine.unwrap_or_else(|e| panic!("building {backend} engine: {e}"))
+    (0..5).map(|i| grid_query(i, 3 + i as usize % 4)).collect()
 }
 
 /// The oracle law across the full serving matrix: every algorithm ×
@@ -75,7 +31,7 @@ fn engine_on(
 /// update stream as a fresh engine built on the mutated dataset.
 #[test]
 fn incremental_equals_recompute_across_algorithms_backends_and_workers() {
-    let base = dataset();
+    let base = grid_dataset();
     let stream = UpdateStream::generate(
         &base,
         &UpdateConfig {
@@ -92,7 +48,7 @@ fn incremental_equals_recompute_across_algorithms_backends_and_workers() {
 
     for algorithm in Algorithm::ALL {
         let config = RegionConfig::with_phi(algorithm, 1);
-        let oracle_engine = engine_on(&mutated, BackendKind::Mem, config, 1);
+        let oracle_engine = engine(&Cell::built(config, Mem, 1), &mutated);
         let oracle: Vec<RegionReport> = queries
             .iter()
             .map(|q| oracle_engine.query(q).unwrap())
@@ -100,7 +56,7 @@ fn incremental_equals_recompute_across_algorithms_backends_and_workers() {
 
         for backend in BackendKind::ALL {
             for threads in [1usize, 2, 8] {
-                let engine = engine_on(&base, backend, config, threads);
+                let engine = engine(&Cell::built(config, backend, threads), &base);
                 for batch in stream.batches(16) {
                     engine.apply_updates(batch).unwrap();
                 }
@@ -124,7 +80,7 @@ fn incremental_equals_recompute_across_algorithms_backends_and_workers() {
 /// The law holds after every batch, not only at the end of the stream.
 #[test]
 fn every_intermediate_batch_state_matches_a_fresh_rebuild() {
-    let base = dataset();
+    let base = grid_dataset();
     let stream = UpdateStream::generate(
         &base,
         &UpdateConfig {
@@ -137,17 +93,17 @@ fn every_intermediate_batch_state_matches_a_fresh_rebuild() {
     )
     .unwrap();
     let queries = queries();
-    let engine = engine_on(&base, BackendKind::File, RegionConfig::default(), 2);
+    let maintained = engine(&Cell::built(RegionConfig::default(), File, 2), &base);
 
     let mut applied: Vec<TupleUpdate> = Vec::new();
     for batch in stream.batches(10) {
-        engine.apply_updates(batch).unwrap();
+        maintained.apply_updates(batch).unwrap();
         applied.extend(batch.iter().cloned());
         let mutated = base.with_updates(&applied).unwrap();
-        let oracle = engine_on(&mutated, BackendKind::Mem, RegionConfig::default(), 1);
+        let oracle = engine(&Cell::built(RegionConfig::default(), Mem, 1), &mutated);
         for (qi, q) in queries.iter().enumerate() {
             assert_eq!(
-                engine.query(q).unwrap().dims,
+                maintained.query(q).unwrap().dims,
                 oracle.query(q).unwrap().dims,
                 "after {} updates, query {qi} diverged from the rebuilt oracle",
                 applied.len()
@@ -159,9 +115,9 @@ fn every_intermediate_batch_state_matches_a_fresh_rebuild() {
 /// Convenience single-update entry points are the same maintenance path.
 #[test]
 fn single_update_conveniences_match_the_batch_path() {
-    let base = dataset();
-    let a = engine_on(&base, BackendKind::Mem, RegionConfig::default(), 1);
-    let b = engine_on(&base, BackendKind::Mem, RegionConfig::default(), 1);
+    let base = grid_dataset();
+    let a = engine(&Cell::built(RegionConfig::default(), Mem, 1), &base);
+    let b = engine(&Cell::built(RegionConfig::default(), Mem, 1), &base);
 
     let vector = SparseVector::from_pairs([(0u32, 0.9), (3u32, 0.4)]).unwrap();
     let ins_a = a.insert(vector.clone()).unwrap();
@@ -189,25 +145,6 @@ fn single_update_conveniences_match_the_batch_path() {
     for q in queries() {
         assert_eq!(a.query(&q).unwrap().dims, b.query(&q).unwrap().dims);
     }
-}
-
-/// A random fleet: 2–5 subscriptions, each over 2–3 distinct dimensions
-/// of the 5 with weights in `[0.2, 1.0]` and its own `k`.
-fn arb_fleet() -> impl Strategy<Value = Vec<(u64, QueryVector)>> {
-    proptest::collection::vec(
-        (
-            proptest::collection::btree_map(0u32..5, 0.2f64..=1.0, 2..=3),
-            3usize..=6,
-        ),
-        2..=5,
-    )
-    .prop_map(|specs| {
-        specs
-            .into_iter()
-            .enumerate()
-            .map(|(i, (weights, k))| (i as u64, QueryVector::new(weights, k).unwrap()))
-            .collect()
-    })
 }
 
 /// A random (valid) update-stream configuration.
@@ -244,13 +181,13 @@ proptest! {
         seed in 0u64..=u64::MAX,
         threads in 1usize..=2,
     ) {
-        let base = dataset();
+        let base = grid_dataset();
         let drift_stream = DriftStream::generate(&fleet, &drift, seed).unwrap();
         let update_stream = UpdateStream::generate(&base, &updates, seed ^ 0xA11).unwrap();
 
-        let engine = engine_on(&base, BackendKind::Mem, RegionConfig::default(), threads);
+        let maintained = engine(&Cell::built(RegionConfig::default(), Mem, threads), &base);
         let mut manager = SubscriptionManager::new(
-            &engine,
+            &maintained,
             FleetConfig { max_batch: 4 },
         ).unwrap();
         manager.admit_all(fleet.clone()).unwrap();
@@ -277,7 +214,7 @@ proptest! {
 
             // Oracle for this round: a fresh engine on the current state.
             let snapshot = base.with_updates(&applied).unwrap();
-            let oracle = engine_on(&snapshot, BackendKind::Mem, RegionConfig::default(), 1);
+            let oracle = engine(&Cell::built(RegionConfig::default(), Mem, 1), &snapshot);
 
             let events_now = drift_stream.events()
                 .chunks(drift_chunk.max(1))
@@ -328,7 +265,7 @@ proptest! {
             update_batches * fleet.len() as u64
         );
         prop_assert_eq!(
-            engine.maintenance_stats().updates_applied,
+            maintained.maintenance_stats().updates_applied,
             stats.updates_applied
         );
         prop_assert_eq!(manager.pending_recomputes(), 0);

@@ -4,54 +4,14 @@
 //!   [`EngineError`] variant, never a panic,
 //! * storage forwarding — every storage option set on the builder reaches
 //!   the index, for a dataset source and a snapshot source alike,
-//! * batch parity — `IrEngine::query_batch` output equals the borrow-based
-//!   sequential oracle (`RegionComputation::new` + `compute`) for every
-//!   worker count, regions *and* deterministic counters,
 //! * subscription soundness — a proptest sweep of weight perturbations
 //!   inside and outside the reported region checks that
 //!   `Subscription::is_immutable_under` always agrees with a fresh
 //!   recompute.
 
+use crate::support::*;
 use immutable_regions::prelude::*;
-use immutable_regions::storage::BackendKind;
 use proptest::prelude::*;
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
-
-fn build_dataset(seed: u64, n: usize, dims: u32) -> Dataset {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut builder = DatasetBuilder::new(dims);
-    for _ in 0..n {
-        let mut pairs = Vec::new();
-        for d in 0..dims {
-            if rng.gen::<f64>() < 0.8 {
-                pairs.push((d, rng.gen_range(0.01..1.0)));
-            }
-        }
-        if pairs.is_empty() {
-            pairs.push((rng.gen_range(0..dims), rng.gen_range(0.01..1.0)));
-        }
-        builder.push_pairs(pairs).unwrap();
-    }
-    builder.build()
-}
-
-fn build_queries(seed: u64, dims: u32, count: usize, k: usize) -> Vec<QueryVector> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5EED);
-    (0..count)
-        .map(|_| {
-            let qlen = rng.gen_range(2..=dims.min(4)) as usize;
-            let mut chosen = Vec::new();
-            while chosen.len() < qlen {
-                let d = rng.gen_range(0..dims);
-                if !chosen.contains(&d) {
-                    chosen.push(d);
-                }
-            }
-            QueryVector::new(chosen.into_iter().map(|d| (d, rng.gen_range(0.1..=0.9))), k).unwrap()
-        })
-        .collect()
-}
 
 // ---------------------------------------------------------------- errors --
 
@@ -280,15 +240,8 @@ fn engine_error_display_is_informative() {
 #[test]
 fn storage_options_reach_the_index_from_every_source() {
     const PAGES: usize = 4;
-    let dataset = build_dataset(31, 600, 6);
-    let query = build_queries(31, 6, 1, 5).remove(0);
-    let saved = tempfile::tempdir().unwrap();
-    IrEngine::builder()
-        .dataset_ref(&dataset)
-        .build()
-        .unwrap()
-        .save_snapshot(saved.path())
-        .unwrap();
+    let dataset = dense_dataset(31, 600, 6);
+    let query = dense_queries(31, 6, 1, 5).remove(0);
     // Neither is a default: 5 attempts without backoff, and two transient
     // read faults early enough to strike the build's or the open's reads.
     let retry = RetryPolicy {
@@ -297,126 +250,29 @@ fn storage_options_reach_the_index_from_every_source() {
     };
     let plan = FaultPlan::transient_reads(7, 2, 40);
 
-    for (snapshot, kind) in [
-        (false, BackendKind::Mem),
-        (false, BackendKind::File),
-        (true, BackendKind::Mem),
-        (true, BackendKind::File),
-    ] {
-        let scratch = tempfile::tempdir().unwrap();
-        let backend = match kind {
-            BackendKind::Mem => StorageBackend::Memory,
-            BackendKind::File => StorageBackend::Disk(scratch.path().to_path_buf()),
-        };
-        let builder = if snapshot {
-            IrEngine::builder().open_snapshot(saved.path())
-        } else {
-            IrEngine::builder().dataset_ref(&dataset)
-        };
-        let engine = builder
-            .backend(backend)
-            .pool_capacity(PAGES)
-            .retry_policy(retry)
-            .fault_plan(plan.clone())
-            .build()
-            .unwrap();
-        let at = format!("snapshot = {snapshot}, backend = {kind}");
-        assert_eq!(engine.backend_kind(), kind, "{at}");
-        assert_eq!(engine.index().pool().retry_policy(), retry, "{at}");
-        assert_eq!(engine.index().fault_plan(), Some(&plan), "{at}");
-        engine.cold_start();
-        let report = engine.query(&query).unwrap();
-        assert!(
-            report.stats.io.physical_reads > PAGES as u64,
-            "{at}: the query must read more pages than the pool holds"
-        );
-        assert!(engine.index().pool().cached_pages() <= PAGES, "{at}");
-    }
-}
-
-// ------------------------------------------------------------ batch parity --
-
-/// The engine's batch path must reproduce the pre-refactor sequential
-/// oracle — a plain `RegionComputation::new` + `compute` loop over the
-/// borrow-based API — for every worker count: same regions, same
-/// deterministic counters (evaluated candidates, logical reads, memory).
-#[test]
-fn batch_output_matches_borrowed_sequential_oracle_for_every_worker_count() {
-    let dims = 5u32;
-    let dataset = build_dataset(0xA11CE, 150, dims);
-    let queries = build_queries(0xA11CE, dims, 8, 4);
-
-    for config in [
-        RegionConfig::flat(Algorithm::Cpt),
-        RegionConfig::with_phi(Algorithm::Prune, 2),
-        RegionConfig::flat(Algorithm::Scan).composition_only(),
-    ] {
-        // Low-level oracle: hand-assembled index, no engine.
-        let index = IndexBuilder::new().build_shared(&dataset).unwrap();
-        let oracle: Vec<RegionReport> = queries
-            .iter()
-            .map(|query| {
-                let mut computation = RegionComputation::new(&index, query, config).unwrap();
-                computation.compute().unwrap()
-            })
-            .collect();
-
-        let engine = IrEngine::builder()
-            .dataset(dataset.clone())
-            .config(config)
-            .build()
-            .unwrap();
-        for workers in [1usize, 2, 4, 8] {
-            let reports = engine.with_threads(workers).query_batch(&queries).unwrap();
-            assert_eq!(reports.len(), oracle.len());
-            for (expected, got) in oracle.iter().zip(&reports) {
-                assert_eq!(expected.dims, got.dims, "workers = {workers}");
-                assert_eq!(
-                    expected.stats.evaluated_per_dim, got.stats.evaluated_per_dim,
-                    "workers = {workers}"
-                );
-                assert_eq!(
-                    expected.stats.phase3_tuples, got.stats.phase3_tuples,
-                    "workers = {workers}"
-                );
-                assert_eq!(
-                    expected.stats.initial_candidates, got.stats.initial_candidates,
-                    "workers = {workers}"
-                );
-                assert_eq!(
-                    expected.stats.io.logical_reads, got.stats.io.logical_reads,
-                    "workers = {workers}"
-                );
-                assert_eq!(
-                    expected.stats.memory_footprint_bytes, got.stats.memory_footprint_bytes,
-                    "workers = {workers}"
-                );
-            }
+    for source in [Built, Snapshot] {
+        for backend in [Mem, File] {
+            let cell = Cell {
+                source,
+                ..Cell::built(RegionConfig::default(), backend, 1)
+            };
+            let engine = engine_with(&cell, &dataset, |builder| {
+                builder
+                    .pool_capacity(PAGES)
+                    .retry_policy(retry)
+                    .fault_plan(plan.clone())
+            });
+            assert_eq!(engine.index().pool().retry_policy(), retry, "{cell:?}");
+            assert_eq!(engine.index().fault_plan(), Some(&plan), "{cell:?}");
+            engine.cold_start();
+            let report = engine.query(&query).unwrap();
+            assert!(
+                report.stats.io.physical_reads > PAGES as u64,
+                "{cell:?}: the query must read more pages than the pool holds"
+            );
+            assert!(engine.index().pool().cached_pages() <= PAGES, "{cell:?}");
         }
     }
-}
-
-#[test]
-fn single_query_matches_borrowed_path_exactly() {
-    let dataset = Dataset::running_example();
-    let query = QueryVector::running_example();
-    let index = IndexBuilder::new().build_shared(&dataset).unwrap();
-    let mut low_level =
-        RegionComputation::new(&index, &query, RegionConfig::flat(Algorithm::Cpt)).unwrap();
-    let expected = low_level.compute().unwrap();
-
-    let engine = IrEngine::builder()
-        .dataset(dataset)
-        .config(RegionConfig::flat(Algorithm::Cpt))
-        .build()
-        .unwrap();
-    engine.cold_start();
-    let got = engine.query(&query).unwrap();
-    assert_eq!(expected.dims, got.dims);
-    assert_eq!(
-        expected.stats.evaluated_per_dim,
-        got.stats.evaluated_per_dim
-    );
 }
 
 // ----------------------------------------------------------- subscription --
@@ -435,15 +291,11 @@ proptest! {
         t in 0.05f64..0.95,
     ) {
         let dims = 5u32;
-        let dataset = build_dataset(seed, 120, dims);
-        let engine = IrEngine::builder()
-            .dataset(dataset)
-            // φ = 1 so the report also names the exact result inside the
-            // adjacent regions — the outside probes below land there.
-            .config(RegionConfig::with_phi(Algorithm::Cpt, 1))
-            .build()
-            .unwrap();
-        let query = build_queries(seed, dims, 1, k).pop().unwrap();
+        // φ = 1 so the report also names the exact result inside the
+        // adjacent regions — the outside probes below land there.
+        let cell = Cell::built(RegionConfig::with_phi(Algorithm::Cpt, 1), Mem, 1);
+        let engine = engine(&cell, &dense_dataset(seed, 120, dims));
+        let query = dense_queries(seed, dims, 1, k).pop().unwrap();
         let subscription = Subscription::new(&engine, query.clone()).unwrap();
         let cached_ids = subscription.member().result().to_vec();
 

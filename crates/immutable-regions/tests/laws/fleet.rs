@@ -1,69 +1,159 @@
-//! Fleet agreement properties: random drift streams over random fleets.
+//! Fleet laws: every answer the [`SubscriptionManager`] serves — local
+//! check or batched recompute — is byte-identical to a fresh
+//! per-subscription recompute at the event's cumulative weights.
 //!
-//! Three invariants, proptest-driven:
-//!
-//! * **(a) agreement** — every answer the manager serves (local or
-//!   recomputed) equals a fresh per-subscription recompute at the
-//!   event's cumulative weights,
-//! * **(b) conservation** — cache-hit and refresh counters sum to the
-//!   number of ingested events, in the fleet totals, the per-member
-//!   views, and the engine's shared health counters alike,
-//! * **(c) fault containment** — a mid-stream injected device fault
-//!   (reusing [`FaultPlan`]) surfaces as a typed error, leaves untouched
-//!   subscriptions serving locally, and once the device heals the
-//!   manager drains every deferred answer — still oracle-identical.
+//! * **oracle matrix** — all four algorithms × the mem and file backends ×
+//!   1/2/8 batch workers; within one algorithm the complete serving trace
+//!   (every [`FleetAnswer`], in order) is also identical across backends
+//!   and worker counts, and every member's re-anchored report matches a
+//!   fresh recompute at its final anchor,
+//! * **random streams (proptest)** — (a) agreement on random fleets and
+//!   drift streams, (b) conservation: cache hits and refreshes sum to the
+//!   ingested events at every level, (c) fault containment: a mid-stream
+//!   device fault surfaces typed, untouched subscriptions keep serving
+//!   locally, and once the device heals every deferred answer drains,
+//! * **admission** — a failed `admit_all` leaves the fleet unchanged.
 
+use crate::support::*;
 use immutable_regions::prelude::*;
 use proptest::prelude::*;
 
-/// Deterministic 160 × 5 dataset (the chaos-suite workload).
-fn dataset() -> Dataset {
-    let mut builder = DatasetBuilder::new(5);
-    for i in 0..160u32 {
-        let pairs: Vec<(u32, f64)> = (0..5u32)
-            .map(|d| (d, (((i * 31 + d * 17) % 97) + 1) as f64 / 98.0))
-            .collect();
-        builder.push_pairs(pairs).unwrap();
-    }
-    builder.build()
+/// Eight deterministic 3-dimensional subscriptions, k = 4.
+fn fleet() -> Vec<(u64, QueryVector)> {
+    (0..8u32).map(|i| (i as u64, grid_query(i, 4))).collect()
 }
 
-fn build_engine(backend: &str, threads: usize, plan: Option<FaultPlan>) -> IrEngine {
-    let dataset = dataset();
-    let dir = tempfile::tempdir().unwrap();
-    let storage = match backend {
-        "mem" => StorageBackend::Memory,
-        "file" => StorageBackend::Disk(dir.path().to_path_buf()),
-        other => panic!("unknown backend {other}"),
-    };
-    let mut builder = IrEngine::builder()
-        .dataset_ref(&dataset)
-        .backend(storage)
-        .pool_capacity(4)
-        .threads(threads);
-    if let Some(plan) = plan {
-        builder = builder.fault_plan(plan);
-    }
-    builder.build().unwrap()
+/// An engine over [`grid_dataset`] serving `algorithm` flat.
+fn grid_engine(algorithm: Algorithm, backend: BackendKind, workers: usize) -> IrEngine {
+    let cell = Cell::built(RegionConfig::flat(algorithm), backend, workers);
+    engine(&cell, &grid_dataset())
 }
 
-/// A random fleet: 2–5 subscriptions, each over 2–3 distinct dimensions
-/// of the 5 with weights in `[0.2, 1.0]` and its own `k`.
-fn arb_fleet() -> impl Strategy<Value = Vec<(u64, QueryVector)>> {
-    proptest::collection::vec(
-        (
-            proptest::collection::btree_map(0u32..5, 0.2f64..=1.0, 2..=3),
-            3usize..=6,
-        ),
-        2..=5,
-    )
-    .prop_map(|specs| {
-        specs
-            .into_iter()
-            .enumerate()
-            .map(|(i, (weights, k))| (i as u64, QueryVector::new(weights, k).unwrap()))
-            .collect()
+/// A CPT engine over [`grid_dataset`] with a 4-page pool and an optional
+/// fault plan.
+fn small_pool_engine(backend: BackendKind, workers: usize, plan: Option<FaultPlan>) -> IrEngine {
+    let cell = Cell::built(RegionConfig::default(), backend, workers);
+    engine_with(&cell, &grid_dataset(), |builder| {
+        let builder = builder.pool_capacity(4);
+        match plan {
+            Some(plan) => builder.fault_plan(plan),
+            None => builder,
+        }
     })
+}
+
+#[test]
+fn every_fleet_answer_matches_a_fresh_recompute() {
+    let fleet = fleet();
+    let stream = DriftStream::generate(
+        &fleet,
+        &DriftConfig {
+            num_events: 60,
+            zipf_exponent: 1.0,
+            small_delta: 0.01,
+            large_delta: 0.35,
+            large_every: 6,
+        },
+        0xAC1E,
+    )
+    .unwrap();
+
+    for algorithm in Algorithm::ALL {
+        // The fault-free sequential oracle this algorithm's cells compare
+        // against, plus the reference serving trace of the first cell.
+        let oracle = grid_engine(algorithm, Mem, 1);
+        let mut reference: Option<Vec<FleetAnswer>> = None;
+
+        for backend in BackendKind::ALL {
+            for threads in [1usize, 2, 8] {
+                let engine = grid_engine(algorithm, backend, threads);
+                let mut manager =
+                    SubscriptionManager::new(&engine, FleetConfig { max_batch: 5 }).unwrap();
+                manager.admit_all(fleet.clone()).unwrap();
+
+                let answers = manager.ingest(stream.events()).unwrap();
+                assert_eq!(answers.len(), stream.len());
+
+                // (1) Oracle: each answer equals a fresh recompute at the
+                // event's cumulative weights.
+                let mut current: Vec<QueryVector> = fleet.iter().map(|(_, q)| q.clone()).collect();
+                for (event, answer) in stream.iter().zip(&answers) {
+                    let q = &mut current[event.sub as usize];
+                    *q = q.with_weight_shift(event.dim, event.delta).unwrap();
+                    assert_eq!(answer.sub, event.sub);
+                    let fresh = oracle.query(q).unwrap();
+                    assert_eq!(
+                        answer.result,
+                        fresh.current_result(),
+                        "{algorithm} × {backend} × {threads}w, seq {}: fleet answer deviates \
+                         from a fresh recompute ({:?})",
+                        answer.seq,
+                        answer.kind,
+                    );
+                }
+
+                // (2) Every member's re-anchored cached state matches a
+                // fresh recompute at its final anchor.
+                for member in manager.members() {
+                    let fresh = oracle.query(member.anchor()).unwrap();
+                    assert_eq!(member.report().dims, fresh.dims);
+                    assert_eq!(member.result(), fresh.current_result());
+                    assert_eq!(
+                        member.report().stats.evaluated_per_dim,
+                        fresh.stats.evaluated_per_dim
+                    );
+                }
+
+                // (3) The serving trace is byte-identical across backends
+                // and worker counts.
+                match &reference {
+                    None => reference = Some(answers),
+                    Some(reference) => assert_eq!(
+                        reference, &answers,
+                        "{algorithm} × {backend} × {threads}w: serving trace deviates"
+                    ),
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn serving_traces_share_results_across_algorithms() {
+    // All four algorithms compute the same exact regions, so the fleet's
+    // answers (ids, kinds, sequence) — though not their costs — must
+    // agree across algorithms as well.
+    let fleet = fleet();
+    let stream = DriftStream::generate(
+        &fleet,
+        &DriftConfig {
+            num_events: 40,
+            zipf_exponent: 1.0,
+            small_delta: 0.01,
+            large_delta: 0.35,
+            large_every: 6,
+        },
+        0xCAFE,
+    )
+    .unwrap();
+
+    type AnswerShape = (u64, u64, AnswerKind, Vec<TupleId>);
+    let mut shapes: Vec<Vec<AnswerShape>> = Vec::new();
+    for algorithm in Algorithm::ALL {
+        let engine = grid_engine(algorithm, Mem, 2);
+        let mut manager = SubscriptionManager::new(&engine, FleetConfig::default()).unwrap();
+        manager.admit_all(fleet.clone()).unwrap();
+        let answers = manager.ingest(stream.events()).unwrap();
+        shapes.push(
+            answers
+                .into_iter()
+                .map(|a| (a.seq, a.sub, a.kind, a.result))
+                .collect(),
+        );
+    }
+    for other in &shapes[1..] {
+        assert_eq!(&shapes[0], other);
+    }
 }
 
 /// A random (valid) drift configuration.
@@ -124,8 +214,8 @@ proptest! {
         threads in 1usize..=2,
     ) {
         let stream = DriftStream::generate(&fleet, &drift, seed).unwrap();
-        let oracle = build_engine("mem", 1, None);
-        let engine = build_engine("mem", threads, None);
+        let oracle = small_pool_engine(Mem, 1, None);
+        let engine = small_pool_engine(Mem, threads, None);
         let mut manager = SubscriptionManager::new(
             &engine,
             FleetConfig { max_batch: 4 },
@@ -172,11 +262,11 @@ proptest! {
         let stream = DriftStream::generate(&fleet, &drift, seed).unwrap();
         let events = stream.events();
         let warmup = ((events.len() as f64 * warmup_frac) as usize).clamp(1, events.len());
-        let oracle = build_engine("mem", 1, None);
+        let oracle = small_pool_engine(Mem, 1, None);
 
         // Built with a permanent outage, disarmed for the warmup — the
         // chaos-suite injector toggle — and armed mid-stream.
-        let engine = build_engine("file", 2, Some(FaultPlan::device_outage(0, None)));
+        let engine = small_pool_engine(File, 2, Some(FaultPlan::device_outage(0, None)));
         let injector = engine.index().fault_injector().unwrap();
         injector.disarm();
         let mut manager = SubscriptionManager::new(
@@ -263,4 +353,27 @@ proptest! {
         prop_assert_eq!(stats.events, ingested.len() as u64);
         prop_assert_eq!(stats.local_answers + stats.recomputes, stats.events);
     }
+}
+
+/// `admit_all` computes every chunk before it admits anyone: a query that
+/// fails in a later chunk leaves the fleet empty, and the corrected set is
+/// admitted whole.
+#[test]
+fn a_failed_admit_all_leaves_the_fleet_unchanged() {
+    let engine = engine(
+        &Cell::built(RegionConfig::default(), Mem, 1),
+        &Dataset::running_example(),
+    );
+    let mut manager = SubscriptionManager::new(&engine, FleetConfig { max_batch: 2 }).unwrap();
+    let query = QueryVector::running_example();
+    let too_deep = QueryVector::new(query.dims().map(|(d, w)| (d.0, w)), 100).unwrap();
+    let subs =
+        |third: &QueryVector| vec![(0, query.clone()), (1, query.clone()), (2, third.clone())];
+
+    let err = manager.admit_all(subs(&too_deep)).unwrap_err();
+    assert!(matches!(err, EngineError::KTooLarge { .. }), "{err}");
+    assert_eq!(manager.len(), 0, "a failed admission admitted members");
+
+    manager.admit_all(subs(&query)).unwrap();
+    assert_eq!(manager.len(), 3);
 }

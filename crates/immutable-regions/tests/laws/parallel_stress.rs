@@ -12,56 +12,30 @@
 //! * reports are identical across worker counts (determinism survives
 //!   contention).
 
+use crate::support::*;
 use immutable_regions::prelude::*;
 use ir_storage::{IoStatsSnapshot, PageId};
 use proptest::prelude::*;
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
-fn build_dataset(seed: u64, n: usize, dims: u32) -> Dataset {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut builder = DatasetBuilder::new(dims);
-    for _ in 0..n {
-        let nnz = rng.gen_range(1..=dims);
-        let mut pairs = Vec::new();
-        for d in 0..dims {
-            if pairs.len() < nnz as usize && rng.gen::<f64>() < 0.7 {
-                pairs.push((d, rng.gen_range(0.01..1.0)));
-            }
-        }
-        if pairs.is_empty() {
-            pairs.push((rng.gen_range(0..dims), rng.gen_range(0.01..1.0)));
-        }
-        builder.push_pairs(pairs).unwrap();
-    }
-    builder.build()
-}
-
-fn build_queries(seed: u64, dims: u32, count: usize, k: usize) -> Vec<QueryVector> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xABCD);
-    (0..count)
-        .map(|_| {
-            let qlen = rng.gen_range(2..=dims.min(4)) as usize;
-            let mut chosen = Vec::new();
-            while chosen.len() < qlen {
-                let d = rng.gen_range(0..dims);
-                if !chosen.contains(&d) {
-                    chosen.push(d);
-                }
-            }
-            QueryVector::new(chosen.into_iter().map(|d| (d, rng.gen_range(0.1..=1.0))), k).unwrap()
-        })
-        .collect()
-}
-
-/// Reads every page of the index's store once, so that with a pool larger
-/// than the store every later read of an existing page is a hit.
-fn warm(index: &TopKIndex) {
+/// An index over `dataset` with a pool larger than its store, every page
+/// read once, so that every later read of an existing page is a hit.
+fn warm_index(dataset: &Dataset, config: RegionConfig) -> Arc<TopKIndex> {
+    let cell = Cell::built(config, Mem, 1);
+    let engine = engine_with(&cell, dataset, |builder| builder.pool_capacity(4096));
+    let index = Arc::clone(engine.index());
     for page in 0..index.pool().store().num_pages() {
         index.pool().read(PageId(page)).unwrap();
     }
+    index
+}
+
+/// Every page access a batch made: the sum of its reports' tallies.
+fn total_io(reports: &[RegionReport]) -> IoStatsSnapshot {
+    reports.iter().fold(IoStatsSnapshot::default(), |acc, r| {
+        acc.plus(&r.stats.topk_io).plus(&r.stats.io)
+    })
 }
 
 proptest! {
@@ -78,34 +52,29 @@ proptest! {
         phi in 0usize..3,
     ) {
         let dims = 5u32;
-        let dataset = build_dataset(seed, 120, dims);
-        let index = IndexBuilder::new().build_shared(&dataset).unwrap();
-        let queries = build_queries(seed, dims, num_queries, k);
+        let dataset = dense_dataset(seed, 120, dims);
         let config = RegionConfig::with_phi(Algorithm::Cpt, phi);
+        let engine = engine(&Cell::built(config, Mem, 1), &dataset);
+        let index = engine.index();
+        let queries = dense_queries(seed, dims, num_queries, k);
 
         let mut baseline: Option<Vec<RegionReport>> = None;
         for workers in [1usize, 2, 4, 8] {
             let before = index.io_snapshot();
-            let outcome = BatchRegionComputation::new(&index, config)
-                .with_threads(workers)
-                .run_detailed(&queries)
-                .unwrap();
+            let reports = engine.with_threads(workers).query_batch(&queries).unwrap();
             let delta = index.io_snapshot().since(&before);
 
             // What the reports tallied is exactly what the pool observed
             // — nothing lost, nothing double counted, even with every
             // worker on the same pool.
-            prop_assert_eq!(
-                outcome.total_io(), delta,
-                "workers = {}", workers
-            );
+            prop_assert_eq!(total_io(&reports), delta, "workers = {}", workers);
             prop_assert!(delta.logical_reads > 0);
-            prop_assert_eq!(outcome.reports.len(), queries.len());
+            prop_assert_eq!(reports.len(), queries.len());
 
             match &baseline {
-                None => baseline = Some(outcome.reports),
+                None => baseline = Some(reports),
                 Some(expected) => {
-                    for (e, r) in expected.iter().zip(&outcome.reports) {
+                    for (e, r) in expected.iter().zip(&reports) {
                         prop_assert_eq!(&e.dims, &r.dims, "workers = {}", workers);
                     }
                 }
@@ -120,47 +89,34 @@ proptest! {
 #[test]
 fn concurrent_batches_share_one_pool_losslessly() {
     let dims = 5u32;
-    let dataset = build_dataset(0xFEED, 200, dims);
-    let index = IndexBuilder::new().build_shared(&dataset).unwrap();
-    let queries_a = build_queries(1, dims, 8, 4);
-    let queries_b = build_queries(2, dims, 8, 3);
-    let config = RegionConfig::default();
+    let dataset = dense_dataset(0xFEED, 200, dims);
+    let engine = engine(&Cell::built(RegionConfig::default(), Mem, 1), &dataset);
+    let queries_a = dense_queries(1, dims, 8, 4);
+    let queries_b = dense_queries(2, dims, 8, 3);
 
-    let reference_a = BatchRegionComputation::new(&index, config)
-        .run(&queries_a)
-        .unwrap();
-    let reference_b = BatchRegionComputation::new(&index, config)
-        .run(&queries_b)
-        .unwrap();
+    let reference_a = engine.query_batch(&queries_a).unwrap();
+    let reference_b = engine.query_batch(&queries_b).unwrap();
 
+    let index = engine.index();
     index.reset_io_stats();
     let before = index.io_snapshot();
-    let (outcome_a, outcome_b) = std::thread::scope(|scope| {
-        let handle_a = scope.spawn(|| {
-            BatchRegionComputation::new(&index, config)
-                .with_threads(4)
-                .run_detailed(&queries_a)
-                .unwrap()
-        });
-        let handle_b = scope.spawn(|| {
-            BatchRegionComputation::new(&index, config)
-                .with_threads(4)
-                .run_detailed(&queries_b)
-                .unwrap()
-        });
+    let workers = engine.with_threads(4);
+    let (reports_a, reports_b) = std::thread::scope(|scope| {
+        let handle_a = scope.spawn(|| workers.query_batch(&queries_a).unwrap());
+        let handle_b = scope.spawn(|| workers.query_batch(&queries_b).unwrap());
         (handle_a.join().unwrap(), handle_b.join().unwrap())
     });
     let delta = index.io_snapshot().since(&before);
 
     assert_eq!(
-        outcome_a.total_io().plus(&outcome_b.total_io()),
+        total_io(&reports_a).plus(&total_io(&reports_b)),
         delta,
         "two concurrent batches must account for every pool access between them"
     );
-    for (expected, report) in reference_a.iter().zip(&outcome_a.reports) {
+    for (expected, report) in reference_a.iter().zip(&reports_a) {
         assert_eq!(expected.dims, report.dims);
     }
-    for (expected, report) in reference_b.iter().zip(&outcome_b.reports) {
+    for (expected, report) in reference_b.iter().zip(&reports_b) {
         assert_eq!(expected.dims, report.dims);
     }
 }
@@ -170,20 +126,20 @@ fn concurrent_batches_share_one_pool_losslessly() {
 #[test]
 fn repeated_batches_keep_stats_consistent() {
     let dims = 4u32;
-    let dataset = build_dataset(0xBEEF, 150, dims);
-    let index = IndexBuilder::new().build_shared(&dataset).unwrap();
-    index.cold_start();
-    let before_all = index.io_snapshot();
+    let dataset = dense_dataset(0xBEEF, 150, dims);
+    let engine = engine(&Cell::built(RegionConfig::default(), Mem, 1), &dataset);
+    engine.cold_start();
+    let before_all = engine.index().io_snapshot();
     let mut accounted = IoStatsSnapshot::default();
     for round in 0..6u64 {
-        let queries = build_queries(round, dims, 5, 2 + (round as usize % 3));
-        let outcome = BatchRegionComputation::new(&index, RegionConfig::default())
+        let queries = dense_queries(round, dims, 5, 2 + (round as usize % 3));
+        let reports = engine
             .with_threads(1 + (round as usize % 4))
-            .run_detailed(&queries)
+            .query_batch(&queries)
             .unwrap();
-        accounted = accounted.plus(&outcome.total_io());
+        accounted = accounted.plus(&total_io(&reports));
     }
-    let delta = index.io_snapshot().since(&before_all);
+    let delta = engine.index().io_snapshot().since(&before_all);
     assert_eq!(accounted, delta);
     assert!(delta.physical_reads > 0, "cold start must hit the store");
 }
@@ -196,14 +152,10 @@ fn concurrent_callers_keep_their_own_io() {
     const CALLERS: usize = 96;
     const REPEATS: usize = 30;
     let dims = 5u32;
-    let dataset = build_dataset(0xC0DE, 200, dims);
-    let index = IndexBuilder::new()
-        .pool_capacity(4096)
-        .build_shared(&dataset)
-        .unwrap();
-    warm(&index);
-    let query = build_queries(3, dims, 1, 4).remove(0);
+    let dataset = dense_dataset(0xC0DE, 200, dims);
     let config = RegionConfig::with_phi(Algorithm::Cpt, 1);
+    let index = warm_index(&dataset, config);
+    let query = dense_queries(3, dims, 1, 4).remove(0);
     let oracle = RegionComputation::new(&index, &query, config)
         .unwrap()
         .compute()
@@ -246,7 +198,7 @@ fn concurrent_callers_keep_their_own_io() {
 #[test]
 fn concurrent_queries_stay_out_of_maintenance_io() {
     let dims = 5u32;
-    let dataset = build_dataset(0x0DD5, 300, dims);
+    let dataset = dense_dataset(0x0DD5, 300, dims);
     let batch: Vec<TupleUpdate> = (0..12u32)
         .map(|i| match i % 3 {
             0 => TupleUpdate::Insert {
@@ -262,14 +214,7 @@ fn concurrent_queries_stay_out_of_maintenance_io() {
             },
         })
         .collect();
-    let build = || {
-        let index = IndexBuilder::new()
-            .pool_capacity(4096)
-            .build_shared(&dataset)
-            .unwrap();
-        warm(&index);
-        index
-    };
+    let build = || warm_index(&dataset, RegionConfig::default());
 
     let idle = build();
     idle.apply_updates(&batch).unwrap();
@@ -277,7 +222,7 @@ fn concurrent_queries_stay_out_of_maintenance_io() {
     assert!(expected.logical_reads > 0 && expected.pages_written > 0);
 
     let busy: Arc<TopKIndex> = build();
-    let queries = build_queries(7, dims, 8, 3);
+    let queries = dense_queries(7, dims, 8, 3);
     let start = Barrier::new(queries.len() + 1);
     let applied = AtomicBool::new(false);
     std::thread::scope(|scope| {

@@ -10,8 +10,9 @@
 //!   cold-starting per query,
 //! * `--backend {mem,file}` — which page store backs the index; file gets a
 //!   scratch page directory. The deterministic series and the region output
-//!   are identical for every backend (the backend-agreement suite proves it
-//!   byte for byte); only wall-clock changes. Any other value exits 2,
+//!   are identical for every backend (the law table in
+//!   `tests/laws/matrix.rs` proves it byte for byte); only wall-clock
+//!   changes. Any other value exits 2,
 //! * `--emit-json DIR` — write each printed table as a
 //!   `BENCH_<figure>.json` series into `DIR` (for the CI baseline diff; see
 //!   the `bench_diff` binary). The parsed backend and worker count are

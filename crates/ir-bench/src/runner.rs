@@ -52,7 +52,7 @@ pub fn measure_method(
 
 /// Like [`measure_method`], but honouring the engine's worker count: with
 /// more than one worker the whole workload is fanned out over the engine's
-/// batch pool ([`IrEngine::query_batch_detailed`]) sharing one warm buffer
+/// batch pool ([`IrEngine::query_batch`]) sharing one warm buffer
 /// pool. The candidate/logical-read metrics are unchanged either way (they
 /// are scheduling independent) while wall-clock time drops on a multi-core
 /// host.
@@ -67,11 +67,9 @@ pub fn measure_method_threaded(
         return measure_method(engine, workload, algorithm, config, x);
     }
     engine.cold_start();
-    let outcome = engine
-        .with_config(config)
-        .query_batch_detailed(workload.queries())?;
+    let reports = engine.with_config(config).query_batch(workload.queries())?;
     let mut total = MethodMeasurement::new(algorithm, x);
-    for report in &outcome.reports {
+    for report in &reports {
         accumulate_stats(&mut total, &report.stats);
     }
     Ok(total.averaged_over(workload.len()))

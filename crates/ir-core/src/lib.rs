@@ -28,9 +28,9 @@
 //! The entry point is [`RegionComputation`]; [`oracle::ExhaustiveOracle`]
 //! provides an `O(n²)` reference implementation used by the test-suite to
 //! validate every algorithm on randomized inputs. The [`parallel`] module
-//! adds a deterministic work-stealing driver on top:
-//! [`BatchRegionComputation`] runs many queries over one warm buffer pool,
-//! one sequential solve per query.
+//! adds a deterministic work-stealing driver, [`parallel::run_queries`],
+//! which a batch uses to run one sequential solve per query over one warm
+//! buffer pool.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,5 +55,4 @@ pub use config::{Algorithm, PerturbationMode, RegionConfig};
 pub use invalidate::{batch_impact, update_impact, UpdateImpact};
 pub use metrics::ComputationStats;
 pub use oracle::ExhaustiveOracle;
-pub use parallel::{BatchOutcome, BatchRegionComputation};
 pub use region::{DimRegions, Perturbation, RegionBoundary, RegionReport, WeightRegion};

@@ -71,27 +71,10 @@ impl Partition {
         }
     }
 
-    /// Index of the highest-scoring member of `C⁰_j` (the only `C⁰_j` tuple
-    /// that can affect the lower bound when `φ = 0`, per Lemma 2).
-    /// `candidates` must be the same slice passed to [`Partition::classify`],
-    /// which is sorted by decreasing score, so this is simply the first one.
-    pub fn best_zero(&self) -> Option<usize> {
-        self.zero.first().copied()
-    }
-
     /// The `count` highest-scoring members of `C⁰_j` (Lemma 4, for the `φ`
     /// regions to the left).
     pub fn top_zero_by_score(&self, count: usize) -> Vec<usize> {
         self.zero.iter().copied().take(count).collect()
-    }
-
-    /// Index of the member of `C^H_j` with the largest coordinate in `j`
-    /// (the only `C^H_j` tuple that can affect the upper bound when `φ = 0`,
-    /// per Lemma 3).
-    pub fn best_high(&self, candidates: &[CandidateEntry], dim_index: usize) -> Option<usize> {
-        self.top_high_by_coord(candidates, dim_index, 1)
-            .first()
-            .copied()
     }
 
     /// The `count` members of `C^H_j` with the largest coordinates in `j`
@@ -171,9 +154,8 @@ mod tests {
     fn best_zero_is_top_scorer() {
         let candidates = sample();
         let p = Partition::classify(&candidates, 0);
-        assert_eq!(p.best_zero(), Some(0));
-        assert_eq!(p.top_zero_by_score(5), vec![0, 3]);
         assert_eq!(p.top_zero_by_score(1), vec![0]);
+        assert_eq!(p.top_zero_by_score(5), vec![0, 3]);
     }
 
     #[test]
@@ -181,7 +163,7 @@ mod tests {
         let candidates = sample();
         let p = Partition::classify(&candidates, 0);
         // Candidate 4 has coordinate 0.95 > candidate 1's 0.8.
-        assert_eq!(p.best_high(&candidates, 0), Some(4));
+        assert_eq!(p.top_high_by_coord(&candidates, 0, 1), vec![4]);
         assert_eq!(p.top_high_by_coord(&candidates, 0, 2), vec![4, 1]);
     }
 
@@ -189,7 +171,7 @@ mod tests {
     fn empty_candidate_list_yields_empty_partition() {
         let p = Partition::classify(&[], 0);
         assert_eq!(p.sizes(), PartitionSizes::default());
-        assert_eq!(p.best_zero(), None);
-        assert_eq!(p.best_high(&[], 0), None);
+        assert!(p.top_zero_by_score(1).is_empty());
+        assert!(p.top_high_by_coord(&[], 0, 1).is_empty());
     }
 }

@@ -127,15 +127,6 @@ impl RegionReport {
     pub fn current_result(&self) -> &[TupleId] {
         self.dims.first().map_or(&[], |d| d.current_result())
     }
-
-    /// The narrowest immutable-region width across dimensions — a scalar
-    /// sensitivity indicator (the dimension the result is most sensitive to).
-    pub fn most_sensitive_dim(&self) -> Option<(DimId, f64)> {
-        self.dims
-            .iter()
-            .map(|d| (d.dim, d.immutable.width()))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-    }
 }
 
 #[cfg(test)]
@@ -201,24 +192,5 @@ mod tests {
         assert!(d.region_at(5.0).is_none());
         assert!(d.region_at(0.0).unwrap().contains(0.0));
         assert!((d.regions[1].width() - (0.1 + 16.0 / 35.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn report_finds_most_sensitive_dimension() {
-        let mut d0 = dim_regions();
-        d0.dim = DimId(0);
-        let mut d1 = dim_regions();
-        d1.dim = DimId(1);
-        d1.immutable = Interval::new(-1.0 / 18.0, 0.5);
-        let report = RegionReport {
-            dims: vec![d0.clone(), d1],
-            stats: ComputationStats::default(),
-        };
-        // Dimension 0 has width 0.1 + 16/35 ≈ 0.557; dimension 1 has
-        // 0.5 + 1/18 ≈ 0.556 — dimension 1 is (barely) the most sensitive.
-        let (dim, _) = report.most_sensitive_dim().unwrap();
-        assert_eq!(dim, DimId(1));
-        assert!(report.for_dim(DimId(0)).is_some());
-        assert!(report.for_dim(DimId(9)).is_none());
     }
 }

@@ -138,6 +138,8 @@ pub fn solve_dim_flat(
     let selected: Vec<CandView> = if config.algorithm.prunes() {
         let partition = Partition::classify(all_candidate_entries, dim_index);
         let mut picks: Vec<usize> = partition.low.clone();
+        // Lemmas 2 and 3: with φ = 0 only the best-scoring member of C⁰_j
+        // and the largest-coordinate member of C^H_j can bound the region.
         picks.extend(partition.top_zero_by_score(1));
         picks.extend(partition.top_high_by_coord(all_candidate_entries, dim_index, 1));
         picks.sort_unstable();

@@ -12,7 +12,6 @@
 //! unit cube. The default cardinality is scaled down for laptop runtimes and
 //! is configurable up to the paper's one million tuples.
 
-use crate::DatasetGenerator;
 use ir_types::{Dataset, DatasetBuilder};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -106,16 +105,6 @@ impl CorrelatedGenerator {
             builder.push_pairs(pairs).expect("generated tuple is valid");
         }
         builder.build()
-    }
-}
-
-impl DatasetGenerator for CorrelatedGenerator {
-    fn generate(&self, seed: u64) -> Dataset {
-        self.generate_dataset(seed)
-    }
-
-    fn name(&self) -> &'static str {
-        "ST"
     }
 }
 

@@ -12,7 +12,6 @@
 //! (`C⁰_j`, `C^H_j`, `C^L_j`) are sizable, which is the property Figure 12
 //! exercises.
 
-use crate::DatasetGenerator;
 use ir_types::{Dataset, DatasetBuilder};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -123,16 +122,6 @@ impl FeatureVectorGenerator {
     }
 }
 
-impl DatasetGenerator for FeatureVectorGenerator {
-    fn generate(&self, seed: u64) -> Dataset {
-        self.generate_dataset(seed)
-    }
-
-    fn name(&self) -> &'static str {
-        "KB-like"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,6 +132,7 @@ mod tests {
         let dataset = gen.generate_dataset(9);
         let stats = dataset.stats();
         assert_eq!(stats.cardinality, 400);
+        assert_eq!(FeatureConfig::full_scale().num_images, 28_452);
         assert!(stats.max_value <= 1.0);
         let fill = stats.avg_nnz_per_tuple / 128.0;
         assert!(
@@ -164,11 +154,5 @@ mod tests {
             .iter()
             .any(|(id, t)| c.tuple(id).map(|u| u != t).unwrap_or(true));
         assert!(differs);
-    }
-
-    #[test]
-    fn name_is_kb_like() {
-        assert_eq!(FeatureVectorGenerator::default().name(), "KB-like");
-        assert_eq!(FeatureConfig::full_scale().num_images, 28_452);
     }
 }

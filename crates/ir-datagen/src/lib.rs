@@ -45,14 +45,3 @@ pub use queries::{QueryWorkload, WorkloadConfig};
 pub use text::{TextCorpusConfig, TextCorpusGenerator};
 pub use update_stream::{UpdateConfig, UpdateStream};
 pub use zipf::ZipfSampler;
-
-use ir_types::Dataset;
-
-/// A uniform interface over the three generators, so the experiment harness
-/// can be written against "a dataset kind" rather than a concrete generator.
-pub trait DatasetGenerator {
-    /// Generates the dataset deterministically from the given seed.
-    fn generate(&self, seed: u64) -> Dataset;
-    /// A short human-readable name ("WSJ-like", "KB-like", "ST").
-    fn name(&self) -> &'static str;
-}

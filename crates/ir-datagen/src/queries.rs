@@ -6,7 +6,7 @@
 //! reproduces that methodology: a [`QueryWorkload`] is a deterministic,
 //! seeded list of [`QueryVector`]s over a given dataset.
 
-use ir_types::{Dataset, DimId, IrResult, QueryVector};
+use ir_types::{Dataset, IrResult, QueryVector};
 use rand::{seq::SliceRandom, Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -164,28 +164,11 @@ impl QueryWorkload {
     }
 }
 
-/// Convenience: dimensions of the dataset with at least `min_postings`
-/// postings, useful for custom workloads.
-pub fn eligible_dims(dataset: &Dataset, min_postings: usize) -> Vec<DimId> {
-    let mut df: HashMap<u32, usize> = HashMap::new();
-    for (_, tuple) in dataset.iter() {
-        for (dim, _) in tuple.iter() {
-            *df.entry(dim.0).or_insert(0) += 1;
-        }
-    }
-    let mut dims: Vec<u32> = df
-        .into_iter()
-        .filter(|(_, c)| *c >= min_postings)
-        .map(|(d, _)| d)
-        .collect();
-    dims.sort_unstable();
-    dims.into_iter().map(DimId).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::text::{TextCorpusConfig, TextCorpusGenerator};
+    use ir_types::DimId;
 
     fn small_corpus() -> Dataset {
         TextCorpusGenerator::new(TextCorpusConfig::tiny()).generate_corpus(3)
@@ -247,7 +230,10 @@ mod tests {
         // Average document frequency of selected terms must exceed that of
         // the eligible pool (popular terms are picked more often).
         let df = |d: DimId| dataset.iter().filter(|(_, t)| t.get(d) > 0.0).count() as f64;
-        let eligible = eligible_dims(&dataset, 3);
+        let eligible: Vec<DimId> = (0..dataset.dimensionality())
+            .map(DimId)
+            .filter(|&d| df(d) >= 3.0)
+            .collect();
         let pool_avg: f64 = eligible.iter().map(|&d| df(d)).sum::<f64>() / eligible.len() as f64;
         let mut picked_avg = 0.0;
         let mut count = 0.0;

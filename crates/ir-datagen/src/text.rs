@@ -17,7 +17,6 @@
 //! one query dimension — `C⁰_j` and `C^H_j` dominate and `C^L_j` is tiny,
 //! exactly the situation of Figure 6(a).
 
-use crate::DatasetGenerator;
 use crate::ZipfSampler;
 use ir_types::{Dataset, DatasetBuilder};
 use rand::SeedableRng;
@@ -156,16 +155,6 @@ impl TextCorpusGenerator {
     }
 }
 
-impl DatasetGenerator for TextCorpusGenerator {
-    fn generate(&self, seed: u64) -> Dataset {
-        self.generate_corpus(seed)
-    }
-
-    fn name(&self) -> &'static str {
-        "WSJ-like"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,7 +207,6 @@ mod tests {
     #[test]
     fn name_and_config_access() {
         let gen = TextCorpusGenerator::new(TextCorpusConfig::default());
-        assert_eq!(gen.name(), "WSJ-like");
         assert_eq!(gen.config().num_docs, 20_000);
         assert_eq!(TextCorpusConfig::full_scale().num_docs, 172_891);
     }

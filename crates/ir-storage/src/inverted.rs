@@ -121,8 +121,8 @@ pub fn read_list(
 /// exposes the sorting key `t_j` of the next entry (used in the threshold)
 /// and `next` consumes it. Reading an entry touches exactly one page via the
 /// buffer pool, counted in the cursor's own tally ([`InvertedListCursor::io`]).
-/// `position`/`seek` allow the resumable TA of Phase 3 to continue exactly
-/// where the top-k computation stopped.
+/// The cursor keeps its position, so the TA run Phase 3 resumes continues
+/// exactly where the top-k computation stopped.
 pub struct InvertedListCursor {
     pool: Arc<BufferPool>,
     directory: ListDirectoryEntry,
@@ -156,11 +156,6 @@ impl InvertedListCursor {
         self.directory.num_entries == 0
     }
 
-    /// Number of entries already consumed.
-    pub fn position(&self) -> u32 {
-        self.position
-    }
-
     /// Number of entries still to be consumed.
     pub fn remaining(&self) -> u32 {
         self.directory.num_entries - self.position
@@ -171,12 +166,7 @@ impl InvertedListCursor {
         self.position >= self.directory.num_entries
     }
 
-    /// Moves the cursor to an absolute position (clamped to the list length).
-    pub fn seek(&mut self, position: u32) {
-        self.position = position.min(self.directory.num_entries);
-    }
-
-    /// The page accesses this cursor (and, for a clone, its original) made.
+    /// The page accesses this cursor made.
     pub fn io(&self) -> IoStatsSnapshot {
         self.io
     }
@@ -291,24 +281,10 @@ mod tests {
         let mut cursor = InvertedListCursor::new(pool, dir);
         assert_eq!(cursor.peek().unwrap(), Some((TupleId(5), 0.9)));
         assert_eq!(cursor.threshold_value().unwrap(), 0.9);
-        assert_eq!(cursor.position(), 0);
+        assert_eq!(cursor.remaining(), 2);
         cursor.next_entry().unwrap();
         assert_eq!(cursor.threshold_value().unwrap(), 0.4);
         assert_eq!(cursor.remaining(), 1);
-    }
-
-    #[test]
-    fn seek_supports_resumption() {
-        let pool = make_pool();
-        let entries = descending_entries(10);
-        let dir = write_list(&pool, DimId(2), &entries).unwrap();
-        let mut cursor = InvertedListCursor::new(pool, dir);
-        cursor.seek(7);
-        assert_eq!(cursor.position(), 7);
-        assert_eq!(cursor.next_entry().unwrap(), Some(entries[7]));
-        cursor.seek(999);
-        assert!(cursor.exhausted());
-        assert_eq!(cursor.next_entry().unwrap(), None);
     }
 
     #[test]

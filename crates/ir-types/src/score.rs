@@ -110,31 +110,6 @@ impl TopKResult {
     pub fn contains(&self, id: TupleId) -> bool {
         self.entries.iter().any(|e| e.id == id)
     }
-
-    /// The rank (0-based) of a tuple, if present.
-    pub fn rank_of(&self, id: TupleId) -> Option<usize> {
-        self.entries.iter().position(|e| e.id == id)
-    }
-
-    /// True if the two results contain the same tuples in the same order
-    /// (the paper's notion of "the result is preserved" when reorderings
-    /// count as perturbations).
-    pub fn same_ordering(&self, other: &TopKResult) -> bool {
-        self.ids() == other.ids()
-    }
-
-    /// True if the two results contain the same *set* of tuples, regardless
-    /// of ordering (the composition-only notion of Section 7.4).
-    pub fn same_composition(&self, other: &TopKResult) -> bool {
-        if self.len() != other.len() {
-            return false;
-        }
-        let mut a = self.ids();
-        let mut b = other.ids();
-        a.sort_unstable();
-        b.sort_unstable();
-        a == b
-    }
 }
 
 impl FromIterator<RankedTuple> for TopKResult {
@@ -180,23 +155,10 @@ mod tests {
     }
 
     #[test]
-    fn same_ordering_vs_same_composition() {
-        let a = TopKResult::from_entries(vec![rt(0, 0.9), rt(1, 0.5)]);
-        let b = TopKResult::from_entries(vec![rt(1, 0.9), rt(0, 0.5)]);
-        assert!(!a.same_ordering(&b));
-        assert!(a.same_composition(&b));
-        let c = TopKResult::from_entries(vec![rt(0, 0.9), rt(2, 0.5)]);
-        assert!(!a.same_composition(&c));
-    }
-
-    #[test]
     fn rank_and_contains() {
         let r = TopKResult::from_entries(vec![rt(4, 0.9), rt(7, 0.5)]);
         assert!(r.contains(TupleId(7)));
         assert!(!r.contains(TupleId(1)));
-        assert_eq!(r.rank_of(TupleId(7)), Some(1));
-        assert_eq!(r.rank_of(TupleId(4)), Some(0));
-        assert_eq!(r.rank_of(TupleId(1)), None);
     }
 
     #[test]
@@ -214,6 +176,5 @@ mod tests {
         assert!(r.is_empty());
         assert_eq!(r.len(), 0);
         assert!(r.last().is_none());
-        assert!(r.same_ordering(&TopKResult::empty()));
     }
 }

@@ -149,18 +149,6 @@ impl SparseVector {
         sum
     }
 
-    /// Returns a copy with every value divided by `max`, clamping to 1.0 for
-    /// rounding safety. Used by generators to normalise raw weights (e.g.
-    /// TF-IDF) into the `[0, 1]` domain.
-    pub fn normalized_by(&self, max: f64) -> IrResult<Self> {
-        if max.is_nan() || max <= 0.0 {
-            return Err(IrError::InvalidConfig(format!(
-                "normalisation constant must be positive, got {max}"
-            )));
-        }
-        SparseVector::from_pairs(self.entries.iter().map(|(d, v)| (d.0, (v / max).min(1.0))))
-    }
-
     /// Returns a copy with the coordinate in `dim` set to `value` — the
     /// canonical single-coordinate write of the update model. A `value` of
     /// `0.0` removes the coordinate (zeros are never stored); any other
@@ -264,15 +252,6 @@ mod tests {
         assert_eq!(v.get(DimId(1)), 0.5);
         assert_eq!(v.get(DimId(3)), 0.25);
         assert_eq!(v.max_dim(), Some(DimId(3)));
-    }
-
-    #[test]
-    fn normalized_by_scales_values() {
-        let raw = SparseVector::from_pairs([(0, 0.9), (1, 0.3)]).unwrap();
-        let norm = raw.normalized_by(0.9).unwrap();
-        assert!((norm.get(DimId(0)) - 1.0).abs() < 1e-12);
-        assert!((norm.get(DimId(1)) - 1.0 / 3.0).abs() < 1e-12);
-        assert!(raw.normalized_by(0.0).is_err());
     }
 
     proptest! {
