@@ -15,11 +15,13 @@
 //! The matrix covers the mem and file backends × 1/2/8 workers; a proptest
 //! sweep drives arbitrary fault plans through the same invariants.
 
-use crate::support::*;
+mod support;
+
 use immutable_regions::prelude::*;
 use immutable_regions::storage::{CorruptionSpec, FaultPlan, PageId};
 use ir_core::DimRegions;
 use proptest::prelude::*;
+use support::*;
 
 /// Six deterministic 3-dimensional queries over [`grid_dataset`].
 fn queries(k: usize) -> Vec<QueryVector> {

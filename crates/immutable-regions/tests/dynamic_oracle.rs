@@ -15,11 +15,13 @@
 //!   agreement with a fresh engine at every step, plus counter
 //!   conservation across both kinds of traffic.
 
-use crate::support::*;
+mod support;
+
 use immutable_regions::prelude::*;
 use ir_datagen::{UpdateConfig, UpdateStream};
 use ir_types::TupleUpdate;
 use proptest::prelude::*;
+use support::*;
 
 /// A fixed five-query workload over [`grid_dataset`] with mixed k.
 fn queries() -> Vec<QueryVector> {

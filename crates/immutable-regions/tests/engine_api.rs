@@ -9,9 +9,11 @@
 //!   `Subscription::is_immutable_under` always agrees with a fresh
 //!   recompute.
 
-use crate::support::*;
+mod support;
+
 use immutable_regions::prelude::*;
 use proptest::prelude::*;
+use support::*;
 
 // ---------------------------------------------------------------- errors --
 

@@ -12,12 +12,14 @@
 //! * reports are identical across worker counts (determinism survives
 //!   contention).
 
-use crate::support::*;
+mod support;
+
 use immutable_regions::prelude::*;
 use ir_storage::{IoStatsSnapshot, PageId};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
+use support::*;
 
 /// An index over `dataset` with a pool larger than its store, every page
 /// read once, so that every later read of an existing page is a hit.

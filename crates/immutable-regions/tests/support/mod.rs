@@ -1,6 +1,8 @@
-//! What every law in this binary shares: the seeded dataset and query
-//! generators, the [`Cell`] a law serves from, and the one engine builder,
-//! which checks that the engine it hands out is the one the cell asked for.
+//! What the umbrella crate's integration tests share: the seeded dataset
+//! and query generators, the [`Cell`] a law serves from, and the one engine
+//! builder, which checks that the engine it hands out is the one the cell
+//! asked for. Each test binary uses only part of it.
+#![allow(dead_code)]
 
 use immutable_regions::engine::IrEngineBuilder;
 use immutable_regions::prelude::*;
