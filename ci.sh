@@ -9,7 +9,7 @@
 #                          every lib.rs forbids unsafe_code, no `unsafe`
 #                          token in code position under crates/, no
 #                          thread_local! under crates/ (counters travel
-#                          with the work, stamps are passed explicitly),
+#                          with the work),
 #                          no `entries().to_vec()` deep copy of the
 #                          candidate list under crates/ (borrow it), and no
 #                          from-scratch `sweep_topk(` in ir-core/src
@@ -21,19 +21,17 @@
 #                          ARCHITECTURE.md or crates/**/*.rs that is not in
 #                          the tree; the same for `tests/*.rs` paths (the
 #                          verify skill included) and the skill's
-#                          `--test NAME` targets
-#   5. example smoke     — every example and runner, sequential, mem
-#   6. batch smoke       — the seven figures at --threads 2, emitting the
-#                          BENCH_<figure>.json series stages 7 and 9 diff
-#   7. backend matrix    — every runner on --backend file at --threads 2
-#                          must emit exactly the stage-6 series
-#                          (bench_diff --exact), policy stamps asserted
-#   8. snapshot matrix   — a figure served from a reopened snapshot on both
-#                          backends must emit exactly the built-index
-#                          series, cold-start stamp asserted
-#   9. bench baseline    — the stage-6 series against bench_baselines/
-#                          (shape and deterministic metrics, never timing)
-#  10. benchmark package — the standalone benchmark/ workspace builds and
+#                          `--test NAME` targets; every `--bin` and
+#                          `--example` the docs and the skill name is a
+#                          target, and their runner invocations pass no
+#                          flag but `figures`' `--emit-json`
+#   5. runner smoke      — every example and every runner once, `figures`
+#                          with --emit-json, emitting the
+#                          BENCH_<figure>.json series stage 6 diffs
+#   6. bench baseline    — the stage-5 series against bench_baselines/
+#                          (shape, deterministic metrics exactly, never
+#                          timing)
+#   7. benchmark package — the standalone benchmark/ workspace builds and
 #                          passes its tests offline, then runs its smoke
 #                          suite (every workload's oracle check and every
 #                          BENCHMARK.json metric) on that same build
@@ -60,19 +58,16 @@ end_stage() {
     STAGE_SECS+=($((SECONDS - STAGE_START)))
 }
 
-# Each entry is spliced unquoted after `--bin`: the binary, `--`, and (for
-# `figures`, which serves Figures 10–16 and alone emits JSON) the figure id.
-FIGURE_BINS=("figures -- figure10_wsj_qlen" "figures -- figure11_st_qlen"
-    "figures -- figure12_kb_qlen" "figures -- figure13_vary_k"
-    "figures -- figure14_vary_phi" "figures -- figure15_oneoff_vs_iterative"
-    "figures -- figure16_composition_only")
-RUNNER_BINS=("figure06_partitions --" "${FIGURE_BINS[@]}" "ablation_design_choices --")
+# The ids of the Figures 10–16 the `figures` runner serves; it alone emits
+# series. The other two runners take no option.
+FIGURE_IDS=(figure10_wsj_qlen figure11_st_qlen figure12_kb_qlen figure13_vary_k
+    figure14_vary_phi figure15_oneoff_vs_iterative figure16_composition_only)
 
-begin_stage "1/10 cargo fmt --check"
+begin_stage "1/7 cargo fmt --check"
 cargo fmt --all --check
 end_stage
 
-begin_stage "2/10 lints: clippy, unwrap/expect gate, no-unsafe + layering asserts"
+begin_stage "2/7 lints: clippy, unwrap/expect gate, no-unsafe + layering asserts"
 cargo clippy --workspace --all-targets -- -D warnings
 # Non-test code in the storage and compute layers must not panic on
 # fallible paths: deny unwrap/expect outright (tests keep using them).
@@ -94,8 +89,7 @@ if grep -rnw 'unsafe' crates --include='*.rs' |
     exit 1
 fi
 # No layer keeps state in thread-local cells: I/O counters are tallies
-# owned by the unit of work, and the bench envelope is stamped from values
-# passed explicitly.
+# owned by the unit of work.
 if grep -rn 'thread_local!' crates; then
     echo "FAIL: thread_local! under crates/ (listed above)" >&2
     exit 1
@@ -115,12 +109,12 @@ fi
 echo "no-unsafe and layering assertions hold"
 end_stage
 
-begin_stage "3/10 tier-1: cargo build --release && cargo test -q"
+begin_stage "3/7 tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 end_stage
 
-begin_stage "4/10 cargo doc (rustdoc warnings are errors) + doc anchors + md paths"
+begin_stage "4/7 cargo doc (-D warnings) + doc anchors, paths, targets, flags"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
     -p ir-types -p ir-storage -p ir-geometry -p ir-topk -p ir-core \
     -p ir-datagen -p ir-bench -p immutable-regions
@@ -175,93 +169,62 @@ if [ -n "$dead_tests" ]; then
     printf 'FAIL: test suites not in the tree:\n%s\n' "$dead_tests" >&2
     exit 1
 fi
-echo "doc anchors, *.md paths and test-suite paths resolve"
+# Every `--bin NAME` and `--example NAME` the prose docs and the verify
+# skill name is a target, and a runner invocation there passes no flag
+# after its ` -- ` but the one `figures` takes, `--emit-json`.
+docs=(README.md ARCHITECTURE.md "$skill")
+dead_flags=$(
+    { grep -oHE -e '--(bin|example) [A-Za-z0-9_]+' "${docs[@]}" || true; } |
+        while IFS=: read -r file target; do
+            read -r kind name <<<"$target"
+            dir=src/bin
+            [ "$kind" = --example ] && dir=examples
+            compgen -G "crates/*/$dir/$name.rs" >/dev/null || echo "  $file names $target"
+        done
+    { grep -HE -e '--bin (figures|figure06_partitions|ablation_design_choices) -- ' "${docs[@]}" ||
+        true; } |
+        while IFS=: read -r file line; do
+            allowed=
+            [[ $line == *"--bin figures -- "* ]] && allowed=--emit-json
+            for flag in $(grep -oE -e '--[A-Za-z][A-Za-z0-9-]*' <<<"${line#* -- }"); do
+                [ "$flag" = "$allowed" ] || echo "  $file passes $flag to a runner"
+            done
+        done
+)
+if [ -n "$dead_flags" ]; then
+    printf 'FAIL: targets or runner flags that do not exist:\n%s\n' "$dead_flags" >&2
+    exit 1
+fi
+echo "doc anchors, *.md paths, test-suite paths, targets and runner flags resolve"
 end_stage
 
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
-emit_dir_t2="$work/emit-t2"
-emit_dir_file_t2="$work/emit-file-t2"
-snap_root="$work/snap-root"
-snap_built="$work/snap-built"
-snap_mem="$work/snap-mem"
-snap_file="$work/snap-file"
+emit_dir="$work/emit"
 
-begin_stage "5/10 example + figure-runner smoke loop (sequential, mem)"
+begin_stage "5/7 examples + every runner once, figures with --emit-json"
 for example in quickstart document_retrieval hotel_sensitivity weight_tuning; do
     printf -- '--- example: %s\n' "$example"
     cargo run --release -q -p immutable-regions --example "$example" >/dev/null
 done
 # Every figure/ablation runner must complete at smoke scale — compiling is
 # not enough, they have runtime config (workload eligibility) to exercise.
-for figure_bin in "${RUNNER_BINS[@]}"; do
-    printf -- '--- figure runner: %s\n' "$figure_bin"
-    # shellcheck disable=SC2086
-    IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --bin $figure_bin >/dev/null
+for runner_bin in figure06_partitions ablation_design_choices; do
+    printf -- '--- runner: %s\n' "$runner_bin"
+    IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --bin "$runner_bin" >/dev/null
+done
+for figure in "${FIGURE_IDS[@]}"; do
+    printf -- '--- runner: figures %s\n' "$figure"
+    IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --bin figures -- "$figure" \
+        --emit-json "$emit_dir" >/dev/null
 done
 end_stage
 
-begin_stage "6/10 figures at --threads 2 (batch path) + JSON emission"
-for figure_bin in "${FIGURE_BINS[@]}"; do
-    printf -- '--- figure runner (threads=2): %s\n' "$figure_bin"
-    # shellcheck disable=SC2086
-    IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --bin $figure_bin \
-        --threads 2 --emit-json "$emit_dir_t2" >/dev/null
-done
+begin_stage "6/7 bench_diff against committed baseline"
+cargo run --release -q -p ir-bench --bin bench_diff -- bench_baselines "$emit_dir"
 end_stage
 
-begin_stage "7/10 backend matrix: file at --threads 2"
-for figure_bin in "${RUNNER_BINS[@]}"; do
-    printf -- '--- figure runner (file, threads=2): %s\n' "$figure_bin"
-    # shellcheck disable=SC2086
-    IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --bin $figure_bin \
-        --backend file --threads 2 --emit-json "$emit_dir_file_t2" >/dev/null
-done
-# Guard against a vacuous matrix: deterministic output is backend-invariant
-# by design, so assert via the policy stamps that the file backend actually
-# ran (a backend-selection regression would otherwise emit mem series that
-# compare clean).
-for f in "$emit_dir_file_t2"/BENCH_*.json; do
-    grep -q '"backend":"File"' "$f" ||
-        { echo "FAIL: $f was not served by the file backend" >&2; exit 1; }
-done
-# The file emissions must be *exactly* the mem emissions of stage 6 in every
-# deterministic metric (io counters that legitimately differ — timing and
-# physical reads — are never part of the comparison).
-cargo run --release -q -p ir-bench --bin bench_diff -- \
-    --exact "$emit_dir_t2" "$emit_dir_file_t2"
-end_stage
-
-begin_stage "8/10 snapshot matrix: save/reopen under both backends + exact diff"
-# Built-index oracle emission for the representative figure (mem, threads 2).
-IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --bin figures -- \
-    figure11_st_qlen --threads 2 --emit-json "$snap_built" >/dev/null
-# The same figure served from a persisted snapshot under each backend: the
-# runner builds once in memory, saves into $snap_root, reopens zero-copy.
-printf -- '--- snapshot-served (mem, threads=2)\n'
-IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --bin figures -- \
-    figure11_st_qlen --threads 2 --snapshot-dir "$snap_root" --emit-json "$snap_mem" >/dev/null
-printf -- '--- snapshot-served (file, threads=2)\n'
-IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --bin figures -- \
-    figure11_st_qlen --backend file --threads 2 --snapshot-dir "$snap_root" \
-    --emit-json "$snap_file" >/dev/null
-# Snapshot-served output must be *exactly* the built-index output in every
-# deterministic metric, and the envelope's cold-start stamp (beside the
-# policy, not inside it) must prove the engine really came up from a
-# snapshot (guard against a vacuous staging path).
-for d in "$snap_mem" "$snap_file"; do
-    cargo run --release -q -p ir-bench --bin bench_diff -- --exact "$snap_built" "$d"
-    grep -q '},"cold_start":{"source":"Snapshot"' "$d"/BENCH_*.json ||
-        { echo "FAIL: $d was not served from a snapshot" >&2; exit 1; }
-done
-end_stage
-
-begin_stage "9/10 bench_diff against committed baseline"
-cargo run --release -q -p ir-bench --bin bench_diff -- \
-    bench_baselines "$emit_dir_t2"
-end_stage
-
-begin_stage "10/10 benchmark package: build, tests, smoke run"
+begin_stage "7/7 benchmark package: build, tests, smoke run"
 # benchmark/ is its own workspace with path deps on these crates and is not
 # covered by any cargo invocation above.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml

@@ -38,12 +38,10 @@
 mod builder;
 mod error;
 mod health;
-mod policy;
 
 pub use builder::IrEngineBuilder;
 pub use error::{EngineError, EngineResult};
 pub use health::EngineHealthSnapshot;
-pub use policy::EnginePolicy;
 
 use health::EngineHealth;
 use ir_core::parallel::run_queries;
@@ -104,18 +102,6 @@ impl IrEngine {
     /// The worker count used by [`IrEngine::query_batch`].
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The engine's serializable policy (default config, worker count, the
-    /// backend the index was built on and the fault plan its device
-    /// executes, if any).
-    pub fn policy(&self) -> EnginePolicy {
-        EnginePolicy {
-            config: self.config,
-            threads: self.threads,
-            backend: self.index.backend_kind(),
-            fault_plan: self.index.fault_plan().cloned(),
-        }
     }
 
     /// Cumulative health counters: operations served and failed (by
@@ -392,31 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn policy_round_trips_through_json() {
-        let policy = EnginePolicy {
-            config: RegionConfig::with_phi(ir_core::Algorithm::Prune, 3).composition_only(),
-            threads: 4,
-            backend: BackendKind::File,
-            fault_plan: Some(FaultPlan::transient_reads(7, 3, 100)),
-        };
-        let json = policy.to_json();
-        assert_eq!(EnginePolicy::from_json(&json).unwrap(), policy);
-        assert!(matches!(
-            EnginePolicy::from_json("not json"),
-            Err(EngineError::Policy(_))
-        ));
-        // The default policy stamps an explicit null — the stable shape the
-        // committed bench baselines rely on.
-        assert!(
-            EnginePolicy::default()
-                .to_json()
-                .contains("\"fault_plan\":null"),
-            "{}",
-            EnginePolicy::default().to_json()
-        );
-    }
-
-    #[test]
     fn health_counts_and_classifies_outcomes() {
         let engine = engine();
         assert_eq!(engine.health(), EngineHealthSnapshot::default());
@@ -443,10 +404,10 @@ mod tests {
             .fault_plan(plan.clone())
             .build()
             .unwrap();
-        assert_eq!(chaos.policy().fault_plan.as_ref(), Some(&plan));
+        assert_eq!(chaos.index().fault_plan(), Some(&plan));
         assert!(chaos.index().fault_injector().unwrap().is_armed());
-        // A fault-free engine stamps null.
-        assert_eq!(engine().policy().fault_plan, None);
+        // A fault-free engine's device runs no plan.
+        assert_eq!(engine().index().fault_plan(), None);
     }
 
     #[test]
@@ -474,7 +435,7 @@ mod tests {
     }
 
     #[test]
-    fn policy_reports_the_built_backend() {
+    fn engine_reports_the_built_backend() {
         let dir = tempfile::tempdir().unwrap();
         let disk_engine = IrEngine::builder()
             .dataset(Dataset::running_example())
@@ -482,9 +443,8 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(disk_engine.backend_kind(), BackendKind::File);
-        assert_eq!(disk_engine.policy().backend, BackendKind::File);
         // The default engine serves from memory.
-        assert_eq!(engine().policy().backend, BackendKind::Mem);
+        assert_eq!(engine().backend_kind(), BackendKind::Mem);
     }
 
     #[test]

@@ -54,7 +54,8 @@ pub enum EngineError {
         /// The underlying storage error.
         source: IrError,
     },
-    /// An engine policy could not be loaded or was inconsistent.
+    /// A serving configuration was inconsistent (e.g. a bad fleet setting
+    /// or a drift event for an unknown subscription).
     Policy(String),
     /// Any other error from the underlying stack (storage, TA, solvers).
     Core(IrError),

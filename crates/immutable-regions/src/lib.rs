@@ -76,7 +76,7 @@ pub use ir_types as types;
 /// Everything needed for typical use, importable with one `use`.
 pub mod prelude {
     pub use crate::engine::{
-        EngineError, EngineHealthSnapshot, EnginePolicy, EngineResult, IrEngine, IrEngineBuilder,
+        EngineError, EngineHealthSnapshot, EngineResult, IrEngine, IrEngineBuilder,
     };
     pub use crate::fleet::{
         AnswerKind, FleetAnswer, FleetConfig, FleetMember, FleetStats, Subscription,

@@ -92,53 +92,6 @@ fn zero_weight_query_is_a_typed_error() {
     assert!(matches!(err, EngineError::ZeroWeightQuery), "{err}");
 }
 
-/// `EnginePolicy` JSON is strict both ways: the four-key document
-/// round-trips, and a document from before the bench stamps moved to the
-/// bench series envelope (six keys) is rejected with a typed error rather
-/// than half-understood.
-#[test]
-fn policy_json_round_trips_four_keys_and_rejects_the_old_six() {
-    let json = EnginePolicy::default().to_json();
-    for key in ["config", "threads", "backend", "fault_plan"] {
-        assert!(json.contains(&format!("\"{key}\":")), "{key} in {json}");
-    }
-    assert!(!json.contains("cold_start") && !json.contains("cluster"));
-    assert_eq!(
-        EnginePolicy::from_json(&json).unwrap(),
-        EnginePolicy::default()
-    );
-
-    let old = format!(
-        "{},\"cold_start\":{{\"source\":\"Built\",\"pages\":0,\"bytes\":0}},\"cluster\":null}}",
-        json.strip_suffix('}').unwrap()
-    );
-    let err = EnginePolicy::from_json(&old).unwrap_err();
-    assert!(matches!(err, EngineError::Policy(_)), "{err}");
-    assert!(err.to_string().contains("cold_start"), "{err}");
-    // A missing key is rejected the same way.
-    let short = json.replace(",\"fault_plan\":null", "");
-    assert!(matches!(
-        EnginePolicy::from_json(&short),
-        Err(EngineError::Policy(_))
-    ));
-}
-
-/// A policy written while the memory-mapped backend existed names it by
-/// its serialized variant (the capitalised CLI name). Loading it is a typed
-/// policy error that names the unknown variant, never a silent fallback to
-/// the mem backend.
-#[test]
-fn policy_json_naming_the_removed_mmap_backend_is_a_policy_error() {
-    let removed = "mmap";
-    let variant = format!("{}{}", removed[..1].to_uppercase(), &removed[1..]);
-    let json = EnginePolicy::default().to_json();
-    let old = json.replace("\"backend\":\"Mem\"", &format!("\"backend\":\"{variant}\""));
-    assert_ne!(old, json, "the default policy stamps the mem backend");
-    let err = EnginePolicy::from_json(&old).unwrap_err();
-    assert!(matches!(err, EngineError::Policy(_)), "{err}");
-    assert!(err.to_string().contains(&variant), "{err}");
-}
-
 /// Every robustness-relevant [`IrError`] variant crosses the engine
 /// boundary without loss: the request-shaped ones become their own
 /// [`EngineError`] variants, and the storage-failure ones ride through

@@ -6,6 +6,7 @@
 //! `support`.
 
 mod end_to_end_workloads;
+mod figure_data;
 mod fleet;
 mod matrix;
 mod methods;

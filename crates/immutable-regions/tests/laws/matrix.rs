@@ -9,17 +9,22 @@
 //! mem-built index: the same regions and the same counters, except for
 //! `cpu_time` and the physical reads, which depend on the clock and the
 //! cache. Rows marked `exhaustive` also check every report against the
-//! O(n²) [`ExhaustiveOracle`] at 1e-9.
+//! O(n²) [`ExhaustiveOracle`] at 1e-9. The cells of one case share one
+//! engine per backend and source, each served through a handle with the
+//! cell's configuration and worker count.
 
+use crate::figure_data;
 use crate::support::*;
 use immutable_regions::prelude::*;
+use immutable_regions::storage::buffer::DEFAULT_POOL_CAPACITY;
 use ir_core::oracle::OracleRegions;
 use ir_core::PerturbationMode::{self, CompositionOnly, WithReorderings};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
+use std::sync::Arc;
 
-/// Every cell's buffer pool: large enough for the small cases, small
-/// enough that the 2,000-tuple case evicts.
+/// The cells' buffer pool for the generated cases: large enough for the
+/// small ones, small enough that the 2,000-tuple case evicts.
 const POOL_PAGES: usize = 64;
 
 /// The queries one draw from a row's stream serves.
@@ -43,7 +48,10 @@ use Cases::{Each, Shared};
 struct Law {
     seed: u64,
     cases: Cases,
-    draw: fn(&mut ChaCha8Rng) -> Case,
+    /// Every cell's buffer pool, in pages.
+    pool: usize,
+    /// Draws the case of the given number from the row's stream.
+    draw: fn(&mut ChaCha8Rng, usize) -> Case,
     configs: Vec<RegionConfig>,
     backends: &'static [BackendKind],
     sources: &'static [ColdStartSource],
@@ -55,6 +63,13 @@ struct Law {
 /// per query dimension — and the first configuration's reports there.
 type Exhaustive = (RegionConfig, Vec<Vec<OracleRegions>>, Vec<RegionReport>);
 
+/// A case with its oracle index and its engines, by backend and source.
+type Serving = (
+    Case,
+    Arc<TopKIndex>,
+    Vec<(BackendKind, ColdStartSource, IrEngine)>,
+);
+
 impl Law {
     fn check(self) {
         let mut rng = rng(self.seed);
@@ -64,54 +79,73 @@ impl Law {
         };
         for trial in 0..trials {
             let at = format!("seed {:#x}, case {trial}", self.seed);
-            let mut case = None;
+            let mut drawn = None;
             let mut exhaustive: Vec<Exhaustive> = Vec::new();
             for (c, config) in self.configs.iter().enumerate() {
                 if c == 0 || !shared {
-                    case = Some((self.draw)(&mut rng));
+                    let case = (self.draw)(&mut rng, trial);
+                    drawn = Some(self.serving(case, *config));
                     exhaustive.clear();
                 }
-                let case = case.as_ref().unwrap();
+                let (case, index, engines) = drawn.as_ref().unwrap();
                 let config = RegionConfig {
                     phi: case.phi.unwrap_or(config.phi),
                     ..*config
                 };
-                let oracle = sequential(case, config, &at);
+                let oracle = sequential(index, case, config, &at);
                 if self.exhaustive {
                     check_exhaustive(case, config, &oracle, &mut exhaustive, &at);
                 }
-                for &backend in self.backends {
-                    for &source in self.sources {
-                        for &workers in self.workers {
-                            let cell = Cell {
-                                source,
-                                ..Cell::built(config, backend, workers)
-                            };
-                            serve(&cell, case, &oracle, &at);
-                        }
+                for (backend, source, engine) in engines {
+                    for &workers in self.workers {
+                        let cell = Cell {
+                            source: *source,
+                            ..Cell::built(config, *backend, workers)
+                        };
+                        let engine = engine.with_config(config).with_threads(workers);
+                        serve(&cell, &engine, case, &oracle, &at);
                     }
                 }
             }
         }
     }
+
+    /// What serves `case` for every configuration and worker count: the
+    /// oracle's mem-built index, and one engine per backend and source.
+    fn serving(&self, case: Case, config: RegionConfig) -> Serving {
+        let index = IndexBuilder::new().build_shared(&case.dataset).unwrap();
+        let mut engines = Vec::new();
+        for &backend in self.backends {
+            for &source in self.sources {
+                let cell = Cell {
+                    source,
+                    ..Cell::built(config, backend, 1)
+                };
+                let engine = engine_with(&cell, &case.dataset, |b| b.pool_capacity(self.pool));
+                engines.push((backend, source, engine));
+            }
+        }
+        (case, index, engines)
+    }
 }
 
-/// The oracle: one sequential [`RegionComputation`] per query on a
-/// mem-built index, whose current result is TA's top-k.
-fn sequential(case: &Case, config: RegionConfig, at: &str) -> Vec<RegionReport> {
-    let index = IndexBuilder::new().build_shared(&case.dataset).unwrap();
+/// The oracle: one sequential [`RegionComputation`] per query on the case's
+/// mem-built `index`, whose current result is TA's top-k.
+fn sequential(
+    index: &Arc<TopKIndex>,
+    case: &Case,
+    config: RegionConfig,
+    at: &str,
+) -> Vec<RegionReport> {
     case.queries
         .iter()
         .enumerate()
         .map(|(q, query)| {
-            let report = RegionComputation::new(&index, query, config)
+            let report = RegionComputation::new(index, query, config)
                 .unwrap()
                 .compute()
                 .unwrap();
-            let topk = TaRun::execute_default(&index, query)
-                .unwrap()
-                .result()
-                .ids();
+            let topk = TaRun::execute_default(index, query).unwrap().result().ids();
             for dim in &report.dims {
                 assert_eq!(dim.current_result(), &topk[..], "{at}, query {q}");
             }
@@ -120,13 +154,19 @@ fn sequential(case: &Case, config: RegionConfig, at: &str) -> Vec<RegionReport> 
         .collect()
 }
 
-/// Serves the case from `cell` — `query_batch`, and `query` on one worker —
-/// and holds every report to the oracle's.
-fn serve(cell: &Cell, case: &Case, oracle: &[RegionReport], at: &str) {
-    let engine = engine_with(cell, &case.dataset, |b| b.pool_capacity(POOL_PAGES));
+/// Serves the case from `engine`, the handle for `cell` — `query_batch`,
+/// and `query` on one worker — and holds every report to the oracle's.
+fn serve(cell: &Cell, engine: &IrEngine, case: &Case, oracle: &[RegionReport], at: &str) {
+    assert_eq!(
+        (engine.config(), engine.threads()),
+        (cell.config(), cell.workers),
+        "{cell:?}"
+    );
+    engine.cold_start();
     let batch = engine.query_batch(&case.queries).unwrap();
     assert_equivalent(cell, at, "query_batch", &batch, oracle);
     if cell.workers == 1 {
+        engine.cold_start();
         let single: Vec<RegionReport> = case
             .queries
             .iter()
@@ -262,6 +302,16 @@ fn mixed_sized(rng: &mut ChaCha8Rng, queries: usize) -> Case {
     mixed(rng, dims, n, queries)
 }
 
+/// The runners' smoke data: `wsj` or `st` from [`figure_data`].
+fn figure_case(data: fn() -> (Dataset, Vec<QueryVector>)) -> Case {
+    let (dataset, queries) = data();
+    Case {
+        dataset,
+        queries,
+        phi: None,
+    }
+}
+
 const ALL: &[Algorithm] = &Algorithm::ALL;
 const SCAN_CPT: &[Algorithm] = &[Algorithm::Scan, Algorithm::Cpt];
 
@@ -277,42 +327,42 @@ macro_rules! laws {
 
 laws! {
     backends_agree_for_all_algorithms_phi_and_worker_counts: Law {
-        seed: 0xBA_CE2D, cases: Each, draw: |rng| mixed_sized(rng, 4),
+        seed: 0xBA_CE2D, cases: Each, pool: POOL_PAGES, draw: |rng, _| mixed_sized(rng, 4),
         configs: sweep(ALL, &[0, 1, 3], WithReorderings),
         backends: &[File], sources: &[Built], workers: &[1, 2, 8], exhaustive: false,
     };
     backends_agree_in_composition_only_mode: Law {
-        seed: 0x00C0_BACE, cases: Each, draw: |rng| mixed_80(rng, 3),
+        seed: 0x00C0_BACE, cases: Each, pool: POOL_PAGES, draw: |rng, _| mixed_80(rng, 3),
         configs: sweep(SCAN_CPT, &[0], CompositionOnly),
         backends: &[File], sources: &[Built], workers: &[2], exhaustive: false,
     };
     batch_matches_sequential_oracle_for_all_algorithms_and_phi: Law {
-        seed: 0x9A11E7, cases: Each, draw: |rng| mixed_sized(rng, 5),
+        seed: 0x9A11E7, cases: Each, pool: POOL_PAGES, draw: |rng, _| mixed_sized(rng, 5),
         configs: sweep(ALL, &[0, 1, 3], WithReorderings),
         backends: &[Mem], sources: &[Built], workers: &[1, 2, 8], exhaustive: false,
     };
     batch_matches_sequential_oracle_in_composition_only_mode: Law {
-        seed: 0xC0517, cases: Each, draw: |rng| mixed_80(rng, 4),
+        seed: 0xC0517, cases: Each, pool: POOL_PAGES, draw: |rng, _| mixed_80(rng, 4),
         configs: sweep(SCAN_CPT, &[0], CompositionOnly),
         backends: &[Mem], sources: &[Built], workers: &[1, 2, 8], exhaustive: false,
     };
     batch_results_and_current_regions_match_sequential_topk: Law {
-        seed: 0x70B_B01, cases: Shared(1), draw: |rng| mixed(rng, 5, 100, 6),
+        seed: 0x70B_B01, cases: Shared(1), pool: POOL_PAGES, draw: |rng, _| mixed(rng, 5, 100, 6),
         configs: vec![RegionConfig::default()],
         backends: &[Mem], sources: &[Built], workers: &[4], exhaustive: false,
     };
     snapshot_served_engines_agree_with_built_oracle: Law {
-        seed: 0x5AFE_5EED, cases: Each, draw: |rng| mixed_sized(rng, 4),
+        seed: 0x5AFE_5EED, cases: Each, pool: POOL_PAGES, draw: |rng, _| mixed_sized(rng, 4),
         configs: sweep(ALL, &[0], WithReorderings),
         backends: &[Mem, File], sources: &[Snapshot], workers: &[1, 2, 8], exhaustive: false,
     };
     snapshot_agreement_holds_with_phi_perturbations: Law {
-        seed: 0x05AF_E0F1, cases: Each, draw: |rng| mixed_80(rng, 3),
+        seed: 0x05AF_E0F1, cases: Each, pool: POOL_PAGES, draw: |rng, _| mixed_80(rng, 3),
         configs: sweep(&[Algorithm::Cpt], &[1, 3], WithReorderings),
         backends: &[Mem, File], sources: &[Snapshot], workers: &[2], exhaustive: false,
     };
     all_algorithms_agree_with_each_other_and_the_oracle: Law {
-        seed: 2024, cases: Shared(12), draw: |rng| {
+        seed: 2024, cases: Shared(12), pool: POOL_PAGES, draw: |rng, _| {
             let dims = rng.gen_range(3..7);
             let n = rng.gen_range(30..120);
             let dataset = random_dataset(rng, n, dims);
@@ -324,7 +374,7 @@ laws! {
         backends: &[Mem], sources: &[Built], workers: &[1], exhaustive: true,
     };
     composition_only_mode_agrees_with_the_oracle: Law {
-        seed: 777, cases: Shared(8), draw: |rng| {
+        seed: 777, cases: Shared(8), pool: POOL_PAGES, draw: |rng, _| {
             let dims = rng.gen_range(3..6);
             let dataset = random_dataset(rng, 60, dims);
             Case { queries: vec![random_query(rng, dims, 2, 3)], dataset, phi: None }
@@ -333,7 +383,7 @@ laws! {
         backends: &[Mem], sources: &[Built], workers: &[1], exhaustive: true,
     };
     phi_regions_match_the_oracle_for_every_algorithm: Law {
-        seed: 31, cases: Shared(8), draw: |rng| {
+        seed: 31, cases: Shared(8), pool: POOL_PAGES, draw: |rng, _| {
             let dims = rng.gen_range(3..6);
             let n = rng.gen_range(25..70);
             let dataset = subset_dataset(rng, n, dims);
@@ -348,7 +398,7 @@ laws! {
         backends: &[Mem], sources: &[Built], workers: &[1], exhaustive: true,
     };
     batch_output_matches_borrowed_sequential_oracle_for_every_worker_count: Law {
-        seed: 0xA11CE, cases: Shared(1), draw: |_| Case {
+        seed: 0xA11CE, cases: Shared(1), pool: POOL_PAGES, draw: |_, _| Case {
             dataset: dense_dataset(0xA11CE, 150, 5),
             queries: dense_queries(0xA11CE, 5, 8, 4),
             phi: None,
@@ -361,7 +411,7 @@ laws! {
         backends: &[Mem], sources: &[Built], workers: &[1, 2, 4, 8], exhaustive: false,
     };
     single_query_matches_borrowed_path_exactly: Law {
-        seed: 0, cases: Shared(1), draw: |_| Case {
+        seed: 0, cases: Shared(1), pool: POOL_PAGES, draw: |_, _| Case {
             dataset: Dataset::running_example(),
             queries: vec![QueryVector::running_example()],
             phi: None,
@@ -370,12 +420,24 @@ laws! {
         backends: &[Mem], sources: &[Built], workers: &[1], exhaustive: false,
     };
     disk_backed_index_produces_the_same_regions_as_memory: Law {
-        seed: 0, cases: Shared(1), draw: |_| Case {
+        seed: 0, cases: Shared(1), pool: POOL_PAGES, draw: |_, _| Case {
             dataset: medium_dataset(),
             queries: vec![QueryVector::new([(0, 0.9), (5, 0.6), (11, 0.3)], 10).unwrap()],
             phi: None,
         },
         configs: vec![RegionConfig::flat(Algorithm::Cpt)],
         backends: &[File], sources: &[Built], workers: &[1], exhaustive: false,
+    };
+    figure_series_are_file_backend_invariant: Law {
+        seed: 0, cases: Shared(2), pool: DEFAULT_POOL_CAPACITY,
+        draw: |_, case| figure_case([figure_data::wsj, figure_data::st][case]),
+        configs: vec![RegionConfig::flat(Algorithm::Cpt), RegionConfig::with_phi(Algorithm::Cpt, 3)],
+        backends: &[File], sources: &[Built], workers: &[2], exhaustive: false,
+    };
+    figure_series_are_snapshot_invariant: Law {
+        seed: 0, cases: Shared(1), pool: DEFAULT_POOL_CAPACITY,
+        draw: |_, _| figure_case(figure_data::st),
+        configs: vec![RegionConfig::flat(Algorithm::Cpt)],
+        backends: &[Mem, File], sources: &[Snapshot], workers: &[2], exhaustive: false,
     };
 }

@@ -10,36 +10,36 @@
 //! 3. **Pruning and thresholding in isolation** — the per-dimension pool
 //!    sizes each technique leaves for Phase 2 on each dataset kind.
 //!
-//! Every measurement is one sequential solve per query, so the printed
-//! numbers are identical for every `--threads` value.
+//! Every measurement is one sequential solve per query. The ablation emits
+//! no series and takes no option.
 //!
 //! Run with `cargo run --release -p ir-bench --bin ablation_design_choices`.
 
 use immutable_regions::engine::{EngineResult, IrEngine};
-use ir_bench::{simulated_io_ms, BenchArgs, BenchDataset, Scale};
+use ir_bench::{cli, report_wall_clock, simulated_io_ms, BenchDataset, Scale};
 use ir_core::{Algorithm, RegionConfig};
 use ir_topk::{ProbeStrategy, TaConfig, TaRun};
 use std::time::Instant;
 
 fn main() -> EngineResult<()> {
-    let args = BenchArgs::parse();
+    cli::reject_arguments(std::env::args().skip(1));
     let started = Instant::now();
     let scale = Scale::from_env();
-    probe_strategy_ablation(scale, &args)?;
-    pool_size_ablation(scale, &args)?;
-    phase2_pool_ablation(scale, &args)?;
-    args.report_wall_clock(started);
+    probe_strategy_ablation(scale)?;
+    pool_size_ablation(scale)?;
+    phase2_pool_ablation(scale)?;
+    report_wall_clock(started);
     Ok(())
 }
 
-fn probe_strategy_ablation(scale: Scale, args: &BenchArgs) -> EngineResult<()> {
+fn probe_strategy_ablation(scale: Scale) -> EngineResult<()> {
     println!("=== Ablation 1: TA probe strategy (k = 10, qlen = 4) ===");
     println!(
         "{:<10} {:<14} {:>16} {:>16} {:>12}",
         "dataset", "strategy", "sorted accesses", "random accesses", "|C(q)|"
     );
     for dataset in [BenchDataset::Wsj, BenchDataset::Kb, BenchDataset::St] {
-        let (engine, workload) = dataset.prepare_engine(scale, 4, 10, 5, args)?;
+        let (engine, workload) = dataset.prepare_engine(scale, 4, 10, 5)?;
         for (name, strategy) in [
             ("round-robin", ProbeStrategy::RoundRobin),
             ("weighted-key", ProbeStrategy::WeightedKey),
@@ -74,7 +74,7 @@ fn probe_strategy_ablation(scale: Scale, args: &BenchArgs) -> EngineResult<()> {
     Ok(())
 }
 
-fn pool_size_ablation(scale: Scale, args: &BenchArgs) -> EngineResult<()> {
+fn pool_size_ablation(scale: Scale) -> EngineResult<()> {
     println!("=== Ablation 2: buffer-pool size (WSJ-like, k = 10, qlen = 4) ===");
     println!(
         "{:<12} {:<8} {:>16} {:>16} {:>14}",
@@ -86,7 +86,10 @@ fn pool_size_ablation(scale: Scale, args: &BenchArgs) -> EngineResult<()> {
         // A fresh engine per pool budget: the pool size is a build-time
         // storage choice, exactly what the engine builder exposes. The
         // dataset is borrowed, not cloned — only the index is rebuilt.
-        let engine = args.engine(&dataset, IrEngine::builder().pool_capacity(pool_pages))?;
+        let engine = IrEngine::builder()
+            .dataset_ref(&dataset)
+            .pool_capacity(pool_pages)
+            .build()?;
         for algorithm in [Algorithm::Scan, Algorithm::Cpt] {
             let mut logical = 0u64;
             let mut physical = 0u64;
@@ -112,14 +115,14 @@ fn pool_size_ablation(scale: Scale, args: &BenchArgs) -> EngineResult<()> {
     Ok(())
 }
 
-fn phase2_pool_ablation(scale: Scale, args: &BenchArgs) -> EngineResult<()> {
+fn phase2_pool_ablation(scale: Scale) -> EngineResult<()> {
     println!("=== Ablation 3: evaluated candidates per technique (k = 10, qlen = 4) ===");
     println!(
         "{:<10} {:<8} {:>20} {:>16}",
         "dataset", "method", "evaluated cands/dim", "initial |C(q)|"
     );
     for dataset in [BenchDataset::Wsj, BenchDataset::Kb, BenchDataset::St] {
-        let (engine, workload) = dataset.prepare_engine(scale, 4, 10, 5, args)?;
+        let (engine, workload) = dataset.prepare_engine(scale, 4, 10, 5)?;
         for algorithm in Algorithm::ALL {
             let mut evaluated = 0.0;
             let mut initial = 0usize;

@@ -1,34 +1,29 @@
 //! Diffs freshly emitted `BENCH_<figure>.json` series against a committed
 //! baseline directory.
 //!
-//! Usage: `bench_diff [--update-baseline] [--exact] <baseline_dir> <candidate_dir>`
+//! Usage: `bench_diff [--update-baseline] <baseline_dir> <candidate_dir>`
 //!
 //! Every `BENCH_*.json` in the baseline must exist in the candidate and
 //! pass [`ir_bench::compare_figures`]: same methods, same x grids, the
 //! deterministic metrics (evaluated candidates, logical reads, memory)
-//! within 1%, and the cross-method dominance shape intact. Wall-clock and
-//! physical-read metrics are never compared.
+//! exactly equal, and the cross-method dominance shape intact. Wall-clock
+//! and physical-read metrics are never compared.
 //!
 //! Exit status distinguishes the failure class: **1** for metric
-//! mismatches (or unreadable files) — a regression in committed coverage —
-//! and **2** when the only violations are *missing series* (a candidate
-//! emission with no committed baseline, or a baseline the run no longer
-//! emits): coverage drift that is fixed by committing or pruning a
-//! baseline, not by chasing a metric. Mixed failures exit 1, the severer
-//! class. The CI regression gate treats both as failures but the message
-//! (and status) tell the operator which playbook applies.
-//!
-//! With `--exact`, the deterministic metrics must match with zero
-//! tolerance — the mode the CI backend matrix uses to prove that a mem-
-//! backend emission and a file-backend emission of the same workload are
-//! interchangeable (timing/physical-read metrics stay exempt: those are
-//! the io counters that legitimately differ).
+//! mismatches or unreadable input (a file, or either directory, named in
+//! the message) — a regression in committed coverage — and **2** when the
+//! only violations are *missing series* (a candidate emission with no
+//! committed baseline, or a baseline the run no longer emits): coverage
+//! drift that is fixed by committing or pruning a baseline, not by chasing
+//! a metric. Mixed failures exit 1, the severer class. The CI regression
+//! gate treats both as failures but the message (and status) tell the
+//! operator which playbook applies.
 //!
 //! With `--update-baseline`, an intentional change is accepted instead:
 //! every candidate `BENCH_*.json` is copied over the baseline directory
 //! (commit the result) and the exit code is 0.
 
-use ir_bench::{compare_figures, compare_figures_with_tolerance, read_figure};
+use ir_bench::{compare_figures, read_figure};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -93,19 +88,16 @@ fn update_baseline(baseline_dir: &str, candidate_dir: &str) -> ExitCode {
 
 fn main() -> ExitCode {
     let mut update = false;
-    let mut exact = false;
     let mut positional: Vec<String> = Vec::new();
     for arg in std::env::args().skip(1) {
         if arg == "--update-baseline" {
             update = true;
-        } else if arg == "--exact" {
-            exact = true;
         } else {
             positional.push(arg);
         }
     }
     let [baseline_dir, candidate_dir] = positional.as_slice() else {
-        eprintln!("usage: bench_diff [--update-baseline] [--exact] <baseline_dir> <candidate_dir>");
+        eprintln!("usage: bench_diff [--update-baseline] <baseline_dir> <candidate_dir>");
         return ExitCode::FAILURE;
     };
 
@@ -113,13 +105,14 @@ fn main() -> ExitCode {
         return update_baseline(baseline_dir, candidate_dir);
     }
 
-    let baseline_files = match bench_files(baseline_dir) {
-        Ok(files) => files,
-        Err(e) => {
-            eprintln!("bench_diff: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (baseline_files, candidate_files) =
+        match (bench_files(baseline_dir), bench_files(candidate_dir)) {
+            (Ok(baseline), Ok(candidate)) => (baseline, candidate),
+            (Err(e), _) | (_, Err(e)) => {
+                eprintln!("bench_diff: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
     if baseline_files.is_empty() {
         eprintln!("no BENCH_*.json files in {baseline_dir}");
         return ExitCode::FAILURE;
@@ -135,14 +128,12 @@ fn main() -> ExitCode {
 
     // Candidate emissions with no committed baseline would otherwise get
     // zero regression coverage forever — flag them.
-    if let Ok(candidate_files) = bench_files(candidate_dir) {
-        for name in candidate_files {
-            if !baseline_files.contains(&name) {
-                missing.push((
-                    name.clone(),
-                    format!("emitted but not in the baseline — commit it to {baseline_dir}"),
-                ));
-            }
+    for name in candidate_files {
+        if !baseline_files.contains(&name) {
+            missing.push((
+                name.clone(),
+                format!("emitted but not in the baseline — commit it to {baseline_dir}"),
+            ));
         }
     }
 
@@ -159,11 +150,7 @@ fn main() -> ExitCode {
                 } else {
                     match read_figure(&candidate_path) {
                         Ok(candidate) => {
-                            file_violations.extend(if exact {
-                                compare_figures_with_tolerance(&baseline, &candidate, 0.0)
-                            } else {
-                                compare_figures(&baseline, &candidate)
-                            });
+                            file_violations.extend(compare_figures(&baseline, &candidate));
                             compared += 1;
                         }
                         Err(e) => file_violations.push(format!("candidate unreadable: {e}")),

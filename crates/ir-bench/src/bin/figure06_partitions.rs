@@ -3,16 +3,16 @@
 //! For one equal-weight 4-term query on the WSJ-like and ST datasets, prints
 //! the sizes of the `C⁰_j` / `C^H_j` / `C^L_j` partitions of `C(q)` plus a
 //! score-vs-coordinate dump of result and candidate tuples (the scatter the
-//! paper plots).
+//! paper plots). It emits no series and takes no option.
 
 use immutable_regions::engine::{EngineResult, IrEngine};
-use ir_bench::{BenchArgs, BenchDataset, Scale};
+use ir_bench::{cli, report_wall_clock, BenchDataset, Scale};
 use ir_core::partition::Partition;
 use ir_datagen::{QueryWorkload, WorkloadConfig};
 use std::time::Instant;
 
 fn main() -> EngineResult<()> {
-    let args = BenchArgs::parse();
+    cli::reject_arguments(std::env::args().skip(1));
     let started = Instant::now();
     let scale = Scale::from_env();
     for dataset_kind in [BenchDataset::Wsj, BenchDataset::St] {
@@ -37,7 +37,7 @@ fn main() -> EngineResult<()> {
             },
             6,
         )?;
-        let engine = args.engine(&dataset, IrEngine::builder())?;
+        let engine = IrEngine::builder().dataset_ref(&dataset).build()?;
         let query = &workload.queries()[0];
         let mut computation = engine.computation(query)?;
         let candidates = computation.ta().candidates().entries();
@@ -65,8 +65,7 @@ fn main() -> EngineResult<()> {
         for entry in candidates.iter().take(30) {
             println!("    C {:.4} {:.4}", entry.score, entry.coord(0));
         }
-        // The regions behind the partitions (the one sequential solve, so
-        // identical output for every `--threads` value).
+        // The regions behind the partitions.
         let report = computation.compute()?;
         for dim in &report.dims {
             println!(
@@ -76,6 +75,6 @@ fn main() -> EngineResult<()> {
         }
         println!();
     }
-    args.report_wall_clock(started);
+    report_wall_clock(started);
     Ok(())
 }

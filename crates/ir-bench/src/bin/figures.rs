@@ -1,7 +1,7 @@
 //! Figures 10–16: the table runners of the paper's evaluation, one spec per
 //! figure.
 //!
-//! `figures <id> [--threads N] [--backend B] [--emit-json DIR] …` prints,
+//! `figures <id> [--emit-json DIR]` prints,
 //! per method and x-axis value, the average number of evaluated candidates
 //! per dimension, the I/O time, the CPU time and the memory footprint — the
 //! four panels of each figure — and emits each printed table as
@@ -10,7 +10,7 @@
 
 use immutable_regions::engine::EngineResult;
 use ir_bench::{
-    measure_iterative, measure_method_threaded, print_table, BenchArgs, BenchDataset,
+    measure_iterative, measure_method, print_table, report_wall_clock, BenchArgs, BenchDataset,
     ExperimentTable, Scale,
 };
 use ir_core::{Algorithm, RegionConfig};
@@ -145,16 +145,17 @@ const FIGURES: &[Figure] = &[
 ];
 
 fn main() -> EngineResult<()> {
-    let id = std::env::args().nth(1);
+    let mut argv = std::env::args().skip(1);
+    let id = argv.next();
     let Some(figure) = FIGURES.iter().find(|f| Some(f.id) == id.as_deref()) else {
-        eprintln!("usage: figures <id> [--threads N] [--backend B] [--emit-json DIR] …");
+        eprintln!("usage: figures <id> [--emit-json DIR]");
         eprintln!("valid ids:");
         for figure in FIGURES {
             eprintln!("  {}", figure.id);
         }
         std::process::exit(2);
     };
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(argv);
     let started = Instant::now();
     let scale = Scale::from_env();
     let xs = match scale {
@@ -192,8 +193,7 @@ fn main() -> EngineResult<()> {
     for (series_id, dataset, title) in figure.tables {
         let mut table = ExperimentTable::new(*title, x_label);
         for &(qlen, k) in &points {
-            let (engine, workload) = dataset.prepare_engine(scale, qlen, k, queries, &args)?;
-            table.cold_start = engine.cold_start_info();
+            let (engine, workload) = dataset.prepare_engine(scale, qlen, k, queries)?;
             for &phi in phis {
                 let x = match figure.axis {
                     Axis::Qlen => qlen,
@@ -201,7 +201,7 @@ fn main() -> EngineResult<()> {
                     Axis::Phi => phi,
                 } as f64;
                 for &algorithm in algorithms {
-                    table.push(measure_method_threaded(
+                    table.push(measure_method(
                         &engine,
                         &workload,
                         algorithm,
@@ -215,8 +215,8 @@ fn main() -> EngineResult<()> {
             }
         }
         print_table(&table);
-        args.emit(series_id, &table, flavour(RegionConfig::default()))?;
+        args.emit(series_id, &table)?;
     }
-    args.report_wall_clock(started);
+    report_wall_clock(started);
     Ok(())
 }

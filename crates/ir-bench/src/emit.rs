@@ -5,14 +5,12 @@
 //! files is committed under `bench_baselines/`; `ci.sh` re-runs the
 //! runners, emits fresh series and diffs them against the baseline with
 //! [`compare_figures`]. The comparison checks *shape* (methods present, x
-//! grids) and the deterministic metrics (evaluated candidates, logical
-//! reads, memory) plus cross-method dominance — never wall-clock or
+//! grids), the deterministic metrics (evaluated candidates, logical reads,
+//! memory) exactly, and cross-method dominance — never wall-clock or
 //! physical-read timings, which vary run to run.
 
 use crate::metrics::{MethodMeasurement, MethodSeries};
 use crate::runner::ExperimentTable;
-use immutable_regions::engine::EnginePolicy;
-use ir_storage::ColdStartInfo;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
@@ -23,29 +21,13 @@ pub struct FigureSeries {
     pub figure: String,
     /// Label of the x-axis (`qlen`, `k`, `phi`).
     pub x_label: String,
-    /// The engine-policy template the runner served the workload with:
-    /// the settings shared by every row (perturbation mode, the fixed φ if
-    /// any) plus the worker count. The per-series algorithm and the swept
-    /// x-axis parameter (`x_label`) override it row by row. Metadata only —
-    /// never compared by [`compare_figures`]: the deterministic series are
-    /// worker-count invariant by construction.
-    pub policy: EnginePolicy,
-    /// How the engine that served the table came up (built from the dataset
-    /// vs reopened from a snapshot; pages touched, bytes parsed). Metadata
-    /// only, like `policy`.
-    pub cold_start: ColdStartInfo,
     /// One series per method, in first-appearance order.
     pub series: Vec<MethodSeries>,
 }
 
 /// Groups a printed table into per-method series (points kept in x order of
-/// appearance, methods in first-appearance order), stamped with the engine
-/// policy that produced it and the table's cold-start stamp.
-pub fn table_to_series(
-    figure: &str,
-    table: &ExperimentTable,
-    policy: EnginePolicy,
-) -> FigureSeries {
+/// appearance, methods in first-appearance order).
+pub fn table_to_series(figure: &str, table: &ExperimentTable) -> FigureSeries {
     let mut series: Vec<MethodSeries> = Vec::new();
     for row in &table.rows {
         match series.iter_mut().find(|s| s.algorithm == row.algorithm) {
@@ -59,8 +41,6 @@ pub fn table_to_series(
     FigureSeries {
         figure: figure.to_string(),
         x_label: table.x_label.clone(),
-        policy,
-        cold_start: table.cold_start,
         series,
     }
 }
@@ -87,33 +67,11 @@ pub fn read_figure(path: &Path) -> Result<FigureSeries, String> {
     serde_json::from_str(&json).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// Relative tolerance for the deterministic metrics. The series are exact
-/// re-runs of seeded workloads, so 1% absorbs only numeric formatting
-/// drift, not behavioural change.
-const REL_TOLERANCE: f64 = 0.01;
-
-fn relative_mismatch(
-    metric: &str,
-    baseline: f64,
-    candidate: f64,
-    tolerance: f64,
-) -> Option<String> {
-    let scale = baseline.abs().max(1.0);
-    if (candidate - baseline).abs() > tolerance * scale {
-        Some(format!(
-            "{metric}: baseline {baseline:.4}, candidate {candidate:.4}"
-        ))
-    } else {
-        None
-    }
-}
-
 fn point_violations(
     figure: &str,
     algorithm: &str,
     b: &MethodMeasurement,
     c: &MethodMeasurement,
-    tolerance: f64,
 ) -> Vec<String> {
     let mut out = Vec::new();
     let at = format!("{figure}/{algorithm} @ x={}", b.x);
@@ -130,8 +88,10 @@ fn point_violations(
         ("logical_reads", b.logical_reads, c.logical_reads),
         ("memory_kbytes", b.memory_kbytes, c.memory_kbytes),
     ] {
-        if let Some(v) = relative_mismatch(metric, baseline, candidate, tolerance) {
-            out.push(format!("{at}: {v}"));
+        if candidate != baseline {
+            out.push(format!(
+                "{at}: {metric}: baseline {baseline}, candidate {candidate}"
+            ));
         }
     }
     out
@@ -139,24 +99,10 @@ fn point_violations(
 
 /// Compares a fresh emission against the committed baseline. Returns a
 /// list of violations (empty = pass): shape changes (missing methods,
-/// different x grids), deterministic-metric drift beyond tolerance, and
-/// broken cross-method dominance (a pruning/thresholding method evaluating
-/// more than Scan).
+/// different x grids), any difference in a deterministic metric, and broken
+/// cross-method dominance (a pruning/thresholding method evaluating more
+/// than Scan). Wall-clock and physical-read metrics are never compared.
 pub fn compare_figures(baseline: &FigureSeries, candidate: &FigureSeries) -> Vec<String> {
-    compare_figures_with_tolerance(baseline, candidate, REL_TOLERANCE)
-}
-
-/// [`compare_figures`] with an explicit relative tolerance for the
-/// deterministic metrics. A tolerance of `0.0` demands exact equality —
-/// what the CI backend matrix uses to prove a mem-backend emission and a
-/// file-backend emission of the same run are interchangeable. (Wall-clock
-/// and physical-read metrics are never compared at any tolerance; those
-/// legitimately differ run to run.)
-pub fn compare_figures_with_tolerance(
-    baseline: &FigureSeries,
-    candidate: &FigureSeries,
-    tolerance: f64,
-) -> Vec<String> {
     let mut violations = Vec::new();
     let figure = &baseline.figure;
     if baseline.x_label != candidate.x_label {
@@ -187,13 +133,7 @@ pub fn compare_figures_with_tolerance(
             continue;
         }
         for (b, c) in base_series.points.iter().zip(&cand_series.points) {
-            violations.extend(point_violations(
-                figure,
-                &base_series.algorithm,
-                b,
-                c,
-                tolerance,
-            ));
+            violations.extend(point_violations(figure, &base_series.algorithm, b, c));
         }
     }
     for extra in candidate
@@ -260,7 +200,7 @@ mod tests {
 
     #[test]
     fn series_roundtrip_through_json() {
-        let series = table_to_series("figureT", &sample_table(), EnginePolicy::default());
+        let series = table_to_series("figureT", &sample_table());
         assert_eq!(series.series.len(), 2);
         assert_eq!(series.series[0].algorithm, "Scan");
         assert_eq!(series.series[0].points.len(), 2);
@@ -272,7 +212,7 @@ mod tests {
     #[test]
     fn write_and_read_figure_file() {
         let dir = tempfile::tempdir().unwrap();
-        let series = table_to_series("figureT", &sample_table(), EnginePolicy::default());
+        let series = table_to_series("figureT", &sample_table());
         let path = write_figure(dir.path(), &series).unwrap();
         assert!(path.ends_with("BENCH_figureT.json"));
         let back = read_figure(&path).unwrap();
@@ -281,15 +221,15 @@ mod tests {
 
     #[test]
     fn identical_series_pass_comparison() {
-        let series = table_to_series("figureT", &sample_table(), EnginePolicy::default());
+        let series = table_to_series("figureT", &sample_table());
         assert!(compare_figures(&series, &series).is_empty());
     }
 
     #[test]
     fn drift_and_shape_changes_are_flagged() {
-        let baseline = table_to_series("figureT", &sample_table(), EnginePolicy::default());
+        let baseline = table_to_series("figureT", &sample_table());
 
-        // Metric drift beyond tolerance.
+        // Metric drift.
         let mut drifted = baseline.clone();
         drifted.series[1].points[0].evaluated_per_dim *= 2.0;
         let violations = compare_figures(&baseline, &drifted);
@@ -319,18 +259,17 @@ mod tests {
 
     #[test]
     fn zero_tolerance_demands_exact_deterministic_metrics() {
-        let baseline = table_to_series("figureT", &sample_table(), EnginePolicy::default());
-        // A drift far below the default 1% tolerance...
+        let baseline = table_to_series("figureT", &sample_table());
+        // A drift far below any rounding a formatter could introduce still
+        // fails: the series are exact re-runs of seeded workloads.
         let mut hair = baseline.clone();
         hair.series[0].points[0].logical_reads += 0.001;
-        assert!(compare_figures(&baseline, &hair).is_empty());
-        // ...still fails the exact comparison the backend matrix uses.
-        let violations = compare_figures_with_tolerance(&baseline, &hair, 0.0);
+        let violations = compare_figures(&baseline, &hair);
         assert!(violations.iter().any(|v| v.contains("logical_reads")));
         // Identical series pass exactly; timing metrics stay exempt.
         let mut timed = baseline.clone();
         timed.series[0].points[0].cpu_time_ms = 1e9;
         timed.series[0].points[0].physical_reads = 1e9;
-        assert!(compare_figures_with_tolerance(&baseline, &timed, 0.0).is_empty());
+        assert!(compare_figures(&baseline, &timed).is_empty());
     }
 }

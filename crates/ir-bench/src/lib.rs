@@ -12,17 +12,13 @@
 //! also what an unset variable means), `default` (minutes, laptop-scale),
 //! or `full` (the paper's cardinalities). Any other value exits 2.
 //!
-//! Every runner additionally accepts `--threads N` (fan the workload out
-//! over N workers of the parallel execution layer; the measured candidate
-//! and logical-read series are identical for every N),
-//! `--backend {mem,file}` (which page store backs the index — the series
-//! are byte-identical across backends), `--emit-json DIR` (write each
-//! table as `BENCH_<figure>.json` for the CI baseline diff performed by the
-//! `bench_diff` binary) and `--snapshot-dir DIR` (serve the figure from a
-//! persisted index snapshot reopened zero-copy instead of a freshly built
-//! index; deterministic output is identical, and the emitted series
-//! envelope's `cold_start` stamp records the provenance). Every runner
-//! gets its engine from [`BenchArgs::engine`]. See [`cli`] and [`emit`].
+//! `figures` takes one option, `--emit-json DIR`: write each table as
+//! `BENCH_<figure>.json` for the CI baseline diff performed by the
+//! `bench_diff` binary. `figure06_partitions` and `ablation_design_choices`
+//! emit no series and take no option. Any other argument exits 2. Every
+//! runner measures
+//! each query on its own after a cold start, on a mem-built engine. See
+//! [`cli`] and [`emit`].
 //!
 //! The I/O-time column prices each physical page read at one fixed 5 ms
 //! ([`simulated_io_ms`]).
@@ -37,13 +33,10 @@ pub mod runner;
 pub mod workloads;
 
 pub use cli::BenchArgs;
-pub use emit::{
-    compare_figures, compare_figures_with_tolerance, read_figure, table_to_series, write_figure,
-    FigureSeries,
-};
+pub use emit::{compare_figures, read_figure, table_to_series, write_figure, FigureSeries};
 pub use metrics::{MethodMeasurement, MethodSeries};
 pub use runner::{
-    measure_iterative, measure_method, measure_method_threaded, print_table, simulated_io_ms,
+    measure_iterative, measure_method, print_table, report_wall_clock, simulated_io_ms,
     ExperimentTable,
 };
 pub use workloads::{BenchDataset, Scale};

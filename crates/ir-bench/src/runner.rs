@@ -3,12 +3,9 @@
 use crate::metrics::MethodMeasurement;
 use immutable_regions::engine::{EngineResult, IrEngine};
 use ir_core::iterative::compute_iterative;
-use ir_core::parallel::run_queries;
 use ir_core::{Algorithm, ComputationStats, RegionConfig};
 use ir_datagen::QueryWorkload;
-use ir_storage::ColdStartInfo;
-use ir_types::IrResult;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Simulated latency of one physical page read, in nanoseconds: ~5 ms, a
 /// random read on the magnetic disks of the paper's 2012 testbed (its
@@ -50,35 +47,9 @@ pub fn measure_method(
     Ok(total.averaged_over(workload.len()))
 }
 
-/// Like [`measure_method`], but honouring the engine's worker count: with
-/// more than one worker the whole workload is fanned out over the engine's
-/// batch pool ([`IrEngine::query_batch`]) sharing one warm buffer
-/// pool. The candidate/logical-read metrics are unchanged either way (they
-/// are scheduling independent) while wall-clock time drops on a multi-core
-/// host.
-pub fn measure_method_threaded(
-    engine: &IrEngine,
-    workload: &QueryWorkload,
-    algorithm: Algorithm,
-    config: RegionConfig,
-    x: f64,
-) -> EngineResult<MethodMeasurement> {
-    if engine.threads() <= 1 {
-        return measure_method(engine, workload, algorithm, config, x);
-    }
-    engine.cold_start();
-    let reports = engine.with_config(config).query_batch(workload.queries())?;
-    let mut total = MethodMeasurement::new(algorithm, x);
-    for report in &reports {
-        accumulate_stats(&mut total, &report.stats);
-    }
-    Ok(total.averaged_over(workload.len()))
-}
-
-/// Measures the iterative re-evaluation baseline for `φ > 0` (Figure 15),
-/// fanning the per-query re-evaluations out over the engine's workers (each
-/// query's iterative chain stays sequential — it is inherently so — but
-/// distinct queries run concurrently).
+/// Measures the iterative re-evaluation baseline for `φ > 0` (Figure 15):
+/// each query's chain of re-evaluations after its own cold start, like
+/// [`measure_method`].
 pub fn measure_iterative(
     engine: &IrEngine,
     workload: &QueryWorkload,
@@ -88,23 +59,9 @@ pub fn measure_iterative(
 ) -> EngineResult<MethodMeasurement> {
     let mut total = MethodMeasurement::new(algorithm, x);
     total.algorithm = format!("{algorithm}-iter");
-    let index = engine.index();
-    let queries = workload.queries();
-    let reports = if engine.threads() <= 1 {
-        let mut reports = Vec::with_capacity(queries.len());
-        for query in workload.iter() {
-            engine.cold_start();
-            reports.push(compute_iterative(index, query, algorithm, phi)?);
-        }
-        reports
-    } else {
+    for query in workload.iter() {
         engine.cold_start();
-        let results = run_queries(engine.threads(), queries.len(), "query", |qi| {
-            compute_iterative(index, &queries[qi], algorithm, phi)
-        });
-        results.into_iter().collect::<IrResult<Vec<_>>>()?
-    };
-    for report in &reports {
+        let report = compute_iterative(engine.index(), query, algorithm, phi)?;
         accumulate_stats(&mut total, &report.stats);
     }
     Ok(total.averaged_over(workload.len()))
@@ -119,10 +76,6 @@ pub struct ExperimentTable {
     pub x_label: String,
     /// The measurements.
     pub rows: Vec<MethodMeasurement>,
-    /// How the engine serving the table came up — set by the runner from
-    /// [`IrEngine::cold_start_info`] and stamped into the emitted series
-    /// envelope (the all-zero `built` default until then).
-    pub cold_start: ColdStartInfo,
 }
 
 impl ExperimentTable {
@@ -184,18 +137,15 @@ pub fn print_table(table: &ExperimentTable) {
     println!("{}", table.render());
 }
 
+/// Prints the runner's total wall-clock time since `started`.
+pub fn report_wall_clock(started: Instant) {
+    println!("wall-clock: {:.3} s", started.elapsed().as_secs_f64());
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cli::BenchArgs;
     use crate::workloads::{BenchDataset, Scale};
-
-    fn args(threads: usize) -> BenchArgs {
-        BenchArgs {
-            threads,
-            ..BenchArgs::default()
-        }
-    }
 
     #[test]
     fn latency_model_scales_with_physical_reads() {
@@ -224,8 +174,10 @@ mod tests {
         // from the device, and each read costs the one page latency.
         let dataset = BenchDataset::Wsj.generate(Scale::Smoke);
         let workload = BenchDataset::Wsj.workload_for(&dataset, 2, 5, 3).unwrap();
-        let engine = args(1)
-            .engine(&dataset, IrEngine::builder().pool_capacity(8))
+        let engine = IrEngine::builder()
+            .dataset_ref(&dataset)
+            .pool_capacity(8)
+            .build()
             .unwrap();
         let measured = measure_method(
             &engine,
@@ -245,7 +197,7 @@ mod tests {
     #[test]
     fn measure_method_produces_sane_averages() {
         let (engine, workload) = BenchDataset::Wsj
-            .prepare_engine(Scale::Smoke, 2, 5, 2, &args(1))
+            .prepare_engine(Scale::Smoke, 2, 5, 2)
             .unwrap();
         let scan = measure_method(
             &engine,
@@ -266,36 +218,6 @@ mod tests {
         assert!(scan.evaluated_per_dim >= cpt.evaluated_per_dim);
         assert!(scan.cpu_time_ms > 0.0);
         assert!(scan.logical_reads > 0.0);
-    }
-
-    #[test]
-    fn threaded_measurements_are_worker_count_invariant() {
-        let (engine, workload) = BenchDataset::St
-            .prepare_engine(Scale::Smoke, 2, 5, 3, &args(2))
-            .unwrap();
-        let two = measure_method_threaded(
-            &engine,
-            &workload,
-            Algorithm::Cpt,
-            RegionConfig::flat(Algorithm::Cpt),
-            2.0,
-        )
-        .unwrap();
-        let four = measure_method_threaded(
-            &engine.with_threads(4),
-            &workload,
-            Algorithm::Cpt,
-            RegionConfig::flat(Algorithm::Cpt),
-            2.0,
-        )
-        .unwrap();
-        // The deterministic series are identical for every worker count —
-        // this is what lets CI diff emitted JSON against a baseline.
-        assert_eq!(two.evaluated_per_dim, four.evaluated_per_dim);
-        assert_eq!(two.logical_reads, four.logical_reads);
-        assert_eq!(two.memory_kbytes, four.memory_kbytes);
-        assert!(two.evaluated_per_dim > 0.0);
-        assert!(two.logical_reads > 0.0);
     }
 
     #[test]

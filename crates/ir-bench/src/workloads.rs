@@ -1,6 +1,5 @@
 //! Benchmark datasets and workloads (the paper's WSJ, KB and ST).
 
-use crate::cli::BenchArgs;
 use immutable_regions::engine::{EngineResult, IrEngine};
 use ir_datagen::queries::DimSelection;
 use ir_datagen::{
@@ -23,8 +22,8 @@ pub enum Scale {
 impl Scale {
     /// Reads the scale from `IR_BENCH_SCALE`; unset means `smoke`. Any other
     /// value than `smoke`, `default` or `full` exits 2 listing them — the
-    /// rule `--backend` follows — so a mistyped full-scale run never prints
-    /// smoke tables.
+    /// rule every runner argument follows — so a mistyped full-scale run
+    /// never prints smoke tables.
     pub fn from_env() -> Scale {
         let value = std::env::var_os("IR_BENCH_SCALE");
         match Scale::parse(value.as_deref().map(|v| v.to_string_lossy()).as_deref()) {
@@ -147,19 +146,17 @@ impl BenchDataset {
     }
 
     /// Generates the dataset at `scale`, the standard workload over it (see
-    /// [`BenchDataset::workload_for`]) and the engine serving it, prepared
-    /// by [`BenchArgs::engine`] from the parsed runner options.
+    /// [`BenchDataset::workload_for`]) and the default engine serving it.
     pub fn prepare_engine(
         &self,
         scale: Scale,
         qlen: usize,
         k: usize,
         num_queries: usize,
-        args: &BenchArgs,
     ) -> EngineResult<(IrEngine, QueryWorkload)> {
         let dataset = self.generate(scale);
         let workload = self.workload_for(&dataset, qlen, k, num_queries)?;
-        let engine = args.engine(&dataset, IrEngine::builder())?;
+        let engine = IrEngine::builder().dataset_ref(&dataset).build()?;
         Ok((engine, workload))
     }
 
@@ -174,28 +171,20 @@ impl BenchDataset {
     }
 }
 
+// The law table's figure rows serve a copy of the smoke data, because
+// `immutable-regions` cannot reach this crate; a test below ties the two.
+#[cfg(test)]
+#[path = "../../immutable-regions/tests/laws/figure_data.rs"]
+mod figure_data;
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cli::StagedSnapshotDir;
-    use ir_storage::BackendKind;
-    use std::path::{Path, PathBuf};
-
-    fn args(backend: BackendKind, snapshot_dir: Option<&Path>) -> BenchArgs {
-        BenchArgs {
-            threads: 1,
-            backend,
-            snapshot_dir: snapshot_dir.map(Path::to_path_buf),
-            ..BenchArgs::default()
-        }
-    }
 
     #[test]
     fn smoke_scale_prepares_all_datasets() {
         for dataset in [BenchDataset::Wsj, BenchDataset::Kb, BenchDataset::St] {
-            let (engine, workload) = dataset
-                .prepare_engine(Scale::Smoke, 3, 10, 2, &args(BackendKind::Mem, None))
-                .unwrap();
+            let (engine, workload) = dataset.prepare_engine(Scale::Smoke, 3, 10, 2).unwrap();
             assert!(engine.index().cardinality() >= 2_000, "{}", dataset.name());
             assert_eq!(workload.len(), 2);
         }
@@ -224,99 +213,18 @@ mod tests {
     }
 
     #[test]
-    fn prepare_engine_with_snapshot_dir_serves_identically() {
-        use ir_storage::ColdStartSource;
-
-        let root = tempfile::tempdir().unwrap();
-        let (engine, workload) = BenchDataset::St
-            .prepare_engine(
-                Scale::Smoke,
-                2,
-                5,
-                2,
-                &args(BackendKind::Mem, Some(root.path())),
-            )
-            .unwrap();
-        let info = engine.cold_start_info();
-        assert_eq!(info.source, ColdStartSource::Snapshot);
-
-        // Deterministic output identical to the built path.
-        let (built, _) = BenchDataset::St
-            .prepare_engine(Scale::Smoke, 2, 5, 2, &args(BackendKind::Mem, None))
-            .unwrap();
-        assert_eq!(built.cold_start_info().source, ColdStartSource::Built);
-        for query in workload.queries() {
-            assert_eq!(
-                engine.query(query).unwrap().dims,
-                built.query(query).unwrap().dims
-            );
-        }
-    }
-
-    #[test]
-    fn snapshot_staging_dirs_are_cleaned_up() {
-        let root = tempfile::tempdir().unwrap();
-        let list = |root: &Path| -> Vec<PathBuf> {
-            std::fs::read_dir(root)
-                .unwrap()
-                .map(|e| e.unwrap().path())
-                .collect()
-        };
-
-        // Success path: the staged `snap-*` dir is gone by the time
-        // `prepare_engine` returns, on every backend, and the engine still
-        // serves from its (unlinked) snapshot.
-        for backend in BackendKind::ALL {
-            let (engine, workload) = BenchDataset::St
-                .prepare_engine(Scale::Smoke, 2, 5, 2, &args(backend, Some(root.path())))
-                .unwrap();
-            assert_eq!(
-                engine.backend_kind(),
-                backend,
-                "the snapshot is served on the parsed backend"
-            );
-            assert_eq!(
-                list(root.path()),
-                Vec::<PathBuf>::new(),
-                "{backend:?}: staging dir leaked"
-            );
-            let _ = engine.query(&workload.queries()[0]).unwrap();
-        }
-
-        // Error path: an impossible workload config fails preparation
-        // before any staging, and a pre-created collision in the staging
-        // root never survives a failed run either.
-        let err = BenchDataset::St.prepare_engine(
-            Scale::Smoke,
-            50,
-            5,
-            2,
-            &args(BackendKind::Mem, Some(root.path())),
-        );
-        assert!(err.is_err());
-        assert_eq!(list(root.path()), Vec::<PathBuf>::new());
-
-        // The guard itself removes a populated staging dir on drop.
-        let staged = StagedSnapshotDir::unique(root.path());
-        std::fs::create_dir_all(staged.path()).unwrap();
-        std::fs::write(staged.path().join("snapshot.bin"), b"x").unwrap();
-        drop(staged);
-        assert_eq!(list(root.path()), Vec::<PathBuf>::new());
-    }
-
-    #[test]
-    fn prepare_engine_serves_from_any_backend() {
-        let mut reports = Vec::new();
-        for backend in BackendKind::ALL {
-            let (engine, workload) = BenchDataset::St
-                .prepare_engine(Scale::Smoke, 2, 5, 2, &args(backend, None))
-                .unwrap();
-            assert_eq!(engine.backend_kind(), backend);
-            reports.push(engine.query(&workload.queries()[0]).unwrap());
-        }
-        // Identical output regardless of the backend.
-        for other in &reports[1..] {
-            assert_eq!(reports[0].dims, other.dims);
+    fn the_law_tables_figure_data_is_the_runners_smoke_data() {
+        let copies: [(BenchDataset, fn() -> _); 2] = [
+            (BenchDataset::Wsj, figure_data::wsj),
+            (BenchDataset::St, figure_data::st),
+        ];
+        for (kind, copy) in copies {
+            let (copy, copy_queries) = copy();
+            let dataset = kind.generate(Scale::Smoke);
+            let workload = kind.workload_for(&dataset, 4, 10, 5).unwrap();
+            assert_eq!(copy.dimensionality(), dataset.dimensionality(), "{kind:?}");
+            assert!(copy.iter().eq(dataset.iter()), "{kind:?}: tuples differ");
+            assert_eq!(copy_queries, workload.queries(), "{kind:?}: queries differ");
         }
     }
 }

@@ -1,9 +1,7 @@
 //! Configuration of a region computation.
 
-use serde::{Deserialize, Serialize};
-
 /// Which of the paper's algorithms performs Phase 2.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// The baseline of Section 4: every candidate in `C(q)` is evaluated.
     Scan,
@@ -53,7 +51,7 @@ impl std::fmt::Display for Algorithm {
 }
 
 /// What counts as a perturbation of the result.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum PerturbationMode {
     /// Any change — a reordering inside `R(q)` or a change of composition
     /// (the paper's main formulation).
@@ -66,7 +64,7 @@ pub enum PerturbationMode {
 }
 
 /// Full configuration of a region computation.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RegionConfig {
     /// Which algorithm performs Phase 2.
     pub algorithm: Algorithm,

@@ -1,11 +1,10 @@
 //! Deterministic fault injection: [`FaultInjectingPageStore`] wraps any
 //! [`PageStore`] and misbehaves exactly where a [`FaultPlan`] says to.
 //!
-//! The plan is *seeded and serializable*: a chaos run is reproducible from
-//! its JSON plan alone, and every fault fires at a deterministic operation
-//! index rather than at a random wall-clock moment. Faults are injected
-//! *underneath* the buffer pool, so the layers above see exactly what a
-//! flaky disk would produce:
+//! The plan is *seeded*: a chaos run is reproducible from its plan alone,
+//! and every fault fires at a deterministic operation index rather than at
+//! a random wall-clock moment. Faults are injected *underneath* the buffer
+//! pool, so the layers above see exactly what a flaky disk would produce:
 //!
 //! * **Transient faults** — scheduled read/write ops fail once with a
 //!   retryable `io::ErrorKind::Interrupted`; the pool's `RetryPolicy`
@@ -31,7 +30,6 @@ use crate::page::{PageBuf, PageId};
 use crate::pagestore::PageStore;
 use ir_types::rng::SeededLcg;
 use ir_types::{IrError, IrResult};
-use serde::{Deserialize, Serialize};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -40,7 +38,7 @@ use std::time::Duration;
 /// One scheduled bit-rot event: at read op `op`, XOR `xor_mask` into the
 /// stored byte at `byte_offset` of whatever page that op targets, then
 /// restore it after the read (XOR is self-inverse).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CorruptionSpec {
     /// The read-op index at which the corruption strikes.
     pub op: u64,
@@ -51,17 +49,15 @@ pub struct CorruptionSpec {
     pub xor_mask: u8,
 }
 
-/// A serializable schedule of storage faults, all keyed by *operation
-/// index* (reads and writes counted separately, starting at 0 when the
-/// wrapper is armed).
+/// A schedule of storage faults, all keyed by *operation index* (reads and
+/// writes counted separately, starting at 0 when the wrapper is armed).
 ///
 /// The default plan is empty: a `FaultInjectingPageStore` driven by it is
 /// fully transparent.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
-    /// Seed recorded with the plan. Stamped into emitted fault plans and
-    /// used by the schedule-generating constructors; replaying a serialized
-    /// plan never re-derives anything from it.
+    /// Seed recorded with the plan, used by the schedule-generating
+    /// constructors; replaying a plan never re-derives anything from it.
     pub seed: u64,
     /// Read ops that fail once with a retryable `Interrupted` error.
     pub transient_read_ops: Vec<u64>,
@@ -86,7 +82,7 @@ impl FaultPlan {
     pub fn transient_reads(seed: u64, count: usize, max_op: u64) -> FaultPlan {
         let mut ops = Vec::with_capacity(count);
         // The shared workspace LCG, in its raw-state scatter convention —
-        // the draw sequence is part of the serialized-plan contract.
+        // the draw sequence is part of the plan contract.
         let mut lcg = SeededLcg::scatter(seed);
         while ops.len() < count && max_op > 0 {
             let op = lcg.next_state() % max_op;
@@ -389,27 +385,6 @@ mod tests {
         assert_ne!(a, c, "different seeds give different schedules");
         assert!(!a.is_empty());
         assert!(FaultPlan::default().is_empty());
-    }
-
-    #[test]
-    fn fault_plan_roundtrips_through_json() {
-        let plan = FaultPlan {
-            seed: 7,
-            transient_read_ops: vec![3, 9],
-            transient_write_ops: vec![1],
-            fail_reads_from_op: Some(50),
-            fail_reads_until_op: None,
-            corruptions: vec![CorruptionSpec {
-                op: 4,
-                byte_offset: 123,
-                xor_mask: 0xFF,
-            }],
-            panic_read_ops: vec![],
-            read_latency_micros: 250,
-        };
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: FaultPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(plan, back);
     }
 
     #[test]

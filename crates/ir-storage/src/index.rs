@@ -21,11 +21,9 @@ use crate::stats::IoStatsSnapshot;
 use crate::tuplestore::{read_tuple, read_tuple_coords, write_tuples, TupleRegion};
 use ir_types::{Dataset, DimId, IrError, IrResult, SparseVector, TupleId, TupleUpdate};
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::str::FromStr;
 use std::sync::Arc;
 
 /// Which device backs the page store.
@@ -49,10 +47,9 @@ impl StorageBackend {
     }
 }
 
-/// The path-free classification of a [`StorageBackend`] — what CLI flags
-/// parse, what engine policies record, and what `BENCH_*.json` metadata is
-/// stamped with.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// The path-free classification of a [`StorageBackend`]: what
+/// [`TopKIndex::backend_kind`] reports.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum BackendKind {
     /// [`MemPageStore`] (the default).
     #[default]
@@ -62,7 +59,7 @@ pub enum BackendKind {
 }
 
 impl BackendKind {
-    /// All kinds, in CLI presentation order.
+    /// All kinds, mem first.
     pub const ALL: [BackendKind; 2] = [BackendKind::Mem, BackendKind::File];
 }
 
@@ -75,25 +72,8 @@ impl fmt::Display for BackendKind {
     }
 }
 
-impl FromStr for BackendKind {
-    type Err = IrError;
-
-    /// Case-insensitive, so both the CLI spellings (`file`) and the
-    /// serialized variant names (`File`, as stamped into `BENCH_*.json`
-    /// policy metadata) parse.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "mem" | "memory" => Ok(BackendKind::Mem),
-            "file" | "disk" => Ok(BackendKind::File),
-            other => Err(IrError::Storage(format!(
-                "unknown storage backend `{other}` (expected mem or file)"
-            ))),
-        }
-    }
-}
-
 /// How a [`TopKIndex`] came into existence.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ColdStartSource {
     /// Built from the raw dataset by [`IndexBuilder::build`] — the
     /// O(dataset) parse-sort-write pass.
@@ -113,12 +93,11 @@ impl fmt::Display for ColdStartSource {
     }
 }
 
-/// The deterministic work it took to bring an index up — the cold-start
-/// cost stamped into every emitted `BENCH_*.json` envelope.
+/// The deterministic work it took to bring an index up.
 ///
 /// Both metrics are deterministic (never wall-clock): re-running the same
 /// build or open yields the same numbers on any machine.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ColdStartInfo {
     /// Where the index came from.
     pub source: ColdStartSource,
@@ -663,32 +642,6 @@ mod tests {
     }
 
     #[test]
-    fn backend_kind_parses_and_displays() {
-        for (text, kind) in [
-            ("mem", BackendKind::Mem),
-            ("memory", BackendKind::Mem),
-            ("file", BackendKind::File),
-            ("disk", BackendKind::File),
-            // The serialized variant spellings (BENCH_*.json policy
-            // metadata) parse too: FromStr is case-insensitive.
-            ("Mem", BackendKind::Mem),
-            ("File", BackendKind::File),
-        ] {
-            assert_eq!(text.parse::<BackendKind>().unwrap(), kind);
-        }
-        assert!("floppy".parse::<BackendKind>().is_err());
-        assert_eq!(BackendKind::File.to_string(), "file");
-        assert_eq!(
-            StorageBackend::Disk(PathBuf::from("/tmp/x")).kind(),
-            BackendKind::File
-        );
-        // Display is the canonical spelling: it must parse back.
-        for kind in BackendKind::ALL {
-            assert_eq!(kind.to_string().parse::<BackendKind>().unwrap(), kind);
-        }
-    }
-
-    #[test]
     fn fault_plan_wraps_the_store_and_arms_after_build() {
         let dataset = Dataset::running_example();
         // An open-ended outage from op 0: had the wrapper been armed during
@@ -823,21 +776,5 @@ mod tests {
             matches!(err, IrError::Corruption { .. }),
             "expected typed corruption, got: {err}"
         );
-    }
-
-    #[test]
-    fn mmap_is_not_a_backend_name() {
-        // A name that is no backend is a typed parse error that lists the
-        // backends that exist, never a fallback to mem.
-        for text in ["mmap", "MMAP"] {
-            let err = text.parse::<BackendKind>().unwrap_err();
-            let message = err.to_string();
-            assert!(matches!(err, IrError::Storage(_)), "{message}");
-            assert!(
-                message.contains("mem") && message.contains("file"),
-                "{message}"
-            );
-        }
-        assert_eq!(BackendKind::ALL, [BackendKind::Mem, BackendKind::File]);
     }
 }
