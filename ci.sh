@@ -11,8 +11,10 @@
 #                          thread_local! under crates/ (counters travel
 #                          with the work),
 #                          no `entries().to_vec()` deep copy of the
-#                          candidate list under crates/ (borrow it), and no
-#                          from-scratch `sweep_topk(` in ir-core/src
+#                          candidate list under crates/ (borrow it), no
+#                          from-scratch `sweep_topk(` in ir-core/src, and
+#                          no `impl std::error::Error for` under crates/
+#                          but ir-types' IrError (one error type)
 #   3. tier-1 verify     — cargo build --release && cargo test -q (the
 #                          chaos suite included)
 #   4. api docs          — cargo doc --no-deps with rustdoc warnings as
@@ -104,6 +106,13 @@ fi
 # sweep per round is the quadratic cost this guards against.
 if grep -rn 'sweep_topk(' crates/ir-core/src; then
     echo "FAIL: from-scratch sweep_topk( under crates/ir-core/src (listed above)" >&2
+    exit 1
+fi
+# One error type for the whole stack: every layer returns ir-types'
+# IrError, so no other type implements std::error::Error.
+if grep -rn 'impl std::error::Error for' crates |
+    grep -v '^crates/ir-types/src/error.rs:'; then
+    echo "FAIL: an error type besides IrError under crates/ (listed above)" >&2
     exit 1
 fi
 echo "no-unsafe and layering assertions hold"

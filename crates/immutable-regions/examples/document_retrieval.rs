@@ -11,7 +11,7 @@
 use immutable_regions::prelude::*;
 use ir_datagen::queries::DimSelection;
 
-fn main() -> EngineResult<()> {
+fn main() -> IrResult<()> {
     // A scaled-down WSJ-like corpus (use TextCorpusConfig::full_scale() for
     // the paper's cardinalities).
     let corpus_config = TextCorpusConfig {

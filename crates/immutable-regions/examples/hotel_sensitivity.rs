@@ -27,7 +27,7 @@ const HOTELS: [(&str, [f64; 4]); 12] = [
     ("Station Hotel", [0.88, 0.66, 0.85, 0.60]),
 ];
 
-fn main() -> EngineResult<()> {
+fn main() -> IrResult<()> {
     let mut builder = DatasetBuilder::new(CRITERIA.len() as u32);
     for (_, ratings) in HOTELS {
         builder.push(SparseVector::from_dense(&ratings)?)?;

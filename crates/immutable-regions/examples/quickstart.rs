@@ -11,7 +11,7 @@
 
 use immutable_regions::prelude::*;
 
-fn main() -> EngineResult<()> {
+fn main() -> IrResult<()> {
     // One owned engine holds the index and warm buffer pool; handles are
     // Send + Sync + Clone with no lifetimes. CPT with φ = 1: besides the
     // immutable region, also report the next region (and its result) on

@@ -32,15 +32,13 @@
 //! let report = engine.query(&QueryVector::running_example())?;
 //! let dim0 = report.for_dim(DimId(0)).unwrap();
 //! assert!((dim0.immutable.lo + 16.0 / 35.0).abs() < 1e-9);
-//! # Ok::<(), immutable_regions::engine::EngineError>(())
+//! # Ok::<(), immutable_regions::types::IrError>(())
 //! ```
 
 mod builder;
-mod error;
 mod health;
 
 pub use builder::IrEngineBuilder;
-pub use error::{EngineError, EngineResult};
 pub use health::EngineHealthSnapshot;
 
 use health::EngineHealth;
@@ -49,11 +47,16 @@ use ir_core::{RegionComputation, RegionConfig, RegionReport};
 use ir_storage::{
     AppliedUpdate, BackendKind, ColdStartInfo, MaintenanceStatsSnapshot, SnapshotSummary, TopKIndex,
 };
-use ir_types::{DimId, IrError, QueryVector, SparseVector, TupleId, TupleUpdate};
+use ir_types::{DimId, IrError, IrResult, QueryVector, SparseVector, TupleId, TupleUpdate};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
+
+/// The workspace's [`IrResult`] under its former engine-layer name. Kept
+/// only because the standalone `benchmark/` package names it; write
+/// [`IrResult`] instead.
+pub type EngineResult<T> = IrResult<T>;
 
 /// An owned immutable-regions engine: the single front door for serving
 /// region computations.
@@ -118,13 +121,13 @@ impl IrEngine {
     /// failure, classified — is recorded in the engine's health counters.
     /// The engine stays fully serviceable afterwards: all shared state is
     /// lock-free or uses non-poisoning locks.
-    fn run_guarded<T>(&self, job: &str, op: impl FnOnce() -> EngineResult<T>) -> EngineResult<T> {
+    fn run_guarded<T>(&self, job: &str, op: impl FnOnce() -> IrResult<T>) -> IrResult<T> {
         let result = match catch_unwind(AssertUnwindSafe(op)) {
             Ok(result) => result,
-            Err(payload) => Err(EngineError::Core(IrError::WorkerPanicked {
+            Err(payload) => Err(IrError::WorkerPanicked {
                 job: job.to_string(),
                 message: ir_core::parallel::panic_message(payload.as_ref()),
-            })),
+            }),
         };
         self.health.record(&result);
         result
@@ -173,19 +176,22 @@ impl IrEngine {
     /// half-way leaves a previous snapshot in `dir` intact, and saving into
     /// the directory a disk engine is serving from is safe — see
     /// [`TopKIndex::save_snapshot`].
-    pub fn save_snapshot(&self, dir: impl Into<PathBuf>) -> EngineResult<SnapshotSummary> {
+    pub fn save_snapshot(&self, dir: impl Into<PathBuf>) -> IrResult<SnapshotSummary> {
         let dir = dir.into();
         self.index
             .save_snapshot(&dir)
-            .map_err(|source| EngineError::SnapshotSave { dir, source })
+            .map_err(|source| IrError::SnapshotSave {
+                dir,
+                source: Box::new(source),
+            })
     }
 
     /// Validates a query against the engine's index without running it,
     /// returning the typed error a malformed request deserves.
-    pub fn validate(&self, query: &QueryVector) -> EngineResult<()> {
+    pub fn validate(&self, query: &QueryVector) -> IrResult<()> {
         query.validate_against(self.index.dimensionality())?;
         if query.k() > self.index.cardinality() {
-            return Err(EngineError::KTooLarge {
+            return Err(IrError::InvalidK {
                 k: query.k(),
                 cardinality: self.index.cardinality(),
             });
@@ -196,7 +202,7 @@ impl IrEngine {
     /// Prepares a full computation handle for one query: runs the top-k
     /// phase and returns the [`RegionComputation`], for callers that need
     /// the TA internals (result, candidate list) in addition to the report.
-    pub fn computation(&self, query: &QueryVector) -> EngineResult<RegionComputation> {
+    pub fn computation(&self, query: &QueryVector) -> IrResult<RegionComputation> {
         self.computation_with(query, self.config)
     }
 
@@ -205,7 +211,7 @@ impl IrEngine {
         &self,
         query: &QueryVector,
         config: RegionConfig,
-    ) -> EngineResult<RegionComputation> {
+    ) -> IrResult<RegionComputation> {
         self.run_guarded("computation", || self.computation_untracked(query, config))
     }
 
@@ -216,40 +222,23 @@ impl IrEngine {
         &self,
         query: &QueryVector,
         config: RegionConfig,
-    ) -> EngineResult<RegionComputation> {
+    ) -> IrResult<RegionComputation> {
         self.validate(query)?;
-        Ok(RegionComputation::new(&self.index, query, config)?)
+        RegionComputation::new(&self.index, query, config)
     }
 
     /// Computes the immutable regions of one query with the engine's
     /// default configuration. The report is bit-identical to the low-level
     /// sequential path ([`RegionComputation::compute`]).
-    pub fn query(&self, query: &QueryVector) -> EngineResult<RegionReport> {
+    pub fn query(&self, query: &QueryVector) -> IrResult<RegionReport> {
         self.query_with(query, self.config)
     }
 
     /// [`IrEngine::query`] with an explicit region configuration.
-    pub fn query_with(
-        &self,
-        query: &QueryVector,
-        config: RegionConfig,
-    ) -> EngineResult<RegionReport> {
+    pub fn query_with(&self, query: &QueryVector, config: RegionConfig) -> IrResult<RegionReport> {
         self.run_guarded("query", || {
-            let mut computation = self.computation_untracked(query, config)?;
-            Ok(computation.compute()?)
+            self.computation_untracked(query, config)?.compute()
         })
-    }
-
-    /// Convenience: builds the query from `(dimension, weight)` pairs and
-    /// computes its regions. Malformed weight sets surface as typed errors
-    /// ([`EngineError::ZeroWeightQuery`] when no positive weight remains).
-    pub fn query_pairs(
-        &self,
-        pairs: impl IntoIterator<Item = (u32, f64)>,
-        k: usize,
-    ) -> EngineResult<RegionReport> {
-        let query = QueryVector::new(pairs, k)?;
-        self.query(&query)
     }
 
     /// Runs a batch of queries over the engine's worker pool, sharing the
@@ -257,7 +246,7 @@ impl IrEngine {
     /// to running each query sequentially, for every worker count.
     /// Each report carries its own I/O, so the reports' `topk_io` and `io`
     /// sum to every page access the batch made.
-    pub fn query_batch(&self, queries: &[QueryVector]) -> EngineResult<Vec<RegionReport>> {
+    pub fn query_batch(&self, queries: &[QueryVector]) -> IrResult<Vec<RegionReport>> {
         self.run_guarded("query batch", || {
             for query in queries {
                 self.validate(query)?;
@@ -265,7 +254,7 @@ impl IrEngine {
             let reports = run_queries(self.threads, queries.len(), "query", |i| {
                 RegionComputation::new(&self.index, &queries[i], self.config)?.compute()
             });
-            Ok(reports.into_iter().collect::<Result<Vec<_>, _>>()?)
+            reports.into_iter().collect()
         })
     }
 
@@ -310,34 +299,29 @@ impl IrEngine {
     /// assert_eq!(engine.query(&query)?.current_result(), [TupleId(1), TupleId(0)]);
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
-    pub fn apply_updates(&self, updates: &[TupleUpdate]) -> EngineResult<Vec<AppliedUpdate>> {
-        self.run_guarded("apply updates", || Ok(self.index.apply_updates(updates)?))
+    pub fn apply_updates(&self, updates: &[TupleUpdate]) -> IrResult<Vec<AppliedUpdate>> {
+        self.run_guarded("apply updates", || self.index.apply_updates(updates))
     }
 
     /// Inserts a new tuple (dense id assignment: the new tuple's id is the
     /// previous cardinality). See [`IrEngine::apply_updates`].
-    pub fn insert(&self, vector: SparseVector) -> EngineResult<AppliedUpdate> {
+    pub fn insert(&self, vector: SparseVector) -> IrResult<AppliedUpdate> {
         self.apply_one(TupleUpdate::Insert { vector })
     }
 
     /// Deletes a tuple. The id stays addressable and reads back as the
     /// empty vector (ids are never reused). See [`IrEngine::apply_updates`].
-    pub fn delete(&self, tuple: TupleId) -> EngineResult<AppliedUpdate> {
+    pub fn delete(&self, tuple: TupleId) -> IrResult<AppliedUpdate> {
         self.apply_one(TupleUpdate::Delete { tuple })
     }
 
     /// Sets one coordinate of one tuple (`0.0` removes the coordinate). See
     /// [`IrEngine::apply_updates`].
-    pub fn update_score(
-        &self,
-        tuple: TupleId,
-        dim: DimId,
-        value: f64,
-    ) -> EngineResult<AppliedUpdate> {
+    pub fn update_score(&self, tuple: TupleId, dim: DimId, value: f64) -> IrResult<AppliedUpdate> {
         self.apply_one(TupleUpdate::UpdateScore { tuple, dim, value })
     }
 
-    fn apply_one(&self, update: TupleUpdate) -> EngineResult<AppliedUpdate> {
+    fn apply_one(&self, update: TupleUpdate) -> IrResult<AppliedUpdate> {
         let mut applied = self.apply_updates(std::slice::from_ref(&update))?;
         Ok(applied.pop().expect("one update in, one applied out"))
     }
@@ -353,7 +337,7 @@ impl IrEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ir_storage::{FaultPlan, RetryPolicy};
+    use ir_storage::FaultPlan;
     use ir_types::Dataset;
 
     fn engine() -> IrEngine {
@@ -391,7 +375,6 @@ mod tests {
         assert_eq!(health.worker_panics, 0);
         assert_eq!(health.corruption_errors, 0);
         assert_eq!(health.retries_exhausted, 0);
-        assert!(!health.is_unblemished());
         // Handles share the same counters.
         assert_eq!(engine.clone().health(), health);
     }
@@ -408,30 +391,6 @@ mod tests {
         assert!(chaos.index().fault_injector().unwrap().is_armed());
         // A fault-free engine's device runs no plan.
         assert_eq!(engine().index().fault_plan(), None);
-    }
-
-    #[test]
-    fn engine_survives_a_device_outage_and_reports_typed_errors() {
-        // Read op 0 fails permanently, everything after succeeds; no
-        // retry policy so the error surfaces directly.
-        let engine = IrEngine::builder()
-            .dataset(Dataset::running_example())
-            .fault_plan(FaultPlan::device_outage(0, Some(1)))
-            .retry_policy(RetryPolicy::none())
-            .pool_capacity(1)
-            .build()
-            .unwrap();
-        let query = QueryVector::running_example();
-        let err = engine.query(&query).map(|_| ()).unwrap_err();
-        assert!(matches!(err, EngineError::Core(_)), "{err}");
-        assert!(err.to_string().contains("injected device failure"), "{err}");
-        // The engine answers correctly on the next query.
-        let report = engine.query(&query).unwrap();
-        let d0 = report.for_dim(DimId(0)).unwrap();
-        assert!((d0.immutable.lo + 16.0 / 35.0).abs() < 1e-9);
-        let health = engine.health();
-        assert_eq!(health.queries_failed, 1);
-        assert_eq!(health.queries_ok, 1);
     }
 
     #[test]
@@ -502,7 +461,7 @@ mod tests {
             .build()
             .map(|_| ())
             .unwrap_err();
-        assert!(matches!(err, EngineError::SnapshotOpen { .. }), "{err}");
+        assert!(matches!(err, IrError::SnapshotOpen { .. }), "{err}");
         assert!(err.to_string().contains("opening snapshot"), "{err}");
         assert!(
             std::error::Error::source(&err).is_some(),
@@ -518,7 +477,7 @@ mod tests {
         let blocker = dir.path().join("blocked");
         std::fs::write(&blocker, b"not a directory").unwrap();
         let err = engine().save_snapshot(&blocker).map(|_| ()).unwrap_err();
-        assert!(matches!(err, EngineError::SnapshotSave { .. }), "{err}");
+        assert!(matches!(err, IrError::SnapshotSave { .. }), "{err}");
         assert!(err.to_string().contains("saving snapshot"), "{err}");
     }
 
@@ -556,20 +515,5 @@ mod tests {
         assert!(engine.delete(TupleId(99)).is_err());
         assert_eq!(engine.maintenance_stats().updates_applied, 3);
         assert_eq!(engine.health().queries_failed, 1);
-    }
-
-    #[test]
-    fn snapshot_open_with_armed_faults_fails_typed_and_named() {
-        let dir = tempfile::tempdir().unwrap();
-        engine().save_snapshot(dir.path()).unwrap();
-        let err = IrEngine::builder()
-            .open_snapshot(dir.path())
-            .fault_plan(FaultPlan::device_outage(0, None))
-            .retry_policy(RetryPolicy::none())
-            .build()
-            .map(|_| ())
-            .unwrap_err();
-        assert!(matches!(err, EngineError::SnapshotOpen { .. }), "{err}");
-        assert!(err.to_string().contains("injected device failure"), "{err}");
     }
 }

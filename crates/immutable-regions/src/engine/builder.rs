@@ -1,10 +1,10 @@
 //! [`IrEngineBuilder`]: assembling an [`IrEngine`] from a data source and
 //! storage options.
 
-use super::{EngineError, EngineResult, IrEngine};
+use super::IrEngine;
 use ir_core::RegionConfig;
 use ir_storage::{FaultPlan, IndexBuilder, RetryPolicy, StorageBackend};
-use ir_types::Dataset;
+use ir_types::{Dataset, IrError, IrResult};
 use std::borrow::Cow;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -73,7 +73,7 @@ impl<'d> IrEngineBuilder<'d> {
     /// the variant is ignored — and pool capacity, retry policy and fault
     /// plan configure the serving stack. A configured fault plan is armed
     /// *before* the trailer read, so injected faults during the open
-    /// surface as typed [`EngineError::SnapshotOpen`] errors.
+    /// surface as typed [`IrError::SnapshotOpen`] errors.
     pub fn open_snapshot(mut self, dir: impl Into<PathBuf>) -> Self {
         self.source = Some(EngineSource::Snapshot(dir.into()));
         self
@@ -130,16 +130,23 @@ impl<'d> IrEngineBuilder<'d> {
 
     /// Builds the engine: constructs the index from the dataset or opens
     /// the snapshot, then wraps everything into an owned, shareable handle.
-    pub fn build(self) -> EngineResult<IrEngine> {
-        let index = match self.source.ok_or(EngineError::NoSource)? {
+    pub fn build(self) -> IrResult<IrEngine> {
+        let source = self.source.ok_or_else(|| {
+            IrError::InvalidConfig("engine builder needs a dataset or a snapshot".to_string())
+        })?;
+        let index = match source {
             EngineSource::Dataset(dataset) => self.storage.build(&dataset)?,
-            EngineSource::Snapshot(dir) => self
-                .storage
-                .open_snapshot(&dir)
-                .map_err(|source| EngineError::SnapshotOpen { dir, source })?,
+            EngineSource::Snapshot(dir) => {
+                self.storage
+                    .open_snapshot(&dir)
+                    .map_err(|source| IrError::SnapshotOpen {
+                        dir,
+                        source: Box::new(source),
+                    })?
+            }
         };
         if index.cardinality() == 0 {
-            return Err(EngineError::EmptyDataset);
+            return Err(IrError::EmptyDataset);
         }
         Ok(IrEngine {
             index: Arc::new(index),

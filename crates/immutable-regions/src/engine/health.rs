@@ -1,8 +1,7 @@
 //! Cumulative health accounting of one engine.
 
-use super::{EngineError, EngineResult};
 use ir_storage::IoStatsSnapshot;
-use ir_types::IrError;
+use ir_types::{IrError, IrResult};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Cumulative failure accounting shared by every handle onto one engine
@@ -21,7 +20,7 @@ pub(super) struct EngineHealth {
 impl EngineHealth {
     /// Records one finished operation: success, or a failure classified by
     /// the storage-failure classes an operator alerts on.
-    pub(super) fn record<T>(&self, result: &EngineResult<T>) {
+    pub(super) fn record<T>(&self, result: &IrResult<T>) {
         let err = match result {
             Ok(_) => {
                 self.queries_ok.fetch_add(1, Ordering::Relaxed);
@@ -31,9 +30,9 @@ impl EngineHealth {
         };
         self.queries_failed.fetch_add(1, Ordering::Relaxed);
         let class = match err {
-            EngineError::Core(IrError::WorkerPanicked { .. }) => &self.worker_panics,
-            EngineError::Core(IrError::Corruption { .. }) => &self.corruption_errors,
-            EngineError::Core(IrError::RetryExhausted { .. }) => &self.retries_exhausted,
+            IrError::WorkerPanicked { .. } => &self.worker_panics,
+            IrError::Corruption { .. } => &self.corruption_errors,
+            IrError::RetryExhausted { .. } => &self.retries_exhausted,
             _ => return,
         };
         class.fetch_add(1, Ordering::Relaxed);
@@ -86,11 +85,4 @@ pub struct EngineHealthSnapshot {
     pub read_retries: u64,
     /// Page writes that needed at least one retry.
     pub write_retries: u64,
-}
-
-impl EngineHealthSnapshot {
-    /// `true` while the engine has never seen a failed operation.
-    pub fn is_unblemished(&self) -> bool {
-        self.queries_failed == 0
-    }
 }

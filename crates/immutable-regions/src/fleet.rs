@@ -49,11 +49,11 @@
 //! managers share one engine, the mutating one forwards the returned
 //! [`AppliedUpdate`]s to its peers' [`SubscriptionManager::revalidate`].
 
-use crate::engine::{EngineError, EngineResult, IrEngine};
+use crate::engine::IrEngine;
 use ir_core::{batch_impact, RegionReport};
 use ir_datagen::DriftEvent;
 use ir_storage::AppliedUpdate;
-use ir_types::{DimId, IrResult, QueryVector, TupleId, TupleUpdate};
+use ir_types::{DimId, IrError, IrResult, QueryVector, TupleId, TupleUpdate};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -278,9 +278,9 @@ impl fmt::Debug for SubscriptionManager {
 impl SubscriptionManager {
     /// Creates an empty fleet served by `engine` (a cheap handle clone —
     /// the warm index and buffer pool are shared).
-    pub fn new(engine: &IrEngine, config: FleetConfig) -> EngineResult<Self> {
+    pub fn new(engine: &IrEngine, config: FleetConfig) -> IrResult<Self> {
         if config.max_batch == 0 {
-            return Err(EngineError::Policy(
+            return Err(IrError::InvalidConfig(
                 "fleet max_batch must be at least 1".to_string(),
             ));
         }
@@ -340,7 +340,7 @@ impl SubscriptionManager {
     }
 
     /// Admits one subscription ([`SubscriptionManager::admit_all`] of one).
-    pub fn admit(&mut self, sub: u64, query: QueryVector) -> EngineResult<()> {
+    pub fn admit(&mut self, sub: u64, query: QueryVector) -> IrResult<()> {
         self.admit_all([(sub, query)])
     }
 
@@ -348,17 +348,17 @@ impl SubscriptionManager {
     /// reports are computed in one batch over the engine's worker pool.
     ///
     /// A duplicate id — against the live fleet or within the admitted set
-    /// — is rejected with [`EngineError::Policy`] before any computation
+    /// — is rejected with [`IrError::InvalidConfig`] before any computation
     /// runs; on any error the fleet is left unchanged.
     pub fn admit_all(
         &mut self,
         subs: impl IntoIterator<Item = (u64, QueryVector)>,
-    ) -> EngineResult<()> {
+    ) -> IrResult<()> {
         let subs: Vec<(u64, QueryVector)> = subs.into_iter().collect();
         let mut ids = std::collections::BTreeSet::new();
         for (sub, _) in &subs {
             if self.entries.contains_key(sub) || !ids.insert(*sub) {
-                return Err(EngineError::Policy(format!(
+                return Err(IrError::InvalidConfig(format!(
                     "subscription {sub} is already admitted"
                 )));
             }
@@ -395,12 +395,15 @@ impl SubscriptionManager {
     /// The in-region majority is answered locally; region exits queue a
     /// recompute job, flushed in event-order batches whenever
     /// [`FleetConfig::max_batch`] jobs accumulate and once more at the
-    /// end. On error (an unknown subscription id, a storage fault during
-    /// a flush) the manager stays serviceable: untouched subscriptions
-    /// keep serving, already-produced answers and still-pending jobs are
-    /// retained, and a later [`SubscriptionManager::flush`] or `ingest`
-    /// resumes where the failure struck.
-    pub fn ingest(&mut self, events: &[DriftEvent]) -> EngineResult<Vec<FleetAnswer>> {
+    /// end. A malformed event — an unknown subscription id, a dimension
+    /// the index does not hold, a shift that leaves no positive weight —
+    /// is rejected with a typed error before it is counted or queued, so
+    /// it changes nothing. On a storage fault during a flush the manager
+    /// stays serviceable: untouched subscriptions keep serving,
+    /// already-produced answers and still-pending jobs are retained, and a
+    /// later [`SubscriptionManager::flush`] or `ingest` resumes where the
+    /// failure struck.
+    pub fn ingest(&mut self, events: &[DriftEvent]) -> IrResult<Vec<FleetAnswer>> {
         for event in events {
             self.step(event.sub, |current| {
                 current.with_weight_shift(event.dim, event.delta)
@@ -411,14 +414,12 @@ impl SubscriptionManager {
 
     /// Moves member `sub` to the absolute weights `weights` as one drift
     /// event and returns the answers [`SubscriptionManager::ingest`] would.
-    /// The weights are validated against the index first, so a malformed
-    /// request changes nothing.
+    /// Malformed weights change nothing (see `step`).
     pub(crate) fn retarget(
         &mut self,
         sub: u64,
         weights: &QueryVector,
-    ) -> EngineResult<Vec<FleetAnswer>> {
-        self.engine.validate(weights)?;
+    ) -> IrResult<Vec<FleetAnswer>> {
         self.step(sub, |_| Ok(weights.clone()))?;
         self.flush()
     }
@@ -426,18 +427,30 @@ impl SubscriptionManager {
     /// One drift event: moves member `sub`'s current weights to
     /// `to(current)`, then answers locally through the stale-aware gate or
     /// queues a drift recompute, flushing once a full batch is pending.
+    ///
+    /// The new weights are checked before the event takes a sequence
+    /// number, is counted or queues a job: a job the engine must reject
+    /// would stay pending and fail every later flush. A drift keeps `k`,
+    /// so only the dimensions are checked then; a retarget that changes
+    /// `k` is checked against the cardinality too.
     fn step(
         &mut self,
         sub: u64,
         to: impl FnOnce(&QueryVector) -> IrResult<QueryVector>,
-    ) -> EngineResult<()> {
+    ) -> IrResult<()> {
         let entry = self.entries.get_mut(&sub).ok_or_else(|| {
-            EngineError::Policy(format!("drift event targets unknown subscription {sub}"))
+            IrError::InvalidConfig(format!("drift event targets unknown subscription {sub}"))
         })?;
+        let weights = to(&entry.current)?;
+        if weights.k() == entry.current.k() {
+            weights.validate_against(self.engine.index().dimensionality())?;
+        } else {
+            self.engine.validate(&weights)?;
+        }
         let seq = self.next_seq;
         self.next_seq += 1;
         self.stats.events += 1;
-        entry.current = to(&entry.current)?;
+        entry.current = weights;
 
         if entry.is_immutable_under(&entry.current) {
             entry.cache_hits += 1;
@@ -465,7 +478,7 @@ impl SubscriptionManager {
 
     /// Flushes all pending recompute jobs and returns the answers they
     /// produce (plus any answers buffered by a previously failed flush).
-    pub fn flush(&mut self) -> EngineResult<Vec<FleetAnswer>> {
+    pub fn flush(&mut self) -> IrResult<Vec<FleetAnswer>> {
         self.flush_pending()?;
         Ok(self.drain_ready())
     }
@@ -477,7 +490,7 @@ impl SubscriptionManager {
     /// Returns one [`AppliedUpdate`] per input. When other managers share
     /// this engine, forward the returned slice to their `revalidate` — the
     /// index is shared, their caches are not.
-    pub fn apply_updates(&mut self, updates: &[TupleUpdate]) -> EngineResult<Vec<AppliedUpdate>> {
+    pub fn apply_updates(&mut self, updates: &[TupleUpdate]) -> IrResult<Vec<AppliedUpdate>> {
         let applied = self.engine.apply_updates(updates)?;
         self.stats.updates_applied += applied.len() as u64;
         self.revalidate(&applied)?;
@@ -500,7 +513,7 @@ impl SubscriptionManager {
     /// On a failed flush the punctured members stay stale — they answer
     /// every drift event by recompute, never from the stale cache — and
     /// their invalidation jobs stay pending for the next flush or ingest.
-    pub fn revalidate(&mut self, applied: &[AppliedUpdate]) -> EngineResult<()> {
+    pub fn revalidate(&mut self, applied: &[AppliedUpdate]) -> IrResult<()> {
         if applied.is_empty() || self.entries.is_empty() {
             return Ok(());
         }
@@ -545,7 +558,7 @@ impl SubscriptionManager {
     /// On a batch failure the failed chunk and everything after it stay
     /// pending; chunks that already succeeded stay applied (their answers
     /// are buffered in `ready`).
-    fn flush_pending(&mut self) -> EngineResult<()> {
+    fn flush_pending(&mut self) -> IrResult<()> {
         // Jobs are pushed in sequence order, so each chunk is applied in
         // event order and a subscription hit twice is left anchored at its
         // latest weights.
@@ -616,7 +629,7 @@ const SOLE: u64 = 0;
 
 impl Subscription {
     /// Subscribes `query`: computes its result and regions once.
-    pub fn new(engine: &IrEngine, query: QueryVector) -> EngineResult<Self> {
+    pub fn new(engine: &IrEngine, query: QueryVector) -> IrResult<Self> {
         let mut fleet = SubscriptionManager::new(engine, FleetConfig::default())?;
         fleet.admit(SOLE, query)?;
         Ok(Subscription { fleet })
@@ -644,7 +657,7 @@ impl Subscription {
     /// Drives the subscription to `new_weights`: `Ok(false)` when the
     /// answer came from the cached regions, `Ok(true)` when it took a
     /// recompute, which re-anchors the subscription at `new_weights`.
-    pub fn update(&mut self, new_weights: &QueryVector) -> EngineResult<bool> {
+    pub fn update(&mut self, new_weights: &QueryVector) -> IrResult<bool> {
         let answers = self.fleet.retarget(SOLE, new_weights)?;
         // Answers come back in event order: the last one is this update's.
         Ok(answers
@@ -659,7 +672,7 @@ impl Subscription {
     ///
     /// Survival is a proof: when this returns `Ok(false)` the cached report
     /// is byte-identical to a full recompute on the mutated dataset.
-    pub fn absorb_updates(&mut self, applied: &[AppliedUpdate]) -> EngineResult<bool> {
+    pub fn absorb_updates(&mut self, applied: &[AppliedUpdate]) -> IrResult<bool> {
         let punctured = self.fleet.stats().regions_punctured;
         self.fleet.revalidate(applied)?;
         Ok(self.fleet.stats().regions_punctured > punctured)
@@ -803,6 +816,14 @@ mod tests {
             (stats.events, stats.local_answers, stats.recomputes),
             (2, 1, 1)
         );
+        // A k the index cannot serve is rejected and changes nothing.
+        let too_deep = outside.with_k(100).unwrap();
+        assert!(matches!(
+            subscription.update(&too_deep),
+            Err(IrError::InvalidK { .. })
+        ));
+        assert_eq!(subscription.stats(), stats);
+        assert_eq!(subscription.member().current(), &outside);
     }
 
     #[test]
@@ -967,7 +988,7 @@ mod tests {
         let engine = engine();
         assert!(matches!(
             SubscriptionManager::new(&engine, FleetConfig { max_batch: 0 }),
-            Err(EngineError::Policy(_))
+            Err(IrError::InvalidConfig(_))
         ));
 
         let mut manager = SubscriptionManager::new(&engine, FleetConfig::default()).unwrap();
@@ -975,7 +996,7 @@ mod tests {
         manager.admit_all(fleet.clone()).unwrap();
         assert!(matches!(
             manager.admit(0, fleet[0].1.clone()),
-            Err(EngineError::Policy(_))
+            Err(IrError::InvalidConfig(_))
         ));
         assert!(matches!(
             manager.ingest(&[DriftEvent {
@@ -983,7 +1004,7 @@ mod tests {
                 dim: ir_types::DimId(0),
                 delta: 0.01,
             }]),
-            Err(EngineError::Policy(_))
+            Err(IrError::InvalidConfig(_))
         ));
         // The failure left the fleet serviceable.
         assert_eq!(manager.len(), 2);
@@ -1098,7 +1119,7 @@ mod tests {
         };
         let outcome = manager.ingest(&[event]);
         assert!(
-            matches!(outcome, Err(EngineError::Core(_))),
+            matches!(outcome, Err(IrError::Storage(_))),
             "expected the recompute to die at the device, got {outcome:?}"
         );
         assert_eq!(manager.pending_recomputes(), 1);
@@ -1192,7 +1213,7 @@ mod tests {
         engine.cold_start();
         assert!(matches!(
             manager.revalidate(&applied),
-            Err(EngineError::Core(_))
+            Err(IrError::Storage(_))
         ));
         assert_eq!(manager.stats().regions_punctured, 3);
         assert_eq!(manager.pending_recomputes(), 3);
@@ -1207,7 +1228,7 @@ mod tests {
                 dim,
                 delta: 0.0
             }]),
-            Err(EngineError::Core(_))
+            Err(IrError::Storage(_))
         ));
         assert_eq!(manager.stats().events, 1);
         assert_eq!(manager.stats().local_answers, 0);

@@ -54,7 +54,7 @@
 //! let drifted = query.with_weight_shift(DimId(0), 0.05)?;
 //! assert!(subscription.is_immutable_under(&drifted));
 //! assert!(!subscription.update(&drifted)?); // cache hit, no recompute
-//! # Ok::<(), immutable_regions::engine::EngineError>(())
+//! # Ok::<(), immutable_regions::types::IrError>(())
 //! ```
 //!
 //! The low-level API ([`core::RegionComputation`]) remains available for
@@ -75,9 +75,7 @@ pub use ir_types as types;
 
 /// Everything needed for typical use, importable with one `use`.
 pub mod prelude {
-    pub use crate::engine::{
-        EngineError, EngineHealthSnapshot, EngineResult, IrEngine, IrEngineBuilder,
-    };
+    pub use crate::engine::{EngineHealthSnapshot, IrEngine, IrEngineBuilder};
     pub use crate::fleet::{
         AnswerKind, FleetAnswer, FleetConfig, FleetMember, FleetStats, Subscription,
         SubscriptionManager,

@@ -126,7 +126,7 @@ fn device_outage_surfaces_typed_errors_then_heals() {
         for attempt in 0..3 {
             let err = engine.query(query).map(|_| ()).unwrap_err();
             assert!(
-                matches!(&err, EngineError::Core(IrError::Storage(_))),
+                matches!(&err, IrError::Storage(_)),
                 "{backend} attempt {attempt}: {err:?}"
             );
             assert!(
@@ -157,7 +157,7 @@ fn worker_panics_are_contained_on_every_thread_count() {
             let engine = build_engine(backend, threads, Some(plan), RetryPolicy::none());
             let err = engine.query_batch(&queries(4)).map(|_| ()).unwrap_err();
             assert!(
-                matches!(&err, EngineError::Core(IrError::WorkerPanicked { .. })),
+                matches!(&err, IrError::WorkerPanicked { .. }),
                 "{backend}/{threads}: {err:?}"
             );
             // The panic fired exactly once; the engine serves the full
@@ -192,10 +192,7 @@ fn corruption_is_typed_and_one_shot() {
         let query = &queries(4)[0];
         let err = engine.query(query).map(|_| ()).unwrap_err();
         assert!(
-            matches!(
-                &err,
-                EngineError::Core(IrError::Corruption { page: Some(_), .. })
-            ),
+            matches!(&err, IrError::Corruption { page: Some(_), .. }),
             "{backend}: {err:?}"
         );
         assert!(
@@ -248,7 +245,7 @@ fn a_sealed_but_wrong_tuple_record_is_counted_as_corruption() {
         assert!(
             matches!(
                 &err,
-                EngineError::Core(IrError::Corruption { page: Some(p), .. }) if *p == page.0
+                IrError::Corruption { page: Some(p), .. } if *p == page.0
             ),
             "{backend}: {err:?}"
         );
@@ -275,10 +272,7 @@ fn consecutive_transients_exhaust_retries_with_a_typed_error() {
         let query = &queries(4)[0];
         let err = engine.query(query).map(|_| ()).unwrap_err();
         assert!(
-            matches!(
-                &err,
-                EngineError::Core(IrError::RetryExhausted { attempts: 3, .. })
-            ),
+            matches!(&err, IrError::RetryExhausted { attempts: 3, .. }),
             "{backend}: {err:?}"
         );
         let report = engine.query(query).unwrap();
@@ -348,7 +342,7 @@ proptest! {
                     &report.dims, &oracle[i],
                     "query {} diverged under faults", i
                 ),
-                Err(EngineError::Core(_)) => {} // typed failure: acceptable
+                Err(err) if is_device_fault(&err) => {} // typed failure: acceptable
                 Err(other) => prop_assert!(false, "untyped failure: {:?}", other),
             }
         }

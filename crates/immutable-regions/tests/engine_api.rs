@@ -1,7 +1,7 @@
 //! Integration suite for the [`IrEngine`] façade:
 //!
 //! * typed error paths — malformed requests come back as the right
-//!   [`EngineError`] variant, never a panic,
+//!   [`IrError`] variant, never a panic,
 //! * storage forwarding — every storage option set on the builder reaches
 //!   the index, for a dataset source and a snapshot source alike,
 //! * subscription soundness — a proptest sweep of weight perturbations
@@ -23,13 +23,13 @@ fn empty_dataset_is_a_typed_error() {
         .dataset(DatasetBuilder::new(3).build())
         .build()
         .unwrap_err();
-    assert!(matches!(err, EngineError::EmptyDataset), "{err}");
+    assert!(matches!(err, IrError::EmptyDataset), "{err}");
 }
 
 #[test]
 fn missing_source_is_a_typed_error() {
     let err = IrEngine::builder().build().unwrap_err();
-    assert!(matches!(err, EngineError::NoSource), "{err}");
+    assert!(matches!(err, IrError::InvalidConfig(_)), "{err}");
 }
 
 #[test]
@@ -41,20 +41,20 @@ fn k_larger_than_dataset_is_a_typed_error() {
     let query = QueryVector::new([(0, 0.5)], 9).unwrap();
     let err = engine.query(&query).unwrap_err();
     match err {
-        EngineError::KTooLarge { k, cardinality } => {
+        IrError::InvalidK { k, cardinality } => {
             assert_eq!(k, 9);
             assert_eq!(cardinality, 4);
         }
-        other => panic!("expected KTooLarge, got {other}"),
+        other => panic!("expected InvalidK, got {other}"),
     }
     // The same guard protects every call style.
     assert!(matches!(
         engine.query_batch(std::slice::from_ref(&query)),
-        Err(EngineError::KTooLarge { .. })
+        Err(IrError::InvalidK { .. })
     ));
     assert!(matches!(
         Subscription::new(&engine, query),
-        Err(EngineError::KTooLarge { .. })
+        Err(IrError::InvalidK { .. })
     ));
 }
 
@@ -67,111 +67,23 @@ fn unindexed_dimension_is_a_typed_error() {
     let query = QueryVector::new([(0, 0.5), (7, 0.5)], 2).unwrap();
     let err = engine.query(&query).unwrap_err();
     match err {
-        EngineError::DimensionNotIndexed {
+        IrError::UnknownDimension {
             dim,
             dimensionality,
         } => {
             assert_eq!(dim, 7);
             assert_eq!(dimensionality, 2);
         }
-        other => panic!("expected DimensionNotIndexed, got {other}"),
+        other => panic!("expected UnknownDimension, got {other}"),
     }
 }
 
 #[test]
 fn zero_weight_query_is_a_typed_error() {
-    let engine = IrEngine::builder()
-        .dataset(Dataset::running_example())
-        .build()
-        .unwrap();
-    let err = engine
-        .query_pairs([(0u32, 0.0), (1u32, 0.0)], 2)
-        .unwrap_err();
-    assert!(matches!(err, EngineError::ZeroWeightQuery), "{err}");
-    let err = engine.query_pairs(std::iter::empty(), 2).unwrap_err();
-    assert!(matches!(err, EngineError::ZeroWeightQuery), "{err}");
-}
-
-/// Every robustness-relevant [`IrError`] variant crosses the engine
-/// boundary without loss: the request-shaped ones become their own
-/// [`EngineError`] variants, and the storage-failure ones ride through
-/// [`EngineError::Core`] with payload, message and source chain intact.
-#[test]
-fn engine_error_maps_every_core_variant_without_loss() {
-    use std::error::Error as _;
-
-    // Request-shaped errors are lifted into dedicated variants.
-    assert!(matches!(
-        EngineError::from(IrError::InvalidK {
-            k: 9,
-            cardinality: 4
-        }),
-        EngineError::KTooLarge {
-            k: 9,
-            cardinality: 4
-        }
-    ));
-    assert!(matches!(
-        EngineError::from(IrError::UnknownDimension {
-            dim: 7,
-            dimensionality: 2
-        }),
-        EngineError::DimensionNotIndexed {
-            dim: 7,
-            dimensionality: 2
-        }
-    ));
-    assert!(matches!(
-        EngineError::from(IrError::EmptyQuery),
-        EngineError::ZeroWeightQuery
-    ));
-
-    // Storage failures keep their exact typed payloads behind `Core`.
-    let corruption = EngineError::from(IrError::Corruption {
-        page: Some(3),
-        detail: "checksum mismatch".to_string(),
-    });
-    assert!(matches!(
-        &corruption,
-        EngineError::Core(IrError::Corruption { page: Some(3), .. })
-    ));
-    assert!(corruption.to_string().contains("page 3"), "{corruption}");
-
-    let panicked = EngineError::from(IrError::WorkerPanicked {
-        job: "query 4".to_string(),
-        message: "boom".to_string(),
-    });
-    assert!(matches!(
-        &panicked,
-        EngineError::Core(IrError::WorkerPanicked { .. })
-    ));
-    assert!(panicked.to_string().contains("query 4"), "{panicked}");
-
-    let oob = EngineError::from(IrError::PageOutOfBounds {
-        page: 9,
-        num_pages: 3,
-    });
-    assert!(matches!(
-        &oob,
-        EngineError::Core(IrError::PageOutOfBounds {
-            page: 9,
-            num_pages: 3
-        })
-    ));
-
-    // RetryExhausted keeps its source chain: EngineError -> IrError
-    // (exhaustion) -> IrError (the underlying transient fault).
-    let exhausted = EngineError::from(IrError::RetryExhausted {
-        attempts: 3,
-        source: Box::new(IrError::Io(std::io::Error::new(
-            std::io::ErrorKind::Interrupted,
-            "transient".to_string(),
-        ))),
-    });
-    assert!(exhausted.to_string().contains("3 attempts"), "{exhausted}");
-    let core = exhausted.source().expect("Core keeps a source");
-    let inner = core.source().expect("RetryExhausted keeps its source");
-    assert!(inner.to_string().contains("transient"), "{inner}");
+    let err = QueryVector::new([(0u32, 0.0), (1u32, 0.0)], 2).unwrap_err();
+    assert!(matches!(err, IrError::EmptyQuery), "{err}");
+    let err = QueryVector::new(std::iter::empty::<(u32, f64)>(), 2).unwrap_err();
+    assert!(matches!(err, IrError::EmptyQuery), "{err}");
 }
 
 #[test]

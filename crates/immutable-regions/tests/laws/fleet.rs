@@ -12,7 +12,9 @@
 //!   ingested events at every level, (c) fault containment: a mid-stream
 //!   device fault surfaces typed, untouched subscriptions keep serving
 //!   locally, and once the device heals every deferred answer drains,
-//! * **admission** — a failed `admit_all` leaves the fleet unchanged.
+//! * **admission** — a failed `admit_all` leaves the fleet unchanged,
+//! * **malformed events** — a rejected drift event leaves the fleet
+//!   unchanged and serviceable.
 
 use crate::support::*;
 use immutable_regions::prelude::*;
@@ -300,7 +302,7 @@ proptest! {
         let mut saw_fault = false;
         match manager.ingest(&events[warmup..]) {
             Ok(mut a) => answers.append(&mut a), // stream needed no recompute
-            Err(EngineError::Core(_)) => saw_fault = true,
+            Err(err) if is_device_fault(&err) => saw_fault = true,
             Err(other) => prop_assert!(false, "untyped failure: {:?}", other),
         }
         track!(events[warmup..], true);
@@ -324,7 +326,7 @@ proptest! {
                 let probe = [DriftEvent { sub, dim, delta: 0.0 }];
                 match manager.ingest(&probe) {
                     Ok(mut a) => answers.append(&mut a),
-                    Err(EngineError::Core(_)) => {}
+                    Err(err) if is_device_fault(&err) => {}
                     Err(other) => prop_assert!(false, "untyped probe failure: {:?}", other),
                 }
                 track!(probe, false);
@@ -371,9 +373,68 @@ fn a_failed_admit_all_leaves_the_fleet_unchanged() {
         |third: &QueryVector| vec![(0, query.clone()), (1, query.clone()), (2, third.clone())];
 
     let err = manager.admit_all(subs(&too_deep)).unwrap_err();
-    assert!(matches!(err, EngineError::KTooLarge { .. }), "{err}");
+    assert!(matches!(err, IrError::InvalidK { .. }), "{err}");
     assert_eq!(manager.len(), 0, "a failed admission admitted members");
 
     manager.admit_all(subs(&query)).unwrap();
     assert_eq!(manager.len(), 3);
+}
+
+/// The drift event moving member `sub`'s weight on `dim` by `delta`.
+fn event(sub: u64, dim: u32, delta: f64) -> DriftEvent {
+    let dim = DimId(dim);
+    DriftEvent { sub, dim, delta }
+}
+
+/// A malformed drift event — an unknown member, a dimension the index does
+/// not hold, a shift that leaves no positive weight — is rejected typed
+/// before it is counted or queued: the fleet's counters, queue and members
+/// are untouched, and the next valid event is answered.
+#[test]
+fn a_malformed_drift_event_changes_nothing() {
+    let engine = engine(
+        &Cell::built(RegionConfig::default(), Mem, 1),
+        &Dataset::running_example(),
+    );
+    let mut manager = SubscriptionManager::new(&engine, FleetConfig::default()).unwrap();
+    let query = QueryVector::running_example();
+    let single = QueryVector::new([(0, 0.5)], 1).unwrap();
+    manager
+        .admit_all([(1, query.clone()), (2, query), (3, single)])
+        .unwrap();
+    // A member's result and report change only with its anchor.
+    let state = |manager: &SubscriptionManager| {
+        let members: Vec<_> = manager
+            .members()
+            .map(|m| (m.anchor().clone(), m.current().clone(), m.is_stale()))
+            .collect();
+        (manager.stats(), manager.pending_recomputes(), members)
+    };
+    let before = state(&manager);
+
+    let mut reject = |event: DriftEvent| {
+        let err = manager.ingest(&[event]).unwrap_err();
+        assert!(state(&manager) == before, "{event:?} changed the fleet");
+        err
+    };
+    let err = reject(event(9, 0, 0.1));
+    assert!(
+        matches!(err, IrError::InvalidConfig(_)),
+        "unknown member: {err:?}"
+    );
+    let err = reject(event(1, 99, 0.1));
+    assert!(
+        matches!(err, IrError::UnknownDimension { dim: 99, .. }),
+        "unknown dimension: {err:?}"
+    );
+    let err = reject(event(3, 0, -0.5));
+    assert!(matches!(err, IrError::EmptyQuery), "zeroed query: {err:?}");
+
+    // Out of member 2's region on dimension 0: answered by recompute.
+    let answers = manager.ingest(&[event(2, 0, 0.2)]).unwrap();
+    let fresh = engine.query(manager.member(2).unwrap().current()).unwrap();
+    assert_eq!(answers.len(), 1);
+    assert_eq!(answers[0].kind, AnswerKind::Recomputed);
+    assert_eq!(answers[0].result, fresh.current_result());
+    assert_eq!(manager.stats().recomputes, manager.stats().events);
 }

@@ -2,7 +2,6 @@
 //! device counters, and snapshot opens that must fail typed.
 
 use crate::support::*;
-use immutable_regions::engine::EngineError;
 use immutable_regions::prelude::*;
 use ir_storage::fnv1a64;
 use ir_storage::page::{frame, PAGE_SIZE};
@@ -72,7 +71,7 @@ fn saved_snapshot(seed: u64) -> (tempfile::TempDir, std::path::PathBuf) {
 
 /// Opens the snapshot at `snap` on `kind`, with `plan` armed, expecting
 /// the open to fail.
-fn failed_open(snap: &std::path::Path, kind: BackendKind, plan: Option<FaultPlan>) -> EngineError {
+fn failed_open(snap: &std::path::Path, kind: BackendKind, plan: Option<FaultPlan>) -> IrError {
     let backend = match kind {
         Mem => StorageBackend::Memory,
         File => StorageBackend::Disk(snap.to_path_buf()),
@@ -94,7 +93,7 @@ fn armed_faults_during_snapshot_open_never_panic() {
     for kind in BackendKind::ALL {
         let err = failed_open(&snap, kind, Some(FaultPlan::device_outage(0, None)));
         assert!(
-            matches!(err, EngineError::SnapshotOpen { .. }),
+            matches!(err, IrError::SnapshotOpen { .. }),
             "{kind}: expected a typed snapshot-open error, got {err:?}"
         );
         let message = err.to_string();
@@ -123,7 +122,7 @@ fn a_frame_version_1_snapshot_is_rejected_typed() {
     for kind in BackendKind::ALL {
         let err = failed_open(&snap, kind, None);
         assert!(
-            matches!(err, EngineError::SnapshotOpen { .. })
+            matches!(err, IrError::SnapshotOpen { .. })
                 && err
                     .to_string()
                     .contains("unsupported format version 1 (expected 2)"),

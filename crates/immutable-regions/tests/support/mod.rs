@@ -224,6 +224,20 @@ impl Cell {
     }
 }
 
+/// Whether `err` is a failure a faulty device produces — an outage, an
+/// I/O error, corruption, exhausted retries or a contained panic — rather
+/// than a malformed request.
+pub fn is_device_fault(err: &IrError) -> bool {
+    matches!(
+        err,
+        IrError::Storage(_)
+            | IrError::Io(_)
+            | IrError::Corruption { .. }
+            | IrError::RetryExhausted { .. }
+            | IrError::WorkerPanicked { .. }
+    )
+}
+
 /// [`engine_with`] without extra builder options.
 pub fn engine(cell: &Cell, dataset: &Dataset) -> IrEngine {
     engine_with(cell, dataset, |builder| builder)

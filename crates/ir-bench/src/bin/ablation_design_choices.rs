@@ -15,13 +15,14 @@
 //!
 //! Run with `cargo run --release -p ir-bench --bin ablation_design_choices`.
 
-use immutable_regions::engine::{EngineResult, IrEngine};
+use immutable_regions::engine::IrEngine;
 use ir_bench::{cli, report_wall_clock, simulated_io_ms, BenchDataset, Scale};
 use ir_core::{Algorithm, RegionConfig};
 use ir_topk::{ProbeStrategy, TaConfig, TaRun};
+use ir_types::IrResult;
 use std::time::Instant;
 
-fn main() -> EngineResult<()> {
+fn main() -> IrResult<()> {
     cli::reject_arguments(std::env::args().skip(1));
     let started = Instant::now();
     let scale = Scale::from_env();
@@ -32,7 +33,7 @@ fn main() -> EngineResult<()> {
     Ok(())
 }
 
-fn probe_strategy_ablation(scale: Scale) -> EngineResult<()> {
+fn probe_strategy_ablation(scale: Scale) -> IrResult<()> {
     println!("=== Ablation 1: TA probe strategy (k = 10, qlen = 4) ===");
     println!(
         "{:<10} {:<14} {:>16} {:>16} {:>12}",
@@ -74,7 +75,7 @@ fn probe_strategy_ablation(scale: Scale) -> EngineResult<()> {
     Ok(())
 }
 
-fn pool_size_ablation(scale: Scale) -> EngineResult<()> {
+fn pool_size_ablation(scale: Scale) -> IrResult<()> {
     println!("=== Ablation 2: buffer-pool size (WSJ-like, k = 10, qlen = 4) ===");
     println!(
         "{:<12} {:<8} {:>16} {:>16} {:>14}",
@@ -115,7 +116,7 @@ fn pool_size_ablation(scale: Scale) -> EngineResult<()> {
     Ok(())
 }
 
-fn phase2_pool_ablation(scale: Scale) -> EngineResult<()> {
+fn phase2_pool_ablation(scale: Scale) -> IrResult<()> {
     println!("=== Ablation 3: evaluated candidates per technique (k = 10, qlen = 4) ===");
     println!(
         "{:<10} {:<8} {:>20} {:>16}",

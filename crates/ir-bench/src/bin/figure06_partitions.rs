@@ -5,13 +5,14 @@
 //! score-vs-coordinate dump of result and candidate tuples (the scatter the
 //! paper plots). It emits no series and takes no option.
 
-use immutable_regions::engine::{EngineResult, IrEngine};
+use immutable_regions::engine::IrEngine;
 use ir_bench::{cli, report_wall_clock, BenchDataset, Scale};
 use ir_core::partition::Partition;
 use ir_datagen::{QueryWorkload, WorkloadConfig};
+use ir_types::IrResult;
 use std::time::Instant;
 
-fn main() -> EngineResult<()> {
+fn main() -> IrResult<()> {
     cli::reject_arguments(std::env::args().skip(1));
     let started = Instant::now();
     let scale = Scale::from_env();

@@ -8,12 +8,12 @@
 //! `BENCH_<series id>.json`. An unknown or missing id exits 2 listing the
 //! valid ones.
 
-use immutable_regions::engine::EngineResult;
 use ir_bench::{
     measure_iterative, measure_method, print_table, report_wall_clock, BenchArgs, BenchDataset,
     ExperimentTable, Scale,
 };
 use ir_core::{Algorithm, RegionConfig};
+use ir_types::IrResult;
 use std::time::Instant;
 
 /// The workload parameter a figure sweeps; the other two stay at the
@@ -144,7 +144,7 @@ const FIGURES: &[Figure] = &[
     },
 ];
 
-fn main() -> EngineResult<()> {
+fn main() -> IrResult<()> {
     let mut argv = std::env::args().skip(1);
     let id = argv.next();
     let Some(figure) = FIGURES.iter().find(|f| Some(f.id) == id.as_deref()) else {

@@ -1,10 +1,11 @@
 //! Running a method over a workload and printing paper-style tables.
 
 use crate::metrics::MethodMeasurement;
-use immutable_regions::engine::{EngineResult, IrEngine};
+use immutable_regions::engine::IrEngine;
 use ir_core::iterative::compute_iterative;
 use ir_core::{Algorithm, ComputationStats, RegionConfig};
 use ir_datagen::QueryWorkload;
+use ir_types::IrResult;
 use std::time::{Duration, Instant};
 
 /// Simulated latency of one physical page read, in nanoseconds: ~5 ms, a
@@ -37,7 +38,7 @@ pub fn measure_method(
     algorithm: Algorithm,
     config: RegionConfig,
     x: f64,
-) -> EngineResult<MethodMeasurement> {
+) -> IrResult<MethodMeasurement> {
     let mut total = MethodMeasurement::new(algorithm, x);
     for query in workload.iter() {
         engine.cold_start();
@@ -56,7 +57,7 @@ pub fn measure_iterative(
     algorithm: Algorithm,
     phi: usize,
     x: f64,
-) -> EngineResult<MethodMeasurement> {
+) -> IrResult<MethodMeasurement> {
     let mut total = MethodMeasurement::new(algorithm, x);
     total.algorithm = format!("{algorithm}-iter");
     for query in workload.iter() {

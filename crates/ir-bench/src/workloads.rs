@@ -1,6 +1,6 @@
 //! Benchmark datasets and workloads (the paper's WSJ, KB and ST).
 
-use immutable_regions::engine::{EngineResult, IrEngine};
+use immutable_regions::engine::IrEngine;
 use ir_datagen::queries::DimSelection;
 use ir_datagen::{
     CorrelatedConfig, CorrelatedGenerator, FeatureConfig, FeatureVectorGenerator, QueryWorkload,
@@ -153,7 +153,7 @@ impl BenchDataset {
         qlen: usize,
         k: usize,
         num_queries: usize,
-    ) -> EngineResult<(IrEngine, QueryWorkload)> {
+    ) -> IrResult<(IrEngine, QueryWorkload)> {
         let dataset = self.generate(scale);
         let workload = self.workload_for(&dataset, qlen, k, num_queries)?;
         let engine = IrEngine::builder().dataset_ref(&dataset).build()?;

@@ -20,7 +20,6 @@
 //!   and the very next access sees healthy bytes again.
 //! * **Worker panic** — a scheduled read panics mid-job, exercising the
 //!   driver's `catch_unwind` containment.
-//! * **Latency** — a fixed per-read delay for timing-robustness tests.
 //!
 //! The wrapper starts *disarmed* (fully transparent) so an index can be
 //! built on it fault-free; [`FaultInjectingPageStore::arm`] zeroes the op
@@ -33,7 +32,6 @@ use ir_types::{IrError, IrResult};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// One scheduled bit-rot event: at read op `op`, XOR `xor_mask` into the
 /// stored byte at `byte_offset` of whatever page that op targets, then
@@ -72,19 +70,19 @@ pub struct FaultPlan {
     pub corruptions: Vec<CorruptionSpec>,
     /// Read ops that panic instead of returning, simulating a worker bug.
     pub panic_read_ops: Vec<u64>,
-    /// Fixed delay added to every read, in microseconds.
-    pub read_latency_micros: u64,
 }
 
 impl FaultPlan {
     /// A plan that fails `count` reads transiently at pseudo-random ops in
-    /// `[0, max_op)`, derived deterministically from `seed`.
+    /// `[0, max_op)`, derived deterministically from `seed`. Only `max_op`
+    /// distinct ops exist, so a larger `count` fails every one of them.
     pub fn transient_reads(seed: u64, count: usize, max_op: u64) -> FaultPlan {
+        let count = count.min(usize::try_from(max_op).unwrap_or(usize::MAX));
         let mut ops = Vec::with_capacity(count);
         // The shared workspace LCG, in its raw-state scatter convention —
         // the draw sequence is part of the plan contract.
         let mut lcg = SeededLcg::scatter(seed);
-        while ops.len() < count && max_op > 0 {
+        while ops.len() < count {
             let op = lcg.next_state() % max_op;
             if !ops.contains(&op) {
                 ops.push(op);
@@ -115,7 +113,6 @@ impl FaultPlan {
             && self.fail_reads_from_op.is_none()
             && self.corruptions.is_empty()
             && self.panic_read_ops.is_empty()
-            && self.read_latency_micros == 0
     }
 }
 
@@ -204,9 +201,6 @@ impl PageStore for FaultInjectingPageStore {
             return self.inner.read_page(page);
         }
         let op = self.read_ops.fetch_add(1, Ordering::Relaxed);
-        if self.plan.read_latency_micros > 0 {
-            std::thread::sleep(Duration::from_micros(self.plan.read_latency_micros));
-        }
         if self.plan.panic_read_ops.contains(&op) {
             panic!("injected fault: worker panic at read op {op}");
         }
@@ -385,6 +379,20 @@ mod tests {
         assert_ne!(a, c, "different seeds give different schedules");
         assert!(!a.is_empty());
         assert!(FaultPlan::default().is_empty());
+    }
+
+    #[test]
+    fn seeded_constructor_caps_count_at_the_ops_that_exist() {
+        let every_op = vec![0, 1, 2, 3, 4];
+        assert_eq!(
+            FaultPlan::transient_reads(7, 5, 5).transient_read_ops,
+            every_op
+        );
+        assert_eq!(
+            FaultPlan::transient_reads(7, 6, 5).transient_read_ops,
+            every_op
+        );
+        assert!(FaultPlan::transient_reads(7, 3, 0).is_empty());
     }
 
     #[test]

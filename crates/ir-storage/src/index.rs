@@ -739,42 +739,4 @@ mod tests {
             }
         }
     }
-
-    #[test]
-    fn open_snapshot_with_faults_armed_surfaces_typed_errors() {
-        let dataset = Dataset::running_example();
-        let dir = tempfile::tempdir().unwrap();
-        TopKIndex::build_in_memory(&dataset)
-            .unwrap()
-            .save_snapshot(dir.path())
-            .unwrap();
-        // A dead device from op 0: the trailer read itself must fail typed
-        // (the injector arms *before* the superheader is touched).
-        let err = IndexBuilder::new()
-            .fault_plan(Some(FaultPlan::device_outage(0, None)))
-            .open_snapshot(dir.path())
-            .map(|_| ())
-            .unwrap_err();
-        assert!(err.to_string().contains("injected device failure"), "{err}");
-    }
-
-    #[test]
-    fn open_snapshot_rejects_a_plain_page_file() {
-        // A disk-built index writes a valid *page* file with no snapshot
-        // trailer; open_snapshot must reject it as typed corruption, not
-        // misread data pages as a trailer.
-        let dir = tempfile::tempdir().unwrap();
-        IndexBuilder::new()
-            .backend(StorageBackend::Disk(dir.path().to_path_buf()))
-            .build(&Dataset::running_example())
-            .unwrap();
-        let err = IndexBuilder::new()
-            .open_snapshot(dir.path())
-            .map(|_| ())
-            .unwrap_err();
-        assert!(
-            matches!(err, IrError::Corruption { .. }),
-            "expected typed corruption, got: {err}"
-        );
-    }
 }

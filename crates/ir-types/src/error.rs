@@ -2,10 +2,14 @@
 //!
 //! The workspace avoids panicking on recoverable conditions (malformed
 //! queries, out-of-range values, storage failures) and instead threads a
-//! single [`IrError`] enum through the public APIs.
+//! single [`IrError`] enum through the public APIs, from the page store up
+//! to the serving engine and the subscription fleet. The engine's own
+//! conditions — an empty dataset, a failed snapshot save or open — are
+//! variants here too; a bad serving setting is [`IrError::InvalidConfig`].
 
 use std::fmt;
 use std::io;
+use std::path::PathBuf;
 
 /// Convenient result alias used throughout the workspace.
 pub type IrResult<T> = Result<T, IrError>;
@@ -84,6 +88,26 @@ pub enum IrError {
         /// The transient error observed on the final attempt.
         source: Box<IrError>,
     },
+    /// An engine was built over a dataset (or snapshot) with no tuples —
+    /// no query can be answered.
+    EmptyDataset,
+    /// Saving a snapshot failed; the directory is named so an operator can
+    /// tell a permissions/space problem from a device fault.
+    SnapshotSave {
+        /// Directory the snapshot was being written into.
+        dir: PathBuf,
+        /// The underlying storage error.
+        source: Box<IrError>,
+    },
+    /// Opening a snapshot failed — a missing, foreign, corrupt or
+    /// version-bumped snapshot file, or a device fault during the trailer
+    /// read.
+    SnapshotOpen {
+        /// Directory the snapshot was being opened from.
+        dir: PathBuf,
+        /// The underlying storage error.
+        source: Box<IrError>,
+    },
 }
 
 impl IrError {
@@ -150,6 +174,13 @@ impl fmt::Display for IrError {
                 f,
                 "transient storage fault persisted through {attempts} attempts: {source}"
             ),
+            IrError::EmptyDataset => write!(f, "engine has no tuples to query"),
+            IrError::SnapshotSave { dir, source } => {
+                write!(f, "saving snapshot to {}: {source}", dir.display())
+            }
+            IrError::SnapshotOpen { dir, source } => {
+                write!(f, "opening snapshot from {}: {source}", dir.display())
+            }
         }
     }
 }
@@ -158,7 +189,9 @@ impl std::error::Error for IrError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             IrError::Io(err) => Some(err),
-            IrError::RetryExhausted { source, .. } => Some(source),
+            IrError::RetryExhausted { source, .. }
+            | IrError::SnapshotSave { source, .. }
+            | IrError::SnapshotOpen { source, .. } => Some(source),
             _ => None,
         }
     }
