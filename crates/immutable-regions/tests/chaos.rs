@@ -77,9 +77,29 @@ fn quiet_panics() {
     });
 }
 
+/// The fewest store reads the fault-free workload makes in any backend ×
+/// worker cell. Every read a cold engine makes is a pool miss, so this is
+/// the smallest `physical_reads` after one batch; a plan whose faulted ops
+/// all fall below it reaches a faulted op in every cell.
+fn fewest_store_reads(k: usize) -> u64 {
+    let mut fewest = u64::MAX;
+    for backend in BackendKind::ALL {
+        for threads in [1usize, 2, 8] {
+            let engine = build_engine(backend, threads, None, RetryPolicy::default());
+            engine.query_batch(&queries(k)).unwrap();
+            fewest = fewest.min(engine.index().io_snapshot().physical_reads);
+        }
+    }
+    fewest
+}
+
 #[test]
 fn transient_faults_heal_to_byte_identical_results() {
     let oracle = oracle_reports(4);
+    // Sized from the workload, not fixed: the faulted ops are drawn below
+    // the fewest store reads any cell makes, so the plan fires by
+    // construction however the pool's hit rate moves.
+    let store_reads = fewest_store_reads(4);
     // The device's op counter is shared across workers, so with several
     // threads the op index a retry attempt draws depends on scheduling: an
     // attempt can land on *any* not-yet-consumed faulted op, not just the
@@ -92,7 +112,7 @@ fn transient_faults_heal_to_byte_identical_results() {
     };
     for backend in BackendKind::ALL {
         for threads in [1usize, 2, 8] {
-            let plan = FaultPlan::transient_reads(7, 10, 400);
+            let plan = FaultPlan::transient_reads(7, 10, store_reads);
             let engine = build_engine(backend, threads, Some(plan), retry);
             let reports = engine
                 .query_batch(&queries(4))

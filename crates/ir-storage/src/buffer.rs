@@ -5,17 +5,26 @@
 //! store goes through a [`BufferPool`]. The pool keeps the most recently
 //! used pages in memory and counts logical reads (requests), physical reads
 //! (misses that hit the page store) and writes. Every count lands twice: in
-//! the pool's lifetime totals, kept beside the frames under the pool mutex
-//! each request already takes, and in the tally of the unit of work that
+//! the pool's lifetime totals and in the tally of the unit of work that
 //! asked ([`BufferPool::read_counted`], [`BufferPool::write_counted`]). The
-//! totals are exact for the whole pool and a tally is exact for its owner,
-//! however many threads share the pool.
+//! totals sit beside the frames under the pool mutex each request already
+//! takes. The one exception is a logical read of a page its caller still
+//! holds (a list cursor reading the next entry on its page,
+//! [`BufferPool::count_held_read`]): it takes no lock and is counted in a
+//! relaxed atomic that [`BufferPool::io_snapshot`] adds in. The totals are
+//! exact for the whole pool and a tally is exact for its owner, however
+//! many threads share the pool.
+//!
+//! A miss caches the `Arc` the store returns. On the mem store that is the
+//! stored frame itself, so the pool keeps no second copy of a page.
 //!
 //! Eviction is exact LRU, and a hit, a miss and an eviction each cost O(1)
 //! under the pool mutex: the frames sit in a slab, joined in an intrusive
-//! recency list. Exact LRU rather than an approximation such as CLOCK keeps
-//! the victim, and so every single-threaded physical-read count, a function
-//! of the access sequence alone.
+//! recency list, and a slot table indexed by page id (page ids are dense)
+//! finds a page's frame without hashing. Exact LRU rather than an
+//! approximation such as CLOCK keeps the victim, and so every
+//! single-threaded physical-read count, a function of the access sequence
+//! alone.
 //!
 //! The pool is also the retry boundary of the stack: a [`RetryPolicy`]
 //! re-issues store reads and writes that fail with a *transient* error
@@ -31,7 +40,7 @@ use crate::pagestore::PageStore;
 use crate::stats::IoStatsSnapshot;
 use ir_types::{IrError, IrResult};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -78,36 +87,39 @@ impl RetryPolicy {
     }
 }
 
-/// End-of-list marker of the recency list.
-const NIL: usize = usize::MAX;
+/// "No slot": the end of the recency list, and a page that is not resident.
+const NIL: u32 = u32::MAX;
 
 /// One cached page: a slab slot linked into the recency list.
 struct Frame {
     page: PageId,
     data: Arc<PageBuf>,
     /// The next more recently used slot, or [`NIL`] at the head.
-    newer: usize,
+    newer: u32,
     /// The next less recently used slot, or [`NIL`] at the tail.
-    older: usize,
+    older: u32,
 }
 
 /// The cached pages in exact least-recently-used order, every operation
-/// O(1): a map from page to slab slot, and the slots joined in an intrusive
-/// doubly-linked list from most recently used (`head`) to least (`tail`).
+/// O(1): a slot table indexed by page id (page ids are dense), and the slab
+/// slots joined in an intrusive doubly-linked list from most recently used
+/// (`head`) to least (`tail`).
 struct LruFrames {
-    slots: HashMap<PageId, usize>,
+    /// The slab slot of each page id, or [`NIL`]; grown on insert.
+    slots: Vec<u32>,
     frames: Vec<Frame>,
-    head: usize,
-    tail: usize,
+    head: u32,
+    tail: u32,
     capacity: usize,
-    /// The pool's lifetime I/O totals (not reset by [`LruFrames::clear`]).
+    /// The pool's lifetime I/O totals (not reset by [`LruFrames::clear`]),
+    /// but for held reads, which `BufferPool::held_reads` counts.
     io: IoStatsSnapshot,
 }
 
 impl LruFrames {
     fn new(capacity: usize) -> Self {
         LruFrames {
-            slots: HashMap::with_capacity(capacity),
+            slots: Vec::new(),
             frames: Vec::with_capacity(capacity),
             head: NIL,
             tail: NIL,
@@ -116,15 +128,23 @@ impl LruFrames {
         }
     }
 
+    /// Every slab slot holds a resident page.
     fn len(&self) -> usize {
-        self.slots.len()
+        self.frames.len()
+    }
+
+    fn slot(&self, page: PageId) -> Option<u32> {
+        self.slots
+            .get(page.index())
+            .copied()
+            .filter(|&slot| slot != NIL)
     }
 
     /// The cached copy of `page`, marked most recently used.
     fn get(&mut self, page: PageId) -> Option<Arc<PageBuf>> {
-        let slot = *self.slots.get(&page)?;
+        let slot = self.slot(page)?;
         self.touch(slot);
-        Some(Arc::clone(&self.frames[slot].data))
+        Some(Arc::clone(&self.frames[slot as usize].data))
     }
 
     /// Caches `data` for `page` as the most recently used page. A full pool
@@ -132,7 +152,7 @@ impl LruFrames {
     /// (two threads missed it at once) is only touched: it takes no second
     /// slot and evicts nothing.
     fn insert(&mut self, page: PageId, data: &Arc<PageBuf>) {
-        if let Some(&slot) = self.slots.get(&page) {
+        if let Some(slot) = self.slot(page) {
             self.touch(slot);
             return;
         }
@@ -143,24 +163,27 @@ impl LruFrames {
                 newer: NIL,
                 older: NIL,
             });
-            self.frames.len() - 1
+            (self.frames.len() - 1) as u32
         } else {
             let victim = self.tail;
             self.unlink(victim);
-            let frame = &mut self.frames[victim];
-            self.slots.remove(&frame.page);
+            let frame = &mut self.frames[victim as usize];
+            self.slots[frame.page.index()] = NIL;
             frame.page = page;
             frame.data = Arc::clone(data);
             victim
         };
-        self.slots.insert(page, slot);
+        if self.slots.len() <= page.index() {
+            self.slots.resize(page.index() + 1, NIL);
+        }
+        self.slots[page.index()] = slot;
         self.push_front(slot);
     }
 
     /// Replaces the cached copy of `page`, if any, and touches it.
     fn refresh(&mut self, page: PageId, data: &[u8]) {
-        if let Some(&slot) = self.slots.get(&page) {
-            self.frames[slot].data = Arc::new(data.into());
+        if let Some(slot) = self.slot(page) {
+            self.frames[slot as usize].data = Arc::new(data.into());
             self.touch(slot);
         }
     }
@@ -172,33 +195,33 @@ impl LruFrames {
         self.tail = NIL;
     }
 
-    fn touch(&mut self, slot: usize) {
+    fn touch(&mut self, slot: u32) {
         if self.head != slot {
             self.unlink(slot);
             self.push_front(slot);
         }
     }
 
-    fn unlink(&mut self, slot: usize) {
-        let Frame { newer, older, .. } = self.frames[slot];
+    fn unlink(&mut self, slot: u32) {
+        let Frame { newer, older, .. } = self.frames[slot as usize];
         match newer {
             NIL => self.head = older,
-            newer => self.frames[newer].older = older,
+            newer => self.frames[newer as usize].older = older,
         }
         match older {
             NIL => self.tail = newer,
-            older => self.frames[older].newer = newer,
+            older => self.frames[older as usize].newer = newer,
         }
     }
 
-    fn push_front(&mut self, slot: usize) {
+    fn push_front(&mut self, slot: u32) {
         let old_head = self.head;
-        let frame = &mut self.frames[slot];
+        let frame = &mut self.frames[slot as usize];
         frame.newer = NIL;
         frame.older = old_head;
         match old_head {
             NIL => self.tail = slot,
-            old_head => self.frames[old_head].newer = slot,
+            old_head => self.frames[old_head as usize].newer = slot,
         }
         self.head = slot;
     }
@@ -209,6 +232,9 @@ pub struct BufferPool {
     store: Arc<dyn PageStore>,
     inner: Mutex<LruFrames>,
     retry: RetryPolicy,
+    /// Logical reads of pages their caller already held (see
+    /// [`BufferPool::count_held_read`]), counted without the mutex.
+    held_reads: AtomicU64,
 }
 
 impl BufferPool {
@@ -231,8 +257,9 @@ impl BufferPool {
     ) -> Self {
         BufferPool {
             store,
-            inner: Mutex::new(LruFrames::new(capacity.max(1))),
+            inner: Mutex::new(LruFrames::new(capacity.clamp(1, NIL as usize))),
             retry,
+            held_reads: AtomicU64::new(0),
         }
     }
 
@@ -314,13 +341,22 @@ impl BufferPool {
         tally.physical_reads += 1;
         // Miss: fetch outside the lock (retrying transient faults), then
         // insert.
-        let data = Arc::new(self.with_retries(
+        let data = self.with_retries(
             tally,
             |io| io.read_retries += 1,
             || self.store.read_page(page),
-        )?);
+        )?;
         self.inner.lock().insert(page, &data);
         Ok(data)
+    }
+
+    /// Counts one logical read of a page the caller still holds from an
+    /// earlier [`BufferPool::read_counted`] (a list cursor reading the next
+    /// entry on its page), in the pool's totals and in `tally` alike. It
+    /// takes no lock and leaves the recency order as it is.
+    pub fn count_held_read(&self, tally: &mut IoStatsSnapshot) {
+        tally.logical_reads += 1;
+        self.held_reads.fetch_add(1, Ordering::Relaxed);
     }
 
     /// [`BufferPool::write_counted`] for a caller that keeps no tally.
@@ -369,12 +405,16 @@ impl BufferPool {
     /// The pool's I/O totals since it was created or last reset: every
     /// request from every caller.
     pub fn io_snapshot(&self) -> IoStatsSnapshot {
-        self.inner.lock().io
+        let mut io = self.inner.lock().io;
+        io.logical_reads += self.held_reads.load(Ordering::Relaxed);
+        io
     }
 
     /// Resets the I/O totals (the cache content is preserved).
     pub fn reset_io_stats(&self) {
-        self.inner.lock().io = IoStatsSnapshot::default();
+        let mut inner = self.inner.lock();
+        inner.io = IoStatsSnapshot::default();
+        self.held_reads.store(0, Ordering::Relaxed);
     }
 }
 
@@ -421,19 +461,29 @@ mod tests {
 
     /// Seeded random `read` / `write` / `clear_cache` sequences against a
     /// `VecDeque` reference LRU (front = most recently used): after every
-    /// operation the pool's miss count, residency and bytes match it.
+    /// operation the pool's miss count, residency and bytes match it. Odd
+    /// seeds spread the 12 pages over ids up to ~10,000, so the slot table
+    /// grows on insert and is emptied by `clear_cache` at that size.
     #[test]
     fn pool_matches_a_reference_lru_model() {
         const PAGES: u32 = 12;
+        const SPREAD: u32 = 833;
         for capacity in 1..=8usize {
             for seed in 0..4u64 {
-                let pool = pool_with_pages(capacity, PAGES);
                 let mut rng = ir_types::SeededLcg::mixed(seed * 131 + capacity as u64);
+                let ids: Vec<u32> = (0..PAGES)
+                    .map(|i| match seed % 2 {
+                        0 => i,
+                        _ => i * SPREAD + rng.next_below(u64::from(SPREAD)) as u32,
+                    })
+                    .collect();
+                let pool = pool_with_pages(capacity, ids[PAGES as usize - 1] + 1);
                 let mut model: VecDeque<u32> = VecDeque::new();
                 let mut contents = [0u8; PAGES as usize];
                 let mut misses = 0u64;
                 for step in 0..400 {
-                    let page = rng.next_below(u64::from(PAGES)) as u32;
+                    let at = rng.next_below(u64::from(PAGES)) as usize;
+                    let page = ids[at];
                     let resident = model.iter().position(|&p| p == page);
                     match rng.next_below(20) {
                         0 => {
@@ -441,7 +491,7 @@ mod tests {
                             model.clear();
                         }
                         1..=4 => {
-                            contents[page as usize] = step as u8;
+                            contents[at] = step as u8;
                             pool.write(PageId(page), &vec![step as u8; PAGE_SIZE])
                                 .unwrap();
                             if let Some(at) = resident {
@@ -451,7 +501,7 @@ mod tests {
                         }
                         _ => {
                             let data = pool.read(PageId(page)).unwrap();
-                            assert_eq!(data[0], contents[page as usize]);
+                            assert_eq!(data[0], contents[at]);
                             match resident {
                                 Some(at) => {
                                     model.remove(at);
@@ -490,7 +540,7 @@ mod tests {
             self.inner.allocate(count)
         }
 
-        fn read_page(&self, page: PageId) -> IrResult<PageBuf> {
+        fn read_page(&self, page: PageId) -> IrResult<Arc<PageBuf>> {
             if page == self.page {
                 self.barrier.wait();
             }

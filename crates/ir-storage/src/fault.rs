@@ -196,7 +196,7 @@ impl PageStore for FaultInjectingPageStore {
         self.inner.allocate(count)
     }
 
-    fn read_page(&self, page: PageId) -> IrResult<PageBuf> {
+    fn read_page(&self, page: PageId) -> IrResult<Arc<PageBuf>> {
         if !self.is_armed() {
             return self.inner.read_page(page);
         }

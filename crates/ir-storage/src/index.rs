@@ -408,7 +408,8 @@ impl TopKIndex {
     /// a query weight on such a dimension is legal, it simply contributes
     /// nothing to any score. The cursor snapshots the list's directory
     /// entry: it keeps scanning the pages the list occupied when the cursor
-    /// was opened, even if maintenance later moves the list.
+    /// was opened, even if maintenance later moves the list, and it holds
+    /// the page it is on (see [`InvertedListCursor`]).
     pub fn list_cursor(&self, dim: DimId) -> IrResult<InvertedListCursor> {
         if dim.0 >= self.dimensionality {
             return Err(IrError::UnknownDimension {

@@ -8,7 +8,7 @@
 //! through the buffer pool so every access is accounted for.
 
 use crate::buffer::BufferPool;
-use crate::page::{codec, zeroed_page, PageId, PAGE_SIZE};
+use crate::page::{codec, zeroed_page, PageBuf, PageId, PAGE_SIZE};
 use crate::stats::IoStatsSnapshot;
 use ir_types::{DimId, IrError, IrResult, TupleId};
 use serde::{Deserialize, Serialize};
@@ -119,14 +119,26 @@ pub fn read_list(
 ///
 /// The cursor is the physical realisation of TA's sorted access: `peek`
 /// exposes the sorting key `t_j` of the next entry (used in the threshold)
-/// and `next` consumes it. Reading an entry touches exactly one page via the
-/// buffer pool, counted in the cursor's own tally ([`InvertedListCursor::io`]).
+/// and `next` consumes it. The cursor keeps the page it is on and makes one
+/// pool request per page: reading an entry on the held page asks the pool
+/// nothing, yet still counts one logical read
+/// ([`BufferPool::count_held_read`]), so the cursor's tally
+/// ([`InvertedListCursor::io`]) and the pool's totals count one logical read
+/// per entry read and one physical read per page miss.
+///
+/// The held page is a page-granular snapshot: a page rewritten in place
+/// after the cursor reached it reads as it was until the cursor moves to
+/// the next page, and pages it has not reached yet read as they are when
+/// it gets there.
+///
 /// The cursor keeps its position, so the TA run Phase 3 resumes continues
 /// exactly where the top-k computation stopped.
 pub struct InvertedListCursor {
     pool: Arc<BufferPool>,
     directory: ListDirectoryEntry,
     position: u32,
+    /// The page the cursor is on: its index within the list, and its bytes.
+    page: Option<(u32, Arc<PageBuf>)>,
     io: IoStatsSnapshot,
 }
 
@@ -137,6 +149,7 @@ impl InvertedListCursor {
             pool,
             directory,
             position: 0,
+            page: None,
             io: IoStatsSnapshot::default(),
         }
     }
@@ -178,16 +191,23 @@ impl InvertedListCursor {
                 index, self.directory.num_entries
             )));
         }
-        let page_idx = index as usize / ENTRIES_PER_PAGE;
-        let slot = index as usize % ENTRIES_PER_PAGE;
-        let page = self.pool.read_counted(
-            PageId(self.directory.first_page.0 + page_idx as u32),
-            &mut self.io,
-        )?;
-        let off = slot * ENTRY_BYTES;
+        let page_idx = (index as usize / ENTRIES_PER_PAGE) as u32;
+        let page = match &self.page {
+            Some((held, page)) if *held == page_idx => {
+                self.pool.count_held_read(&mut self.io);
+                page
+            }
+            _ => {
+                let page = self
+                    .pool
+                    .read_counted(PageId(self.directory.first_page.0 + page_idx), &mut self.io)?;
+                &self.page.insert((page_idx, page)).1
+            }
+        };
+        let off = index as usize % ENTRIES_PER_PAGE * ENTRY_BYTES;
         Ok((
-            TupleId(codec::get_u32(&page, off)),
-            codec::get_f64(&page, off + 4),
+            TupleId(codec::get_u32(page, off)),
+            codec::get_f64(page, off + 4),
         ))
     }
 
@@ -311,5 +331,46 @@ mod tests {
         assert_eq!(snap.physical_reads, 3);
         assert_eq!(snap.logical_reads, entries.len() as u64);
         assert_eq!(cursor.io(), snap, "the cursor tallied every access");
+    }
+
+    /// TA's access pattern (consume an entry, then peek at the next) with a
+    /// foreign page read between every two cursor reads, through a
+    /// one-page pool: every foreign read evicts the list page, yet the
+    /// cursor misses once per list page (not once per entry read), because
+    /// it reads from the page it holds. It still counts one logical read
+    /// per entry read, and the pool's delta is the sum of the tallies.
+    #[test]
+    fn a_held_page_costs_one_miss_per_page() {
+        let pool = Arc::new(BufferPool::with_capacity(Arc::new(MemPageStore::new()), 1));
+        let entries = descending_entries(ENTRIES_PER_PAGE * 3 + 7);
+        let dir = write_list(&pool, DimId(0), &entries).unwrap();
+        let foreign = pool.allocate(1).unwrap();
+        pool.clear_cache();
+        let before = pool.io_snapshot();
+        let mut cursor = InvertedListCursor::new(Arc::clone(&pool), dir);
+        let mut foreign_io = IoStatsSnapshot::default();
+        let mut entry_reads = 0u64;
+        let mut scanned = Vec::new();
+        while let Some(entry) = cursor.next_entry().unwrap() {
+            entry_reads += 1;
+            scanned.push(entry);
+            pool.read_counted(foreign, &mut foreign_io).unwrap();
+            if cursor.peek().unwrap().is_some() {
+                entry_reads += 1;
+            }
+            pool.read_counted(foreign, &mut foreign_io).unwrap();
+        }
+        assert_eq!(scanned, entries);
+        assert_eq!(cursor.io().physical_reads, u64::from(dir.num_pages()));
+        assert_eq!(cursor.io().logical_reads, entry_reads);
+        assert_eq!(
+            foreign_io.physical_reads,
+            u64::from(dir.num_pages()),
+            "only the cursor's move to a new page evicts the foreign page"
+        );
+        assert_eq!(
+            pool.io_snapshot().since(&before),
+            cursor.io().plus(&foreign_io)
+        );
     }
 }

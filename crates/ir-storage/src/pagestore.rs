@@ -17,11 +17,14 @@
 //! Both stores are *self-validating*: each stored page carries the lane
 //! checksum of [`crate::checksum::frame_checksum`] (see
 //! [`crate::page::frame`]), and every read verifies the whole frame before
-//! returning it. Both ways of opening a page file check its versioned
-//! header first, so a file of another frame format version never serves a
-//! page. Damage surfaces as a typed [`IrError::Corruption`] naming the
-//! page, never as silently wrong bytes. Out-of-range accesses likewise
-//! return the same typed [`IrError::PageOutOfBounds`] from every backend.
+//! returning it. A read returns the page as a shared `Arc<PageBuf>`: the
+//! mem store hands out the frame it stores (copy-on-write, verified outside
+//! its lock), the file store wraps the buffer it read into. Both ways of
+//! opening a page file check its versioned header first, so a file of
+//! another frame format version never serves a page. Damage surfaces as a
+//! typed [`IrError::Corruption`] naming the page, never as silently wrong
+//! bytes. Out-of-range accesses likewise return the same typed
+//! [`IrError::PageOutOfBounds`] from every backend.
 //!
 //! Stores keep no counters of their own. Every store read is a buffer-pool
 //! miss, so the pool's `physical_reads` (see [`crate::buffer::BufferPool`])
@@ -32,6 +35,7 @@ use ir_types::{IrError, IrResult};
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
 use std::path::Path;
+use std::sync::Arc;
 
 /// Abstraction over a flat, page-addressed storage device.
 ///
@@ -49,8 +53,10 @@ pub trait PageStore: Send + Sync {
     /// Allocates `count` fresh zeroed pages and returns the id of the first.
     fn allocate(&self, count: u32) -> IrResult<PageId>;
 
-    /// Reads a full page into a new buffer, verifying its checksum.
-    fn read_page(&self, page: PageId) -> IrResult<PageBuf>;
+    /// Reads a full page, verifying its checksum on every call. The buffer
+    /// is shared and immutable: a later write or injected corruption of the
+    /// page never changes the bytes a caller already holds.
+    fn read_page(&self, page: PageId) -> IrResult<Arc<PageBuf>>;
 
     /// Overwrites a full page (and reseals its checksum).
     fn write_page(&self, page: PageId, data: &[u8]) -> IrResult<()>;
@@ -152,21 +158,31 @@ pub(crate) fn write_all_at(file: &File, data: &[u8], offset: u64) -> std::io::Re
 /// One in-memory frame: payload plus the checksum trailer it was sealed
 /// with. The trailer is stored (not recomputed on read) so injected
 /// corruption is detectable exactly as it would be on disk.
+///
+/// The payload is shared with every reader (and the buffer pool) that holds
+/// it. A write copies into the payload only while no one else holds it and
+/// installs a fresh `Arc` otherwise, and corruption injection goes through
+/// [`Arc::make_mut`], so bytes already handed out never change.
+#[derive(Clone)]
 struct MemFrame {
-    payload: PageBuf,
+    payload: Arc<PageBuf>,
     seal: [u8; frame::CHECKSUM_LEN],
 }
 
 impl MemFrame {
     fn zeroed() -> Self {
         MemFrame {
-            payload: zeroed_page(),
+            payload: Arc::new(zeroed_page()),
             seal: frame::zero_page_seal(),
         }
     }
 }
 
 /// In-memory page store.
+///
+/// A read clones the stored frame's `Arc` and seal under the store lock and
+/// verifies the checksum after releasing it, so concurrent misses share one
+/// copy of each page and serialize only on a pointer clone.
 #[derive(Default)]
 pub struct MemPageStore {
     pages: Mutex<Vec<MemFrame>>,
@@ -197,8 +213,7 @@ impl MemPageStore {
         let mut pages = Vec::with_capacity(num_pages as usize);
         for i in 0..num_pages as usize {
             let start = frame::HEADER_LEN + i * frame::FRAME_LEN;
-            let mut payload = zeroed_page();
-            payload.copy_from_slice(&bytes[start..start + PAGE_SIZE]);
+            let payload = Arc::new(PageBuf::from(&bytes[start..start + PAGE_SIZE]));
             let mut seal = [0u8; frame::CHECKSUM_LEN];
             seal.copy_from_slice(&bytes[start + PAGE_SIZE..start + frame::FRAME_LEN]);
             pages.push(MemFrame { payload, seal });
@@ -223,13 +238,16 @@ impl PageStore for MemPageStore {
         Ok(PageId(first))
     }
 
-    fn read_page(&self, page: PageId) -> IrResult<PageBuf> {
-        let pages = self.pages.lock();
-        let stored = pages
-            .get(page.index())
-            .ok_or_else(|| out_of_bounds(page, pages.len() as u32))?;
+    fn read_page(&self, page: PageId) -> IrResult<Arc<PageBuf>> {
+        let stored = {
+            let pages = self.pages.lock();
+            pages
+                .get(page.index())
+                .ok_or_else(|| out_of_bounds(page, pages.len() as u32))?
+                .clone()
+        };
         frame::verify(page, &stored.payload, &stored.seal)?;
-        Ok(stored.payload.clone())
+        Ok(stored.payload)
     }
 
     fn write_page(&self, page: PageId, data: &[u8]) -> IrResult<()> {
@@ -239,7 +257,10 @@ impl PageStore for MemPageStore {
         let slot = pages
             .get_mut(page.index())
             .ok_or_else(|| out_of_bounds(page, num_pages))?;
-        slot.payload.copy_from_slice(data);
+        match Arc::get_mut(&mut slot.payload) {
+            Some(payload) => payload.copy_from_slice(data),
+            None => slot.payload = Arc::new(data.into()),
+        }
         slot.seal = frame::seal(data);
         Ok(())
     }
@@ -251,7 +272,7 @@ impl PageStore for MemPageStore {
         let slot = pages
             .get_mut(page.index())
             .ok_or_else(|| out_of_bounds(page, num_pages))?;
-        slot.payload[offset] ^= mask;
+        Arc::make_mut(&mut slot.payload)[offset] ^= mask;
         Ok(())
     }
 }
@@ -327,7 +348,7 @@ impl PageStore for FilePageStore {
         Ok(PageId(first))
     }
 
-    fn read_page(&self, page: PageId) -> IrResult<PageBuf> {
+    fn read_page(&self, page: PageId) -> IrResult<Arc<PageBuf>> {
         let num_pages = self.num_pages();
         if page.0 >= num_pages {
             return Err(out_of_bounds(page, num_pages));
@@ -336,7 +357,7 @@ impl PageStore for FilePageStore {
         read_exact_at(&self.file, &mut buf, frame::offset(page))?;
         frame::verify(page, &buf[..PAGE_SIZE], &buf[PAGE_SIZE..])?;
         buf.truncate(PAGE_SIZE);
-        Ok(buf.into_boxed_slice())
+        Ok(Arc::new(buf.into_boxed_slice()))
     }
 
     fn write_page(&self, page: PageId, data: &[u8]) -> IrResult<()> {
@@ -436,6 +457,57 @@ mod tests {
     #[test]
     fn mem_store_roundtrip() {
         exercise_store(&MemPageStore::new());
+    }
+
+    /// A frame a reader holds is its own: neither a later write nor injected
+    /// corruption of the stored page reaches it, and the store still
+    /// verifies the damaged page on the next read.
+    #[test]
+    fn mem_frames_are_copy_on_write() {
+        let store = MemPageStore::new();
+        store.allocate(1).unwrap();
+        store.write_page(PageId(0), &[5u8; PAGE_SIZE]).unwrap();
+        let held = store.read_page(PageId(0)).unwrap();
+        store.write_page(PageId(0), &[6u8; PAGE_SIZE]).unwrap();
+        assert!(held.iter().all(|&b| b == 5), "a write reached a held frame");
+        let rewritten = store.read_page(PageId(0)).unwrap();
+        store.corrupt_stored_byte(PageId(0), 9, 0xFF).unwrap();
+        assert!(
+            rewritten.iter().all(|&b| b == 6),
+            "corruption reached a held frame"
+        );
+        assert!(held.iter().all(|&b| b == 5));
+        let err = store.read_page(PageId(0)).unwrap_err();
+        assert!(
+            matches!(err, IrError::Corruption { page: Some(0), .. }),
+            "{err}"
+        );
+    }
+
+    /// Two threads reading one page at once get the same verified bytes,
+    /// and share the one stored frame rather than a copy each.
+    #[test]
+    fn concurrent_mem_reads_share_the_stored_frame() {
+        let store = MemPageStore::new();
+        store.allocate(1).unwrap();
+        let page: PageBuf = (0..PAGE_SIZE).map(|i| (i % 251) as u8).collect();
+        store.write_page(PageId(0), &page).unwrap();
+        let barrier = std::sync::Barrier::new(2);
+        let reads: Vec<Arc<PageBuf>> = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        store.read_page(PageId(0)).unwrap()
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        for read in &reads {
+            assert_eq!(**read, page);
+        }
+        assert!(Arc::ptr_eq(&reads[0], &reads[1]));
     }
 
     #[test]

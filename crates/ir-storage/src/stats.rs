@@ -12,7 +12,9 @@
 //! evaluator, a maintenance batch) owns a plain [`IoStatsSnapshot`] tally
 //! that the pool adds to on each request, and a report's I/O is the sum of
 //! its units' tallies. The pool keeps its own lifetime totals under the lock
-//! it already takes per request.
+//! it already takes per request, except the logical reads a list cursor
+//! makes of the page it holds: those take no lock and are counted in a
+//! relaxed atomic beside it.
 
 use serde::{Deserialize, Serialize};
 

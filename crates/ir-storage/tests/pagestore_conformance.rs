@@ -29,7 +29,7 @@ fn check_roundtrip(store: &dyn PageStore) {
 
     let page = patterned_page(7);
     store.write_page(PageId(1), &page).unwrap();
-    assert_eq!(store.read_page(PageId(1)).unwrap(), page);
+    assert_eq!(*store.read_page(PageId(1)).unwrap(), page);
     assert!(store.read_page(PageId(2)).unwrap().iter().all(|&b| b == 0));
 
     assert!(store.read_page(PageId(3)).is_err());
@@ -60,7 +60,7 @@ fn check_concurrent_readers(store: Arc<dyn PageStore>) {
             for i in 0..READS {
                 let page = (i * 13 + t * 5) % PAGES;
                 let data = store.read_page(PageId(page)).unwrap();
-                assert_eq!(data, patterned_page(page as u8), "page {page} corrupted");
+                assert_eq!(*data, patterned_page(page as u8), "page {page} corrupted");
             }
         }));
     }
@@ -89,7 +89,7 @@ fn check_reopen_persistence(
     assert_eq!(reopened.num_pages(), 5);
     for page in 0..5u32 {
         assert_eq!(
-            reopened.read_page(PageId(page)).unwrap(),
+            *reopened.read_page(PageId(page)).unwrap(),
             patterned_page(100 + page as u8),
             "page {page} lost across reopen"
         );
@@ -145,7 +145,7 @@ fn check_typed_error_paths(store: &dyn PageStore) {
     // Neighbouring pages are unaffected, and re-applying the XOR heals.
     assert!(store.read_page(PageId(0)).is_ok());
     store.corrupt_stored_byte(PageId(1), 40, 0x20).unwrap();
-    assert_eq!(store.read_page(PageId(1)).unwrap(), patterned_page(3));
+    assert_eq!(*store.read_page(PageId(1)).unwrap(), patterned_page(3));
     // Corruption offsets past the payload are rejected, not wrapped.
     assert!(store.corrupt_stored_byte(PageId(1), PAGE_SIZE, 1).is_err());
 }
@@ -161,7 +161,7 @@ fn check_pattern_sweep(store: &dyn PageStore, ops: &[(u8, u8)]) {
         if seed % 3 == 0 {
             // Read and compare against the model.
             let data = store.read_page(PageId(page as u32)).unwrap();
-            assert_eq!(&data, &model[page], "page {page} diverged from model");
+            assert_eq!(&*data, &model[page], "page {page} diverged from model");
         } else {
             let body = patterned_page(seed);
             store.write_page(PageId(page as u32), &body).unwrap();
@@ -171,7 +171,7 @@ fn check_pattern_sweep(store: &dyn PageStore, ops: &[(u8, u8)]) {
     // Full final audit.
     for (page, expected) in model.iter().enumerate() {
         let data = store.read_page(PageId(page as u32)).unwrap();
-        assert_eq!(&data, expected, "final audit: page {page} diverged");
+        assert_eq!(&*data, expected, "final audit: page {page} diverged");
     }
 }
 

@@ -411,30 +411,33 @@ mod tests {
 
     #[test]
     fn seen_bitmap_grows_for_tuples_inserted_after_execute() {
-        // One list, values falling with the id: k = 2 stops after two
-        // sorted accesses, and the bitmap starts at two words (100 ids).
+        // One two-page list, values falling with the id: k = 2 stops after
+        // two sorted accesses with the cursor holding page 0, and the
+        // bitmap starts at seven words (400 ids).
+        const TUPLES: u32 = 400;
+        assert!(TUPLES as usize > ir_storage::inverted::ENTRIES_PER_PAGE);
         let mut builder = ir_types::DatasetBuilder::new(1);
-        for i in 0..100u32 {
+        for i in 0..TUPLES {
             builder
-                .push_pairs([(0, f64::from(100 - i) / 100.0)])
+                .push_pairs([(0, f64::from(1000 - i) / 1000.0)])
                 .unwrap();
         }
         let index = TopKIndex::build_in_memory(&builder.build()).unwrap();
+        let initial_bits = index.cardinality().div_ceil(64) * 64;
         let query = QueryVector::new([(0, 0.7)], 2).unwrap();
         let mut run = TaRun::execute_default(&index, &query).unwrap();
         let mut ids: Vec<TupleId> = run.result().ids();
         ids.extend(run.candidates().iter().map(|c| c.id));
 
-        // Ids 100..=170. The list is rewritten in place, so the open cursor
-        // reads it: id 100 (value 1.0) shifts the already-seen head back
-        // under the cursor, and the rest land mid-list, ahead of it.
-        let value = |i: u32| match i {
-            0 => 1.0,
-            _ => 0.305 + f64::from(i) / 250.0,
-        };
+        // Ids 400..=470, valued between list positions 344 and 345, with
+        // the newest first. The list is rewritten in place within its two
+        // pages: page 0, which the cursor holds, keeps its bytes, and the
+        // inserts land on page 1, which the cursor reaches only after the
+        // batch and so reads as rewritten. Its directory entry still says
+        // 400 entries, so it reads ids 470 down to 416 there.
         let updates: Vec<TupleUpdate> = (0..=70u32)
             .map(|i| TupleUpdate::Insert {
-                vector: SparseVector::from_pairs([(0, value(i))]).unwrap(),
+                vector: SparseVector::from_pairs([(0, 0.6555 + f64::from(i) * 1e-6)]).unwrap(),
             })
             .collect();
         index.apply_updates(&updates).unwrap();
@@ -443,8 +446,8 @@ mod tests {
         }
         assert!(run.exhausted());
         assert!(
-            ids.iter().any(|id| id.index() >= 128),
-            "an id past the initial two bitmap words came back: {ids:?}"
+            ids.iter().any(|id| id.index() >= initial_bits),
+            "an id past the initial {initial_bits} bitmap bits came back: {ids:?}"
         );
         let distinct: std::collections::BTreeSet<TupleId> = ids.iter().copied().collect();
         assert_eq!(distinct.len(), ids.len(), "an id came back twice: {ids:?}");
