@@ -204,8 +204,9 @@ fn assert_equivalent(
     }
 }
 
-/// Every immutable region matches the exhaustive oracle and the first
-/// configuration of the same φ and mode at 1e-9, and for φ > 0 every
+/// Every immutable region matches the exhaustive oracle at 1e-9, every
+/// dimension's regions, boundaries and ordered results equal the first
+/// configuration's of the same φ and mode bit for bit, and for φ > 0 every
 /// non-degenerate region holds the oracle's ordered result at its midpoint.
 /// The oracle's regions are computed once per case, φ and mode.
 fn check_exhaustive(
@@ -245,10 +246,7 @@ fn check_exhaustive(
                 dim.immutable,
                 expected.immutable
             );
-            assert!(
-                dim.immutable.approx_eq(&first_dim.immutable, 1e-9),
-                "{at}: disagrees with {first:?}"
-            );
+            assert_eq!(dim, first_dim, "{at}: disagrees with {first:?}");
             if config.phi == 0 {
                 continue;
             }

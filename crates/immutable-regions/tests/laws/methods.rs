@@ -66,9 +66,9 @@ fn one_off_and_iterative_processing_agree() {
 }
 
 #[test]
-fn phi_zero_and_flat_solver_agree() {
+fn phi_one_central_region_is_the_phi_zero_region() {
     // A φ = 1 computation restricted to its central region must equal the
-    // φ = 0 computation (they use different solvers internally).
+    // φ = 0 computation bit for bit: the same sweep, stopped one event later.
     let dataset = subset_dataset(&mut rng(7), 80, 5);
     let index = IndexBuilder::new().build_shared(&dataset).unwrap();
     let query = QueryVector::new([(0, 0.6), (1, 0.8), (3, 0.4)], 4).unwrap();
@@ -80,13 +80,11 @@ fn phi_zero_and_flat_solver_agree() {
             RegionComputation::new(&index, &query, RegionConfig::with_phi(algorithm, 1)).unwrap();
         let phi_report = phi.compute().unwrap();
         for (a, b) in flat_report.dims.iter().zip(&phi_report.dims) {
-            assert!(
-                a.immutable.approx_eq(&b.immutable, 1e-9),
-                "{}: φ=0 {:?} vs φ=1 central {:?}",
-                algorithm.name(),
-                a.immutable,
-                b.immutable
-            );
+            let at = format!("{}, dim {:?}", algorithm.name(), a.dim);
+            assert_eq!(a.immutable, b.immutable, "{at}");
+            assert_eq!(a.lower_boundary, b.lower_boundary, "{at}");
+            assert_eq!(a.upper_boundary, b.upper_boundary, "{at}");
+            assert_eq!(a.regions, [b.regions[b.current_region].clone()], "{at}");
         }
     }
 }

@@ -1,11 +1,10 @@
 //! The public entry point: [`RegionComputation`].
 
-use crate::config::{PerturbationMode, RegionConfig};
+use crate::config::RegionConfig;
 use crate::evaluator::CandidateEvaluator;
 use crate::metrics::ComputationStats;
-use crate::region::{DimRegions, RegionReport};
-use crate::solver_flat::{solve_dim_flat, DimSolveInfo};
-use crate::solver_phi::solve_dim_phi;
+use crate::region::RegionReport;
+use crate::solver::solve_dim;
 use ir_storage::{IoStatsSnapshot, TopKIndex};
 use ir_topk::TaRun;
 use ir_types::{IrResult, QueryVector, TopKResult};
@@ -109,34 +108,6 @@ impl RegionComputation {
         stats.cpu_time = started.elapsed();
         Ok(RegionReport { dims, stats })
     }
-}
-
-/// Solves one query dimension with the solver `config` calls for, and
-/// records in the returned info the page accesses the solve made through
-/// `evaluator` and `ta`.
-///
-/// The flat (Lemma-1 against d_k) solver is only valid while the result
-/// ordering is fixed inside the region, i.e. when reorderings count as
-/// perturbations. In composition-only mode the lowest-ranked result member
-/// can change identity inside the region, so the envelope-based solver is
-/// used even for φ = 0.
-fn solve_dim(
-    index: &TopKIndex,
-    ta: &mut TaRun,
-    dim_index: usize,
-    config: &RegionConfig,
-    evaluator: &mut CandidateEvaluator<'_>,
-) -> IrResult<(DimRegions, DimSolveInfo)> {
-    evaluator.start_dimension();
-    let io_before = evaluator.io().plus(&ta.io());
-    let flat = config.phi == 0 && config.mode == PerturbationMode::WithReorderings;
-    let (regions, mut info) = if flat {
-        solve_dim_flat(index, ta, dim_index, config, evaluator)?
-    } else {
-        solve_dim_phi(index, ta, dim_index, config, evaluator)?
-    };
-    info.io = evaluator.io().plus(&ta.io()).since(&io_before);
-    Ok((regions, info))
 }
 
 #[cfg(test)]

@@ -1,8 +1,9 @@
 //! Candidate evaluation: the unit of cost the paper measures.
 //!
-//! "Evaluating" a candidate means checking it against the k-th result tuple
-//! (or the result's lower envelope when `φ > 0`) via Lemma 1, which requires
-//! its exact coordinate in the dimension under consideration. Per the
+//! "Evaluating" a candidate means feeding its line to the kinetic sweeps of
+//! the dimension under consideration, which check it against the result's
+//! lower envelope (at `φ = 0`, against the k-th result tuple by Lemma 1).
+//! That requires its exact coordinate in the dimension. Per the
 //! paper's cost model the exact coordinates of evaluated candidates are
 //! fetched from the external tuple file, so every evaluation incurs one
 //! random access — this is precisely why the number of evaluated candidates

@@ -20,10 +20,13 @@
 //! | [`Algorithm::Thres`] | candidate thresholding over all of `C(q)` | §5.2 |
 //! | [`Algorithm::Cpt`]   | pruning followed by thresholding (the paper's CPT) | §5 + §6 |
 //!
-//! All four share Phase 1 (reorderings inside `R(q)`) and Phase 3 (resumed TA
-//! over tuples never seen by TA), and all four produce identical regions —
-//! they differ only in how many candidates they must examine, which is
-//! exactly what the paper's evaluation measures.
+//! All four run one solver ([`solver`]) at every `φ` and in both modes: per
+//! query dimension and direction, a kinetic sweep (Section 6) over the
+//! result lines, fed the candidates of Phase 2 and the tuples a resumed TA
+//! finds in Phase 3 (Algorithm 2). At `φ = 0` its first event is Lemma 1's
+//! bound. All four produce identical regions, bit for bit — they differ
+//! only in how many candidates they must examine, which is exactly what the
+//! paper's evaluation measures.
 //!
 //! The entry point is [`RegionComputation`]; [`oracle::ExhaustiveOracle`]
 //! provides an `O(n²)` reference implementation used by the test-suite to
@@ -40,15 +43,12 @@ pub mod config;
 pub mod evaluator;
 pub mod invalidate;
 pub mod iterative;
-pub mod lemma;
 pub mod metrics;
 pub mod oracle;
 pub mod parallel;
 pub mod partition;
 pub mod region;
-pub mod solver_flat;
-pub mod solver_phi;
-pub mod threshold;
+pub mod solver;
 
 pub use compute::RegionComputation;
 pub use config::{Algorithm, PerturbationMode, RegionConfig};

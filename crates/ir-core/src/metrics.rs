@@ -11,8 +11,8 @@ use std::time::Duration;
 /// Counters accumulated while computing immutable regions.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ComputationStats {
-    /// Candidates evaluated (checked against the k-th result tuple via
-    /// Lemma 1, or fed to the kinetic sweep when `φ > 0`), summed over all
+    /// Candidates evaluated (fed to the kinetic sweeps, which at `φ = 0`
+    /// check them against the k-th result tuple by Lemma 1), summed over all
     /// query dimensions.
     pub evaluated_candidates: u64,
     /// Evaluated candidates per query dimension, in query-dimension order.

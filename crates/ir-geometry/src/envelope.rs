@@ -3,9 +3,9 @@
 //! The lower envelope of the `k` result lines is the score of the k-th
 //! result tuple as a function of the weight deviation (Section 6, Figure 9).
 //! A candidate enters the result exactly where its line crosses the envelope
-//! from below, and the threshold line of the thresholding/Phase-3 termination
-//! tests is safe exactly when it stays strictly below the envelope over the
-//! considered deviation range.
+//! from below. The region solver reads the envelope a kinetic sweep traces
+//! ([`crate::SweepOutcome::never_exceeds`]); this module builds one from a
+//! set of lines.
 
 use crate::line::{intersection_x, Line};
 use serde::{Deserialize, Serialize};
@@ -138,11 +138,8 @@ impl LowerEnvelope {
 
     /// First `x` in `[lo, hi]` at which `probe` reaches (or exceeds) the
     /// envelope, i.e. `probe.eval(x) >= envelope(x)`, or `None` if the probe
-    /// stays strictly below everywhere.
-    ///
-    /// This is the geometric primitive behind both "does this candidate enter
-    /// the result inside the region?" and the safe-termination tests on the
-    /// threshold line.
+    /// stays strictly below everywhere: where a candidate would enter the
+    /// result.
     pub fn first_reach_from_below(&self, probe: &Line) -> Option<f64> {
         for piece in &self.pieces {
             let start_diff = probe.eval(piece.x_start) - piece.line.eval(piece.x_start);
@@ -158,12 +155,6 @@ impl LowerEnvelope {
             }
         }
         None
-    }
-
-    /// True if `probe` stays strictly below the envelope over the whole
-    /// range.
-    pub fn line_strictly_below(&self, probe: &Line) -> bool {
-        self.first_reach_from_below(probe).is_none()
     }
 }
 
@@ -232,7 +223,7 @@ mod tests {
 
         // A probe that never reaches the envelope.
         let below = l(8, 0.1, 0.0);
-        assert!(env.line_strictly_below(&below));
+        assert_eq!(env.first_reach_from_below(&below), None);
 
         // A probe already at/above the envelope at the range start.
         let above = l(7, 0.7, 0.0);

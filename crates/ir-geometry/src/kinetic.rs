@@ -13,23 +13,30 @@
 //!
 //! # Selection rule
 //!
-//! Each step picks the next event at or after the current position `x`:
+//! Each step picks the next event at or after the current position `x` and
+//! strictly before `x_max`, the domain edge, where no perturbation lies:
 //!
-//! * the best *reorder* is the first adjacent pair of the ordered result, in
-//!   rank order, whose crossing is earliest by more than `EVENT_EPS`;
+//! * the best *reorder* is the adjacent pair of the ordered result with the
+//!   earliest crossing, the first in rank order among equal crossings;
 //! * the best *enter* is the outside line with the smallest
 //!   `(entry x, label)`, where a line's entry is `x` itself when it is
 //!   already clearly above the k-th line (relative `1e-12`), else its
 //!   crossing with the k-th line when it is steeper, else never;
-//! * the enter wins only when it beats the best reorder by more than
-//!   `EVENT_EPS`.
+//! * the enter wins only when it is strictly earlier than the best reorder.
+//!
+//! These are the tie rules of Lemma 1 applied pair by pair (Algorithms 1
+//! and 2): a bound moves only when a strictly tighter one is found — the
+//! domain edge included — and the reorderings among the result are checked
+//! first. Crossings are computed as
+//! `(b.intercept − a.intercept) / (a.slope − b.slope)`, which for the first
+//! event of a sweep is bit for bit Lemma 1's bound.
 //!
 //! The outside lines are never scanned in an order that can decide a tie,
 //! so a [`SweepOutcome`] depends only on the ordered result and the *set* of
 //! outside lines, not on the order they were added in. That is what lets
 //! [`IncrementalSweep`] leave out lines the sweep would never select
-//! ([`SweepOutcome::is_inert`]) and still equal [`sweep_topk`] over all of
-//! them bit for bit.
+//! ([`SweepOutcome::is_inert`]) and fold a line into the step that ends the
+//! sweep, and still equal [`sweep_topk`] over all of them bit for bit.
 
 use crate::envelope::EnvelopePiece;
 use crate::line::{intersection_x, Line};
@@ -101,13 +108,56 @@ pub struct SweepOutcome {
 
 impl SweepOutcome {
     /// True if the sweep would never select `line` had it been one of the
-    /// outside lines: at every step its entry is absent or strictly after
-    /// the step's end. Adding an inert line to the sweep leaves the outcome
+    /// outside lines: at every step its entry is absent or after the step's
+    /// end — at or after it for the last step of a sweep that ran to
+    /// `x_max`. Adding an inert line to the sweep leaves the outcome
     /// bit-identical (see the module docs' selection rule).
     pub fn is_inert(&self, line: &Line) -> bool {
-        self.steps
+        self.landing(line).is_none()
+    }
+
+    /// The first step at which `line` could be selected — its entry lies at
+    /// or before the step's event, or before `x_max` in a step without one —
+    /// and that entry.
+    fn landing(&self, line: &Line) -> Option<(usize, f64)> {
+        self.steps.iter().enumerate().find_map(|(i, step)| {
+            let has_event = i < self.events.len();
+            entry_x(line, &step.kth, step.x_start)
+                .filter(|&cx| cx < step.x_end || (has_event && cx == step.x_end))
+                .map(|cx| (i, cx))
+        })
+    }
+
+    /// True if `probe` never rises above the k-th result line between `0`
+    /// and [`SweepOutcome::end_x`], given that it starts at or below it:
+    /// on every envelope piece whose line it is steeper than, it meets that
+    /// line at or after the piece's end. A probe no steeper than a piece's
+    /// line keeps, along the piece, the side it had at the piece's start.
+    ///
+    /// Touching counts as staying below, as in Lemma 1: a line that only
+    /// meets the envelope where it ends neither moves a reorder (which wins
+    /// every tie) nor the domain edge (where nothing happens). Where another
+    /// line enters, it could tie with it and win on its label; Algorithms 2
+    /// and 3 leave such a line unsought, and so does this test.
+    ///
+    /// This is the termination test of thresholding and of the resumed TA:
+    /// a probe that bounds every unseen line from above and never exceeds
+    /// the envelope proves that no unseen line rises above it.
+    pub fn never_exceeds(&self, probe: &Line) -> bool {
+        self.envelope.iter().all(|piece| {
+            probe.slope <= piece.line.slope
+                || intersection_x(probe, &piece.line).map_or(true, |cx| cx >= piece.x_end)
+        })
+    }
+
+    /// The smallest slope of a k-th line on the envelope (`+∞` when it is
+    /// empty). A line that starts at or below the envelope and is no steeper
+    /// than this never rises above it.
+    pub fn min_kth_slope(&self) -> f64 {
+        self.envelope
             .iter()
-            .all(|step| entry_x(line, &step.kth, step.x_start).map_or(true, |cx| cx > step.x_end))
+            .map(|piece| piece.line.slope)
+            .fold(f64::INFINITY, f64::min)
     }
 }
 
@@ -122,8 +172,6 @@ pub struct KineticSweep {
     envelope_from: f64,
     steps: Vec<SweepStep>,
 }
-
-const EVENT_EPS: f64 = 1e-15;
 
 /// Where `cand` overtakes `kth` at or after `x`: `x` itself when it is
 /// already clearly above, the crossing when it is steeper, else never.
@@ -140,9 +188,20 @@ fn entry_x(cand: &Line, kth: &Line, x: f64) -> Option<f64> {
         // the same x): enters immediately.
         Some(x)
     } else if cand.slope > kth.slope {
-        intersection_x(cand, kth).map(|cx| cx.max(x))
+        intersection_x(cand, kth).map(|cx| at_or_after(cx, x))
     } else {
         None
+    }
+}
+
+/// `cx` moved up to `x` if it lies before it. A crossing of `-0.0` at
+/// `x = 0.0` becomes `0.0`, the sign Lemma 1's bound has there.
+#[inline]
+fn at_or_after(cx: f64, x: f64) -> f64 {
+    if cx > x {
+        cx
+    } else {
+        x
     }
 }
 
@@ -211,8 +270,8 @@ impl KineticSweep {
                 continue; // lower can never catch up
             }
             if let Some(cx) = intersection_x(upper, lower) {
-                let cx = cx.max(self.x);
-                if cx <= self.x_max && cx < reorder_x - EVENT_EPS {
+                let cx = at_or_after(cx, self.x);
+                if cx < self.x_max && cx < reorder_x {
                     reorder_x = cx;
                     reorder = Some(i);
                 }
@@ -226,7 +285,7 @@ impl KineticSweep {
             let Some(cx) = entry_x(cand, &kth, self.x) else {
                 continue;
             };
-            if cx > self.x_max {
+            if cx >= self.x_max {
                 continue;
             }
             let earlier = enter.map_or(true, |(best_x, best_label, _)| {
@@ -238,7 +297,7 @@ impl KineticSweep {
         }
 
         let (event_x, kind) = match (enter, reorder) {
-            (Some((ex, _, idx)), _) if ex < reorder_x - EVENT_EPS => {
+            (Some((ex, _, idx)), _) if ex < reorder_x => {
                 self.begin_step(ex);
                 let entering = self.outside.swap_remove(idx);
                 let evicted = self.ordered.pop().expect("non-empty order");
@@ -339,18 +398,26 @@ pub fn sweep_topk(
 }
 
 /// A sweep that candidates are fed into one at a time, re-run only when a
-/// fed line could change its outcome.
+/// fed line could change its outcome in a way it cannot patch.
 ///
 /// Fed lines wait as *pending* until the next [`IncrementalSweep::outcome`]
 /// call. There each is tested against the cached outcome: an inert line
 /// ([`SweepOutcome::is_inert`]) becomes *dormant* and is left out of the
-/// sweep; any other line becomes *active* and invalidates the cache. A miss
-/// sweeps the ordered result against the active lines only, then re-tests
-/// every dormant line and promotes those the new outcome is no longer
-/// blind to, repeating until none wakes. Dormancy is not monotone — a new
-/// line can remove events, so a truncated sweep's `end_x` can grow and
-/// uncover a dormant line's entry — which is why every miss re-tests them
-/// all.
+/// sweep; any other line becomes *active*. An active line whose entry lies
+/// in the last step, where the sweep stops, is *folded*: it either loses
+/// that step to the event already selected there, or replaces it as an
+/// enter event that still ends the sweep, and the outcome is patched in
+/// place. Any other active line invalidates the cache. A miss sweeps the
+/// ordered result against the active lines only, then re-tests every
+/// dormant line and promotes those the new outcome is no longer blind to,
+/// repeating until none wakes. Dormancy is not monotone — a new line can
+/// remove events, so a truncated sweep's `end_x` can grow and uncover a
+/// dormant line's entry — which is why every miss re-tests them all. A fold
+/// only moves the end of the last step earlier, so it leaves every dormant
+/// line inert.
+///
+/// With one event (`φ = 0` with reorderings) every step is the last one,
+/// so every active line is folded and the result is swept once.
 ///
 /// The cached outcome always equals [`sweep_topk`] over the result and every
 /// line fed so far, in any order.
@@ -395,14 +462,17 @@ impl IncrementalSweep {
     /// The outcome over the result and every line fed so far.
     pub fn outcome(&mut self) -> &SweepOutcome {
         let mut stale = false;
-        for line in self.pending.drain(..) {
-            if self.outcome.is_inert(&line) {
-                self.dormant.push(line);
-            } else {
-                self.active.push(line);
-                stale = true;
+        let mut pending = std::mem::take(&mut self.pending);
+        for line in pending.drain(..) {
+            match self.outcome.landing(&line) {
+                None => self.dormant.push(line),
+                Some((step, entry)) => {
+                    stale = stale || !self.fold(&line, step, entry);
+                    self.active.push(line);
+                }
             }
         }
+        self.pending = pending;
         while stale {
             self.outcome = sweep_topk(
                 self.ordered.clone(),
@@ -426,8 +496,95 @@ impl IncrementalSweep {
         &self.outcome
     }
 
+    /// Patches the outcome for `line`, which lands at `entry` in step
+    /// `step`, and returns true; or returns false, leaving the outcome
+    /// alone, when only a new sweep can tell its effect.
+    ///
+    /// The patch applies when `step` is the last step and the sweep stops
+    /// there: either it selected its last allowed event there, or it found
+    /// none and `line` would be its last allowed event. Every other outside
+    /// line lost that step to the event selected there (or had no entry in
+    /// it), so `line` is selected exactly when it beats that event under the
+    /// selection rule, and then it evicts the step's k-th line at `entry`
+    /// and ends the sweep. Earlier steps are untouched.
+    fn fold(&mut self, line: &Line, step: usize, entry: f64) -> bool {
+        let outcome = &mut self.outcome;
+        if step + 1 != outcome.steps.len() {
+            return false;
+        }
+        let last = outcome.steps[step];
+        if outcome.truncated {
+            let Some(event) = outcome.events.last_mut() else {
+                return false;
+            };
+            let wins = match event.kind {
+                SweepEventKind::Enter { entering, .. } => {
+                    entry < event.x || (entry == event.x && line.label < entering)
+                }
+                SweepEventKind::Reorder { .. } => entry < event.x,
+            };
+            if !wins {
+                return true;
+            }
+            // Back to the order the step started from, then evict its k-th.
+            if let SweepEventKind::Reorder {
+                overtaker,
+                overtaken,
+            } = event.kind
+            {
+                let order = &mut event.order_after;
+                if let Some(i) = order.iter().position(|&label| label == overtaker) {
+                    if order.get(i + 1) == Some(&overtaken) {
+                        order.swap(i, i + 1);
+                    }
+                }
+            }
+            if let Some(kth) = event.order_after.last_mut() {
+                *kth = line.label;
+            }
+            event.x = entry;
+            event.kind = SweepEventKind::Enter {
+                entering: line.label,
+                evicted: last.kth.label,
+            };
+        } else {
+            if outcome.events.len() + 1 != self.max_events {
+                return false;
+            }
+            let mut order_after = match outcome.events.last() {
+                Some(event) => event.order_after.clone(),
+                None => self.ordered.iter().map(|l| l.label).collect(),
+            };
+            if let Some(kth) = order_after.last_mut() {
+                *kth = line.label;
+            }
+            outcome.events.push(SweepEvent {
+                x: entry,
+                kind: SweepEventKind::Enter {
+                    entering: line.label,
+                    evicted: last.kth.label,
+                },
+                order_after,
+            });
+            outcome.truncated = true;
+        }
+        // The step's envelope piece, if it had width, now ends at `entry`.
+        if last.x_end > last.x_start {
+            if entry > last.x_start {
+                if let Some(piece) = outcome.envelope.last_mut() {
+                    piece.x_end = entry;
+                }
+            } else {
+                outcome.envelope.pop();
+            }
+        }
+        outcome.steps[step].x_end = entry;
+        outcome.end_x = entry;
+        true
+    }
+
     /// How many sweeps have run, the one over the bare result included. It
-    /// grows only when the outcome may have changed.
+    /// grows only when a fed line could neither be left out nor folded in.
     pub fn sweeps(&self) -> usize {
         self.sweeps
     }
@@ -615,5 +772,87 @@ mod tests {
         assert!((after.end_x - 2.95 / 7.0).abs() < 1e-12);
         let reference = sweep_topk(vec![r], vec![a, b, n, d], 0.0, 1.0, 2);
         assert_eq!(bits(&after), bits(&reference));
+    }
+
+    /// Lemma 1: a challenger whose bound lies past the current one moves
+    /// nothing; a tighter one moves the bound to its crossing.
+    #[test]
+    fn tighten_only_moves_bounds_inward() {
+        let anchor = l(0, 0.8, 0.5);
+        // Crosses at (0.8 − 0.1) / (0.9 − 0.5) = 1.75, past x_max.
+        let weak = l(1, 0.1, 0.9);
+        // Crosses at (0.8 − 0.75) / (0.9 − 0.5) = 0.125.
+        let strong = l(2, 0.75, 0.9);
+        assert!(sweep_topk(vec![anchor], vec![weak], 0.0, 0.5, 1)
+            .events
+            .is_empty());
+        for outside in [vec![strong], vec![weak, strong], vec![strong, weak]] {
+            let outcome = sweep_topk(vec![anchor], outside, 0.0, 0.5, 1);
+            assert_eq!(outcome.events.len(), 1);
+            assert!((outcome.events[0].x - 0.125).abs() < 1e-12);
+            assert_eq!(
+                outcome.events[0].kind,
+                SweepEventKind::Enter {
+                    entering: 2,
+                    evicted: 0
+                }
+            );
+        }
+    }
+
+    /// The anchor stays ahead just inside the reported crossing and falls
+    /// behind just past it.
+    #[test]
+    fn preservation_holds_inside_and_breaks_outside_the_bound() {
+        let anchor = l(0, 0.81, 0.7);
+        let challenger = l(1, 0.80, 0.8);
+        let outcome = sweep_topk(vec![anchor, challenger], vec![], 0.0, 0.2, 1);
+        let u = outcome.events[0].x;
+        assert!(anchor.eval(u - 1e-6) >= challenger.eval(u - 1e-6));
+        assert!(anchor.eval(u + 1e-6) < challenger.eval(u + 1e-6));
+    }
+
+    /// Nothing crosses at the domain edge: a line meeting the k-th line
+    /// exactly at `x_max` neither enters nor wakes, and a probe through that
+    /// point never exceeds the envelope.
+    #[test]
+    fn nothing_happens_at_the_domain_edge() {
+        let kth = l(0, 0.5, 0.0);
+        // Crosses kth at x = 0.5 = x_max.
+        let edge = l(1, 0.25, 0.5);
+        let outcome = sweep_topk(vec![kth], vec![edge], 0.0, 0.5, 1);
+        assert!(outcome.events.is_empty());
+        assert!(outcome.is_inert(&edge));
+        assert!(outcome.never_exceeds(&edge));
+        assert!(!outcome.never_exceeds(&l(2, 0.25, 0.5 + 1e-9)));
+    }
+
+    /// A probe touching the envelope where the sweep ends never exceeds it,
+    /// whether a reorder ends it there or a line enters. A line through the
+    /// entry point with a smaller label would win the tie.
+    #[test]
+    fn touching_the_envelope_counts_as_below() {
+        // Two result lines swap at x = 0.25; the probe meets the k-th line
+        // (label 1) exactly there.
+        let result = vec![l(0, 0.5, 0.0), l(1, 0.25, 1.0)];
+        let reorder = sweep_topk(result, vec![], 0.0, 1.0, 1);
+        assert_eq!(reorder.end_x, 0.25);
+        assert!(reorder.never_exceeds(&l(9, 0.0, 2.0)));
+        // Line 5 enters at 0.25; line 4 through the same point would take
+        // its place.
+        let kth = l(0, 0.5, 0.0);
+        let enter = sweep_topk(vec![kth], vec![l(5, 0.25, 1.0)], 0.0, 1.0, 1);
+        assert_eq!(enter.end_x, 0.25);
+        let rival = l(4, 0.0, 2.0);
+        assert!(enter.never_exceeds(&rival));
+        assert!(!enter.is_inert(&rival));
+        let both = sweep_topk(vec![kth], vec![l(5, 0.25, 1.0), rival], 0.0, 1.0, 1);
+        assert_eq!(
+            both.events[0].kind,
+            SweepEventKind::Enter {
+                entering: 4,
+                evicted: 0
+            }
+        );
     }
 }

@@ -291,6 +291,41 @@ proptest! {
         }
     }
 
+    /// Fed one line per outcome at one and two events, where most lines
+    /// land in the step that ends the sweep and are folded into it: the
+    /// incremental sweep equals the from-scratch one after every line, a
+    /// line that runs no sweep leaves the dormant set as it was (bar
+    /// itself), and at one event the result is swept once in all.
+    #[test]
+    fn folding_into_the_last_step_equals_from_scratch(case in tie_case_strategy(), seed in 0u64..u64::MAX) {
+        let (ordered, outside, _) = case;
+        let mut order = outside.clone();
+        let mut seed = seed;
+        shuffle(&mut order, &mut seed);
+        for max_events in [1, 2] {
+            let mut incremental = IncrementalSweep::new(ordered.clone(), 0.0, TIE_X_MAX, max_events);
+            for (fed, line) in order.iter().enumerate() {
+                let sweeps = incremental.sweeps();
+                let mut dormant = incremental.dormant().to_vec();
+                incremental.push(*line);
+                prop_assert_eq!(
+                    bits(incremental.outcome()),
+                    bits(&sweep(&ordered, &order[..=fed], max_events)),
+                    "max_events {}, after feeding {:?}", max_events, &order[..=fed]
+                );
+                if incremental.sweeps() == sweeps {
+                    if incremental.dormant().len() > dormant.len() {
+                        dormant.push(*line);
+                    }
+                    prop_assert_eq!(incremental.dormant(), &dormant[..], "after {:?}", line);
+                }
+            }
+            if max_events == 1 {
+                prop_assert_eq!(incremental.sweeps(), 1);
+            }
+        }
+    }
+
     /// Fed `a, b, d, n` in that order with the noise shuffled in between, the
     /// incremental sweep keeps `d` dormant until `n` arrives, then runs one
     /// sweep for `n` and one more for `d` waking, and equals the
