@@ -24,11 +24,11 @@
 //! coordinates, the left sweep the smallest, and only what is popped is
 //! ever ordered. A side is done when the line of a tuple with the score and
 //! coordinate at the heads never rises above its envelope
-//! ([`SweepOutcome::never_exceeds`]). A candidate pulled from `SLS` is
-//! evaluated only for a side that is still open and only if it is steeper
-//! than some k-th line there — at `φ = 0`, only when its coordinate lies on
-//! the side of `d_k`'s whose bound is still open. Every evaluated candidate
-//! is fed to both sweeps.
+//! ([`ir_geometry::SweepOutcome::never_exceeds`]). A candidate pulled from
+//! `SLS` is evaluated only for a side that is still open and only if it is
+//! steeper than some k-th line there — at `φ = 0`, only when its coordinate
+//! lies on the side of `d_k`'s whose bound is still open. Every evaluated
+//! candidate is fed to both sweeps.
 //!
 //! All termination tests are re-checked together until they hold at once,
 //! so a side that a later line reopens — a truncated sweep whose end moves
@@ -39,7 +39,7 @@ use crate::config::{PerturbationMode, RegionConfig};
 use crate::evaluator::CandidateEvaluator;
 use crate::partition::Partition;
 use crate::region::{DimRegions, Perturbation, RegionBoundary, WeightRegion};
-use ir_geometry::{IncrementalSweep, Interval, Line, SweepEvent, SweepEventKind, SweepOutcome};
+use ir_geometry::{IncrementalSweep, Interval, Line, SweepEvent, SweepEventKind};
 use ir_storage::{IoStatsSnapshot, TopKIndex};
 use ir_topk::TaRun;
 use ir_types::{DimId, IrResult, TupleId};
@@ -116,16 +116,12 @@ impl Side {
         }
     }
 
-    fn outcome(&mut self) -> &SweepOutcome {
-        self.sweep.outcome()
-    }
-
     /// True if a tuple scoring `score` at `δ = 0` with coordinate `coord`
     /// never rises above this side's k-th result line.
     fn stays_below(&mut self, score: f64, coord: f64) -> bool {
         let id = TupleId(u32::MAX);
         let probe = line(self.direction, &Cand { id, score, coord });
-        self.outcome().never_exceeds(&probe)
+        self.sweep.outcome().never_exceeds(&probe)
     }
 
     /// True if a tuple of coordinate `coord` is steeper here than some k-th
@@ -136,7 +132,7 @@ impl Side {
             Direction::Right => coord,
             Direction::Left => -coord,
         };
-        slope > self.outcome().min_kth_slope()
+        slope > self.sweep.outcome().min_kth_slope()
     }
 }
 
@@ -498,7 +494,7 @@ pub fn solve_dim(
     // ------------------------------------------------------------------
     let [right, left] = &mut sides;
     let (right_x_max, left_x_max) = (right.x_max, left.x_max);
-    let right_events = filter_events(&right.outcome().events, config.mode, phi);
+    let right_events = filter_events(&right.sweep.outcome().events, config.mode, phi);
     let left_events = filter_events(&left.sweep.outcome().events, config.mode, phi);
 
     let build_side =
